@@ -1,19 +1,19 @@
 """Three ways to compute the same coupling term.
 
 Partitions a feeder into subtree areas and subareas, then evaluates the
-dual-weighted sensitivity sums with the flat, bi-level, and tri-level
-engines. The results agree to machine precision while the operation counts
-fall sharply, and the aggregate messages show what actually crosses an
-area boundary.
+dual-weighted sensitivity sums with the flat engine and the multilevel
+engine at depth 1 (bi-level: areas) and depth 2 (tri-level: areas split
+again into subareas). The results agree to machine precision while the
+operation counts fall sharply, and the aggregate messages show what
+actually crosses an area boundary.
 """
 
 import numpy as np
 
 from mlopf import (
-    BilevelEngine,
     FeederSpec,
     FlatEngine,
-    TrilevelEngine,
+    MultilevelEngine,
     build_sensitivity,
     generate,
     validate_partition,
@@ -38,8 +38,8 @@ mu_lo = rng.uniform(0, 1, net.n_flat)
 
 results = {
     "flat": FlatEngine(sens).compute(mu_up, mu_lo),
-    "bilevel": BilevelEngine(net, part).compute(mu_up, mu_lo),
-    "trilevel": TrilevelEngine(net, part).compute(mu_up, mu_lo),
+    "bilevel": MultilevelEngine(net, part, depth=1).compute(mu_up, mu_lo),
+    "trilevel": MultilevelEngine(net, part, depth=2).compute(mu_up, mu_lo),
 }
 
 ref = results["flat"]

@@ -11,8 +11,8 @@ import numpy as np
 
 from mlopf import (
     FeederSpec,
+    MultilevelEngine,
     SolverConfig,
-    TrilevelEngine,
     build_sensitivity,
     generate,
     make_problem,
@@ -37,7 +37,7 @@ cfg = SolverConfig(
     max_iters=40000, residual_tol=1e-10,
 )
 vmodel = LinearVoltageModel(sens)
-engine = TrilevelEngine(feeder.net, feeder.partition)
+engine = MultilevelEngine(feeder.net, feeder.partition, depth=2)
 result = run(initial_state(problem, vmodel), problem, engine, vmodel, cfg)
 
 mag1 = np.sqrt(result.state.v)

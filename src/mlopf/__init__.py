@@ -18,15 +18,12 @@ from .sensitivity import (
     build_sensitivity,
     dv_dp_entry,
     dv_dq_entry,
-    read_sensitivity,
     voltage_linear,
-    write_sensitivity,
 )
 from .partition import (
     Area,
     PartitionHierarchy,
     Subarea,
-    area_dual_aggregates,
     auto_partition,
     load_partition,
     partition_to_document,
@@ -50,17 +47,12 @@ from .opf import (
 )
 from .coupling import (
     AggregateMessage,
-    BilevelEngine,
     CouplingResult,
     EngineError,
     FlatEngine,
     FlowRecord,
-    PathOracle,
+    MultilevelEngine,
     PrivacyReport,
-    TrilevelEngine,
-    coupling_bilevel,
-    coupling_flat,
-    coupling_trilevel,
     make_engine,
     privacy_audit,
 )

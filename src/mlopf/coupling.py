@@ -1,4 +1,4 @@
-"""Dual-weighted sensitivity sums by three interchangeable engines.
+"""Dual-weighted sensitivity sums by a flat and a multilevel engine.
 
 The primal gradient of the voltage-regulation Lagrangian needs, at every
 flat index (i, phi),
@@ -7,15 +7,19 @@ flat index (i, phi),
     g_q(i, phi) = likewise with dv/dq,
 
 which is R^T d and X^T d for d = mu_up - mu_lo. The flat engine computes
-exactly that with dense products. The bi-level engine splits the sum per
-subtree area: pairs inside an area are summed exactly, pairs across two
-areas collapse to a single root-to-root impedance times the foreign area's
-per-phase dual aggregate, and unclustered buses couple to an area through
-the area root alone. The tri-level engine applies the same split once more
-inside every area using its subareas. All three are algebraically equal;
-the multilevel ones replace almost all of the N^2 pairwise work with
-aggregate exchanges, which is also what keeps per-bus duals and interior
-topology inside their scope.
+exactly that with dense products. The multilevel engine walks a tree of
+subtree scopes: the feeder, its areas and, at depth 2, each area's
+subareas. A scope without children sums all its pairs exactly. Any other
+scope recurses into its children, sums the pairs inside its remainder (the
+members outside every child) exactly, collapses pairs across two children
+to one root-to-root impedance times the other child's per-phase dual
+aggregate, and couples remainder buses to a child through the child's root
+alone. Its own aggregate is its children's aggregates plus its remainder's
+per-phase sums, so the split repeats at every level: depth 1 is the
+bi-level engine and depth 2 the tri-level one. The engines are
+algebraically equal; the multilevel one replaces almost all of the N^2
+pairwise work with aggregate exchanges, which is also what keeps per-bus
+duals and interior topology inside their scope.
 
 Operation counts follow a declared cost model (complex multiply-accumulate,
 rotation, and real/imaginary extraction each count one; the flat engine
@@ -118,33 +122,6 @@ class FlowRecord:
         self.last_messages = messages
 
 
-class PathOracle:
-    """Vectorized common-path impedance blocks, memoized on the tree prefix.
-
-    Every engine query reduces to gathering the conjugated root-path prefix
-    impedance at pairwise lowest common ancestors and rotating by the phase
-    difference; the dense R/X matrices are never touched.
-    """
-
-    def __init__(self, net: Network):
-        self.net = net
-        self._zc = np.conj(net.z_prefix)
-
-    def block(self, row_bus_pos, row_phase, col_bus_pos, col_phase) -> np.ndarray:
-        """Complex block with entry[(i,phi),(j,psi)] = conj(Z^(psi,phi)_(j,i)) omega^(psi-phi)."""
-        row_bus_pos = np.asarray(row_bus_pos)
-        col_bus_pos = np.asarray(col_bus_pos)
-        row_phase = np.asarray(row_phase)
-        col_phase = np.asarray(col_phase)
-        if row_bus_pos.size == 0 or col_bus_pos.size == 0:
-            return np.zeros((row_bus_pos.size, col_bus_pos.size), dtype=np.complex128)
-        lca = self.net.lca_pos(row_bus_pos[:, None], col_bus_pos[None, :])
-        return (
-            self._zc[lca, col_phase[None, :], row_phase[:, None]]
-            * OMEGA_POW[col_phase[None, :] - row_phase[:, None] + 2]
-        )
-
-
 def _flat_indices(net: Network, bus_ids) -> np.ndarray:
     pos = [net.bus_pos(b) for b in sorted(bus_ids)]
     if not pos:
@@ -153,8 +130,28 @@ def _flat_indices(net: Network, bus_ids) -> np.ndarray:
     return np.sort(idx[idx >= 0])
 
 
+def _common_path_block(net, zc, row_bus_pos, row_phase, col_bus_pos, col_phase):
+    """Complex block with entry[(i,phi),(j,psi)] = conj(Z^(psi,phi)_(j,i)) omega^(psi-phi).
+
+    zc is the conjugated root-path prefix impedance; gathering it at the
+    pairwise lowest common ancestors and rotating by the phase difference
+    gives the block without touching the dense R/X matrices.
+    """
+    if row_bus_pos.size == 0 or col_bus_pos.size == 0:
+        return np.zeros((row_bus_pos.size, col_bus_pos.size), dtype=np.complex128)
+    lca = net.lca_pos(row_bus_pos[:, None], col_bus_pos[None, :])
+    return (
+        zc[lca, col_phase[None, :], row_phase[:, None]]
+        * OMEGA_POW[col_phase[None, :] - row_phase[:, None] + 2]
+    )
+
+
+def _exact_block_ops(size: int) -> int:
+    return size * size + 5 * size
+
+
 def _level_op_count(intra_ops: list[int], cluster_sizes: list[int], rem: int) -> int:
-    """Declared per-apply cost of one clustering level.
+    """Declared per-apply cost of one scope: its child clusters and remainder.
 
     Exact pairwise blocks cost size^2 accumulates plus 5 per target (three
     rotations, two extractions). Each cluster then pays the root-to-root
@@ -171,14 +168,10 @@ def _level_op_count(intra_ops: list[int], cluster_sizes: list[int], rem: int) ->
             ops += 3 * rem + 15
         ops += 2 * a
     if rem > 0:
-        ops += rem * rem + 5 * rem
+        ops += _exact_block_ops(rem)
         if c > 0:
             ops += rem * (3 * c + 5)
     return ops
-
-
-def _exact_block_ops(size: int) -> int:
-    return size * size + 5 * size
 
 
 class FlatEngine:
@@ -214,329 +207,171 @@ def _check_duals(mu_upper, mu_lower, n) -> np.ndarray:
     return mu_upper - mu_lower
 
 
-class _ClusterLevel:
-    """Shared index bookkeeping and matrices for one clustering level."""
+class _Scope:
+    """One node of the scope tree and the blocks its kernels read.
 
-    def __init__(self, net, oracle, clusters, exterior_ids):
-        # clusters: list of (scope, root_bus_id, member_bus_ids)
-        self.scopes = [c[0] for c in clusters]
-        self.roots = [c[1] for c in clusters]
-        self.c = len(clusters)
-        root_pos = np.array([net.bus_pos(r) for r in self.roots], dtype=np.int64)
-        self.slot_bus_pos = np.repeat(root_pos, 3)
-        self.slot_phase = np.tile(np.arange(3, dtype=np.int64), self.c)
-        self.member_idx = [_flat_indices(net, c[2]) for c in clusters]
-        self.cat_members = (
-            np.concatenate(self.member_idx) if self.c else np.zeros(0, dtype=np.int64)
-        )
-        self.member_slot = (
-            np.concatenate(
-                [3 * k + net.flat_phase[idx] for k, idx in enumerate(self.member_idx)]
+    The remainder is every member outside all child scopes; a scope without
+    children is a leaf, whose remainder is all of it.
+    """
+
+    def __init__(self, net, zc, key, root, member_ids, children, pos):
+        self.key = key
+        self.root = root
+        self.children = children
+        self.pos = pos
+        self.idx = _flat_indices(net, member_ids)
+        self.rem = self.idx
+        if children:
+            self.child_pos = np.array([ch.pos for ch in children], dtype=np.int64)
+            self.cat = np.concatenate([ch.idx for ch in children])
+            self.slot = np.concatenate(
+                [3 * k + net.flat_phase[ch.idx] for k, ch in enumerate(children)]
             )
-            if self.c
-            else np.zeros(0, dtype=np.int64)
+            in_child = np.zeros(net.n_flat, dtype=bool)
+            in_child[self.cat] = True
+            self.rem = self.idx[~in_child[self.idx]]
+        rem_bus = net.flat_bus_pos[self.rem]
+        self.rem_phase = net.flat_phase[self.rem]
+        self.w_rem = _common_path_block(
+            net, zc, rem_bus, self.rem_phase, rem_bus, self.rem_phase
         )
-        self.ext_idx = _flat_indices(net, exterior_ids)
-        ext_bus = net.flat_bus_pos[self.ext_idx]
-        ext_phase = net.flat_phase[self.ext_idx]
-
-        self.intra_blocks = [
-            oracle.block(
-                net.flat_bus_pos[idx], net.flat_phase[idx],
-                net.flat_bus_pos[idx], net.flat_phase[idx],
+        if children:
+            c = len(children)
+            root_pos = np.array([net.bus_pos(ch.root) for ch in children], dtype=np.int64)
+            slot_bus = np.repeat(root_pos, 3)
+            slot_phase = np.tile(np.arange(3, dtype=np.int64), c)
+            self.z_roots = _common_path_block(
+                net, zc, slot_bus, slot_phase, slot_bus, slot_phase
             )
-            for idx in self.member_idx
-        ]
-        self.z_roots = oracle.block(
-            self.slot_bus_pos, self.slot_phase, self.slot_bus_pos, self.slot_phase
-        )
-        for k in range(self.c):
-            self.z_roots[3 * k: 3 * k + 3, 3 * k: 3 * k + 3] = 0.0
-        self.w_exterior = oracle.block(
-            self.slot_bus_pos, self.slot_phase, ext_bus, ext_phase
-        )
-        self.w_to_exterior = oracle.block(
-            ext_bus, ext_phase, self.slot_bus_pos, self.slot_phase
-        )
-        self.w_ext_intra = oracle.block(ext_bus, ext_phase, ext_bus, ext_phase)
-        self.sizes = [len(idx) for idx in self.member_idx]
-
-    def sums(self, d: np.ndarray) -> np.ndarray:
-        """Per-cluster, per-phase dual-difference sums over the slot space."""
-        if self.c == 0:
-            return np.zeros(0)
-        return np.bincount(
-            self.member_slot, weights=d[self.cat_members], minlength=3 * self.c
+            for k in range(c):
+                self.z_roots[3 * k: 3 * k + 3, 3 * k: 3 * k + 3] = 0.0
+            self.w_down = _common_path_block(
+                net, zc, slot_bus, slot_phase, rem_bus, self.rem_phase
+            )
+            self.w_up = _common_path_block(
+                net, zc, rem_bus, self.rem_phase, slot_bus, slot_phase
+            )
+        self.ops = _level_op_count(
+            [ch.ops for ch in children], [len(ch.idx) for ch in children], len(self.rem)
         )
 
-    def combine(self, t, d, sums, threads=1):
-        """Add this level's terms into the complex accumulator t."""
-        if self.c:
-            if threads > 1:
-                t[self.cat_members] += _threaded_blocks(
-                    self.intra_blocks, self.member_idx, d, threads
-                )
-            else:
-                for idx, blk in zip(self.member_idx, self.intra_blocks):
-                    t[idx] += blk @ d[idx]
-            vals = self.z_roots @ sums
-            if len(self.ext_idx):
-                vals = vals + self.w_exterior @ d[self.ext_idx]
-            t[self.cat_members] += vals[self.member_slot]
-        if len(self.ext_idx):
-            tu = self.w_ext_intra @ d[self.ext_idx]
-            if self.c:
-                tu = tu + self.w_to_exterior @ sums
-            t[self.ext_idx] += tu
 
+class MultilevelEngine:
+    """Exact inside each innermost scope, aggregated across the scopes above.
 
-def _threaded_blocks(blocks, index_lists, d, threads):
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda bi: bi[0] @ d[bi[1]], zip(blocks, index_lists)))
-    return (
-        np.concatenate(parts) if parts else np.zeros(0, dtype=np.complex128)
-    )
-
-
-class BilevelEngine:
-    """Area-level split: exact inside each area, aggregated across areas."""
-
-    name = "bilevel"
+    Depth 1 splits the feeder into its areas (the bi-level engine); depth 2
+    splits every area again into its subareas (the tri-level engine).
+    """
 
     def __init__(
         self,
         net: Network,
         part: PartitionHierarchy,
-        oracle: PathOracle | None = None,
+        depth: int,
         record: FlowRecord | None = None,
         threads: int = 1,
     ):
+        if depth not in (1, 2):
+            raise EngineError(f"multilevel depth must be 1 or 2, got {depth!r}")
         problems = validate_partition(net, part)
         if problems:
             raise EngineError("invalid partition: " + "; ".join(problems[:3]))
+        self.name = "bilevel" if depth == 1 else "trilevel"
         self.net = net
         self.part = part
         self.n = net.n_flat
         self.record = record
         self.threads = max(1, int(threads))
-        oracle = oracle or PathOracle(net)
-        areas = sorted(part.areas, key=lambda a: a.index)
-        self.level = _ClusterLevel(
-            net,
-            oracle,
-            [(("area", a.index), a.root, a.members) for a in areas],
-            part.unclustered,
-        )
-        self.op_count_per_apply = _level_op_count(
-            [_exact_block_ops(s) for s in self.level.sizes],
-            self.level.sizes,
-            len(self.level.ext_idx),
-        )
-        if record is not None:
-            record.engine = self.name
-            self._record_flows(areas)
+        self._scopes: list[_Scope] = []  # post-order: children before parents
+        zc = np.conj(net.z_prefix)
 
-    def _record_flows(self, areas):
-        rec = self.record
-        unc_ids = sorted(self.part.unclustered)
-        roots = [a.root for a in areas]
-        for k, area in enumerate(areas):
-            scope = ("area", area.index)
-            members = sorted(area.members)
-            rec.dual_read(scope, "members", self.level.member_idx[k])
-            rec.z_access(scope, "intra", members, members)
-            if unc_ids:
-                rec.dual_read(scope, "exterior", self.level.ext_idx)
-                rec.z_access(scope, "exterior_root", unc_ids, [area.root])
-            if len(areas) > 1:
-                rec.z_access(scope, "root_root", roots, [area.root])
-                for other in areas:
-                    if other.index != area.index:
-                        rec.exchange(("area", other.index), scope)
-        if unc_ids:
-            scope = ("unclustered",)
-            rec.dual_read(scope, "members", self.level.ext_idx)
-            rec.z_access(scope, "intra", unc_ids, unc_ids)
-            if areas:
-                rec.z_access(scope, "exterior_root", unc_ids, roots)
-                for area in areas:
-                    rec.exchange(("area", area.index), scope)
+        def build(key, root, member_ids, child_specs):
+            children = [build(*c) for c in child_specs]
+            scope = _Scope(net, zc, key, root, member_ids, children, len(self._scopes))
+            self._scopes.append(scope)
+            return scope
 
-    def _messages(self, sums) -> tuple[AggregateMessage, ...]:
-        return tuple(
-            AggregateMessage(
-                scope=self.level.scopes[k],
-                root=self.level.roots[k],
-                sums=tuple(float(v) for v in sums[3 * k: 3 * k + 3]),
-            )
-            for k in range(self.level.c)
-        )
-
-    def compute(self, mu_upper: np.ndarray, mu_lower: np.ndarray) -> CouplingResult:
-        d = _check_duals(mu_upper, mu_lower, self.n)
-        t = np.zeros(self.n, dtype=np.complex128)
-        sums = self.level.sums(d)
-        self.level.combine(t, d, sums, threads=self.threads)
-        messages = self._messages(sums)
-        if self.record is not None:
-            self.record.apply(messages)
-        return CouplingResult(
-            g_p=2.0 * t.real,
-            g_q=-2.0 * t.imag,
-            op_count=self.op_count_per_apply,
-            messages=messages,
-        )
-
-
-class TrilevelEngine:
-    """Bi-level split at the top, applied again inside every area."""
-
-    name = "trilevel"
-
-    def __init__(
-        self,
-        net: Network,
-        part: PartitionHierarchy,
-        oracle: PathOracle | None = None,
-        record: FlowRecord | None = None,
-        threads: int = 1,
-    ):
-        problems = validate_partition(net, part)
-        if problems:
-            raise EngineError("invalid partition: " + "; ".join(problems[:3]))
-        self.net = net
-        self.part = part
-        self.n = net.n_flat
-        self.record = record
-        self.threads = max(1, int(threads))
-        oracle = oracle or PathOracle(net)
-        areas = sorted(part.areas, key=lambda a: a.index)
-        self.top = _ClusterLevel(
-            net,
-            oracle,
-            [(("area", a.index), a.root, a.members) for a in areas],
-            part.unclustered,
-        )
-        # One inner level per area: subareas cluster, area remainder exterior.
-        self.inner = [
-            _ClusterLevel(
-                net,
-                oracle,
+        areas = [
+            (
+                ("area", a.index), a.root, a.members,
                 [
-                    (("subarea", a.index, s.index), s.root, s.members)
+                    (("subarea", a.index, s.index), s.root, s.members, [])
                     for s in sorted(a.subareas, key=lambda s: s.index)
-                ],
-                a.remainder,
+                ] if depth == 2 else [],
             )
-            for a in areas
+            for a in sorted(part.areas, key=lambda a: a.index)
         ]
-        intra_ops = []
-        for lvl in self.inner:
-            intra_ops.append(
-                _level_op_count(
-                    [_exact_block_ops(s) for s in lvl.sizes],
-                    lvl.sizes,
-                    len(lvl.ext_idx),
-                )
-            )
-        self.op_count_per_apply = _level_op_count(
-            intra_ops, self.top.sizes, len(self.top.ext_idx)
+        # The feeder's remainder is the public unclustered set, so its own
+        # work runs in that scope.
+        self._tree = build(
+            ("unclustered",), None, [b.id for b in net.buses if b.id != 0], areas
         )
+        self._inner = [s for s in self._scopes if s.children]
+        # The remainders partition the flat index space.
+        self._rem_cat = np.concatenate([s.rem for s in self._scopes])
+        self._rem_slot = np.concatenate([3 * s.pos + s.rem_phase for s in self._scopes])
+        self.op_count_per_apply = self._tree.ops
         if record is not None:
             record.engine = self.name
-            self._record_flows(areas)
+            self._record_flows(self._tree)
 
-    def _record_flows(self, areas):
+    def _bus_ids(self, idx) -> list[int]:
+        return [self.net.buses[k].id for k in self.net.flat_bus_pos[idx]]
+
+    def _record_flows(self, scope):
+        """Record what scope and its descendants read, from the kernels' index arrays."""
         rec = self.record
-        unc_ids = sorted(self.part.unclustered)
-        roots = [a.root for a in areas]
-        for k, area in enumerate(areas):
-            scope = ("area", area.index)
-            lvl = self.inner[k]
-            rem_ids = sorted(area.remainder)
-            sub_roots = [s.root for s in area.subareas]
-            for m, sub in enumerate(sorted(area.subareas, key=lambda s: s.index)):
-                sscope = ("subarea", area.index, sub.index)
-                smembers = sorted(sub.members)
-                rec.dual_read(sscope, "members", lvl.member_idx[m])
-                rec.z_access(sscope, "intra", smembers, smembers)
-                if rem_ids:
-                    rec.dual_read(sscope, "exterior", lvl.ext_idx)
-                    rec.z_access(sscope, "exterior_root", rem_ids, [sub.root])
-                if len(sub_roots) > 1:
-                    rec.z_access(sscope, "root_root", sub_roots, [sub.root])
-                    for other in area.subareas:
-                        if other.index != sub.index:
-                            rec.exchange(("subarea", area.index, other.index), sscope)
-                rec.exchange(sscope, scope)
+        top = scope is self._tree
+        rem_ids = self._bus_ids(scope.rem)
+        roots = [ch.root for ch in scope.children]
+        for ch in scope.children:
+            self._record_flows(ch)
             if rem_ids:
-                rec.dual_read(scope, "members", lvl.ext_idx)
-                rec.z_access(scope, "intra", rem_ids, rem_ids)
-                if sub_roots:
-                    rec.z_access(scope, "exterior_root", rem_ids, sub_roots)
-            if unc_ids:
-                rec.dual_read(scope, "exterior", self.top.ext_idx)
-                rec.z_access(scope, "exterior_root", unc_ids, [area.root])
-            if len(areas) > 1:
-                rec.z_access(scope, "root_root", roots, [area.root])
-                for other in areas:
-                    if other.index != area.index:
-                        rec.exchange(("area", other.index), scope)
-        if unc_ids:
-            scope = ("unclustered",)
-            rec.dual_read(scope, "members", self.top.ext_idx)
-            rec.z_access(scope, "intra", unc_ids, unc_ids)
-            if areas:
-                rec.z_access(scope, "exterior_root", unc_ids, roots)
-                for area in areas:
-                    rec.exchange(("area", area.index), scope)
+                rec.dual_read(ch.key, "exterior", scope.rem)
+                rec.z_access(ch.key, "exterior_root", rem_ids, [ch.root])
+            if len(roots) > 1:
+                rec.z_access(ch.key, "root_root", roots, [ch.root])
+                for other in scope.children:
+                    if other is not ch:
+                        rec.exchange(other.key, ch.key)
+            if not top:
+                # The child's aggregate is part of this scope's aggregate.
+                rec.exchange(ch.key, scope.key)
+        if rem_ids:
+            rec.dual_read(scope.key, "members", scope.rem)
+            rec.z_access(scope.key, "intra", rem_ids, rem_ids)
+            if roots:
+                rec.z_access(scope.key, "exterior_root", rem_ids, roots)
+                if top:
+                    for ch in scope.children:
+                        rec.exchange(ch.key, scope.key)
 
     def compute(self, mu_upper: np.ndarray, mu_lower: np.ndarray) -> CouplingResult:
         d = _check_duals(mu_upper, mu_lower, self.n)
         t = np.zeros(self.n, dtype=np.complex128)
+        t[self._rem_cat] += np.concatenate(self._remainder_products(d))
+        # Row k starts as scope k's remainder sums and becomes its aggregate
+        # when the post-order walk below reaches it; a leaf's is final already.
+        agg = np.bincount(
+            self._rem_slot, weights=d[self._rem_cat], minlength=3 * len(self._scopes)
+        ).reshape(-1, 3)
         messages: list[AggregateMessage] = []
-        # Area aggregates assemble from subarea messages plus remainder sums,
-        # mirroring the recorded information flow.
-        top_sums = np.zeros(3 * self.top.c)
-        for k, lvl in enumerate(self.inner):
-            sub_sums = lvl.sums(d)
-            lvl.combine(t, d, sub_sums, threads=self.threads)
-            area_sum = sub_sums.reshape(-1, 3).sum(axis=0) if lvl.c else np.zeros(3)
-            if len(lvl.ext_idx):
-                area_sum = area_sum + np.bincount(
-                    self.net.flat_phase[lvl.ext_idx],
-                    weights=d[lvl.ext_idx],
-                    minlength=3,
-                )
-            top_sums[3 * k: 3 * k + 3] = area_sum
-            for m in range(lvl.c):
-                messages.append(
-                    AggregateMessage(
-                        scope=lvl.scopes[m],
-                        root=lvl.roots[m],
-                        sums=tuple(float(v) for v in sub_sums[3 * m: 3 * m + 3]),
-                    )
-                )
-        # Top level: exact intra terms were handled inside each area, so only
-        # the cross-area and unclustered parts of the top split apply here.
-        if self.top.c:
-            vals = self.top.z_roots @ top_sums
-            if len(self.top.ext_idx):
-                vals = vals + self.top.w_exterior @ d[self.top.ext_idx]
-            t[self.top.cat_members] += vals[self.top.member_slot]
-        if len(self.top.ext_idx):
-            tu = self.top.w_ext_intra @ d[self.top.ext_idx]
-            if self.top.c:
-                tu = tu + self.top.w_to_exterior @ top_sums
-            t[self.top.ext_idx] += tu
-        for k in range(self.top.c):
-            messages.append(
-                AggregateMessage(
-                    scope=self.top.scopes[k],
-                    root=self.top.roots[k],
-                    sums=tuple(float(v) for v in top_sums[3 * k: 3 * k + 3]),
-                )
+        for scope in self._inner:
+            rows = agg[scope.child_pos]
+            sums = rows.ravel()
+            vals = scope.z_roots @ sums
+            if len(scope.rem):
+                vals = vals + scope.w_down @ d[scope.rem]
+            t[scope.cat] += vals[scope.slot]
+            messages.extend(
+                AggregateMessage(scope=ch.key, root=ch.root, sums=tuple(row))
+                for ch, row in zip(scope.children, rows.tolist())
             )
+            own = rows.sum(axis=0)
+            if len(scope.rem):
+                t[scope.rem] += scope.w_up @ sums
+                own = own + agg[scope.pos]
+            agg[scope.pos] = own
         out = tuple(messages)
         if self.record is not None:
             self.record.apply(out)
@@ -546,6 +381,16 @@ class TrilevelEngine:
             op_count=self.op_count_per_apply,
             messages=out,
         )
+
+    def _remainder_products(self, d) -> list[np.ndarray]:
+        """Every scope's exact remainder block times its duals, one task per scope."""
+        def product(scope):
+            return scope.w_rem @ d[scope.rem]
+
+        if self.threads > 1:
+            with ThreadPoolExecutor(max_workers=self.threads) as pool:
+                return list(pool.map(product, self._scopes))
+        return [product(scope) for scope in self._scopes]
 
 
 def make_engine(
@@ -561,50 +406,12 @@ def make_engine(
         if sens is None:
             raise EngineError("flat engine needs sensitivity matrices")
         return FlatEngine(sens, record=record)
-    if kind == "bilevel":
-        if net is None or part is None:
-            raise EngineError("bilevel engine needs a network and partition")
-        return BilevelEngine(net, part, record=record, threads=threads)
-    if kind == "trilevel":
-        if net is None or part is None:
-            raise EngineError("trilevel engine needs a network and partition")
-        return TrilevelEngine(net, part, record=record, threads=threads)
-    raise EngineError(f"unknown engine {kind!r}")
-
-
-def coupling_flat(
-    sens: SensitivityMatrices,
-    mu_upper: np.ndarray,
-    mu_lower: np.ndarray,
-    record: FlowRecord | None = None,
-) -> CouplingResult:
-    return FlatEngine(sens, record=record).compute(mu_upper, mu_lower)
-
-
-def coupling_bilevel(
-    net: Network,
-    part: PartitionHierarchy,
-    oracle: PathOracle | None,
-    mu_upper: np.ndarray,
-    mu_lower: np.ndarray,
-    record: FlowRecord | None = None,
-) -> CouplingResult:
-    return BilevelEngine(net, part, oracle=oracle, record=record).compute(
-        mu_upper, mu_lower
-    )
-
-
-def coupling_trilevel(
-    net: Network,
-    part: PartitionHierarchy,
-    oracle: PathOracle | None,
-    mu_upper: np.ndarray,
-    mu_lower: np.ndarray,
-    record: FlowRecord | None = None,
-) -> CouplingResult:
-    return TrilevelEngine(net, part, oracle=oracle, record=record).compute(
-        mu_upper, mu_lower
-    )
+    depth = {"bilevel": 1, "trilevel": 2}.get(kind)
+    if depth is None:
+        raise EngineError(f"unknown engine {kind!r}")
+    if net is None or part is None:
+        raise EngineError(f"{kind} engine needs a network and partition")
+    return MultilevelEngine(net, part, depth, record=record, threads=threads)
 
 
 # -- privacy audit ----------------------------------------------------------

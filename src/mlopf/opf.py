@@ -321,26 +321,3 @@ def load_problem(
         v_min=float(document.get("vmin", 0.95)),
         v_max=float(document.get("vmax", 1.05)),
     )
-
-
-def problem_to_document(problem: Problem, v_min: float, v_max: float) -> dict:
-    """Serializable device document; inverse of load_problem."""
-    dev_entries = [
-        {
-            "bus": d.bus, "phase": d.phase, "p0": d.p0, "q0": d.q0,
-            "pmin": d.p_min, "pmax": d.p_max, "qmin": d.q_min, "qmax": d.q_max,
-            "wp": d.w_p, "wq": d.w_q,
-        }
-        for d in problem.devices
-    ]
-    labels = problem.net.flat_labels()
-    dev_set = set(map(int, problem.device_index))
-    bg_entries = []
-    for idx, (bus, ph) in enumerate(labels):
-        if idx in dev_set:
-            continue
-        if problem.p0[idx] != 0.0 or problem.q0[idx] != 0.0:
-            bg_entries.append(
-                {"bus": bus, "phase": ph, "p": float(problem.p0[idx]), "q": float(problem.q0[idx])}
-            )
-    return {"devices": dev_entries, "background": bg_entries, "vmin": v_min, "vmax": v_max}

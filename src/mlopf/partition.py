@@ -14,9 +14,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .network import Network, NetworkError, PHASE_CODE
+from .network import Network, NetworkError
 
 PartitionScope = tuple  # ("area", k) | ("subarea", k, m) | ("unclustered",)
 
@@ -216,45 +214,6 @@ def _greedy_cuts(net: Network, scope_root_pos: int, target: int, forbid: set[int
             broken[k] = True
     cuts.sort(key=lambda k: net.buses[k].id)
     return cuts
-
-
-@dataclass(frozen=True)
-class DualAggregates:
-    """Per-phase sums of dual differences for each area and subarea."""
-
-    areas: np.ndarray                       # shape (K, 3)
-    subareas: dict[tuple[int, int], np.ndarray]  # (area, subarea) -> shape (3,)
-
-
-def area_dual_aggregates(
-    net: Network, part: PartitionHierarchy, mu_upper: np.ndarray, mu_lower: np.ndarray
-) -> DualAggregates:
-    """Aggregate mu_upper - mu_lower per area (and subarea) and phase.
-
-    These sums are the only per-area information the inter-area coupling
-    term consumes; per-bus duals never leave their scope.
-    """
-    mu_upper = np.asarray(mu_upper, dtype=np.float64)
-    mu_lower = np.asarray(mu_lower, dtype=np.float64)
-    if mu_upper.shape != (net.n_flat,) or mu_lower.shape != (net.n_flat,):
-        raise ValueError(f"dual vectors must have shape ({net.n_flat},)")
-    d = mu_upper - mu_lower
-    areas = np.zeros((len(part.areas), 3), dtype=np.float64)
-    subs: dict[tuple[int, int], np.ndarray] = {}
-    for area in part.areas:
-        areas[area.index] = _scope_sums(net, area.members, d)
-        for sub in area.subareas:
-            subs[(area.index, sub.index)] = _scope_sums(net, sub.members, d)
-    return DualAggregates(areas=areas, subareas=subs)
-
-
-def _scope_sums(net: Network, members, d: np.ndarray) -> np.ndarray:
-    out = np.zeros(3, dtype=np.float64)
-    for bid in sorted(members):
-        k = net.bus_pos(bid)
-        for ph in net.buses[k].phases:
-            out[PHASE_CODE[ph]] += d[net.index_of[k, PHASE_CODE[ph]]]
-    return out
 
 
 # -- document I/O ---------------------------------------------------------

@@ -9,9 +9,7 @@ over the all-pairs LCA table.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -113,32 +111,3 @@ def voltage_linear(sens: SensitivityMatrices, p: np.ndarray, q: np.ndarray) -> n
             f"injection vectors must have shape ({sens.n},), got {p.shape} and {q.shape}"
         )
     return sens.r @ p + sens.x @ q + sens.v_tilde
-
-
-# -- binary dump for bench reuse -------------------------------------------
-
-_MAGIC = b"OPFSENS1"
-
-
-def write_sensitivity(sens: SensitivityMatrices, path: str | Path) -> None:
-    """Dump R and X as row-major little-endian float64 with a 16-byte header."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", sens.n))
-        fh.write(b"\x00" * 4)
-        fh.write(np.ascontiguousarray(sens.r, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(sens.x, dtype="<f8").tobytes())
-
-
-def read_sensitivity(path: str | Path, base_v_squared: float = 1.0) -> SensitivityMatrices:
-    """Read a dump produced by write_sensitivity."""
-    raw = Path(path).read_bytes()
-    if raw[:8] != _MAGIC:
-        raise ValueError("not a sensitivity dump (bad magic)")
-    n = struct.unpack("<I", raw[8:12])[0]
-    body = np.frombuffer(raw, dtype="<f8", offset=16)
-    if body.size != 2 * n * n:
-        raise ValueError("sensitivity dump is truncated")
-    r = body[: n * n].reshape(n, n).astype(np.float64)
-    x = body[n * n:].reshape(n, n).astype(np.float64)
-    return SensitivityMatrices(r=r, x=x, v_tilde=np.full(n, base_v_squared))

@@ -14,13 +14,9 @@ import pytest
 
 from mlopf.bench import bench_sweep, fit_loglog, two_level_feeder
 from mlopf.coupling import (
-    BilevelEngine,
     FlatEngine,
     FlowRecord,
-    TrilevelEngine,
-    coupling_bilevel,
-    coupling_flat,
-    coupling_trilevel,
+    MultilevelEngine,
     privacy_audit,
 )
 from mlopf.feedergen import FeederSpec, generate
@@ -93,13 +89,11 @@ def test_criterion_1_engine_equivalence_oracle():
         sens = build_sensitivity(net)
         mu_up = rng.uniform(0, 2, net.n_flat)
         mu_lo = rng.uniform(0, 2, net.n_flat)
-        ref = coupling_flat(sens, mu_up, mu_lo)
+        ref = FlatEngine(sens).compute(mu_up, mu_lo)
         tol_p = 1e-9 * (1.0 + float(np.max(np.abs(ref.g_p))))
         tol_q = 1e-9 * (1.0 + float(np.max(np.abs(ref.g_q))))
-        for res in (
-            coupling_bilevel(net, part, None, mu_up, mu_lo),
-            coupling_trilevel(net, part, None, mu_up, mu_lo),
-        ):
+        for depth in (1, 2):
+            res = MultilevelEngine(net, part, depth).compute(mu_up, mu_lo)
             gap_p = float(np.max(np.abs(res.g_p - ref.g_p)))
             gap_q = float(np.max(np.abs(res.g_q - ref.g_q)))
             assert gap_p < tol_p and gap_q < tol_q
@@ -131,8 +125,8 @@ def test_criterion_2_trajectory_equivalence():
     )
     engines = {
         "flat": FlatEngine(sens),
-        "bilevel": BilevelEngine(feeder.net, feeder.partition),
-        "trilevel": TrilevelEngine(feeder.net, feeder.partition),
+        "bilevel": MultilevelEngine(feeder.net, feeder.partition, 1),
+        "trilevel": MultilevelEngine(feeder.net, feeder.partition, 2),
     }
     objectives = {}
     for name, engine in engines.items():
@@ -270,8 +264,8 @@ def test_criterion_7_privacy_audit(undervoltage_case):
     duals = np.random.default_rng(1).uniform(0, 1, (2, problem.n))
     reports = {}
     for name, make in (
-        ("bilevel", lambda rec: BilevelEngine(feeder.net, feeder.partition, record=rec)),
-        ("trilevel", lambda rec: TrilevelEngine(feeder.net, feeder.partition, record=rec)),
+        ("bilevel", lambda rec: MultilevelEngine(feeder.net, feeder.partition, 1, record=rec)),
+        ("trilevel", lambda rec: MultilevelEngine(feeder.net, feeder.partition, 2, record=rec)),
         ("flat", lambda rec: FlatEngine(sens, record=rec)),
     ):
         rec = FlowRecord()

@@ -5,20 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from mlopf import coupling
 from mlopf.bench import two_level_feeder
 from mlopf.coupling import (
-    BilevelEngine,
     DualRead,
     EngineError,
     FlatEngine,
     FlowRecord,
-    TrilevelEngine,
+    MultilevelEngine,
     ZAccess,
-    coupling_bilevel,
-    coupling_flat,
-    coupling_trilevel,
     privacy_audit,
 )
+from mlopf.feedergen import FeederSpec, generate
 from mlopf.network import load_network
 from mlopf.partition import (
     Area,
@@ -38,7 +36,7 @@ def equivalence_tol(g_flat: np.ndarray) -> float:
 def test_flat_zero_when_duals_cancel(fig_net):
     sens = build_sensitivity(fig_net)
     mu = np.random.default_rng(0).uniform(0, 1, sens.n)
-    res = coupling_flat(sens, mu, mu)
+    res = FlatEngine(sens).compute(mu, mu)
     assert np.all(res.g_p == 0.0)
     assert np.all(res.g_q == 0.0)
 
@@ -54,7 +52,7 @@ def test_flat_scalar_product():
         }
     )
     sens = build_sensitivity(net)  # r == [[0.02]]
-    res = coupling_flat(sens, np.array([0.5]), np.array([0.0]))
+    res = FlatEngine(sens).compute(np.array([0.5]), np.array([0.0]))
     assert res.g_p[0] == pytest.approx(0.01)
     assert res.op_count == 4
 
@@ -69,7 +67,7 @@ def test_flat_transpose_matches_plain_product_on_decoupled_feeder():
 
 def test_flat_op_count_is_four_n_squared(fig_net):
     sens = build_sensitivity(fig_net)
-    res = coupling_flat(sens, np.zeros(sens.n), np.zeros(sens.n))
+    res = FlatEngine(sens).compute(np.zeros(sens.n), np.zeros(sens.n))
     assert res.op_count == 4 * sens.n * sens.n
 
 
@@ -78,8 +76,8 @@ def test_degenerate_partition_reduces_bilevel_to_flat(fig_net):
     ids = frozenset(b.id for b in fig_net.buses if b.id != 0)
     part = PartitionHierarchy(areas=(), unclustered=ids)
     mu_up, mu_lo = random_duals(np.random.default_rng(1), sens.n)
-    ref = coupling_flat(sens, mu_up, mu_lo)
-    res = coupling_bilevel(fig_net, part, None, mu_up, mu_lo)
+    ref = FlatEngine(sens).compute(mu_up, mu_lo)
+    res = MultilevelEngine(fig_net, part, 1).compute(mu_up, mu_lo)
     scale = 1.0 + np.max(np.abs(ref.g_p))
     assert np.max(np.abs(res.g_p - ref.g_p)) / scale < 1e-12
     assert np.max(np.abs(res.g_q - ref.g_q)) / scale < 1e-12
@@ -92,8 +90,8 @@ def test_bilevel_matches_flat_on_random_feeders(seed):
     part = auto_partition(net, int(rng.integers(5, 14)))
     sens = build_sensitivity(net)
     mu_up, mu_lo = random_duals(rng, sens.n)
-    ref = coupling_flat(sens, mu_up, mu_lo)
-    res = coupling_bilevel(net, part, None, mu_up, mu_lo)
+    ref = FlatEngine(sens).compute(mu_up, mu_lo)
+    res = MultilevelEngine(net, part, 1).compute(mu_up, mu_lo)
     tol = equivalence_tol(ref.g_p)
     assert np.max(np.abs(res.g_p - ref.g_p)) < tol
     assert np.max(np.abs(res.g_q - ref.g_q)) < equivalence_tol(ref.g_q)
@@ -106,8 +104,8 @@ def test_trilevel_matches_flat_on_random_feeders(seed):
     part = auto_partition(net, int(rng.integers(10, 20)), 4)
     sens = build_sensitivity(net)
     mu_up, mu_lo = random_duals(rng, sens.n)
-    ref = coupling_flat(sens, mu_up, mu_lo)
-    res = coupling_trilevel(net, part, None, mu_up, mu_lo)
+    ref = FlatEngine(sens).compute(mu_up, mu_lo)
+    res = MultilevelEngine(net, part, 2).compute(mu_up, mu_lo)
     assert np.max(np.abs(res.g_p - ref.g_p)) < equivalence_tol(ref.g_p)
     assert np.max(np.abs(res.g_q - ref.g_q)) < equivalence_tol(ref.g_q)
 
@@ -136,7 +134,7 @@ def test_single_bus_areas_have_zero_inter_area_coupling():
     )
     sens = build_sensitivity(net)
     mu_up = np.array([0.7, 0.3])
-    res = coupling_bilevel(net, part, None, mu_up, np.zeros(2))
+    res = MultilevelEngine(net, part, 1).compute(mu_up, np.zeros(2))
     # No shared path: each index only feels its own dual.
     np.testing.assert_allclose(res.g_p, sens.r.diagonal() * mu_up, atol=1e-15)
 
@@ -146,9 +144,9 @@ def test_zero_dual_annihilation_all_engines(fig_net):
     part = auto_partition(fig_net, 4, 2)
     mu = np.random.default_rng(5).uniform(0, 3, sens.n)
     for res in (
-        coupling_flat(sens, mu, mu),
-        coupling_bilevel(fig_net, part, None, mu, mu),
-        coupling_trilevel(fig_net, part, None, mu, mu),
+        FlatEngine(sens).compute(mu, mu),
+        MultilevelEngine(fig_net, part, 1).compute(mu, mu),
+        MultilevelEngine(fig_net, part, 2).compute(mu, mu),
     ):
         assert np.all(res.g_p == 0.0) and np.all(res.g_q == 0.0)
 
@@ -159,8 +157,8 @@ def test_trilevel_identical_to_bilevel_without_subareas():
     part = auto_partition(net, 10, 0)  # no subareas anywhere
     assert all(not a.subareas for a in part.areas)
     mu_up, mu_lo = random_duals(rng, net.n_flat)
-    rb = BilevelEngine(net, part).compute(mu_up, mu_lo)
-    rt = TrilevelEngine(net, part).compute(mu_up, mu_lo)
+    rb = MultilevelEngine(net, part, 1).compute(mu_up, mu_lo)
+    rt = MultilevelEngine(net, part, 2).compute(mu_up, mu_lo)
     np.testing.assert_array_equal(rb.g_p, rt.g_p)
     np.testing.assert_array_equal(rb.g_q, rt.g_q)
     assert rb.op_count == rt.op_count
@@ -171,9 +169,9 @@ def test_op_count_ordering_on_balanced_feeder():
     sens = build_sensitivity(net)
     rng = np.random.default_rng(0)
     mu_up, mu_lo = random_duals(rng, net.n_flat)
-    rf = coupling_flat(sens, mu_up, mu_lo)
-    rb = coupling_bilevel(net, part, None, mu_up, mu_lo)
-    rt = coupling_trilevel(net, part, None, mu_up, mu_lo)
+    rf = FlatEngine(sens).compute(mu_up, mu_lo)
+    rb = MultilevelEngine(net, part, 1).compute(mu_up, mu_lo)
+    rt = MultilevelEngine(net, part, 2).compute(mu_up, mu_lo)
     assert rt.op_count < rb.op_count < rf.op_count
     assert np.max(np.abs(rb.g_p - rf.g_p)) < equivalence_tol(rf.g_p)
     assert np.max(np.abs(rt.g_p - rf.g_p)) < equivalence_tol(rf.g_p)
@@ -202,8 +200,8 @@ def test_undivided_area_costs_the_same_in_both_multilevel_engines():
     )
     assert validate_partition(net, mixed) == []
     mu_up, mu_lo = random_duals(rng, net.n_flat)
-    ops_bi = BilevelEngine(net, plain).compute(mu_up, mu_lo).op_count
-    ops_tri = TrilevelEngine(net, mixed).compute(mu_up, mu_lo).op_count
+    ops_bi = MultilevelEngine(net, plain, 1).compute(mu_up, mu_lo).op_count
+    ops_tri = MultilevelEngine(net, mixed, 2).compute(mu_up, mu_lo).op_count
     # The whole engine-level difference is the subdivided areas' difference;
     # the control area's term cancels exactly.
     expected_delta = 0
@@ -219,6 +217,26 @@ def test_undivided_area_costs_the_same_in_both_multilevel_engines():
     assert ops_bi - ops_tri == expected_delta
 
 
+def test_declared_costs_are_pinned():
+    # Criterion 3 gates on these declared costs, so a change to the engine
+    # must not move them.
+    uv = generate(
+        FeederSpec(n_buses=300, seed=0, load_scale=1.8),
+        target_area_size=90, target_subarea_size=28,
+    )
+    assert [
+        MultilevelEngine(uv.net, uv.partition, depth).op_count_per_apply
+        for depth in (1, 2)
+    ] == [49179, 41259]
+    net, part = two_level_feeder(1024, 16, 4, seed=0)
+    assert [
+        MultilevelEngine(net, part, depth).op_count_per_apply for depth in (1, 2)
+    ] == [76128, 33632]
+    big = generate(FeederSpec(n_buses=4000, seed=0, load_scale=0.05))
+    engine = MultilevelEngine(big.net, auto_partition(big.net, 400, 100), 2)
+    assert engine.op_count_per_apply == 3360202
+
+
 def test_op_count_positive_even_for_single_index():
     net = load_network(
         {
@@ -230,7 +248,7 @@ def test_op_count_positive_even_for_single_index():
         }
     )
     part = PartitionHierarchy(areas=(), unclustered=frozenset({1}))
-    res = coupling_bilevel(net, part, None, np.zeros(1), np.zeros(1))
+    res = MultilevelEngine(net, part, 1).compute(np.zeros(1), np.zeros(1))
     assert res.op_count > 0
 
 
@@ -246,7 +264,7 @@ def test_aggregate_messages_reproduce_inter_area_term(fig_net):
     rng = np.random.default_rng(11)
     mu_up, mu_lo = random_duals(rng, fig_net.n_flat)
     d = mu_up - mu_lo
-    res = coupling_bilevel(fig_net, part, None, mu_up, mu_lo)
+    res = MultilevelEngine(fig_net, part, 1).compute(mu_up, mu_lo)
     msgs = {m.scope: m for m in res.messages}
 
     labels = fig_net.flat_labels()
@@ -293,10 +311,16 @@ def test_aggregate_messages_reproduce_inter_area_term(fig_net):
 def test_dimension_mismatch_raises(fig_net):
     sens = build_sensitivity(fig_net)
     with pytest.raises(EngineError, match="shape"):
-        coupling_flat(sens, np.zeros(3), np.zeros(3))
+        FlatEngine(sens).compute(np.zeros(3), np.zeros(3))
     part = auto_partition(fig_net, 4)
     with pytest.raises(EngineError, match="shape"):
-        coupling_bilevel(fig_net, part, None, np.zeros(3), np.zeros(3))
+        MultilevelEngine(fig_net, part, 1).compute(np.zeros(3), np.zeros(3))
+
+
+@pytest.mark.parametrize("depth", [0, 3])
+def test_depth_other_than_one_or_two_rejected(fig_net, depth):
+    with pytest.raises(EngineError, match="depth"):
+        MultilevelEngine(fig_net, auto_partition(fig_net, 4, 2), depth)
 
 
 def test_invalid_partition_rejected(fig_net):
@@ -307,7 +331,7 @@ def test_invalid_partition_rejected(fig_net):
         ),
     )
     with pytest.raises(EngineError, match="invalid partition"):
-        BilevelEngine(fig_net, bad)
+        MultilevelEngine(fig_net, bad, 1)
 
 
 # -- privacy ---------------------------------------------------------------
@@ -325,7 +349,7 @@ def test_flat_engine_reports_global_access(fig_net):
 def test_bilevel_audit_is_clean(fig_net):
     part = auto_partition(fig_net, 4, 2)
     record = FlowRecord()
-    engine = BilevelEngine(fig_net, part, record=record)
+    engine = MultilevelEngine(fig_net, part, 1, record=record)
     mu_up, mu_lo = random_duals(np.random.default_rng(0), fig_net.n_flat)
     engine.compute(mu_up, mu_lo)
     report = privacy_audit(record, fig_net, part)
@@ -338,7 +362,7 @@ def test_trilevel_audit_is_clean_including_subarea_scopes(fig_net):
     part = auto_partition(fig_net, 4, 2)
     assert any(a.subareas for a in part.areas)
     record = FlowRecord()
-    engine = TrilevelEngine(fig_net, part, record=record)
+    engine = MultilevelEngine(fig_net, part, 2, record=record)
     mu_up, mu_lo = random_duals(np.random.default_rng(1), fig_net.n_flat)
     engine.compute(mu_up, mu_lo)
     report = privacy_audit(record, fig_net, part)
@@ -371,11 +395,37 @@ def test_audit_catches_foreign_topology_access(fig_net):
     assert any("interior lines" in v for v in report.violations)
 
 
+@pytest.mark.parametrize("depth", [1, 2])
+def test_audit_catches_engine_reading_a_foreign_index(fig_net, monkeypatch, depth):
+    # The record must come from the index arrays the engine gathers from:
+    # widen one area's member set by a foreign flat index at construction
+    # and the audit has to report it.
+    part = auto_partition(fig_net, 4, 2)
+    target = part.areas[0]
+    foreign = int(coupling._flat_indices(fig_net, part.areas[1].members)[0])
+    real = coupling._flat_indices
+
+    def widened(net, bus_ids):
+        idx = real(net, bus_ids)
+        if frozenset(bus_ids) == target.members:
+            idx = np.sort(np.append(idx, foreign))
+        return idx
+
+    record = FlowRecord()
+    with monkeypatch.context() as patch:
+        patch.setattr(coupling, "_flat_indices", widened)
+        MultilevelEngine(fig_net, part, depth, record=record)
+    report = privacy_audit(record, fig_net, part)
+    assert any("foreign flat indices" in v for v in report.violations)
+
+
 def test_threaded_engine_matches_serial(fig_net):
     part = auto_partition(fig_net, 4, 2)
     rng = np.random.default_rng(3)
     mu_up, mu_lo = random_duals(rng, fig_net.n_flat)
-    serial = BilevelEngine(fig_net, part, threads=1).compute(mu_up, mu_lo)
-    threaded = BilevelEngine(fig_net, part, threads=4).compute(mu_up, mu_lo)
-    np.testing.assert_array_equal(serial.g_p, threaded.g_p)
-    np.testing.assert_array_equal(serial.g_q, threaded.g_q)
+    for depth in (1, 2):
+        serial = MultilevelEngine(fig_net, part, depth, threads=1).compute(mu_up, mu_lo)
+        threaded = MultilevelEngine(fig_net, part, depth, threads=4).compute(mu_up, mu_lo)
+        np.testing.assert_array_equal(serial.g_p, threaded.g_p)
+        np.testing.assert_array_equal(serial.g_q, threaded.g_q)
+        assert serial.messages == threaded.messages

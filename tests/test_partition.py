@@ -1,16 +1,16 @@
-"""Partition validation, greedy auto-clustering, dual aggregates."""
+"""Partition validation, greedy auto-clustering, per-scope dual aggregates."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from mlopf.coupling import MultilevelEngine
 from mlopf.network import Bus, Line, Network
 from mlopf.partition import (
     Area,
     PartitionHierarchy,
     Subarea,
-    area_dual_aggregates,
     auto_partition,
     load_partition,
     partition_to_document,
@@ -206,25 +206,37 @@ def test_cross_area_pairs_collapse_to_root_pairs_exactly(seed):
                 net.common_path_impedance(areas[k].root, j, "a", "a")
 
 
+def area_messages(messages):
+    return {m.scope[1]: m.sums for m in messages if m.scope[0] == "area"}
+
+
 def test_aggregates_cancel_when_duals_match(fig_net):
     part = auto_partition(fig_net, 4, 2)
     mu = np.random.default_rng(0).uniform(0, 1, fig_net.n_flat)
-    agg = area_dual_aggregates(fig_net, part, mu, mu)
-    assert np.all(agg.areas == 0)
-    assert all(np.all(v == 0) for v in agg.subareas.values())
+    for depth in (1, 2):
+        messages = MultilevelEngine(fig_net, part, depth).compute(mu, mu).messages
+        assert len(area_messages(messages)) == part.n_areas
+        assert all(m.sums == (0.0, 0.0, 0.0) for m in messages)
+    assert any(m.scope[0] == "subarea" for m in messages)
 
 
 def test_aggregate_hand_sum():
     net = path_network(3)
     members = frozenset({1, 2, 3})
+    sub = Subarea(0, 3, frozenset({3}))
     part = PartitionHierarchy(
-        areas=(Area(0, 1, members, (), members),), unclustered=frozenset()
+        areas=(Area(0, 1, members, (sub,), frozenset({1, 2})),),
+        unclustered=frozenset(),
     )
     mu_up = np.array([0.1, 0.2, 0.0])
     mu_lo = np.array([0.0, 0.0, 0.3])
-    agg = area_dual_aggregates(net, part, mu_up, mu_lo)
-    assert agg.areas[0, 0] == pytest.approx(0.0)
-    assert agg.areas[0, 1] == 0.0 and agg.areas[0, 2] == 0.0
+    for depth in (1, 2):
+        messages = MultilevelEngine(net, part, depth).compute(mu_up, mu_lo).messages
+        sums = area_messages(messages)[0]
+        assert sums[0] == pytest.approx(0.0)
+        assert sums[1] == 0.0 and sums[2] == 0.0
+    assert messages[0].scope == ("subarea", 0, 0)
+    assert messages[0].sums == (-0.3, 0.0, 0.0)
 
 
 def test_aggregates_reconstruct_total(fig_net):
@@ -232,7 +244,6 @@ def test_aggregates_reconstruct_total(fig_net):
     rng = np.random.default_rng(3)
     mu_up = rng.uniform(0, 1, fig_net.n_flat)
     mu_lo = rng.uniform(0, 1, fig_net.n_flat)
-    agg = area_dual_aggregates(fig_net, part, mu_up, mu_lo)
     d = mu_up - mu_lo
     unc = 0.0
     for bid in part.unclustered:
@@ -241,13 +252,10 @@ def test_aggregates_reconstruct_total(fig_net):
             idx = fig_net.index_of[k, c]
             if idx >= 0:
                 unc += d[idx]
-    assert agg.areas.sum() + unc == pytest.approx(d.sum(), abs=1e-12)
-
-
-def test_aggregate_dimension_check(fig_net):
-    part = auto_partition(fig_net, 4)
-    with pytest.raises(ValueError, match="shape"):
-        area_dual_aggregates(fig_net, part, np.zeros(3), np.zeros(3))
+    for depth in (1, 2):
+        messages = MultilevelEngine(fig_net, part, depth).compute(mu_up, mu_lo).messages
+        total = sum(sum(s) for s in area_messages(messages).values())
+        assert total + unc == pytest.approx(d.sum(), abs=1e-12)
 
 
 def test_partition_document_round_trip(fig_net):

@@ -1,4 +1,4 @@
-"""Sensitivity entries, dense build, linear voltage model, binary dump."""
+"""Sensitivity entries, dense build, linear voltage model."""
 
 from __future__ import annotations
 
@@ -12,9 +12,7 @@ from mlopf.sensitivity import (
     dv_dp_entry,
     dv_dq_entry,
     omega_power,
-    read_sensitivity,
     voltage_linear,
-    write_sensitivity,
 )
 
 from conftest import (
@@ -254,22 +252,3 @@ def test_matrix_entries_match_brute_force_paths(seed):
         assert sens.x[a, b] == -2.0 * (np.conj(z) * rot).imag
         assert sens.r[a, b] == dv_dp_entry(net, bi, phi, bj, psi)
         assert sens.x[a, b] == dv_dq_entry(net, bi, phi, bj, psi)
-
-
-def test_binary_dump_round_trip(tmp_path):
-    sens = build_sensitivity(fig_feeder())
-    path = tmp_path / "sens.bin"
-    write_sensitivity(sens, path)
-    raw = path.read_bytes()
-    assert raw[:8] == b"OPFSENS1"
-    assert len(raw) == 16 + 2 * 8 * sens.n * sens.n
-    loaded = read_sensitivity(path)
-    np.testing.assert_array_equal(loaded.r, sens.r)
-    np.testing.assert_array_equal(loaded.x, sens.x)
-
-
-def test_binary_dump_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOTMAGIC" + b"\x00" * 24)
-    with pytest.raises(ValueError, match="magic"):
-        read_sensitivity(path)

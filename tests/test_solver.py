@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mlopf.coupling import BilevelEngine, FlatEngine, TrilevelEngine
+from mlopf.coupling import FlatEngine, MultilevelEngine
 from mlopf.network import load_network
 from mlopf.opf import Device, DualState, SolverConfig, make_problem
 from mlopf.partition import auto_partition
@@ -88,8 +88,8 @@ def test_engines_agree_after_one_step():
         step(init, prob, engine, vmodel, cfg)
         for engine in (
             FlatEngine(sens),
-            BilevelEngine(feeder.net, feeder.partition),
-            TrilevelEngine(feeder.net, feeder.partition),
+            MultilevelEngine(feeder.net, feeder.partition, 1),
+            MultilevelEngine(feeder.net, feeder.partition, 2),
         )
     ]
     for other in states[1:]:
