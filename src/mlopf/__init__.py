@@ -10,7 +10,6 @@ from .network import (
     load_network,
     network_to_document,
     save_network,
-    validate_radial,
 )
 from .sensitivity import (
     OMEGA,
@@ -42,7 +41,6 @@ from .opf import (
     lagrangian_value,
     load_problem,
     make_problem,
-    project_box,
     saddle_residual,
 )
 from .coupling import (

@@ -29,7 +29,7 @@ from .coupling import (
 )
 from .bench import bench_csv, bench_sweep, bench_table
 from .feedergen import FeederSpec, feeder_documents, generate
-from .network import NetworkError, load_network, validate_radial
+from .network import NetworkError, load_network
 from .opf import ProblemError, SolverConfig, load_problem
 from .partition import (
     auto_partition,
@@ -77,10 +77,10 @@ def _error_record(out: Path | None, kind: str, message: str) -> None:
 
 def cmd_validate(args) -> int:
     net = load_network(args.network)
-    problems = validate_radial(net)
+    problems = []
     if args.partition:
         part = load_partition(args.partition, net)
-        problems += validate_partition(net, part)
+        problems = validate_partition(net, part)
     if args.devices:
         sens = build_sensitivity(net)
         load_problem(args.devices, net, sens)  # raises on inconsistency

@@ -130,16 +130,13 @@ def _flat_indices(net: Network, bus_ids) -> np.ndarray:
     return np.sort(idx[idx >= 0])
 
 
-def _common_path_block(net, zc, row_bus_pos, row_phase, col_bus_pos, col_phase):
+def _common_path_block(zc, lca, row_phase, col_phase):
     """Complex block with entry[(i,phi),(j,psi)] = conj(Z^(psi,phi)_(j,i)) omega^(psi-phi).
 
     zc is the conjugated root-path prefix impedance; gathering it at the
-    pairwise lowest common ancestors and rotating by the phase difference
-    gives the block without touching the dense R/X matrices.
+    given pairwise lowest common ancestors and rotating by the phase
+    difference gives the block without touching the dense R/X matrices.
     """
-    if row_bus_pos.size == 0 or col_bus_pos.size == 0:
-        return np.zeros((row_bus_pos.size, col_bus_pos.size), dtype=np.complex128)
-    lca = net.lca_pos(row_bus_pos[:, None], col_bus_pos[None, :])
     return (
         zc[lca, col_phase[None, :], row_phase[:, None]]
         * OMEGA_POW[col_phase[None, :] - row_phase[:, None] + 2]
@@ -230,26 +227,32 @@ class _Scope:
             in_child = np.zeros(net.n_flat, dtype=bool)
             in_child[self.cat] = True
             self.rem = self.idx[~in_child[self.idx]]
-        rem_bus = net.flat_bus_pos[self.rem]
         self.rem_phase = net.flat_phase[self.rem]
+        # A child root meets every bus outside its subtree where its parent
+        # does, so one table over the remainder and the roots' parents
+        # holds every block this scope reads.
+        root_pos = np.array([net.bus_pos(ch.root) for ch in children], dtype=np.int64)
+        rows, table = net.lca_table(
+            np.concatenate([net.flat_bus_pos[self.rem], net.parent_pos[root_pos]])
+        )
+        rem_rows = rows[: len(self.rem)]
         self.w_rem = _common_path_block(
-            net, zc, rem_bus, self.rem_phase, rem_bus, self.rem_phase
+            zc, table[np.ix_(rem_rows, rem_rows)], self.rem_phase, self.rem_phase
         )
         if children:
             c = len(children)
-            root_pos = np.array([net.bus_pos(ch.root) for ch in children], dtype=np.int64)
-            slot_bus = np.repeat(root_pos, 3)
+            slot_rows = np.repeat(rows[len(self.rem):], 3)
             slot_phase = np.tile(np.arange(3, dtype=np.int64), c)
             self.z_roots = _common_path_block(
-                net, zc, slot_bus, slot_phase, slot_bus, slot_phase
+                zc, table[np.ix_(slot_rows, slot_rows)], slot_phase, slot_phase
             )
             for k in range(c):
                 self.z_roots[3 * k: 3 * k + 3, 3 * k: 3 * k + 3] = 0.0
             self.w_down = _common_path_block(
-                net, zc, slot_bus, slot_phase, rem_bus, self.rem_phase
+                zc, table[np.ix_(slot_rows, rem_rows)], slot_phase, self.rem_phase
             )
             self.w_up = _common_path_block(
-                net, zc, rem_bus, self.rem_phase, slot_bus, slot_phase
+                zc, table[np.ix_(rem_rows, slot_rows)], self.rem_phase, slot_phase
             )
         self.ops = _level_op_count(
             [ch.ops for ch in children], [len(ch.idx) for ch in children], len(self.rem)

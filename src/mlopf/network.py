@@ -5,8 +5,9 @@ linearized voltage model needs reduces to common-path impedance queries:
 the per-phase-pair impedance summed over the shared portion of two buses'
 paths back to the substation. That shared portion is the root path of the
 buses' lowest common ancestor, so this module owns the topology, the
-per-unit impedance data, the flat (bus, phase) index space, and fast LCA
-machinery for those queries.
+per-unit impedance data and the flat (bus, phase) index space. One DFS
+preorder lays every subtree out as a contiguous range; all-pairs LCA
+tables and single LCA queries both read those ranges.
 
 Networks are immutable after construction and safe for concurrent reads.
 """
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -151,20 +151,29 @@ class Network:
                 self.children_pos[pp].append(k)
         for ch in self.children_pos:
             ch.sort(key=lambda k: self.buses[k].id)
+        # One DFS preorder, children in ascending bus-id order: bus k's
+        # subtree is order[tin[k] : tin[k] + size[k]].
         self.depth = np.full(n, -1, dtype=np.int64)
         self.depth[self._pos[0]] = 0
-        order = [self._pos[0]]
+        order = []
         stack = [self._pos[0]]
         while stack:
             k = stack.pop()
-            for c in self.children_pos[k]:
+            order.append(k)
+            for c in reversed(self.children_pos[k]):
                 self.depth[c] = self.depth[k] + 1
-                order.append(c)
                 stack.append(c)
         if len(order) != n:
             missing = sorted(self.buses[k].id for k in range(n) if self.depth[k] < 0)
             raise NetworkError(f"not a tree: buses {missing} are not reachable from bus 0")
-        self._preorder = np.array(order, dtype=np.int64)
+        self.order = np.array(order, dtype=np.int64)
+        self.tin = np.empty(n, dtype=np.int64)
+        self.tin[self.order] = np.arange(n)
+        size = [1] * n
+        parent = self.parent_pos.tolist()
+        for k in order[:0:-1]:
+            size[parent[k]] += size[k]
+        self.size = np.array(size, dtype=np.int64)
 
         # Phases may only drop moving away from the substation.
         self.phase_mask = np.zeros((n, 3), dtype=bool)
@@ -197,7 +206,7 @@ class Network:
         for ln in self.lines:
             self.z_line[self._pos[ln.to_bus]] = ln.z
         self.z_prefix = np.zeros((n, 3, 3), dtype=np.complex128)
-        for k in self._preorder:
+        for k in self.order:
             pp = self.parent_pos[k]
             if pp >= 0:
                 self.z_prefix[k] = self.z_prefix[pp] + self.z_line[k]
@@ -253,17 +262,6 @@ class Network:
             for k, c in zip(self.flat_bus_pos, self.flat_phase)
         ]
 
-    def descendants_pos(self, bus_id: int) -> list[int]:
-        """Positions of all descendants of a bus (the bus itself excluded)."""
-        start = self.bus_pos(bus_id)
-        out: list[int] = []
-        stack = list(self.children_pos[start])
-        while stack:
-            k = stack.pop()
-            out.append(k)
-            stack.extend(self.children_pos[k])
-        return out
-
     # -- path and impedance queries ---------------------------------------
 
     def path_to_root(self, bus_id: int) -> list[tuple[int, int]]:
@@ -277,58 +275,54 @@ class Network:
         rev.reverse()
         return rev
 
-    @cached_property
-    def _euler(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
-        """Euler tour + sparse-table RMQ over depths for O(1) LCA queries."""
-        n = self.n_buses
-        tour: list[int] = []
-        first = np.full(n, -1, dtype=np.int64)
-        # Iterative DFS; feeders can be path-shaped, so no recursion.
-        stack: list[tuple[int, int]] = [(self._pos[0], 0)]
-        while stack:
-            k, ci = stack.pop()
-            if ci == 0:
-                first[k] = len(tour)
-            tour.append(k)  # nodes reappear on every resume: the Euler tour
-            if ci < len(self.children_pos[k]):
-                stack.append((k, ci + 1))
-                stack.append((self.children_pos[k][ci], 0))
-        e = np.array(tour, dtype=np.int64)
-        de = self.depth[e]
-        m = len(e)
-        levels = max(1, int(np.log2(m)) + 1)
-        table = [np.arange(m, dtype=np.int64)]
-        for lv in range(1, levels):
-            half = 1 << (lv - 1)
-            if half >= m:
-                break
-            prev = table[-1]
-            a = prev[: m - 2 * half + 1]
-            b = prev[half: m - half + 1]
-            table.append(np.where(de[a] <= de[b], a, b))
-        return e, de, first, table
+    def _lca_walk(self, a: int, b: int) -> int:
+        """LCA position of bus positions a and b: climb from a until its subtree holds b."""
+        tb = self.tin[b]
+        while not self.tin[a] <= tb < self.tin[a] + self.size[a]:
+            a = self.parent_pos[a]
+        return int(a)
 
-    def lca_pos(self, rows_pos: np.ndarray, cols_pos: np.ndarray) -> np.ndarray:
-        """Vectorized lowest-common-ancestor positions; broadcasts its inputs."""
-        e, de, first, table = self._euler
-        fi = first[np.asarray(rows_pos)]
-        fj = first[np.asarray(cols_pos)]
-        lo = np.minimum(fi, fj)
-        hi = np.maximum(fi, fj)
-        span = hi - lo + 1
-        k = np.frexp(span.astype(np.float64))[1] - 1  # floor(log2(span))
-        k = np.minimum(k, len(table) - 1)
-        a = table_take(table, k, lo)
-        b = table_take(table, k, hi - (1 << k.astype(np.int64)) + 1)
-        pick = np.where(de[a] <= de[b], a, b)
-        return e[pick]
+    def lca_table(self, buses) -> tuple[np.ndarray, np.ndarray]:
+        """All-pairs lowest common ancestors of a set of bus positions.
+
+        The set is closed under ancestors up to its own LCA, which is the
+        LCA of its first and last members in DFS order, and the closure is
+        laid out in DFS order. Every row copies its parent's row and then
+        writes its own bus over its subtree's range, since a bus is its own
+        LCA with any descendant and meets every other bus where its parent
+        does. Returns (rows, table): table[rows[a], rows[b]] is the LCA
+        position of buses[a] and buses[b], as int32.
+        """
+        buses = np.asarray(buses, dtype=np.int64)
+        if buses.size == 0:
+            return np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int32)
+        t = self.tin[buses]
+        top = self._lca_walk(self.order[t.min()], self.order[t.max()])
+        keep = np.zeros(self.n_buses, dtype=bool)
+        keep[top] = True
+        for k in buses.tolist():
+            while not keep[k]:
+                keep[k] = True
+                k = self.parent_pos[k]
+        start = self.tin[top]
+        nodes = self.order[start: start + self.size[top]]
+        nodes = nodes[keep[nodes]]
+        m = len(nodes)
+        row_of = np.empty(self.n_buses, dtype=np.int64)
+        row_of[nodes] = np.arange(m)
+        t_nodes = self.tin[nodes]
+        end = np.searchsorted(t_nodes, t_nodes + self.size[nodes]).tolist()
+        up = row_of[self.parent_pos[nodes[1:]]].tolist()
+        table = np.empty((m, m), dtype=np.int32)
+        table[0] = top
+        for r, bus in enumerate(nodes[1:].tolist(), start=1):
+            table[r] = table[up[r - 1]]
+            table[r, r: end[r]] = bus
+        return row_of[buses], table
 
     def lca(self, i: int, j: int) -> int:
         """Lowest common ancestor bus id of two buses."""
-        out = self.lca_pos(
-            np.array([self.bus_pos(i)]), np.array([self.bus_pos(j)])
-        )
-        return self.buses[int(out[0])].id
+        return self.buses[self._lca_walk(self.bus_pos(i), self.bus_pos(j))].id
 
     def common_path_impedance(
         self, i: int, j: int, phi: str | int, psi: str | int
@@ -338,53 +332,12 @@ class Network:
         Lines lacking either phase contribute zero; disjoint paths give zero.
         """
         a, b = phase_code(phi), phase_code(psi)
-        lca = self.lca_pos(
-            np.array([self.bus_pos(i)]), np.array([self.bus_pos(j)])
-        )[0]
+        lca = self._lca_walk(self.bus_pos(i), self.bus_pos(j))
         return complex(self.z_prefix[lca, a, b])
 
     def common_path_matrix(self, i: int, j: int) -> np.ndarray:
         """All nine phase-pair common-path impedances of buses i and j."""
-        lca = self.lca_pos(
-            np.array([self.bus_pos(i)]), np.array([self.bus_pos(j)])
-        )[0]
-        return self.z_prefix[lca].copy()
-
-
-def table_take(table: list[np.ndarray], k: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Gather sparse-table argmin entries at per-query levels k."""
-    out = np.empty(idx.shape, dtype=np.int64)
-    for lv in range(len(table)):
-        sel = k == lv
-        if np.any(sel):
-            out[sel] = table[lv][idx[sel]]
-    return out
-
-
-def validate_radial(net: Network) -> list[str]:
-    """Re-check structural invariants on a built network; empty means valid."""
-    problems: list[str] = []
-    n = net.n_buses
-    if len(net.lines) != n - 1:
-        problems.append("line count does not match bus count minus one")
-    if net.buses[net.bus_pos(0)].phases != PHASES:
-        problems.append("substation does not carry all three phases")
-    for b in net.buses:
-        if b.id == 0:
-            continue
-        pmask = net.phase_mask[net.bus_pos(b.parent)]
-        for ph in b.phases:
-            if not pmask[PHASE_CODE[ph]]:
-                problems.append(f"bus {b.id}: phase {ph} not present on parent")
-    seen = np.zeros(n, dtype=bool)
-    seen[net.bus_pos(0)] = True
-    seen[[net.bus_pos(ln.to_bus) for ln in net.lines]] = True
-    if not seen.all():
-        problems.append("some buses have no incoming line")
-    counts = (net.index_of >= 0).sum()
-    if counts != net.n_flat:
-        problems.append("flat index map is not a bijection")
-    return problems
+        return self.z_prefix[self._lca_walk(self.bus_pos(i), self.bus_pos(j))].copy()
 
 
 # -- document I/O ---------------------------------------------------------

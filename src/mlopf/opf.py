@@ -183,7 +183,7 @@ def make_problem(
     )
 
 
-# -- scalar per-device operations ------------------------------------------
+# -- scalar per-device cost ------------------------------------------------
 
 def cost_and_gradient(dev: Device, p: float, q: float) -> tuple[float, float, float]:
     """Deviation cost and its gradient for a single device."""
@@ -192,14 +192,6 @@ def cost_and_gradient(dev: Device, p: float, q: float) -> tuple[float, float, fl
         dev.w_p * dp * dp + dev.w_q * dq * dq,
         2.0 * dev.w_p * dp,
         2.0 * dev.w_q * dq,
-    )
-
-
-def project_box(dev: Device, p: float, q: float) -> tuple[float, float]:
-    """Componentwise clamp onto the device box; idempotent."""
-    return (
-        min(max(p, dev.p_min), dev.p_max),
-        min(max(q, dev.q_min), dev.q_max),
     )
 
 
@@ -260,16 +252,17 @@ def saddle_residual(
         g_q = problem.sens.x.T @ d
     cp, cq = problem.cost_gradients(p, q)
     pp, qq = problem.project(p - cfg.step_primal * (cp + g_p), q - cfg.step_primal * (cq + g_q))
-    r_primal = max(
-        float(np.max(np.abs(p - pp), initial=0.0)),
-        float(np.max(np.abs(q - qq), initial=0.0)),
+    # np.maximum propagates a NaN, where Python's max may drop it.
+    r_primal = np.maximum(
+        np.max(np.abs(p - pp), initial=0.0),
+        np.max(np.abs(q - qq), initial=0.0),
     ) / cfg.step_primal
     nxt = dual_update(duals, v, problem.bounds, cfg)
-    r_dual = max(
-        float(np.max(np.abs(duals.mu_upper - nxt.mu_upper), initial=0.0)),
-        float(np.max(np.abs(duals.mu_lower - nxt.mu_lower), initial=0.0)),
+    r_dual = np.maximum(
+        np.max(np.abs(duals.mu_upper - nxt.mu_upper), initial=0.0),
+        np.max(np.abs(duals.mu_lower - nxt.mu_lower), initial=0.0),
     ) / cfg.step_dual
-    return max(r_primal, r_dual)
+    return float(np.maximum(r_primal, r_dual))
 
 
 def violation_extents(v: np.ndarray, bounds: VoltageBounds) -> tuple[float, float]:

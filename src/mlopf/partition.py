@@ -45,10 +45,14 @@ class PartitionHierarchy:
         return len(self.areas)
 
 
+def _subtree_slice(net: Network, k: int):
+    """Positions of bus position k's subtree, k first, in DFS preorder."""
+    return net.order[net.tin[k]: net.tin[k] + net.size[k]]
+
+
 def _subtree_ids(net: Network, root: int) -> frozenset[int]:
-    ids = {root}
-    ids.update(net.buses[k].id for k in net.descendants_pos(root))
-    return frozenset(ids)
+    subtree = _subtree_slice(net, net.bus_pos(root))
+    return frozenset(net.buses[k].id for k in subtree.tolist())
 
 
 def validate_partition(net: Network, part: PartitionHierarchy) -> list[str]:
@@ -143,12 +147,12 @@ def auto_partition(
 ) -> PartitionHierarchy:
     """Deterministic greedy clustering into full-subtree areas.
 
-    Walks the tree in post order (children in ascending bus-id order) and
-    cuts a bus as an area root the first time its subtree size reaches the
-    target, provided the subtree is intact (no descendant already cut) and
-    not larger than twice the target. Ancestors of a cut are never cut, so
-    every area is a full subtree of the original tree. The same rule runs
-    inside each area with the subarea target when one is given.
+    Walks the tree children before parents and cuts a bus as an area root
+    the first time its subtree size reaches the target, provided the
+    subtree is intact (no descendant already cut) and not larger than
+    twice the target. Ancestors of a cut are never cut, so every area is a
+    full subtree of the original tree. The same rule runs inside each area
+    with the subarea target when one is given.
     """
     if target_area_size < 1 or target_subarea_size < 0:
         raise ValueError("size targets must be positive")
@@ -185,33 +189,20 @@ def auto_partition(
 def _greedy_cuts(net: Network, scope_root_pos: int, target: int, forbid: set[int]) -> list[int]:
     """Positions of cut subtree roots under the greedy size rule.
 
-    Post-order over the subtree at scope_root_pos; a node is cut when its
-    intact subtree size lands in [target, 2 * target]. Cutting marks every
-    ancestor as blocked. Among the ascending sizes on a root path the rule
-    fires at the deepest qualifying node, and post-order with id-sorted
-    children makes the outcome independent of dict/update order.
+    Walks the subtree at scope_root_pos children before parents; a node is
+    cut when its intact subtree size lands in [target, 2 * target].
+    Cutting blocks every ancestor. Among the ascending sizes on a root path
+    the rule fires at the deepest qualifying node, and each decision reads
+    only the node's own subtree, so the cuts do not depend on walk order.
     """
-    # Iterative post-order.
-    post: list[int] = []
-    stack = [scope_root_pos]
-    while stack:
-        k = stack.pop()
-        post.append(k)
-        stack.extend(net.children_pos[k])
-    post.reverse()
-
-    size = {k: 1 for k in post}
-    broken = {k: False for k in post}  # a descendant was cut
+    blocked: set[int] = set()  # a descendant was cut
     cuts: list[int] = []
-    for k in post:
-        for c in net.children_pos[k]:
-            size[k] += size[c]
-            broken[k] = broken[k] or broken[c]
-        if k in forbid or broken[k]:
-            continue
-        if target <= size[k] <= 2 * target:
+    for k in _subtree_slice(net, scope_root_pos)[::-1].tolist():
+        if k in blocked:
+            blocked.add(int(net.parent_pos[k]))
+        elif k not in forbid and target <= net.size[k] <= 2 * target:
             cuts.append(k)
-            broken[k] = True
+            blocked.add(int(net.parent_pos[k]))
     cuts.sort(key=lambda k: net.buses[k].id)
     return cuts
 

@@ -4,7 +4,8 @@ v collects squared voltage magnitudes over the flat (bus, phase) index
 space. Each matrix entry reduces to a common-path impedance rotated by a
 signed power of the 120-degree phasor omega and projected to its real or
 imaginary part, so building the dense matrices is one vectorized gather
-over the all-pairs LCA table.
+at the pairwise lowest common ancestors, which Network.lca_table lays out
+for all buses at once.
 """
 
 from __future__ import annotations
@@ -94,8 +95,12 @@ def build_sensitivity(net: Network) -> SensitivityMatrices:
     n = net.n_flat
     bus = net.flat_bus_pos
     ph = net.flat_phase
-    lca = net.lca_pos(bus[:, None], bus[None, :])
+    rows, table = net.lca_table(bus)
+    lca = table[rows[:, None], rows[None, :]]
+    # Drop each index table once gathered; on large feeders they set the peak.
+    del table
     z = net.z_prefix[lca, ph[:, None], ph[None, :]]
+    del lca
     w = OMEGA_POW[ph[:, None] - ph[None, :] + 2]
     re, im = _rotated_parts(z.real, z.imag, w.real, w.imag)
     v_tilde = np.full(n, net.base_v_squared, dtype=np.float64)

@@ -10,6 +10,7 @@ configuration produce bitwise identical traces.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -226,6 +227,13 @@ def _record(problem, cfg, state, res, ops, step_ns) -> TraceRecord:
     )
 
 
+def _check_finite(res: float, state: SolverState) -> None:
+    # A NaN residual compares false against the tolerance and would end the
+    # loop as if it had merely not converged.
+    if not math.isfinite(res):
+        raise SolverError(f"non-finite saddle residual at iteration {state.iteration}")
+
+
 def run(
     state: SolverState,
     problem: Problem,
@@ -237,7 +245,8 @@ def run(
 
     The trace holds one record for the initial state and one per executed
     iteration; each record's residual and coupling terms are evaluated at
-    that record's own state.
+    that record's own state. A residual that is not finite raises
+    SolverError at once.
     """
     trace = Trace()
     total_coupling_ns = 0
@@ -250,6 +259,7 @@ def run(
         problem, state.p, state.q, state.duals, state.v, cfg,
         coupling.g_p, coupling.g_q,
     )
+    _check_finite(res, state)
     trace.append(_record(problem, cfg, state, res, coupling.op_count, 0))
 
     while state.iteration < cfg.max_iters and res > cfg.residual_tol:
@@ -263,6 +273,7 @@ def run(
             coupling.g_p, coupling.g_q,
         )
         t3 = time.perf_counter_ns()
+        _check_finite(res, state)
         total_coupling_ns += t2 - t1
         total_step_ns += t3 - t0
         trace.append(_record(problem, cfg, state, res, coupling.op_count, t3 - t0))

@@ -11,7 +11,6 @@ from mlopf.network import (
     NetworkError,
     load_network,
     network_to_document,
-    validate_radial,
 )
 
 from conftest import (
@@ -35,7 +34,6 @@ def test_smallest_valid_network_has_single_index():
     )
     assert net.n_flat == 1
     assert net.flat_index(1, "a") == 0
-    assert validate_radial(net) == []
 
 
 def test_cycle_is_rejected_as_not_a_tree():
@@ -287,13 +285,98 @@ def test_document_round_trip(fig_net):
     assert net2.flat_labels() == fig_net.flat_labels()
 
 
-def test_lca_table_matches_scalar_queries(fig_net):
-    ids = [b.id for b in fig_net.buses]
+def lca_networks():
+    yield fig_feeder()
+    for seed in range(5):
+        rng = np.random.default_rng(500 + seed)
+        yield random_network(rng, int(rng.integers(10, 60)), multi_phase=seed % 2 == 0)
+
+
+LCA_NETWORK_IDS = ["fig", *map(str, range(5))]
+
+
+def ancestors(net, k):
+    """Positions on the path from bus position k up to the substation, k first."""
+    out = [k]
+    while net.parent_pos[out[-1]] >= 0:
+        out.append(int(net.parent_pos[out[-1]]))
+    return out
+
+
+def brute_force_lca(net, a, b):
+    above_b = set(ancestors(net, b))
+    return next(k for k in ancestors(net, a) if k in above_b)
+
+
+@pytest.mark.parametrize("net", lca_networks(), ids=LCA_NETWORK_IDS)
+def test_lca_table_matches_scalar_queries(net):
+    ids = [b.id for b in net.buses]
+    rows, table = net.lca_table(np.arange(net.n_buses))
     rng = np.random.default_rng(7)
     for _ in range(50):
         i, j = (int(v) for v in rng.choice(ids, size=2))
-        lca = fig_net.lca(i, j)
-        pi = [0] + [child for (_, child) in fig_net.path_to_root(i)]
-        pj = [0] + [child for (_, child) in fig_net.path_to_root(j)]
+        lca = net.lca(i, j)
+        pi = [0] + [child for (_, child) in net.path_to_root(i)]
+        pj = [0] + [child for (_, child) in net.path_to_root(j)]
         common = [a for a, b in zip(pi, pj) if a == b]
         assert lca == common[-1]
+        a, b = net.bus_pos(i), net.bus_pos(j)
+        assert net.buses[table[rows[a], rows[b]]].id == lca
+
+
+def subset_cases(net, rng):
+    """Named bus-position subsets: connected or not, with and without bus 0."""
+    root = net.bus_pos(0)
+    k = int(rng.integers(1, net.n_buses))
+    connected = net.order[net.tin[k]: net.tin[k] + net.size[k]]
+    scattered = rng.choice(np.arange(1, net.n_buses), size=min(6, net.n_buses - 1),
+                           replace=False)
+    return {
+        "subtree": connected,
+        "subtree_and_substation": np.append(connected, root),
+        "root_path": np.array(ancestors(net, k)),
+        "scattered": scattered,
+        "scattered_and_substation": np.append(scattered, root),
+        "single": np.array([k]),
+        "repeats": np.concatenate([scattered, scattered[::-1]]),
+    }
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lca_table_matches_brute_force_on_subsets(seed):
+    rng = np.random.default_rng(600 + seed)
+    net = random_network(rng, int(rng.integers(8, 70)))
+    for name, buses in subset_cases(net, rng).items():
+        rows, table = net.lca_table(buses)
+        assert table.dtype == np.int32, name
+        got = table[np.ix_(rows, rows)]
+        want = [[brute_force_lca(net, a, b) for b in buses] for a in buses]
+        np.testing.assert_array_equal(got, want, err_msg=name)
+        # The closure stops at the set's own LCA: it holds that LCA and the
+        # members' ancestors below it, nothing above.
+        top = int(buses[0])
+        for b in buses:
+            top = brute_force_lca(net, top, int(b))
+        closure = {top}
+        for b in buses:
+            path = ancestors(net, int(b))
+            closure.update(path[: path.index(top)])
+        assert len(table) == len(closure), name
+
+
+def test_lca_table_of_no_buses_is_empty(fig_net):
+    rows, table = fig_net.lca_table(np.zeros(0, dtype=np.int64))
+    assert rows.shape == (0,)
+    assert table.shape == (0, 0)
+
+
+@pytest.mark.parametrize("net", lca_networks(), ids=LCA_NETWORK_IDS)
+def test_dfs_interval_is_the_subtree(net):
+    assert sorted(net.order) == list(range(net.n_buses))
+    assert net.order[0] == net.bus_pos(0)
+    for k in range(net.n_buses):
+        below = {d for d in range(net.n_buses) if k in ancestors(net, d)}
+        interval = net.order[net.tin[k]: net.tin[k] + net.size[k]]
+        assert interval[0] == k
+        assert set(interval.tolist()) == below
+        assert net.size[k] == len(below)

@@ -17,7 +17,6 @@ from mlopf.opf import (
     lagrangian_value,
     load_problem,
     make_problem,
-    project_box,
     saddle_residual,
 )
 from mlopf.sensitivity import build_sensitivity
@@ -72,15 +71,25 @@ def test_cost_gradient_matches_finite_differences():
 
 
 def test_projection_clamps_and_is_idempotent():
-    dev = make_dev()
-    assert project_box(dev, 0.5, -0.5) == (0.5, -0.5)
-    assert project_box(dev, 2.0, 0.0) == (1.0, 0.0)
-    assert project_box(dev, 0.0, -5.0) == (0.0, -1.0)
+    # Three devices with the same box on a three-phase bus: one hand value
+    # per device, then the idempotence loop on every index at once.
+    net = load_network({
+        "buses": [
+            {"id": 0, "phases": ["a", "b", "c"], "parent": None},
+            {"id": 1, "phases": ["a", "b", "c"], "parent": 0},
+        ],
+        "lines": [{"from": 0, "to": 1, "z": {ph + ph: [0.01, 0.02] for ph in "abc"}}],
+    })
+    prob = make_problem(net, build_sensitivity(net), [make_dev(phase=ph) for ph in "abc"])
+    p, q = prob.project(np.array([0.5, 2.0, 0.0]), np.array([-0.5, 0.0, -5.0]))
+    assert p.tolist() == [0.5, 1.0, 0.0]
+    assert q.tolist() == [-0.5, 0.0, -1.0]
     rng = np.random.default_rng(1)
     for _ in range(50):
-        p, q = rng.uniform(-3, 3, size=2)
-        once = project_box(dev, p, q)
-        assert project_box(dev, *once) == once
+        once = prob.project(rng.uniform(-3, 3, size=3), rng.uniform(-3, 3, size=3))
+        twice = prob.project(*once)
+        np.testing.assert_array_equal(twice[0], once[0])
+        np.testing.assert_array_equal(twice[1], once[1])
 
 
 def test_device_invariants_enforced():

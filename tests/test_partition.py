@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mlopf.coupling import MultilevelEngine
+from mlopf.feedergen import FeederSpec, generate
 from mlopf.network import Bus, Line, Network
 from mlopf.partition import (
     Area,
@@ -143,6 +144,27 @@ def test_auto_partition_is_deterministic():
     p1 = auto_partition(net, 12, 4)
     p2 = auto_partition(net, 12, 4)
     assert p1 == p2
+
+
+def test_auto_partition_roots_are_pinned():
+    # Roots the greedy rule chose on the generated feeders the benchmark and
+    # the acceptance suite use; a change to the tree walk must not move them.
+    uv = generate(FeederSpec(n_buses=300, seed=0, load_scale=1.8))
+    assert partition_to_document(auto_partition(uv.net, 90, 28)) == {"areas": [
+        {"root": 27, "subareas": [{"root": 104}]},
+        {"root": 28, "subareas": [{"root": 68}, {"root": 78}]},
+    ]}
+    big = generate(FeederSpec(n_buses=1000, seed=0))
+    assert partition_to_document(auto_partition(big.net, 100, 25)) == {"areas": [
+        {"root": 72, "subareas": [{"root": 96}, {"root": 214}, {"root": 276}]},
+        {"root": 79, "subareas": [{"root": 157}, {"root": 207}]},
+        {"root": 86, "subareas": [{"root": 139}, {"root": 178}]},
+        {"root": 88, "subareas": [
+            {"root": 242}, {"root": 243}, {"root": 308}, {"root": 309},
+        ]},
+        {"root": 100, "subareas": [{"root": 219}, {"root": 280}, {"root": 282}]},
+        {"root": 117, "subareas": [{"root": 253}, {"root": 257}, {"root": 323}]},
+    ]}
 
 
 @pytest.mark.parametrize("seed", range(5))

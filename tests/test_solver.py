@@ -244,6 +244,21 @@ def test_sweep_model_failure_surfaces_with_diagnostics():
         initial_state(bad, vmodel)
 
 
+def test_nan_voltage_raises_instead_of_ending_the_run():
+    # The bounds sit above the start voltages, so the run does not stop early.
+    net, sens, prob = tiny_problem(v_min=1.0, v_max=1.0005)
+
+    class NanAtTwo(LinearVoltageModel):
+        def voltages(self, p, q, iteration):
+            v = super().voltages(p, q, iteration)
+            return v * np.nan if iteration == 2 else v
+
+    vmodel = NanAtTwo(sens)
+    cfg = SolverConfig(max_iters=50, residual_tol=0.0)
+    with pytest.raises(SolverError, match="non-finite saddle residual at iteration 2"):
+        run(initial_state(prob, vmodel), prob, FlatEngine(sens), vmodel, cfg)
+
+
 def test_sweep_refresh_knob_interleaves_linear_updates():
     feeder = generate(FeederSpec(n_buses=20, seed=8))
     sens = build_sensitivity(feeder.net)
