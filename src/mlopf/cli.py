@@ -82,8 +82,7 @@ def cmd_validate(args) -> int:
         part = load_partition(args.partition, net)
         problems = validate_partition(net, part)
     if args.devices:
-        sens = build_sensitivity(net)
-        load_problem(args.devices, net, sens)  # raises on inconsistency
+        load_problem(args.devices, net, None)  # raises on inconsistency
     if problems:
         for p in problems:
             print(f"violation: {p}")

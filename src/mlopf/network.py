@@ -7,7 +7,9 @@ paths back to the substation. That shared portion is the root path of the
 buses' lowest common ancestor, so this module owns the topology, the
 per-unit impedance data and the flat (bus, phase) index space. One DFS
 preorder lays every subtree out as a contiguous range; all-pairs LCA
-tables and single LCA queries both read those ranges.
+tables and single LCA queries both read those ranges, and so do the two
+O(N) tree sums, over subtrees and over root paths, that both voltage
+models run on.
 
 Networks are immutable after construction and safe for concurrent reads.
 """
@@ -174,6 +176,18 @@ class Network:
         for k in order[:0:-1]:
             size[parent[k]] += size[k]
         self.size = np.array(size, dtype=np.int64)
+        # Exit column of every DFS column: the first one past its subtree.
+        # Columns that share an exit are grouped here, once, so that
+        # ancestor_sums can subtract each group's sum with one reduceat.
+        self._exit = np.arange(n) + self.size[self.order]
+        inner = np.flatnonzero(self._exit < n)
+        inner = inner[np.argsort(self._exit[inner], kind="stable")]
+        exits = self._exit[inner]
+        first = np.flatnonzero(np.diff(exits, prepend=-1))
+        phase_rows = np.arange(3)[:, None]
+        self._exit_from = (phase_rows * n + inner).ravel()
+        self._exit_groups = (phase_rows * len(inner) + first).ravel()
+        self._exit_cells = (phase_rows * n + exits[first]).ravel()
 
         # Phases may only drop moving away from the substation.
         self.phase_mask = np.zeros((n, 3), dtype=bool)
@@ -227,6 +241,13 @@ class Network:
         self.flat_phase = np.array(flat_phase, dtype=np.int64)
         self.n_flat = len(flat_bus_pos)
 
+        # The same data laid out for the tree sums below: a tree array has
+        # shape (3, n_buses), phase by DFS column, where column r is bus
+        # order[r]. flat_cell is each flat index's cell in a raveled tree
+        # array, and z_line_dfs[phi, psi, r] is z_line[order[r], phi, psi].
+        self.flat_cell = self.flat_phase * n + self.tin[self.flat_bus_pos]
+        self.z_line_dfs = np.ascontiguousarray(self.z_line[self.order].transpose(1, 2, 0))
+
     # -- basic lookups ---------------------------------------------------
 
     @property
@@ -261,6 +282,29 @@ class Network:
             (self.buses[k].id, PHASE_NAME[c])
             for k, c in zip(self.flat_bus_pos, self.flat_phase)
         ]
+
+    # -- tree sums over the DFS columns ------------------------------------
+
+    def subtree_sums(self, x: np.ndarray) -> np.ndarray:
+        """Per-phase sums of a tree array over every bus's subtree.
+
+        A prefix sum over the DFS columns, read at [tin, tin + size).
+        """
+        prefix = np.zeros((3, self.n_buses + 1), dtype=x.dtype)
+        np.cumsum(x, axis=1, out=prefix[:, 1:])
+        return np.take(prefix, self._exit, axis=1) - prefix[:, :-1]
+
+    def ancestor_sums(self, x: np.ndarray) -> np.ndarray:
+        """Per-phase sums of a tree array over every bus and its ancestors.
+
+        A prefix sum over the DFS columns in which each column's value is
+        subtracted again at its subtree's exit column, so the running sum at
+        a column holds exactly the columns whose subtrees contain it.
+        """
+        d = np.array(x, order="C")
+        cells = d.reshape(-1)
+        cells[self._exit_cells] -= np.add.reduceat(cells[self._exit_from], self._exit_groups)
+        return np.cumsum(d, axis=1)
 
     # -- path and impedance queries ---------------------------------------
 

@@ -108,7 +108,7 @@ class Problem:
     """
 
     net: Network
-    sens: SensitivityMatrices
+    sens: SensitivityMatrices | None  # dense R/X; None when nothing reads them
     devices: tuple[Device, ...]
     bounds: VoltageBounds
     p0: np.ndarray = field(repr=False)       # preferences / fixed injections
@@ -138,7 +138,7 @@ class Problem:
 
 def make_problem(
     net: Network,
-    sens: SensitivityMatrices,
+    sens: SensitivityMatrices | None,
     devices: list[Device],
     background: dict[tuple[int, str], tuple[float, float]] | None = None,
     v_min: float = 0.95,
@@ -243,9 +243,15 @@ def saddle_residual(
 
     Zero exactly at the saddle point of the regularized Lagrangian. The
     coupling terms g_p, g_q may be supplied by any engine; when omitted they
-    are computed from the dense sensitivities.
+    are computed from the dense sensitivities, which the problem must then
+    carry.
     """
     d = duals.mu_upper - duals.mu_lower
+    if (g_p is None or g_q is None) and problem.sens is None:
+        raise ProblemError(
+            "saddle residual needs coupling terms or the dense sensitivities; "
+            "the problem carries no sensitivities"
+        )
     if g_p is None:
         g_p = problem.sens.r.T @ d
     if g_q is None:
@@ -275,9 +281,13 @@ def violation_extents(v: np.ndarray, bounds: VoltageBounds) -> tuple[float, floa
 # -- document I/O ---------------------------------------------------------
 
 def load_problem(
-    document: dict | str | Path, net: Network, sens: SensitivityMatrices
+    document: dict | str | Path, net: Network, sens: SensitivityMatrices | None
 ) -> Problem:
-    """Build a Problem from the device document schema."""
+    """Build a Problem from the device document schema.
+
+    sens may be None when nothing will read the dense sensitivities, as
+    when the document is only being validated.
+    """
     if isinstance(document, (str, Path)):
         try:
             document = json.loads(Path(document).read_text())

@@ -4,7 +4,8 @@ A backward/forward sweep with constant-power injections: backward passes
 aggregate branch currents from the leaves toward the substation, forward
 passes propagate voltage drops across the line impedance matrices from the
 substation outward, and the loop runs until the complex power implied by
-the final phasors matches the specified injections everywhere. Acts as the
+the final phasors matches the specified injections everywhere. Both passes
+are O(N) tree sums over the network's DFS columns. Acts as the
 nonlinear counterpart of the linear voltage update in feedback mode and as
 the yardstick for linearization error.
 """
@@ -41,9 +42,12 @@ def backward_forward_sweep(
     """Solve nonlinear power flow for the given injections.
 
     p and q are real/reactive injections over the flat index space
-    (negative values are loads). Sweeps alternate in a fixed order (levels
-    descending for the backward pass, ascending for the forward pass), so
-    identical inputs give bitwise identical solutions.
+    (negative values are loads). Each sweep is two tree sums over the DFS
+    columns of the network: the backward pass takes subtree sums of the
+    injected currents, which gives every line's current, and the forward
+    pass takes ancestor sums of the line drops, which gives every bus's
+    voltage below the substation. Sums run in a fixed order, so identical
+    inputs give bitwise identical solutions.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -52,47 +56,31 @@ def backward_forward_sweep(
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
         raise ValueError("injections must be finite")
 
-    n = net.n_buses
-    s = np.zeros((n, 3), dtype=np.complex128)
-    s[net.flat_bus_pos, net.flat_phase] = p + 1j * q
-    mask = net.phase_mask.copy()
-    mask[net.bus_pos(0)] = False  # the slack bus balances the rest
-
+    s = p + 1j * q
+    cells = net.flat_cell
     # Flat start: substation magnitude with 0 / -120 / +120 degree angles.
-    ref = np.sqrt(net.base_v_squared) * np.array([1.0, OMEGA, OMEGA * OMEGA])
-    volt = np.tile(ref, (n, 1))
-
-    max_depth = int(net.depth.max())
-    levels = [np.flatnonzero(net.depth == dep) for dep in range(max_depth + 1)]
-    parent = net.parent_pos
-    nonroot = np.flatnonzero(parent >= 0)
+    ref = np.sqrt(net.base_v_squared) * np.array([[1.0], [OMEGA], [OMEGA * OMEGA]])
+    volt = ref[net.flat_phase, 0]
+    inj = np.zeros((3, net.n_buses), dtype=np.complex128)
 
     mismatch = np.inf
     for sweep in range(1, max_sweeps + 1):
-        if np.any(np.abs(volt[mask]) < 1e-9):
+        if np.any(np.abs(volt) < 1e-9):
             raise SweepError("zero voltage encountered; operating point is singular")
-        # Backward: branch current into each bus = local draw + downstream.
-        inj = np.zeros((n, 3), dtype=np.complex128)
-        inj[mask] = np.conj(s[mask] / volt[mask])
-        branch = -inj
-        for dep in range(max_depth, 0, -1):
-            kids = levels[dep]
-            np.add.at(branch, parent[kids], branch[kids])
-        # Forward: voltage drops across the line impedance matrices.
-        for dep in range(1, max_depth + 1):
-            kids = levels[dep]
-            drop = np.einsum("nij,nj->ni", net.z_line[kids], branch[kids])
-            volt[kids] = volt[parent[kids]] - drop
+        # Backward: each line carries minus the current its subtree injects.
+        drawn = np.conj(s / volt)
+        inj.reshape(-1)[cells] = drawn
+        injected = net.subtree_sums(inj)
+        # Forward: each bus sits below the substation by the drops across
+        # the line impedance matrices on its root path.
+        rise = (net.z_line_dfs * injected[None]).sum(axis=1)
+        volt = (ref + net.ancestor_sums(rise)).reshape(-1)[cells]
         # Power implied by the new phasors and the currents just used.
-        child_sum = np.zeros((n, 3), dtype=np.complex128)
-        np.add.at(child_sum, parent[nonroot], branch[nonroot])
-        implied = volt * np.conj(child_sum - branch)
-        mismatch = float(np.max(np.abs(implied[mask] - s[mask]), initial=0.0))
+        mismatch = float(np.max(np.abs(volt * np.conj(drawn) - s), initial=0.0))
         if mismatch < tol:
-            phasors = volt[net.flat_bus_pos, net.flat_phase]
             return VoltageSolution(
-                phasors=phasors,
-                v=np.abs(phasors) ** 2,
+                phasors=volt,
+                v=np.abs(volt) ** 2,
                 iterations=sweep,
                 max_mismatch=mismatch,
             )

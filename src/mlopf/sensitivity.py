@@ -3,14 +3,18 @@
 v collects squared voltage magnitudes over the flat (bus, phase) index
 space. Each matrix entry reduces to a common-path impedance rotated by a
 signed power of the 120-degree phasor omega and projected to its real or
-imaginary part, so building the dense matrices is one vectorized gather
-at the pairwise lowest common ancestors, which Network.lca_table lays out
-for all buses at once.
+imaginary part. On a radial feeder that product is a tree sweep:
+voltage_linear takes subtree sums of the injections, rotates them through
+each line's impedance and takes ancestor sums of the result, in O(N) over
+the DFS columns of Network and without the matrices. The dense R and X
+that build_sensitivity materializes, by a gather at the pairwise lowest
+common ancestors of Network.lca_table, stay as the oracle the sweep is
+tested against and as the operands of the flat coupling engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +35,9 @@ OMEGA_POW = np.array(
     dtype=np.complex128,
 )
 
+# Rows of R and X filled per block in build_sensitivity.
+_BLOCK_ROWS = 256
+
 
 def omega_power(k: int) -> complex:
     """omega**k for a signed phase-code difference k in -2..2."""
@@ -39,11 +46,15 @@ def omega_power(k: int) -> complex:
 
 @dataclass(frozen=True)
 class SensitivityMatrices:
-    """Dense sensitivities of squared voltage magnitudes to injections."""
+    """Dense sensitivities of squared voltage magnitudes to injections.
+
+    Carries the network as well, which is all voltage_linear reads.
+    """
 
     r: np.ndarray        # N x N, d v / d p
     x: np.ndarray        # N x N, d v / d q
     v_tilde: np.ndarray  # length N, zero-injection squared magnitudes
+    net: Network = field(repr=False)  # the feeder voltage_linear sweeps
 
     @property
     def n(self) -> int:
@@ -91,28 +102,48 @@ def build_sensitivity(net: Network) -> SensitivityMatrices:
     common-path impedance of buses i, j at phase pair (phi, psi). v_tilde is
     the flat profile at the substation's squared magnitude: with losses
     neglected, zero injections leave every bus at the reference voltage.
+    The matrices are filled in blocks of rows, so no N x N temporary is
+    ever held beside them.
     """
     n = net.n_flat
     bus = net.flat_bus_pos
     ph = net.flat_phase
     rows, table = net.lca_table(bus)
-    lca = table[rows[:, None], rows[None, :]]
-    # Drop each index table once gathered; on large feeders they set the peak.
-    del table
-    z = net.z_prefix[lca, ph[:, None], ph[None, :]]
-    del lca
-    w = OMEGA_POW[ph[:, None] - ph[None, :] + 2]
-    re, im = _rotated_parts(z.real, z.imag, w.real, w.imag)
+    r = np.empty((n, n), dtype=np.float64)
+    x = np.empty((n, n), dtype=np.float64)
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        lca = table[rows[lo:hi, None], rows[None, :]]
+        z = net.z_prefix[lca, ph[lo:hi, None], ph[None, :]]
+        w = OMEGA_POW[ph[lo:hi, None] - ph[None, :] + 2]
+        re, im = _rotated_parts(z.real, z.imag, w.real, w.imag)
+        np.multiply(2.0, re, out=r[lo:hi])
+        np.multiply(-2.0, im, out=x[lo:hi])
     v_tilde = np.full(n, net.base_v_squared, dtype=np.float64)
-    return SensitivityMatrices(r=2.0 * re, x=-2.0 * im, v_tilde=v_tilde)
+    return SensitivityMatrices(r=r, x=x, v_tilde=v_tilde, net=net)
 
 
 def voltage_linear(sens: SensitivityMatrices, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Squared voltage magnitudes under the linearized model."""
+    """Squared voltage magnitudes under the linearized model.
+
+    Equal to R p + X q + v_tilde, computed in O(N) by two tree sums and
+    without reading R or X. Per line and phase psi, the conjugated subtree
+    sum of s = p + jq rotated by omega**psi is the current a sweep from the
+    flat profile would carry; z_line times it is the line's drop. With t
+    the ancestor-or-self sum of Re(omega**-phi drop), v = v_tilde + 2 t:
+    a pair (i, j) shares exactly the lines above both, which is the
+    common-path impedance of the dense entry.
+    """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != (sens.n,) or q.shape != (sens.n,):
         raise ValueError(
             f"injection vectors must have shape ({sens.n},), got {p.shape} and {q.shape}"
         )
-    return sens.r @ p + sens.x @ q + sens.v_tilde
+    net = sens.net
+    s_conj = np.zeros((3, net.n_buses), dtype=np.complex128)
+    s_conj.reshape(-1)[net.flat_cell] = p - 1j * q
+    current = OMEGA_POW[2:, None] * net.subtree_sums(s_conj)
+    drop = (net.z_line_dfs * current[None]).sum(axis=1)
+    t = net.ancestor_sums((OMEGA_POW[2::-1, None] * drop).real)
+    return sens.v_tilde + 2.0 * t.reshape(-1)[net.flat_cell]

@@ -169,6 +169,23 @@ def random_network(
     return Network(buses, lines)
 
 
+def long_chain(n_buses: int) -> Network:
+    """Single-phase chain 0 - 1 - ... - n_buses: the deepest tree of its size.
+
+    Line impedances are small enough that a light load on every bus still
+    gives a solvable power flow.
+    """
+    rng = np.random.default_rng(n_buses)
+    buses = [Bus(0, ("a", "b", "c"), None)]
+    lines = []
+    for bid in range(1, n_buses + 1):
+        buses.append(Bus(bid, ("a",), bid - 1))
+        z = np.zeros((3, 3), dtype=np.complex128)
+        z[0, 0] = complex(rng.uniform(1e-5, 5e-5), rng.uniform(2e-5, 1e-4))
+        lines.append(Line(bid - 1, bid, z))
+    return Network(buses, lines)
+
+
 def brute_force_path(net: Network, bus_id: int) -> list[tuple[int, int]]:
     """Root path by plain parent walking on the Bus records."""
     path = []

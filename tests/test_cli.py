@@ -42,6 +42,21 @@ def test_validate_accepts_generated_documents(workspace):
     assert rc == 0
 
 
+def test_validate_devices_builds_no_dense_matrices(workspace, tmp_path, monkeypatch):
+    def refuse(net):
+        raise AssertionError("validate built the dense sensitivities")
+
+    monkeypatch.setattr("mlopf.cli.build_sensitivity", refuse)
+    network = str(workspace / "network.json")
+    assert main(["validate", "--network", network,
+                 "--devices", str(workspace / "devices.json")]) == 0
+    doc = json.loads((workspace / "devices.json").read_text())
+    doc["devices"][0]["pmin"] = doc["devices"][0]["pmax"] + 1.0  # empty box
+    bad = tmp_path / "bad_devices.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", "--network", network, "--devices", str(bad)]) == 2
+
+
 def test_validate_rejects_malformed_network(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

@@ -18,6 +18,7 @@ from conftest import (
     brute_force_path,
     chain_doc,
     fig_feeder,
+    long_chain,
     random_network,
 )
 
@@ -380,3 +381,37 @@ def test_dfs_interval_is_the_subtree(net):
         assert interval[0] == k
         assert set(interval.tolist()) == below
         assert net.size[k] == len(below)
+
+
+@pytest.mark.parametrize(
+    "net", [*lca_networks(), long_chain(3000)], ids=[*LCA_NETWORK_IDS, "chain3000"]
+)
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_tree_sums_match_parent_walk(net, dtype):
+    n = net.n_buses
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(3, n)).astype(dtype)
+    if dtype is np.complex128:
+        x += 1j * rng.normal(size=(3, n))
+    kept = x.copy()
+    # Brute force over bus positions: children into parents deepest first,
+    # then parents into children from the substation down.
+    parent = net.parent_pos.tolist()
+    by_depth = np.argsort(net.depth, kind="stable").tolist()
+    subtree = x[:, net.tin].copy()
+    for k in reversed(by_depth):
+        if parent[k] >= 0:
+            subtree[:, parent[k]] += subtree[:, k]
+    ancestor = x[:, net.tin].copy()
+    for k in by_depth:
+        if parent[k] >= 0:
+            ancestor[:, k] += ancestor[:, parent[k]]
+
+    got_subtree = net.subtree_sums(x)
+    got_ancestor = net.ancestor_sums(x)
+    assert got_subtree.dtype == dtype and got_ancestor.dtype == dtype
+    np.testing.assert_array_equal(x, kept)
+    for got, want in ((got_subtree, subtree), (got_ancestor, ancestor)):
+        got = got[:, net.tin]  # DFS columns back to bus positions
+        tol = 1e-12 * (1.0 + np.max(np.abs(want)))
+        assert np.max(np.abs(got - want)) <= tol

@@ -271,6 +271,21 @@ def test_residual_is_pure():
     assert first > 0
 
 
+def test_residual_without_sensitivities_needs_coupling_terms():
+    prob, p, q, mu, v, eta = constructed_fixed_point()
+    cfg = SolverConfig(step_primal=1e-3, step_dual=1e-2, eta=eta)
+    duals = DualState(mu_upper=mu, mu_lower=np.zeros(1))
+    lean = make_problem(prob.net, None, list(prob.devices))
+    g_p, g_q = prob.sens.r.T @ mu, prob.sens.x.T @ mu
+    assert saddle_residual(lean, p, q, duals, v, cfg, g_p, g_q) == saddle_residual(
+        prob, p, q, duals, v, cfg
+    )
+    with pytest.raises(ProblemError, match="no sensitivities"):
+        saddle_residual(lean, p, q, duals, v, cfg)
+    with pytest.raises(ProblemError, match="no sensitivities"):
+        saddle_residual(lean, p, q, duals, v, cfg, g_p=g_p)
+
+
 def test_dual_cap_at_fixed_points():
     # At any dual fixed point, mu_upper is the violation over eta, so the
     # infinity norms obey the cap exactly.

@@ -7,11 +7,11 @@ import pytest
 
 from mlopf.network import Bus, Line, Network, load_network
 from mlopf.powerflow import SweepError, backward_forward_sweep, compare_models
-from mlopf.sensitivity import build_sensitivity, voltage_linear
+from mlopf.sensitivity import OMEGA, build_sensitivity, voltage_linear
 from mlopf.feedergen import FeederSpec, generate
 from mlopf.opf import make_problem
 
-from conftest import chain_doc, random_network
+from conftest import chain_doc, long_chain, random_network
 
 
 def single_line_net(r=0.01, x=0.02):
@@ -195,3 +195,63 @@ def test_multiphase_coupled_lines_flow():
     assert sol.v[0] < 1.0
     assert abs(sol.v[1] - 1.0) < 0.05 and abs(sol.v[2] - 1.0) < 0.05
     assert sol.max_mismatch < 1e-10
+
+
+def per_level_sweep(net, p, q, tol=1e-8, max_sweeps=100):
+    """Reference sweep: one pass per tree level in each direction.
+
+    Returns (phasors, v, iterations), or None where the reference does not
+    converge.
+    """
+    n = net.n_buses
+    s = np.zeros((n, 3), dtype=np.complex128)
+    s[net.flat_bus_pos, net.flat_phase] = p + 1j * q
+    mask = net.phase_mask.copy()
+    mask[net.bus_pos(0)] = False
+    ref = np.sqrt(net.base_v_squared) * np.array([1.0, OMEGA, OMEGA * OMEGA])
+    volt = np.tile(ref, (n, 1))
+    max_depth = int(net.depth.max())
+    levels = [np.flatnonzero(net.depth == dep) for dep in range(max_depth + 1)]
+    parent = net.parent_pos
+    nonroot = np.flatnonzero(parent >= 0)
+    for sweep in range(1, max_sweeps + 1):
+        inj = np.zeros((n, 3), dtype=np.complex128)
+        inj[mask] = np.conj(s[mask] / volt[mask])
+        branch = -inj
+        for dep in range(max_depth, 0, -1):
+            kids = levels[dep]
+            np.add.at(branch, parent[kids], branch[kids])
+        for dep in range(1, max_depth + 1):
+            kids = levels[dep]
+            drop = np.einsum("nij,nj->ni", net.z_line[kids], branch[kids])
+            volt[kids] = volt[parent[kids]] - drop
+        child_sum = np.zeros((n, 3), dtype=np.complex128)
+        np.add.at(child_sum, parent[nonroot], branch[nonroot])
+        implied = volt * np.conj(child_sum - branch)
+        if np.max(np.abs(implied[mask] - s[mask]), initial=0.0) < tol:
+            phasors = volt[net.flat_bus_pos, net.flat_phase]
+            return phasors, np.abs(phasors) ** 2, sweep
+    return None
+
+
+def sweep_cases():
+    feeder = generate(FeederSpec(n_buses=300, seed=0, load_scale=1.8))
+    problem = make_problem(feeder.net, None, list(feeder.devices), feeder.background)
+    yield "undervoltage", feeder.net, problem.p0, problem.q0
+    rng = np.random.default_rng(20)
+    net = random_network(rng, 120, mutual="complex", symmetric=False)  # 254 indices
+    yield "coupled", net, rng.uniform(-0.01, 0.002, net.n_flat), rng.uniform(-0.005, 0.002, net.n_flat)
+    chain = long_chain(3000)
+    yield "chain3000", chain, np.full(chain.n_flat, -1e-4), np.full(chain.n_flat, -5e-5)
+
+
+@pytest.mark.parametrize("net,p,q", [case[1:] for case in sweep_cases()],
+                         ids=["undervoltage", "coupled", "chain3000"])
+def test_tree_sweep_matches_per_level_reference(net, p, q):
+    want = per_level_sweep(net, p, q)
+    assert want is not None
+    phasors, v, iterations = want
+    sol = backward_forward_sweep(net, p, q)
+    assert sol.iterations == iterations
+    assert np.max(np.abs(sol.phasors - phasors)) <= 1e-12
+    assert np.max(np.abs(sol.v - v)) <= 1e-12

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mlopf.feedergen import FeederSpec, generate
 from mlopf.network import NetworkError, load_network
 from mlopf.sensitivity import (
     OMEGA,
@@ -14,11 +18,13 @@ from mlopf.sensitivity import (
     omega_power,
     voltage_linear,
 )
+from mlopf.solver import LinearVoltageModel
 
 from conftest import (
     brute_force_common_path_impedance,
     chain_doc,
     fig_feeder,
+    long_chain,
     random_network,
 )
 
@@ -252,3 +258,42 @@ def test_matrix_entries_match_brute_force_paths(seed):
         assert sens.x[a, b] == -2.0 * (np.conj(z) * rot).imag
         assert sens.r[a, b] == dv_dp_entry(net, bi, phi, bj, psi)
         assert sens.x[a, b] == dv_dq_entry(net, bi, phi, bj, psi)
+
+
+def guard_networks():
+    yield fig_feeder()
+    for seed in range(4):
+        rng = np.random.default_rng(700 + seed)
+        yield random_network(rng, int(rng.integers(8, 50)))
+    yield generate(FeederSpec(n_buses=400, seed=1, phase_drop=0.4)).net
+    yield long_chain(3000)
+
+
+@pytest.mark.parametrize(
+    "net", guard_networks(), ids=["fig", "0", "1", "2", "3", "phase_drop", "chain3000"]
+)
+def test_linear_voltage_model_reads_no_dense_entry(net):
+    sens = build_sensitivity(net)
+    nan = np.broadcast_to(np.nan, sens.r.shape)  # every entry NaN, no N x N copy
+    model = LinearVoltageModel(dataclasses.replace(sens, r=nan, x=nan))
+    rng = np.random.default_rng(3)
+    n = sens.n
+    p, q = rng.normal(size=n), rng.normal(size=n)
+    v = model.voltages(p, q, 1)
+    want = sens.r @ p + sens.x @ q + sens.v_tilde
+    tol = 1e-12 * (1.0 + np.max(np.abs(v - sens.v_tilde)))
+    assert np.max(np.abs(v - want)) <= tol
+    np.testing.assert_array_equal(model.voltages(np.zeros(n), np.zeros(n), 1), sens.v_tilde)
+    with pytest.raises(ValueError, match="shape"):
+        model.voltages(np.zeros(n + 1), np.zeros(n + 1), 1)
+
+
+def test_dense_build_holds_no_full_size_temporaries():
+    net = generate(FeederSpec(n_buses=2000, seed=0)).net
+    tracemalloc.start()
+    try:
+        sens = build_sensitivity(net)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (sens.r.nbytes + sens.x.nbytes)
