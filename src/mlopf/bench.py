@@ -10,7 +10,6 @@ quantity the multilevel split accelerates.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -168,9 +167,7 @@ def bench_sweep(
                 kind, sens=sens, net=net, part=part, threads=threads
             )
             state = initial_state(problem, vmodel)
-            t0 = time.perf_counter_ns()
             result = run(state, problem, engine, vmodel, cfg)
-            _ = time.perf_counter_ns() - t0
             if kind == "flat":
                 flat_coupling_ns = result.total_coupling_ns
             ratio = (

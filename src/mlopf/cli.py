@@ -29,7 +29,7 @@ from .coupling import (
 )
 from .bench import bench_csv, bench_sweep, bench_table
 from .feedergen import FeederSpec, feeder_documents, generate
-from .network import NetworkError, load_network
+from .network import NetworkError, load_network, save_network
 from .opf import ProblemError, SolverConfig, load_problem
 from .partition import (
     auto_partition,
@@ -127,10 +127,9 @@ def cmd_gen(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    net_doc, dev_doc, part_doc = feeder_documents(feeder)
-    (out / "network.json").write_text(json.dumps(net_doc, indent=2) + "\n")
-    (out / "devices.json").write_text(json.dumps(dev_doc, indent=2) + "\n")
-    (out / "partition.json").write_text(json.dumps(part_doc, indent=2) + "\n")
+    save_network(feeder.net, out / "network.json")
+    (out / "devices.json").write_text(json.dumps(feeder_documents(feeder)[1], indent=2) + "\n")
+    save_partition(feeder.partition, out / "partition.json")
     _write_manifest(out, args, "gen")
     print(
         f"generated {feeder.net.n_buses - 1} buses, {feeder.net.n_flat} indices, "

@@ -93,14 +93,12 @@ class FlowRecord:
     """Structural record of what data each scope consumed.
 
     Engines touch the same index sets on every apply, so access patterns are
-    recorded once at construction; applies only bump a counter and refresh
-    the latest aggregate messages.
+    recorded once at construction; applies only bump a counter.
     """
 
     engine: str = ""
     events: list = field(default_factory=list)
     applies: int = 0
-    last_messages: tuple[AggregateMessage, ...] = ()
 
     def dual_read(self, scope, basis, indices):
         self.events.append(DualRead(scope, basis, tuple(int(i) for i in indices)))
@@ -117,9 +115,8 @@ class FlowRecord:
     def global_access(self, note):
         self.events.append(GlobalAccess(note))
 
-    def apply(self, messages):
+    def apply(self):
         self.applies += 1
-        self.last_messages = messages
 
 
 def _flat_indices(net: Network, bus_ids) -> np.ndarray:
@@ -192,7 +189,7 @@ class FlatEngine:
         g_p = self.sens.r.T @ d
         g_q = self.sens.x.T @ d
         if self.record is not None:
-            self.record.apply(())
+            self.record.apply()
         return CouplingResult(g_p=g_p, g_q=g_q, op_count=self.op_count_per_apply)
 
 
@@ -377,7 +374,7 @@ class MultilevelEngine:
             agg[scope.pos] = own
         out = tuple(messages)
         if self.record is not None:
-            self.record.apply(out)
+            self.record.apply()
         return CouplingResult(
             g_p=2.0 * t.real,
             g_q=-2.0 * t.imag,
@@ -431,134 +428,88 @@ class PrivacyReport:
         return not self.violations and not self.global_access
 
 
-def privacy_audit(
-    record: FlowRecord, net: Network, part: PartitionHierarchy
-) -> PrivacyReport:
-    """Check a flow record against the scope containment rules.
+# The read kinds each event type may carry, and how a leak of each reads.
+_LEAK_TEXT = {
+    "dual read": {
+        "members": "read per-bus duals at foreign flat indices",
+        "exterior": "read per-bus duals at foreign flat indices",
+    },
+    "impedance access": {
+        "intra": "touched interior lines of foreign buses",
+        "root_root": "root-to-root access outside the root set:",
+        "exterior_root": "exterior access beyond roots and public buses:",
+    },
+}
 
-    Area scopes may read their own members' duals per bus plus the public
-    unclustered set; subarea scopes their own members plus the parent area's
-    remainder. Impedance queries may pair buses inside one scope, scope
-    roots with each other, or exterior buses with a root. Anything else is a
-    violation. Aggregate exchanges are never violations; they are the
-    mechanism that keeps everything else inside its scope.
-    """
-    members_idx = {
-        ("area", a.index): set(map(int, _flat_indices(net, a.members)))
-        for a in part.areas
-    }
-    members_bus = {("area", a.index): set(a.members) for a in part.areas}
-    rem_idx = {}
-    rem_bus = {}
+
+def _audit_rules(net: Network, part: PartitionHierarchy) -> dict:
+    """allowed[scope][kind]: the flat indices or bus ids a scope may read."""
+    def rules(members, exterior, exterior_idx, roots):
+        return {
+            "members": frozenset(map(int, _flat_indices(net, members))),
+            "exterior": exterior_idx,
+            "intra": members,
+            "root_root": roots,
+            "exterior_root": roots | exterior,
+        }
+
+    unclustered = part.unclustered
+    unclustered_idx = frozenset(map(int, _flat_indices(net, unclustered)))
+    area_roots = frozenset(a.root for a in part.areas)
+    allowed = {("unclustered",): rules(unclustered, unclustered, frozenset(), area_roots)}
     for a in part.areas:
-        rem_idx[a.index] = set(map(int, _flat_indices(net, a.remainder)))
-        rem_bus[a.index] = set(a.remainder)
+        allowed[("area", a.index)] = rules(
+            a.members, unclustered | a.members, unclustered_idx, area_roots
+        )
+        remainder_idx = frozenset(map(int, _flat_indices(net, a.remainder)))
+        sub_roots = frozenset(s.root for s in a.subareas)
         for s in a.subareas:
-            members_idx[("subarea", a.index, s.index)] = set(
-                map(int, _flat_indices(net, s.members))
+            allowed[("subarea", a.index, s.index)] = rules(
+                s.members, a.remainder, remainder_idx, sub_roots
             )
-            members_bus[("subarea", a.index, s.index)] = set(s.members)
-    unc_idx = set(map(int, _flat_indices(net, part.unclustered)))
-    unc_bus = set(part.unclustered)
-    area_roots = {a.root for a in part.areas}
-    sub_roots = {
-        a.index: {s.root for s in a.subareas} for a in part.areas
-    }
+    return allowed
 
+
+def privacy_audit(record: FlowRecord, net: Network, part: PartitionHierarchy) -> PrivacyReport:
+    """Check a flow record against one table of per-scope read rules.
+
+    Each scope, ("unclustered",), every area and every subarea, may read
+    its own per-bus duals ("members") and impedances between its own buses
+    ("intra"). An area may read the unclustered duals and a subarea its
+    area's remainder ("exterior"); the unclustered scope reads no exterior
+    duals. "root_root" pairs sibling roots: all area roots, or one area's
+    subarea roots. "exterior_root" pairs those roots with the exterior
+    buses, which for an area include its own members (its remainder to
+    subarea root coefficients live there) and for the unclustered scope
+    are its own buses. Any other item is a violation, and so is an event
+    from a scope the partition lacks or of an unknown kind. Aggregate
+    exchanges never are: they are the mechanism that keeps everything
+    else inside its scope.
+    """
+    allowed = _audit_rules(net, part)
     violations: list[str] = []
-    global_access = False
-    checked = 0
-
-    def own_indices(scope):
-        if scope == ("unclustered",):
-            return unc_idx
-        return members_idx.get(scope)
-
-    def exterior_indices(scope):
-        if scope[0] == "area":
-            return unc_idx
-        if scope[0] == "subarea":
-            return rem_idx.get(scope[1], set())
-        return set()
-
-    def own_buses(scope):
-        if scope == ("unclustered",):
-            return unc_bus
-        return members_bus.get(scope)
-
-    def root_pool(scope):
-        if scope[0] == "subarea":
-            return sub_roots.get(scope[1], set())
-        return area_roots
-
-    def exterior_buses(scope):
-        if scope[0] == "area":
-            return unc_bus
-        if scope[0] == "subarea":
-            return rem_bus.get(scope[1], set())
-        if scope == ("unclustered",):
-            return unc_bus
-        return set()
-
     for ev in record.events:
-        checked += 1
-        if isinstance(ev, GlobalAccess):
-            global_access = True
-        elif isinstance(ev, DualRead):
-            if ev.basis == "members":
-                allowed = own_indices(ev.scope)
-            else:
-                allowed = exterior_indices(ev.scope)
-            if allowed is None:
-                violations.append(f"dual read from unknown scope {ev.scope}")
-            else:
-                leak = set(ev.indices) - allowed
-                if leak:
-                    violations.append(
-                        f"scope {ev.scope} read per-bus duals at foreign flat "
-                        f"indices {sorted(leak)[:5]}"
-                    )
+        if isinstance(ev, (GlobalAccess, AggregateExchange)):
+            continue
+        if isinstance(ev, DualRead):
+            what, kind, items = "dual read", ev.basis, set(ev.indices)
         elif isinstance(ev, ZAccess):
-            if ev.kind == "intra":
-                ob = own_buses(ev.scope)
-                if ob is None:
-                    violations.append(f"impedance access from unknown scope {ev.scope}")
-                    continue
-                leak = (set(ev.row_buses) | set(ev.col_buses)) - ob
-                if leak:
-                    violations.append(
-                        f"scope {ev.scope} touched interior lines of foreign buses "
-                        f"{sorted(leak)[:5]}"
-                    )
-            elif ev.kind == "root_root":
-                pool = root_pool(ev.scope)
-                leak = (set(ev.row_buses) | set(ev.col_buses)) - pool
-                if leak:
-                    violations.append(
-                        f"scope {ev.scope} root-to-root access outside the root set: "
-                        f"{sorted(leak)[:5]}"
-                    )
-            elif ev.kind == "exterior_root":
-                pool = root_pool(ev.scope) | exterior_buses(ev.scope)
-                if ev.scope[0] == "area":
-                    # Anything inside the area is its own business: the
-                    # remainder-versus-subarea-root coefficients live here.
-                    pool |= members_bus.get(ev.scope, set())
-                leak = (set(ev.row_buses) | set(ev.col_buses)) - pool
-                if leak:
-                    violations.append(
-                        f"scope {ev.scope} exterior access beyond roots and public "
-                        f"buses: {sorted(leak)[:5]}"
-                    )
-            else:
-                violations.append(f"unknown impedance access kind {ev.kind!r}")
-        elif isinstance(ev, AggregateExchange):
-            pass
+            what, kind = "impedance access", ev.kind
+            items = set(ev.row_buses) | set(ev.col_buses)
         else:
             violations.append(f"unknown event {ev!r}")
+            continue
+        text = _LEAK_TEXT[what].get(kind)
+        rules = allowed.get(ev.scope)
+        if text is None:
+            violations.append(f"unknown {what} kind {kind!r}")
+        elif rules is None:
+            violations.append(f"{what} from unknown scope {ev.scope}")
+        elif leak := items - rules[kind]:
+            violations.append(f"scope {ev.scope} {text} {sorted(leak)[:5]}")
     return PrivacyReport(
         engine=record.engine,
-        global_access=global_access,
+        global_access=any(isinstance(ev, GlobalAccess) for ev in record.events),
         violations=violations,
-        events_checked=checked,
+        events_checked=len(record.events),
     )

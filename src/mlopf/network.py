@@ -46,7 +46,7 @@ def phase_code(phase: str | int) -> int:
 @dataclass(frozen=True)
 class Bus:
     id: int
-    phases: tuple[str, ...]     # sorted, nonempty subset of ("a", "b", "c")
+    phases: tuple[str, ...]     # sorted, distinct, nonempty subset of ("a", "b", "c")
     parent: int | None          # None only for the substation (bus 0)
 
 
@@ -99,10 +99,11 @@ class Network:
         for b in self.buses:
             if not b.phases:
                 raise NetworkError(f"bus {b.id} has no phases")
-            if tuple(sorted(b.phases, key=phase_code)) != tuple(b.phases):
-                raise NetworkError(f"bus {b.id} phases must be sorted a<b<c")
             if any(ph not in PHASE_CODE for ph in b.phases):
                 raise NetworkError(f"bus {b.id} has an unknown phase")
+            codes = [PHASE_CODE[ph] for ph in b.phases]
+            if codes != sorted(set(codes)):
+                raise NetworkError(f"bus {b.id} phases must be distinct and sorted a<b<c")
         sub = self.buses[self._pos[0]]
         if sub.parent is not None:
             raise NetworkError("substation bus 0 must not have a parent")
@@ -401,15 +402,21 @@ def _parse_z(entry: dict, from_bus: int, to_bus: int) -> np.ndarray:
     return z
 
 
-def load_network(document: dict | str | Path) -> Network:
-    """Build a validated Network from a JSON document, path, or parsed dict."""
+def read_document(document: dict | str | Path, what: str) -> dict:
+    """The JSON object at a path, or a parsed document; anything else raises NetworkError."""
     if isinstance(document, (str, Path)):
         try:
             document = json.loads(Path(document).read_text())
         except json.JSONDecodeError as exc:
-            raise NetworkError(f"network document is not valid JSON: {exc}") from exc
+            raise NetworkError(f"{what} document is not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
-        raise NetworkError("network document must be a JSON object")
+        raise NetworkError(f"{what} document must be a JSON object")
+    return document
+
+
+def load_network(document: dict | str | Path) -> Network:
+    """Build a validated Network from a JSON document, path, or parsed dict."""
+    document = read_document(document, "network")
     try:
         bus_entries = document["buses"]
         line_entries = document["lines"]

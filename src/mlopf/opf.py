@@ -9,13 +9,12 @@ saddle point unique at the cost of a bounded constraint slack.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .network import Network, NetworkError, PHASE_NAME, phase_code
+from .network import Network, PHASE_NAME, phase_code, read_document
 from .sensitivity import SensitivityMatrices
 
 
@@ -288,11 +287,7 @@ def load_problem(
     sens may be None when nothing will read the dense sensitivities, as
     when the document is only being validated.
     """
-    if isinstance(document, (str, Path)):
-        try:
-            document = json.loads(Path(document).read_text())
-        except json.JSONDecodeError as exc:
-            raise NetworkError(f"device document is not valid JSON: {exc}") from exc
+    document = read_document(document, "device")
     devices = []
     for entry in document.get("devices", []):
         try:

@@ -14,9 +14,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .network import Network, NetworkError
-
-PartitionScope = tuple  # ("area", k) | ("subarea", k, m) | ("unclustered",)
+from .network import Network, NetworkError, read_document
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,17 @@ def _subtree_ids(net: Network, root: int) -> frozenset[int]:
 
 
 def validate_partition(net: Network, part: PartitionHierarchy) -> list[str]:
-    """Check subtree closure, disjointness, coverage, and root-phase coverage.
+    """Check every scope against its parent, then the remainders and coverage.
+
+    One check runs for each area against the feeder and for each subarea
+    against its area. The substation roots no scope, every id is a known
+    bus and the root lies inside the parent; a scope that fails one of
+    these is not checked further. Its members must then be exactly the
+    root's subtree, hold no bus an earlier sibling claimed, and carry no
+    phase the root lacks. Once its subareas are checked, an area's
+    remainder must be its members minus the subareas' claimed members.
+    The unclustered set must be known buses, disjoint from the areas, and
+    cover every bus they leave out.
 
     Returns a list of violation descriptions; empty means the partition is
     valid for every coupling engine.
@@ -68,77 +76,53 @@ def validate_partition(net: Network, part: PartitionHierarchy) -> list[str]:
         unknown = sorted(i for i in ids if i not in all_ids and i != 0)
         if unknown:
             problems.append(f"{what}: unknown or substation bus ids {unknown}")
+        return not unknown
+
+    def check_scope(tag, root, members, parent_members, claimed):
+        if root == 0:
+            problems.append(f"{tag}: the substation cannot root an area")
             return False
+        if not check_ids(members | {root}, tag):
+            return False
+        if root not in parent_members:
+            problems.append(f"{tag}: root {root} is outside the area")
+            return False
+        closure = _subtree_ids(net, root)
+        if members != closure:
+            problems.append(
+                f"{tag}: subtree closure violated at root {root}"
+                f" (missing {sorted(closure - members)}, extra {sorted(members - closure)})"
+            )
+        for bid in members:
+            if bid in claimed:
+                problems.append(f"{tag}: bus {bid} already belongs to {claimed[bid]}")
+            claimed[bid] = tag
+        root_phases = set(net.bus(root).phases)
+        for bid in members:
+            if bid in all_ids and not set(net.bus(bid).phases) <= root_phases:
+                problems.append(f"{tag}: root {root} lacks a phase carried by member {bid}")
         return True
 
-    claimed: dict[int, int] = {}
+    claimed: dict[int, str] = {}
     for area in part.areas:
         tag = f"area {area.index}"
-        if area.root == 0:
-            problems.append(f"{tag}: the substation cannot root an area")
+        if not check_scope(tag, area.root, area.members, all_ids, claimed):
             continue
-        if not check_ids(area.members | {area.root}, tag):
-            continue
-        closure = _subtree_ids(net, area.root)
-        if area.members != closure:
-            missing = sorted(closure - area.members)
-            extra = sorted(area.members - closure)
-            problems.append(
-                f"{tag}: subtree closure violated at root {area.root}"
-                f" (missing {missing}, extra {extra})"
-            )
-        for bid in area.members:
-            if bid in claimed:
-                problems.append(
-                    f"{tag}: bus {bid} already belongs to area {claimed[bid]}"
-                )
-            claimed[bid] = area.index
-
-        root_phases = set(net.bus(area.root).phases)
-        for bid in area.members:
-            if bid in all_ids and not set(net.bus(bid).phases) <= root_phases:
-                problems.append(
-                    f"{tag}: root {area.root} lacks a phase carried by member {bid}"
-                )
-
-        sub_claimed: dict[int, int] = {}
+        sub_claimed: dict[int, str] = {}
         for sub in area.subareas:
-            stag = f"{tag} subarea {sub.index}"
-            if not check_ids(sub.members | {sub.root}, stag):
-                continue
-            if sub.root not in area.members:
-                problems.append(f"{stag}: root {sub.root} is outside the area")
-                continue
-            closure = _subtree_ids(net, sub.root)
-            if sub.members != closure:
-                problems.append(f"{stag}: subtree closure violated at root {sub.root}")
-            if not sub.members <= area.members:
-                problems.append(f"{stag}: members leak outside the area")
-            for bid in sub.members:
-                if bid in sub_claimed:
-                    problems.append(
-                        f"{stag}: bus {bid} already in subarea {sub_claimed[bid]}"
-                    )
-                sub_claimed[bid] = sub.index
-            sroot_phases = set(net.bus(sub.root).phases)
-            for bid in sub.members:
-                if bid in all_ids and not set(net.bus(bid).phases) <= sroot_phases:
-                    problems.append(
-                        f"{stag}: root {sub.root} lacks a phase carried by member {bid}"
-                    )
-        expected_rem = area.members - set(sub_claimed)
-        if area.remainder != expected_rem:
+            check_scope(
+                f"{tag} subarea {sub.index}", sub.root, sub.members, area.members, sub_claimed
+            )
+        if area.remainder != area.members - set(sub_claimed):
             problems.append(f"{tag}: remainder is not members minus subarea members")
 
     if check_ids(part.unclustered, "unclustered set"):
         overlap = sorted(set(part.unclustered) & set(claimed))
         if overlap:
             problems.append(f"unclustered set overlaps areas at buses {overlap}")
-        covered = set(claimed) | set(part.unclustered)
-        if covered != all_ids:
-            missing = sorted(all_ids - covered)
-            if missing:
-                problems.append(f"buses {missing} belong to no area and are not unclustered")
+        missing = sorted(all_ids - set(claimed) - set(part.unclustered))
+        if missing:
+            problems.append(f"buses {missing} belong to no area and are not unclustered")
     return problems
 
 
@@ -211,29 +195,27 @@ def _greedy_cuts(net: Network, scope_root_pos: int, target: int, forbid: set[int
 
 def load_partition(document: dict | str | Path, net: Network) -> PartitionHierarchy:
     """Build a partition from its document; members derive from the roots."""
-    if isinstance(document, (str, Path)):
-        try:
-            document = json.loads(Path(document).read_text())
-        except json.JSONDecodeError as exc:
-            raise NetworkError(f"partition document is not valid JSON: {exc}") from exc
+    document = read_document(document, "partition")
     areas = []
     claimed: set[int] = set()
     for k, entry in enumerate(document.get("areas", [])):
-        root = int(entry["root"])
+        try:
+            root = int(entry["root"])
+            sub_roots = [int(sentry["root"]) for sentry in entry.get("subareas", [])]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise NetworkError(f"malformed area entry {entry!r}: {exc}") from exc
         members = _subtree_ids(net, root)
-        subareas = []
-        covered: set[int] = set()
-        for m, sentry in enumerate(entry.get("subareas", [])):
-            sroot = int(sentry["root"])
-            smembers = _subtree_ids(net, sroot)
-            subareas.append(Subarea(index=m, root=sroot, members=smembers))
-            covered |= smembers
+        subareas = tuple(
+            Subarea(index=m, root=sroot, members=_subtree_ids(net, sroot))
+            for m, sroot in enumerate(sub_roots)
+        )
+        covered = set().union(*(s.members for s in subareas))
         areas.append(
             Area(
                 index=k,
                 root=root,
                 members=members,
-                subareas=tuple(subareas),
+                subareas=subareas,
                 remainder=frozenset(members - covered),
             )
         )

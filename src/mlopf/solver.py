@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -137,21 +137,9 @@ def step(
     )
 
 
-TRACE_COLUMNS = (
-    "iter",
-    "objective",
-    "lagrangian",
-    "max_over_violation",
-    "max_under_violation",
-    "residual",
-    "coupling_ops",
-    "step_ns",
-)
-
-
 @dataclass(frozen=True)
 class TraceRecord:
-    iteration: int
+    iteration: int = field(metadata={"column": "iter"})
     objective: float
     lagrangian: float
     max_over_violation: float
@@ -161,18 +149,10 @@ class TraceRecord:
     step_ns: int
 
     def row(self) -> str:
-        return ",".join(
-            [
-                str(self.iteration),
-                repr(self.objective),
-                repr(self.lagrangian),
-                repr(self.max_over_violation),
-                repr(self.max_under_violation),
-                repr(self.residual),
-                str(self.coupling_ops),
-                str(self.step_ns),
-            ]
-        )
+        return ",".join(repr(getattr(self, f.name)) for f in fields(self))
+
+
+TRACE_COLUMNS = tuple(f.metadata.get("column", f.name) for f in fields(TraceRecord))
 
 
 @dataclass

@@ -73,6 +73,58 @@ def test_validate_rejects_malformed_network(tmp_path):
     assert main(["validate", "--network", str(bad)]) == 2
 
 
+def test_validate_rejects_duplicate_phases(tmp_path, capsys):
+    bad = tmp_path / "dup.json"
+    bad.write_text(json.dumps({
+        "buses": [
+            {"id": 0, "phases": ["a", "b", "c"], "parent": None},
+            {"id": 1, "phases": ["a", "a"], "parent": 0},
+        ],
+        "lines": [{"from": 0, "to": 1, "z": {"aa": [0.01, 0.02]}}],
+    }))
+    assert main(["validate", "--network", str(bad)]) == 2
+    assert "distinct" in capsys.readouterr().err
+
+
+MALFORMED_PARTITIONS = {
+    "area-without-root": {"areas": [{}]},
+    "subarea-not-an-object": {"areas": [{"root": 1, "subareas": [5]}]},
+    "area-not-an-object": {"areas": [7]},
+    "root-not-a-number": {"areas": [{"root": "x"}]},
+    "document-is-an-array": [{"root": 1}],
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "solve"])
+@pytest.mark.parametrize("name", sorted(MALFORMED_PARTITIONS))
+def test_malformed_partition_is_validation_error(workspace, tmp_path, capsys, command, name):
+    bad = tmp_path / "partition.json"
+    bad.write_text(json.dumps(MALFORMED_PARTITIONS[name]))
+    args = [
+        command,
+        "--network", str(workspace / "network.json"),
+        "--devices", str(workspace / "devices.json"),
+        "--partition", str(bad),
+    ]
+    if command == "solve":
+        args += ["--engine", "bilevel", "--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "validation"
+
+
+@pytest.mark.parametrize("command", ["validate", "solve"])
+def test_device_document_that_is_not_an_object_is_validation_error(
+    workspace, tmp_path, capsys, command
+):
+    bad = tmp_path / "devices.json"
+    bad.write_text(json.dumps([{"bus": 1, "phase": "a"}]))
+    args = [command, "--network", str(workspace / "network.json"), "--devices", str(bad)]
+    if command == "solve":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    assert "device document must be a JSON object" in capsys.readouterr().err
+
+
 def test_partition_command_writes_hierarchy(workspace, tmp_path):
     out = tmp_path / "part.json"
     rc = main(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -429,3 +431,132 @@ def test_threaded_engine_matches_serial(fig_net):
         np.testing.assert_array_equal(serial.g_p, threaded.g_p)
         np.testing.assert_array_equal(serial.g_q, threaded.g_q)
         assert serial.messages == threaded.messages
+
+
+def documented_pools(net, part):
+    """Each scope's read pools, spelled out from privacy_audit's docstring."""
+    def idx(buses):
+        return {net.flat_index(b, ph) for b in buses for ph in net.bus(b).phases}
+
+    unclustered = set(part.unclustered)
+    area_roots = {a.root for a in part.areas}
+    pools = {
+        ("unclustered",): {
+            "members": idx(unclustered), "exterior": set(), "intra": unclustered,
+            "root_root": area_roots, "exterior_root": area_roots | unclustered,
+        }
+    }
+    for a in part.areas:
+        pools[("area", a.index)] = {
+            "members": idx(a.members), "exterior": idx(unclustered),
+            "intra": set(a.members), "root_root": area_roots,
+            "exterior_root": area_roots | unclustered | set(a.members),
+        }
+        sub_roots = {s.root for s in a.subareas}
+        for s in a.subareas:
+            pools[("subarea", a.index, s.index)] = {
+                "members": idx(s.members), "exterior": idx(a.remainder),
+                "intra": set(s.members), "root_root": sub_roots,
+                "exterior_root": sub_roots | set(a.remainder),
+            }
+    return pools
+
+
+DUAL_KINDS = ("members", "exterior")
+Z_KINDS = ("intra", "root_root", "exterior_root")
+
+
+def universe(net, kind):
+    if kind in DUAL_KINDS:
+        return list(range(net.n_flat))
+    return [b.id for b in net.buses]
+
+
+def leaked_items(report):
+    """The one item each single-item event's violation names, in event order."""
+    return [int(v.rsplit("[", 1)[1].rstrip("]")) for v in report.violations]
+
+
+@pytest.mark.parametrize("areas", [(4, 2), (4, 0), None], ids=["subareas", "areas", "none"])
+def test_audit_flags_exactly_the_items_outside_each_documented_pool(fig_net, areas):
+    if areas is None:
+        ids = frozenset(b.id for b in fig_net.buses if b.id != 0)
+        part = PartitionHierarchy(areas=(), unclustered=ids)
+    else:
+        part = auto_partition(fig_net, *areas)
+    for scope, pools in documented_pools(fig_net, part).items():
+        for kind, pool in pools.items():
+            record = FlowRecord()
+            items = universe(fig_net, kind)
+            for item in items:
+                if kind in DUAL_KINDS:
+                    record.dual_read(scope, kind, [item])
+                else:
+                    record.z_access(scope, kind, [item], [item])
+            report = privacy_audit(record, fig_net, part)
+            assert leaked_items(report) == [i for i in items if i not in pool], (scope, kind)
+            assert all(v.startswith(f"scope {scope} ") for v in report.violations)
+
+
+@pytest.mark.parametrize("kind", DUAL_KINDS + Z_KINDS)
+def test_audit_reports_one_planted_foreign_item_per_event_kind(fig_net, kind):
+    part = auto_partition(fig_net, 4, 2)
+    record = FlowRecord()
+    MultilevelEngine(fig_net, part, 2, record=record)
+    assert privacy_audit(record, fig_net, part).violations == []
+    pools = documented_pools(fig_net, part)
+    k, ev = next(
+        (k, ev) for k, ev in enumerate(record.events)
+        if getattr(ev, "basis", getattr(ev, "kind", None)) == kind
+    )
+    foreign = min(set(universe(fig_net, kind)) - pools[ev.scope][kind])
+    if kind in DUAL_KINDS:
+        planted = dataclasses.replace(ev, indices=ev.indices + (foreign,))
+    else:
+        planted = dataclasses.replace(ev, row_buses=ev.row_buses + (foreign,))
+    record.events[k] = planted
+    report = privacy_audit(record, fig_net, part)
+    assert report.violations == [report.violations[0]]
+    assert report.violations[0].startswith(f"scope {ev.scope} ")
+    assert leaked_items(report) == [foreign]
+
+
+@pytest.mark.parametrize(
+    "event",
+    [
+        DualRead(("area", 99), "members", (0,)),
+        DualRead(("area", 99), "exterior", (0,)),
+        DualRead(("subarea", 0, 9), "exterior", (0,)),
+        ZAccess(("area", 99), "root_root", (6,), (6,)),
+        ZAccess(("subarea", 9, 0), "exterior_root", (1,), (1,)),
+        ZAccess(("feeder",), "intra", (1,), (1,)),
+    ],
+    ids=[
+        "members-area99", "exterior-area99", "exterior-subarea0.9",
+        "root_root-area99", "exterior_root-subarea9.0", "intra-feeder",
+    ],
+)
+def test_audit_rejects_events_from_unknown_scopes(fig_net, event):
+    part = auto_partition(fig_net, 4, 2)
+    record = FlowRecord(events=[event])
+    report = privacy_audit(record, fig_net, part)
+    assert report.violations == [
+        f"{'dual read' if isinstance(event, DualRead) else 'impedance access'} "
+        f"from unknown scope {event.scope}"
+    ]
+
+
+def test_audit_rejects_unknown_read_kinds(fig_net):
+    part = auto_partition(fig_net, 4, 2)
+    record = FlowRecord(events=[
+        DualRead(("unclustered",), "intra", (0,)),
+        ZAccess(("area", 0), "members", (6,), (6,)),
+        ZAccess(("area", 0), "global", (6,), (6,)),
+    ])
+    report = privacy_audit(record, fig_net, part)
+    assert report.violations == [
+        "unknown dual read kind 'intra'",
+        "unknown impedance access kind 'members'",
+        "unknown impedance access kind 'global'",
+    ]
+    assert report.events_checked == 3

@@ -8,6 +8,7 @@ import pytest
 from mlopf.network import (
     Bus,
     Line,
+    Network,
     NetworkError,
     load_network,
     network_to_document,
@@ -74,6 +75,28 @@ def test_duplicate_bus_ids_rejected():
     doc["buses"].append({"id": 1, "phases": ["a"], "parent": 0})
     with pytest.raises(NetworkError, match="duplicate"):
         load_network(doc)
+
+
+def one_line_doc(phases):
+    return {
+        "buses": [
+            {"id": 0, "phases": ["a", "b", "c"], "parent": None},
+            {"id": 1, "phases": phases, "parent": 0},
+        ],
+        "lines": [{"from": 0, "to": 1, "z": {"aa": [0.01, 0.02]}}],
+    }
+
+
+def test_duplicate_phases_on_a_bus_rejected():
+    # A repeated phase would give the bus two flat indices with one label,
+    # and index_of would keep only the second of them.
+    with pytest.raises(NetworkError, match="distinct"):
+        load_network(one_line_doc(["a", "a"]))
+    z = np.zeros((3, 3), dtype=np.complex128)
+    z[0, 0] = 0.01 + 0.02j
+    with pytest.raises(NetworkError, match="distinct"):
+        Network([Bus(0, ("a", "b", "c"), None), Bus(1, ("a", "a"), 0)], [Line(0, 1, z)])
+    assert load_network(one_line_doc(["a"])).n_flat == 1
 
 
 def test_line_count_mismatch_rejected():

@@ -83,6 +83,51 @@ def test_reference_layout_partition_is_valid(fig_net):
     assert validate_partition(fig_net, part) == []
 
 
+def with_subareas(*subareas):
+    """The reference layout with area 2's subareas replaced."""
+    members = frozenset({21, 22, 23, 24, 27, 28, 29})
+    covered = frozenset().union(*(s.members for s in subareas))
+    return PartitionHierarchy(
+        areas=(
+            Area(0, 17, frozenset({17, 18, 19, 20}), (), frozenset({17, 18, 19, 20})),
+            Area(1, 6, frozenset({6, 7, 8, 9}), (), frozenset({6, 7, 8, 9})),
+            Area(2, 21, members, tuple(subareas), members - covered),
+        ),
+        unclustered=frozenset({1, 2, 3, 4, 5, 10, 11, 12}),
+    )
+
+
+def test_subarea_cases_start_from_a_valid_layout(fig_net):
+    part = with_subareas(
+        Subarea(0, 22, frozenset({22, 23, 24})), Subarea(1, 28, frozenset({28, 29}))
+    )
+    assert validate_partition(fig_net, part) == []
+
+
+def test_subarea_closure_violation_detected(fig_net):
+    part = with_subareas(Subarea(0, 22, frozenset({22, 23})))
+    assert validate_partition(fig_net, part) == [
+        "area 2 subarea 0: subtree closure violated at root 22 (missing [24], extra [])"
+    ]
+
+
+def test_overlapping_subareas_detected(fig_net):
+    part = with_subareas(
+        Subarea(0, 22, frozenset({22, 23, 24})), Subarea(1, 23, frozenset({23, 24}))
+    )
+    problems = validate_partition(fig_net, part)
+    assert "area 2 subarea 1: bus 23 already belongs to area 2 subarea 0" in problems
+    assert "area 2 subarea 1: bus 24 already belongs to area 2 subarea 0" in problems
+    assert len(problems) == 2
+
+
+def test_subarea_root_outside_its_area_detected(fig_net):
+    part = with_subareas(Subarea(0, 18, frozenset({18, 19, 20})))
+    assert validate_partition(fig_net, part) == [
+        "area 2 subarea 0: root 18 is outside the area"
+    ]
+
+
 def test_overlapping_areas_detected(fig_net):
     a1 = frozenset({21, 22, 23, 24, 27, 28, 29})
     a2 = frozenset({27, 28, 29})

@@ -15,6 +15,8 @@ from mlopf.solver import (
     SolverError,
     SweepVoltageModel,
     TRACE_COLUMNS,
+    Trace,
+    TraceRecord,
     initial_state,
     run,
     step,
@@ -270,3 +272,19 @@ def test_sweep_refresh_knob_interleaves_linear_updates():
     v_lin = LinearVoltageModel(sens).voltages(p, q, 1)
     np.testing.assert_array_equal(sparse.voltages(p, q, 3), v_sweep)
     np.testing.assert_array_equal(sparse.voltages(p, q, 4), v_lin)
+
+
+def test_trace_header_and_row_follow_the_record_fields():
+    assert TRACE_COLUMNS == (
+        "iter", "objective", "lagrangian", "max_over_violation",
+        "max_under_violation", "residual", "coupling_ops", "step_ns",
+    )
+    rec = TraceRecord(
+        iteration=3, objective=0.1, lagrangian=-2.5e-07, max_over_violation=0.0,
+        max_under_violation=1.0, residual=3e-09, coupling_ops=12, step_ns=4567,
+    )
+    assert rec.row() == "3,0.1,-2.5e-07,0.0,1.0,3e-09,12,4567"
+    assert Trace([rec]).to_csv() == (
+        "iter,objective,lagrangian,max_over_violation,max_under_violation,"
+        "residual,coupling_ops,step_ns\n3,0.1,-2.5e-07,0.0,1.0,3e-09,12,4567\n"
+    )
