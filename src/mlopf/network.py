@@ -414,17 +414,23 @@ def read_document(document: dict | str | Path, what: str) -> dict:
     return document
 
 
+def document_array(document: dict, key: str, what: str) -> list:
+    """The JSON array under key, or [] when absent; anything else raises NetworkError."""
+    value = document.get(key, [])
+    if not isinstance(value, list):
+        raise NetworkError(f"{what} document field {key!r} must be a JSON array")
+    return value
+
+
 def load_network(document: dict | str | Path) -> Network:
     """Build a validated Network from a JSON document, path, or parsed dict."""
     document = read_document(document, "network")
-    try:
-        bus_entries = document["buses"]
-        line_entries = document["lines"]
-    except KeyError as exc:
-        raise NetworkError(f"network document lacks key {exc}") from exc
+    for key in ("buses", "lines"):
+        if key not in document:
+            raise NetworkError(f"network document lacks key {key!r}")
 
     buses = []
-    for be in bus_entries:
+    for be in document_array(document, "buses", "network"):
         try:
             phases = tuple(sorted(be["phases"], key=phase_code))
             buses.append(Bus(id=int(be["id"]), phases=phases, parent=(
@@ -433,7 +439,7 @@ def load_network(document: dict | str | Path) -> Network:
         except (KeyError, TypeError, ValueError) as exc:
             raise NetworkError(f"malformed bus entry {be!r}: {exc}") from exc
     lines = []
-    for le in line_entries:
+    for le in document_array(document, "lines", "network"):
         try:
             frm, to = int(le["from"]), int(le["to"])
             lines.append(Line(from_bus=frm, to_bus=to, z=_parse_z(le.get("z", {}), frm, to)))

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import Network, PHASE_NAME, phase_code, read_document
+from .network import Network, PHASE_NAME, document_array, phase_code, read_document
 from .sensitivity import SensitivityMatrices
 
 
@@ -107,7 +107,7 @@ class Problem:
     """
 
     net: Network
-    sens: SensitivityMatrices | None  # dense R/X; None when nothing reads them
+    sens: SensitivityMatrices | None  # dense R/X; no solver code reads them
     devices: tuple[Device, ...]
     bounds: VoltageBounds
     p0: np.ndarray = field(repr=False)       # preferences / fixed injections
@@ -228,6 +228,23 @@ def lagrangian_value(
     return cost + lower_term + upper_term - reg
 
 
+def update_size(
+    p: np.ndarray, q: np.ndarray, duals: DualState,
+    p_new: np.ndarray, q_new: np.ndarray, duals_new: DualState, cfg: SolverConfig,
+) -> float:
+    """Infinity norm of one primal-dual update, each half over its step size."""
+    # np.maximum propagates a NaN, where Python's max may drop it.
+    r_primal = np.maximum(
+        np.max(np.abs(p - p_new), initial=0.0),
+        np.max(np.abs(q - q_new), initial=0.0),
+    ) / cfg.step_primal
+    r_dual = np.maximum(
+        np.max(np.abs(duals.mu_upper - duals_new.mu_upper), initial=0.0),
+        np.max(np.abs(duals.mu_lower - duals_new.mu_lower), initial=0.0),
+    ) / cfg.step_dual
+    return float(np.maximum(r_primal, r_dual))
+
+
 def saddle_residual(
     problem: Problem,
     p: np.ndarray,
@@ -235,39 +252,19 @@ def saddle_residual(
     duals: DualState,
     v: np.ndarray,
     cfg: SolverConfig,
-    g_p: np.ndarray | None = None,
-    g_q: np.ndarray | None = None,
+    g_p: np.ndarray,
+    g_q: np.ndarray,
 ) -> float:
     """Infinity norm of the projected-gradient fixed-point map.
 
     Zero exactly at the saddle point of the regularized Lagrangian. The
-    coupling terms g_p, g_q may be supplied by any engine; when omitted they
-    are computed from the dense sensitivities, which the problem must then
-    carry.
+    coupling terms g_p = R^T d and g_q = X^T d, with d = mu_upper - mu_lower,
+    may come from any engine.
     """
-    d = duals.mu_upper - duals.mu_lower
-    if (g_p is None or g_q is None) and problem.sens is None:
-        raise ProblemError(
-            "saddle residual needs coupling terms or the dense sensitivities; "
-            "the problem carries no sensitivities"
-        )
-    if g_p is None:
-        g_p = problem.sens.r.T @ d
-    if g_q is None:
-        g_q = problem.sens.x.T @ d
     cp, cq = problem.cost_gradients(p, q)
     pp, qq = problem.project(p - cfg.step_primal * (cp + g_p), q - cfg.step_primal * (cq + g_q))
-    # np.maximum propagates a NaN, where Python's max may drop it.
-    r_primal = np.maximum(
-        np.max(np.abs(p - pp), initial=0.0),
-        np.max(np.abs(q - qq), initial=0.0),
-    ) / cfg.step_primal
     nxt = dual_update(duals, v, problem.bounds, cfg)
-    r_dual = np.maximum(
-        np.max(np.abs(duals.mu_upper - nxt.mu_upper), initial=0.0),
-        np.max(np.abs(duals.mu_lower - nxt.mu_lower), initial=0.0),
-    ) / cfg.step_dual
-    return float(np.maximum(r_primal, r_dual))
+    return update_size(p, q, duals, pp, qq, nxt, cfg)
 
 
 def violation_extents(v: np.ndarray, bounds: VoltageBounds) -> tuple[float, float]:
@@ -289,7 +286,7 @@ def load_problem(
     """
     document = read_document(document, "device")
     devices = []
-    for entry in document.get("devices", []):
+    for entry in document_array(document, "devices", "device"):
         try:
             devices.append(
                 Device(
@@ -308,7 +305,7 @@ def load_problem(
         except (KeyError, TypeError, ValueError) as exc:
             raise ProblemError(f"malformed device entry {entry!r}: {exc}") from exc
     background = {}
-    for entry in document.get("background", []):
+    for entry in document_array(document, "background", "device"):
         try:
             key = (int(entry["bus"]), PHASE_NAME[phase_code(entry["phase"])])
             background[key] = (float(entry["p"]), float(entry["q"]))

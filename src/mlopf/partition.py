@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .network import Network, NetworkError, read_document
+from .network import Network, NetworkError, document_array, read_document
 
 
 @dataclass(frozen=True)
@@ -58,13 +58,13 @@ def validate_partition(net: Network, part: PartitionHierarchy) -> list[str]:
 
     One check runs for each area against the feeder and for each subarea
     against its area. The substation roots no scope, every id is a known
-    bus and the root lies inside the parent; a scope that fails one of
-    these is not checked further. Its members must then be exactly the
-    root's subtree, hold no bus an earlier sibling claimed, and carry no
-    phase the root lacks. Once its subareas are checked, an area's
+    bus other than the substation and the root lies inside the parent; a
+    scope that fails one of these is not checked further. Its members must
+    then be exactly the root's subtree, hold no bus an earlier sibling
+    claimed, and carry no phase the root lacks. Once its subareas are checked, an area's
     remainder must be its members minus the subareas' claimed members.
-    The unclustered set must be known buses, disjoint from the areas, and
-    cover every bus they leave out.
+    The unclustered set must be known buses other than the substation,
+    disjoint from the areas, and cover every bus they leave out.
 
     Returns a list of violation descriptions; empty means the partition is
     valid for every coupling engine.
@@ -73,7 +73,7 @@ def validate_partition(net: Network, part: PartitionHierarchy) -> list[str]:
     all_ids = {b.id for b in net.buses if b.id != 0}
 
     def check_ids(ids, what):
-        unknown = sorted(i for i in ids if i not in all_ids and i != 0)
+        unknown = sorted(i for i in ids if i not in all_ids)
         if unknown:
             problems.append(f"{what}: unknown or substation bus ids {unknown}")
         return not unknown
@@ -198,7 +198,7 @@ def load_partition(document: dict | str | Path, net: Network) -> PartitionHierar
     document = read_document(document, "partition")
     areas = []
     claimed: set[int] = set()
-    for k, entry in enumerate(document.get("areas", [])):
+    for k, entry in enumerate(document_array(document, "areas", "partition")):
         try:
             root = int(entry["root"])
             sub_roots = [int(sentry["root"]) for sentry in entry.get("subareas", [])]

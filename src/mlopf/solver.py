@@ -4,8 +4,10 @@ One step is a Jacobi-style simultaneous update: the primal projected
 gradient step uses the coupling terms at the current duals, the dual ascent
 uses the current voltages, and only then are voltages recomputed at the new
 setpoints (linearly, or through nonlinear power flow in feedback mode).
-Every iteration appends a trace record; repeated runs of the same
-configuration produce bitwise identical traces.
+`run` computes each update once: record k's residual is the size of the
+update computed at state k, and that update is taken only if the run goes
+on. Repeated runs of the same configuration produce bitwise identical
+traces.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .opf import (
     dual_update,
     lagrangian_value,
     saddle_residual,
+    update_size,
     violation_extents,
 )
 from .powerflow import backward_forward_sweep
@@ -41,15 +44,14 @@ class LinearVoltageModel:
     def __init__(self, sens: SensitivityMatrices):
         self.sens = sens
 
-    def voltages(self, p: np.ndarray, q: np.ndarray, iteration: int) -> np.ndarray:
+    def voltages(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         return voltage_linear(self.sens, p, q)
 
 
 class SweepVoltageModel:
     """Nonlinear feedback mode: voltages come from the sweep each iteration.
 
-    refresh_every > 1 keeps the sweep for every k-th iteration and falls
-    back to the linear model in between (a bench experiment knob).
+    sens is not used; the parameter stays for callers that still pass it.
     """
 
     name = "sweep"
@@ -60,23 +62,14 @@ class SweepVoltageModel:
         sens: SensitivityMatrices,
         tol: float = 1e-8,
         max_sweeps: int = 100,
-        refresh_every: int = 1,
     ):
-        if refresh_every < 1:
-            raise ValueError("refresh_every must be at least 1")
         self.net = net
-        self.sens = sens
         self.tol = tol
         self.max_sweeps = max_sweeps
-        self.refresh_every = refresh_every
 
-    def voltages(self, p: np.ndarray, q: np.ndarray, iteration: int) -> np.ndarray:
-        if iteration % self.refresh_every == 0:
-            sol = backward_forward_sweep(
-                self.net, p, q, tol=self.tol, max_sweeps=self.max_sweeps
-            )
-            return sol.v
-        return voltage_linear(self.sens, p, q)
+    def voltages(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        sol = backward_forward_sweep(self.net, p, q, tol=self.tol, max_sweeps=self.max_sweeps)
+        return sol.v
 
 
 @dataclass(frozen=True)
@@ -93,12 +86,36 @@ def initial_state(problem: Problem, vmodel) -> SolverState:
     p = problem.p0.copy()
     q = problem.q0.copy()
     try:
-        v = vmodel.voltages(p, q, 0)
+        v = vmodel.voltages(p, q)
     except Exception as exc:
         raise SolverError(f"voltage model failed at the initial point: {exc}") from exc
     return SolverState(p=p, q=q, duals=DualState(
         mu_upper=np.zeros(problem.n), mu_lower=np.zeros(problem.n)
     ), v=v, iteration=0)
+
+
+def _update(
+    state: SolverState, problem: Problem, coupling: CouplingResult, cfg: SolverConfig
+) -> tuple[np.ndarray, np.ndarray, DualState]:
+    """The projected primal step and the dual ascent at state."""
+    cp, cq = problem.cost_gradients(state.p, state.q)
+    p_new, q_new = problem.project(
+        state.p - cfg.step_primal * (cp + coupling.g_p),
+        state.q - cfg.step_primal * (cq + coupling.g_q),
+    )
+    return p_new, q_new, dual_update(state.duals, state.v, problem.bounds, cfg)
+
+
+def _advance(
+    state: SolverState, vmodel, p: np.ndarray, q: np.ndarray, duals: DualState
+) -> SolverState:
+    """The next state: the updated setpoints and duals, with voltages at the setpoints."""
+    k = state.iteration + 1
+    try:
+        v = vmodel.voltages(p, q)
+    except Exception as exc:
+        raise SolverError(f"voltage model failed at iteration {k}: {exc}") from exc
+    return SolverState(p=p, q=q, duals=duals, v=v, iteration=k)
 
 
 def step(
@@ -107,34 +124,14 @@ def step(
     engine,
     vmodel,
     cfg: SolverConfig,
-    coupling: CouplingResult | None = None,
 ) -> SolverState:
-    """One simultaneous primal-dual update.
-
-    The coupling result for the current duals may be passed in to avoid
-    recomputing it when the caller already produced it for diagnostics.
-    """
+    """One simultaneous primal-dual update."""
     if engine.n != problem.n:
         raise SolverError(
             f"engine is sized for {engine.n} indices but the problem has {problem.n}"
         )
-    if coupling is None:
-        coupling = engine.compute(state.duals.mu_upper, state.duals.mu_lower)
-    cp, cq = problem.cost_gradients(state.p, state.q)
-    p_new, q_new = problem.project(
-        state.p - cfg.step_primal * (cp + coupling.g_p),
-        state.q - cfg.step_primal * (cq + coupling.g_q),
-    )
-    duals_new = dual_update(state.duals, state.v, problem.bounds, cfg)
-    try:
-        v_new = vmodel.voltages(p_new, q_new, state.iteration + 1)
-    except Exception as exc:
-        raise SolverError(
-            f"voltage model failed at iteration {state.iteration + 1}: {exc}"
-        ) from exc
-    return SolverState(
-        p=p_new, q=q_new, duals=duals_new, v=v_new, iteration=state.iteration + 1
-    )
+    coupling = engine.compute(state.duals.mu_upper, state.duals.mu_lower)
+    return _advance(state, vmodel, *_update(state, problem, coupling, cfg))
 
 
 @dataclass(frozen=True)
@@ -207,13 +204,6 @@ def _record(problem, cfg, state, res, ops, step_ns) -> TraceRecord:
     )
 
 
-def _check_finite(res: float, state: SolverState) -> None:
-    # A NaN residual compares false against the tolerance and would end the
-    # loop as if it had merely not converged.
-    if not math.isfinite(res):
-        raise SolverError(f"non-finite saddle residual at iteration {state.iteration}")
-
-
 def run(
     state: SolverState,
     problem: Problem,
@@ -221,48 +211,48 @@ def run(
     vmodel,
     cfg: SolverConfig,
 ) -> RunResult:
-    """Iterate until max_iters or the saddle residual drops below tolerance.
+    """Iterate until max_iters or the residual drops to the tolerance.
 
     The trace holds one record for the initial state and one per executed
-    iteration; each record's residual and coupling terms are evaluated at
-    that record's own state. A residual that is not finite raises
-    SolverError at once.
+    iteration. At each state the run makes one coupling call and computes
+    one update. The record's residual is the size of that update, which
+    equals saddle_residual at the state; the update is taken only if the
+    run goes on. A residual that is not finite raises SolverError at once.
+    RunResult.residual is saddle_residual at the returned state.
     """
     trace = Trace()
     total_coupling_ns = 0
     total_step_ns = 0
-
     t0 = time.perf_counter_ns()
-    coupling = engine.compute(state.duals.mu_upper, state.duals.mu_lower)
-    total_coupling_ns += time.perf_counter_ns() - t0
-    res = saddle_residual(
-        problem, state.p, state.q, state.duals, state.v, cfg,
-        coupling.g_p, coupling.g_q,
-    )
-    _check_finite(res, state)
-    trace.append(_record(problem, cfg, state, res, coupling.op_count, 0))
-
-    while state.iteration < cfg.max_iters and res > cfg.residual_tol:
-        t0 = time.perf_counter_ns()
-        state = step(state, problem, engine, vmodel, cfg, coupling=coupling)
+    while True:
         t1 = time.perf_counter_ns()
         coupling = engine.compute(state.duals.mu_upper, state.duals.mu_lower)
         t2 = time.perf_counter_ns()
-        res = saddle_residual(
-            problem, state.p, state.q, state.duals, state.v, cfg,
-            coupling.g_p, coupling.g_q,
-        )
+        update = _update(state, problem, coupling, cfg)
+        res = update_size(state.p, state.q, state.duals, *update, cfg)
         t3 = time.perf_counter_ns()
-        _check_finite(res, state)
+        # A NaN residual compares false against the tolerance and would end
+        # the loop as if it had merely not converged.
+        if not math.isfinite(res):
+            raise SolverError(f"non-finite saddle residual at iteration {state.iteration}")
         total_coupling_ns += t2 - t1
-        total_step_ns += t3 - t0
-        trace.append(_record(problem, cfg, state, res, coupling.op_count, t3 - t0))
+        # A record's step time runs from the previous record to this one.
+        step_ns = t3 - t0 if trace.records else 0
+        total_step_ns += step_ns
+        trace.append(_record(problem, cfg, state, res, coupling.op_count, step_ns))
+        if state.iteration >= cfg.max_iters or res <= cfg.residual_tol:
+            break
+        t0 = time.perf_counter_ns()
+        state = _advance(state, vmodel, *update)
 
+    residual = saddle_residual(
+        problem, state.p, state.q, state.duals, state.v, cfg, coupling.g_p, coupling.g_q
+    )
     return RunResult(
         trace=trace,
         state=state,
-        converged=res <= cfg.residual_tol,
-        residual=res,
+        converged=residual <= cfg.residual_tol,
+        residual=residual,
         total_step_ns=total_step_ns,
         total_coupling_ns=total_coupling_ns,
     )

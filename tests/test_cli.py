@@ -125,6 +125,30 @@ def test_device_document_that_is_not_an_object_is_validation_error(
     assert "device document must be a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("document,field", [
+    ("network", "buses"),
+    ("network", "lines"),
+    ("partition", "areas"),
+    ("devices", "devices"),
+    ("devices", "background"),
+])
+def test_non_array_top_level_field_is_validation_error(
+    workspace, tmp_path, capsys, document, field
+):
+    doc = json.loads((workspace / f"{document}.json").read_text())
+    doc[field] = 5
+    (tmp_path / f"{document}.json").write_text(json.dumps(doc))
+    paths = {
+        name: str((tmp_path if name == document else workspace) / f"{name}.json")
+        for name in ("network", "partition", "devices")
+    }
+    args = ["validate"] + [a for name, path in paths.items() for a in (f"--{name}", path)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"document field '{field}' must be a JSON array" in err
+    assert "Traceback" not in err
+
+
 def test_partition_command_writes_hierarchy(workspace, tmp_path):
     out = tmp_path / "part.json"
     rc = main(

@@ -253,11 +253,16 @@ def constructed_fixed_point():
     return prob, np.array([p]), np.array([q]), np.array([mu]), np.array([v]), eta
 
 
+def coupling_terms(prob, duals):
+    d = duals.mu_upper - duals.mu_lower
+    return prob.sens.r.T @ d, prob.sens.x.T @ d
+
+
 def test_residual_zero_at_constructed_saddle_point():
     prob, p, q, mu, v, eta = constructed_fixed_point()
     cfg = SolverConfig(step_primal=1e-3, step_dual=1e-2, eta=eta)
     duals = DualState(mu_upper=mu, mu_lower=np.zeros(1))
-    res = saddle_residual(prob, p, q, duals, v, cfg)
+    res = saddle_residual(prob, p, q, duals, v, cfg, *coupling_terms(prob, duals))
     assert res < 1e-9
 
 
@@ -265,25 +270,11 @@ def test_residual_is_pure():
     prob, p, q, mu, v, eta = constructed_fixed_point()
     cfg = SolverConfig(step_primal=1e-3, step_dual=1e-2, eta=eta)
     duals = DualState(mu_upper=mu * 1.5, mu_lower=np.zeros(1))
-    first = saddle_residual(prob, p, q, duals, v, cfg)
-    second = saddle_residual(prob, p, q, duals, v, cfg)
+    g_p, g_q = coupling_terms(prob, duals)
+    first = saddle_residual(prob, p, q, duals, v, cfg, g_p, g_q)
+    second = saddle_residual(prob, p, q, duals, v, cfg, g_p, g_q)
     assert first == second
     assert first > 0
-
-
-def test_residual_without_sensitivities_needs_coupling_terms():
-    prob, p, q, mu, v, eta = constructed_fixed_point()
-    cfg = SolverConfig(step_primal=1e-3, step_dual=1e-2, eta=eta)
-    duals = DualState(mu_upper=mu, mu_lower=np.zeros(1))
-    lean = make_problem(prob.net, None, list(prob.devices))
-    g_p, g_q = prob.sens.r.T @ mu, prob.sens.x.T @ mu
-    assert saddle_residual(lean, p, q, duals, v, cfg, g_p, g_q) == saddle_residual(
-        prob, p, q, duals, v, cfg
-    )
-    with pytest.raises(ProblemError, match="no sensitivities"):
-        saddle_residual(lean, p, q, duals, v, cfg)
-    with pytest.raises(ProblemError, match="no sensitivities"):
-        saddle_residual(lean, p, q, duals, v, cfg, g_p=g_p)
 
 
 def test_dual_cap_at_fixed_points():

@@ -150,6 +150,26 @@ def test_coverage_gap_detected(fig_net):
     assert any("no area" in p for p in problems)
 
 
+def test_area_member_set_holding_the_substation_is_flagged(fig_net):
+    ref = with_subareas()
+    members = ref.areas[0].members | {0}
+    part = PartitionHierarchy(
+        areas=(Area(0, 17, members, (), members),) + ref.areas[1:],
+        unclustered=ref.unclustered,
+    )
+    problems = validate_partition(fig_net, part)
+    assert problems[0] == "area 0: unknown or substation bus ids [0]"
+    assert not any("closure" in p for p in problems)
+
+
+def test_unclustered_set_holding_the_substation_is_flagged(fig_net):
+    ref = with_subareas()
+    part = PartitionHierarchy(areas=ref.areas, unclustered=ref.unclustered | {0})
+    assert validate_partition(fig_net, part) == [
+        "unclustered set: unknown or substation bus ids [0]"
+    ]
+
+
 def test_greedy_on_path_cuts_one_deep_subtree():
     # Only full subtrees qualify, so a path admits a single clustered
     # suffix: the deepest bus whose subtree first reaches the target.

@@ -279,13 +279,13 @@ def test_linear_voltage_model_reads_no_dense_entry(net):
     rng = np.random.default_rng(3)
     n = sens.n
     p, q = rng.normal(size=n), rng.normal(size=n)
-    v = model.voltages(p, q, 1)
+    v = model.voltages(p, q)
     want = sens.r @ p + sens.x @ q + sens.v_tilde
     tol = 1e-12 * (1.0 + np.max(np.abs(v - sens.v_tilde)))
     assert np.max(np.abs(v - want)) <= tol
-    np.testing.assert_array_equal(model.voltages(np.zeros(n), np.zeros(n), 1), sens.v_tilde)
+    np.testing.assert_array_equal(model.voltages(np.zeros(n), np.zeros(n)), sens.v_tilde)
     with pytest.raises(ValueError, match="shape"):
-        model.voltages(np.zeros(n + 1), np.zeros(n + 1), 1)
+        model.voltages(np.zeros(n + 1), np.zeros(n + 1))
 
 
 def test_dense_build_holds_no_full_size_temporaries():

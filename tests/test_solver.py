@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from mlopf import opf, solver
 from mlopf.coupling import FlatEngine, MultilevelEngine
 from mlopf.network import load_network
-from mlopf.opf import Device, DualState, SolverConfig, make_problem
+from mlopf.opf import Device, DualState, SolverConfig, make_problem, saddle_residual
 from mlopf.partition import auto_partition
 from mlopf.sensitivity import build_sensitivity
 from mlopf.solver import (
@@ -251,9 +252,13 @@ def test_nan_voltage_raises_instead_of_ending_the_run():
     net, sens, prob = tiny_problem(v_min=1.0, v_max=1.0005)
 
     class NanAtTwo(LinearVoltageModel):
-        def voltages(self, p, q, iteration):
-            v = super().voltages(p, q, iteration)
-            return v * np.nan if iteration == 2 else v
+        calls = 0
+
+        def voltages(self, p, q):
+            # Call 1 gives the initial state's voltages, call 3 iteration 2's.
+            v = super().voltages(p, q)
+            self.calls += 1
+            return v * np.nan if self.calls == 3 else v
 
     vmodel = NanAtTwo(sens)
     cfg = SolverConfig(max_iters=50, residual_tol=0.0)
@@ -261,17 +266,64 @@ def test_nan_voltage_raises_instead_of_ending_the_run():
         run(initial_state(prob, vmodel), prob, FlatEngine(sens), vmodel, cfg)
 
 
-def test_sweep_refresh_knob_interleaves_linear_updates():
-    feeder = generate(FeederSpec(n_buses=20, seed=8))
+def generated_case(engine_name, model):
+    feeder = generate(FeederSpec(n_buses=40, seed=2, load_scale=1.5), target_area_size=10,
+                      target_subarea_size=4)
     sens = build_sensitivity(feeder.net)
-    prob = make_problem(feeder.net, sens, list(feeder.devices), feeder.background)
-    every = SweepVoltageModel(feeder.net, sens, refresh_every=1)
-    sparse = SweepVoltageModel(feeder.net, sens, refresh_every=3)
-    p, q = prob.p0, prob.q0
-    v_sweep = every.voltages(p, q, 1)
-    v_lin = LinearVoltageModel(sens).voltages(p, q, 1)
-    np.testing.assert_array_equal(sparse.voltages(p, q, 3), v_sweep)
-    np.testing.assert_array_equal(sparse.voltages(p, q, 4), v_lin)
+    # Tight bounds keep the duals and the residual moving for the whole run.
+    prob = make_problem(feeder.net, sens, list(feeder.devices), feeder.background,
+                        v_min=0.999, v_max=1.001)
+    if engine_name == "flat":
+        engine = FlatEngine(sens)
+    else:
+        engine = MultilevelEngine(feeder.net, feeder.partition, 2)
+    if model == "linear":
+        vmodel = LinearVoltageModel(sens)
+    else:
+        vmodel = SweepVoltageModel(feeder.net, sens)
+    return prob, engine, vmodel
+
+
+@pytest.mark.parametrize("engine_name,model", [("trilevel", "linear"), ("flat", "sweep")])
+def test_record_residual_is_the_saddle_residual_of_its_state(engine_name, model):
+    prob, engine, vmodel = generated_case(engine_name, model)
+    cfg = SolverConfig(step_primal=5e-3, step_dual=5e-2, max_iters=30)
+    result = run(initial_state(prob, vmodel), prob, engine, vmodel, cfg)
+    assert len(result.trace.records) == 31
+    state = initial_state(prob, vmodel)
+    for k, rec in enumerate(result.trace.records):
+        if k:
+            state = step(state, prob, engine, vmodel, cfg)
+        g = engine.compute(state.duals.mu_upper, state.duals.mu_lower)
+        want = saddle_residual(prob, state.p, state.q, state.duals, state.v, cfg, g.g_p, g.g_q)
+        assert rec.iteration == state.iteration
+        assert rec.residual == want
+    assert len(set(result.trace.residuals())) > 1
+    for name in ("p", "q", "v"):
+        np.testing.assert_array_equal(getattr(result.state, name), getattr(state, name))
+    np.testing.assert_array_equal(result.state.duals.mu_upper, state.duals.mu_upper)
+    np.testing.assert_array_equal(result.state.duals.mu_lower, state.duals.mu_lower)
+    assert result.residual == result.trace.records[-1].residual
+
+
+def test_run_computes_one_dual_update_per_record(monkeypatch):
+    prob, engine, vmodel = generated_case("trilevel", "linear")
+    calls = 0
+    original = opf.dual_update
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(opf, "dual_update", counted)
+    monkeypatch.setattr(solver, "dual_update", counted)
+    cfg = SolverConfig(step_primal=5e-3, step_dual=5e-2, max_iters=20)
+    result = run(initial_state(prob, vmodel), prob, engine, vmodel, cfg)
+    records = len(result.trace.records)
+    assert records == 21
+    # One update per record, plus the final saddle_residual check.
+    assert calls <= records + 1
 
 
 def test_trace_header_and_row_follow_the_record_fields():
