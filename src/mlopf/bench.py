@@ -149,7 +149,6 @@ def bench_sweep(
     iters: int = 30,
     subareas_per_area: int = 4,
     seed: int = 0,
-    threads: int = 1,
 ) -> list[BenchRow]:
     """Run the same solve per engine over a range of feeder sizes."""
     rows: list[BenchRow] = []
@@ -163,9 +162,7 @@ def bench_sweep(
         vmodel = LinearVoltageModel(sens)
         flat_coupling_ns = None
         for kind in engines:
-            engine = make_engine(
-                kind, sens=sens, net=net, part=part, threads=threads
-            )
+            engine = make_engine(kind, sens=sens, net=net, part=part)
             state = initial_state(problem, vmodel)
             result = run(state, problem, engine, vmodel, cfg)
             if kind == "flat":

@@ -9,13 +9,10 @@ validation, 3 solver non-convergence under --require-convergence.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .coupling import (
@@ -29,13 +26,14 @@ from .coupling import (
 )
 from .bench import bench_csv, bench_sweep, bench_table
 from .feedergen import FeederSpec, feeder_documents, generate
-from .network import NetworkError, load_network, save_network
+from .network import NetworkError, document_number, load_network, read_document, save_network
 from .opf import ProblemError, SolverConfig, load_problem
 from .partition import (
     auto_partition,
     load_partition,
     partition_to_document,
     save_partition,
+    size_targets,
     validate_partition,
 )
 from .powerflow import SweepError, compare_models
@@ -179,13 +177,9 @@ def cmd_solve(args) -> int:
             _error_record(out, "validation", "; ".join(report))
             return EXIT_VALIDATION
     elif args.engine in ("bilevel", "trilevel"):
-        part = auto_partition(net, max(2, (net.n_buses - 1) // 4),
-                              max(2, (net.n_buses - 1) // 12))
+        part = auto_partition(net, *size_targets(net.n_buses - 1))
     record = FlowRecord() if args.audit else None
-    engine = make_engine(
-        args.engine, sens=sens, net=net, part=part, record=record,
-        threads=args.threads,
-    )
+    engine = make_engine(args.engine, sens=sens, net=net, part=part, record=record)
     if args.voltage_model == "sweep":
         vmodel = SweepVoltageModel(net, sens)
     else:
@@ -245,7 +239,7 @@ def cmd_bench(args) -> int:
     engines = args.engines.split(",")
     rows = bench_sweep(
         sizes, engines, iters=args.iters,
-        subareas_per_area=args.subareas, seed=args.seed, threads=args.threads,
+        subareas_per_area=args.subareas, seed=args.seed,
     )
     out = Path(args.out) if args.out else None
     if out is not None:
@@ -263,13 +257,16 @@ def cmd_compare(args) -> int:
     problem = load_problem(args.devices, net, sens)
     p, q = problem.p0.copy(), problem.q0.copy()
     if args.setpoints:
-        doc = json.loads(Path(args.setpoints).read_text())
-        for key, val in doc["p"].items():
-            bus, ph = key.split(":")
-            p[net.flat_index(int(bus), ph)] = val
-        for key, val in doc["q"].items():
-            bus, ph = key.split(":")
-            q[net.flat_index(int(bus), ph)] = val
+        doc = read_document(args.setpoints, "setpoints")
+        for name, vec in (("p", p), ("q", q)):
+            entries = doc.get(name)
+            if not isinstance(entries, dict):
+                raise NetworkError(f"setpoints document field {name!r} must be a JSON object")
+            for key in entries:
+                bus, ph = key.split(":")
+                vec[net.flat_index(int(bus), ph)] = document_number(
+                    entries, key, None, "setpoints"
+                )
     div = compare_models(net, sens, p, q)
     lines = ["flat_index,v_linear,v_nonlinear,diff"]
     for i in range(net.n_flat):
@@ -337,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--step-dual", type=float, default=3.5e-3)
     ps.add_argument("--eta", type=float, default=1e-4)
     ps.add_argument("--tol", type=float, default=0.0)
-    ps.add_argument("--threads", type=int, default=1)
     ps.add_argument("--audit", action="store_true")
     ps.add_argument("--require-convergence", action="store_true")
     ps.add_argument("--out", required=True)
@@ -349,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--iters", type=int, default=30)
     pb.add_argument("--subareas", type=int, default=4)
     pb.add_argument("--seed", type=int, default=0)
-    pb.add_argument("--threads", type=int, default=1)
     pb.add_argument("--out")
     pb.set_defaults(func=cmd_bench)
 

@@ -6,20 +6,22 @@ flat index (i, phi),
     g_p(i, phi) = sum over (j, psi) of dv(j,psi)/dp(i,phi) * (mu_up - mu_lo)(j, psi)
     g_q(i, phi) = likewise with dv/dq,
 
-which is R^T d and X^T d for d = mu_up - mu_lo. The flat engine computes
-exactly that with dense products. The multilevel engine walks a tree of
-subtree scopes: the feeder, its areas and, at depth 2, each area's
-subareas. A scope without children sums all its pairs exactly. Any other
-scope recurses into its children, sums the pairs inside its remainder (the
-members outside every child) exactly, collapses pairs across two children
-to one root-to-root impedance times the other child's per-phase dual
-aggregate, and couples remainder buses to a child through the child's root
-alone. Its own aggregate is its children's aggregates plus its remainder's
-per-phase sums, so the split repeats at every level: depth 1 is the
-bi-level engine and depth 2 the tri-level one. The engines are
-algebraically equal; the multilevel one replaces almost all of the N^2
-pairwise work with aggregate exchanges, which is also what keeps per-bus
-duals and interior topology inside their scope.
+which is R^T d and X^T d for d = mu_upper - mu_lower. The flat engine
+computes exactly that with dense products. The multilevel engine walks a
+tree of subtree scopes: the feeder, its areas and, at depth 2, each area's
+subareas. A scope's remainder is its members outside every child scope.
+Every scope, leaf or not, runs one kernel: one complex block times
+[child aggregates; remainder duals]. The block's rows and columns are the
+three phase slots of each child root, then the remainder. Pairs across two
+children collapse to one root-to-root impedance times the other child's
+per-phase dual aggregate, a remainder bus meets a child only through the
+child's root, and pairs inside the remainder are exact. A scope's own
+aggregate is its children's aggregates plus its remainder's per-phase
+sums, so the split repeats at every level: depth 1 is the bi-level engine
+and depth 2 the tri-level one. The engines are algebraically equal; the
+multilevel one replaces almost all of the N^2 pairwise work with
+aggregate exchanges, which is also what keeps per-bus duals and interior
+topology inside their scope.
 
 Operation counts follow a declared cost model (complex multiply-accumulate,
 rotation, and real/imaginary extraction each count one; the flat engine
@@ -29,7 +31,6 @@ is reproducible across machines.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,10 +203,22 @@ def _check_duals(mu_upper, mu_lower, n) -> np.ndarray:
 
 
 class _Scope:
-    """One node of the scope tree and the blocks its kernels read.
+    """One node of the scope tree and the one block its kernel reads.
 
     The remainder is every member outside all child scopes; a scope without
-    children is a leaf, whose remainder is all of it.
+    children is a leaf, whose remainder is all of it. The block's rows and
+    columns are the three phase slots of each child root followed by the
+    remainder's flat indices, so its quadrants are
+
+        [ root-to-root       root-to-remainder ]
+        [ remainder-to-root  remainder exact   ]
+
+    and one product of it with [child aggregates; remainder duals] is the
+    scope's whole share of t. Each child's own 3x3 diagonal is zero, since
+    pairs inside a child are the child's work. gather picks the operand
+    out of [d; aggregate rows], and t[out] adds the product's rows at take:
+    a slot row to every member of its child with that phase, a remainder
+    row to its own flat index.
     """
 
     def __init__(self, net, zc, key, root, member_ids, children, pos):
@@ -214,43 +227,31 @@ class _Scope:
         self.children = children
         self.pos = pos
         self.idx = _flat_indices(net, member_ids)
-        self.rem = self.idx
-        if children:
-            self.child_pos = np.array([ch.pos for ch in children], dtype=np.int64)
-            self.cat = np.concatenate([ch.idx for ch in children])
-            self.slot = np.concatenate(
-                [3 * k + net.flat_phase[ch.idx] for k, ch in enumerate(children)]
-            )
-            in_child = np.zeros(net.n_flat, dtype=bool)
-            in_child[self.cat] = True
-            self.rem = self.idx[~in_child[self.idx]]
+        in_child = np.zeros(net.n_flat, dtype=bool)
+        for ch in children:
+            in_child[ch.idx] = True
+        self.rem = self.idx[~in_child[self.idx]]
         self.rem_phase = net.flat_phase[self.rem]
+        c = len(children)
+        slots = 3 * np.array([ch.pos for ch in children], dtype=np.int64)[:, None] + np.arange(3)
+        self.gather = np.concatenate([net.n_flat + slots.ravel(), self.rem])
+        self.out = np.concatenate([ch.idx for ch in children] + [self.rem])
+        self.take = np.concatenate(
+            [3 * k + net.flat_phase[ch.idx] for k, ch in enumerate(children)]
+            + [3 * c + np.arange(len(self.rem))]
+        )
         # A child root meets every bus outside its subtree where its parent
-        # does, so one table over the remainder and the roots' parents
-        # holds every block this scope reads.
+        # does, so one table over the roots' parents and the remainder
+        # holds the whole block.
         root_pos = np.array([net.bus_pos(ch.root) for ch in children], dtype=np.int64)
         rows, table = net.lca_table(
-            np.concatenate([net.flat_bus_pos[self.rem], net.parent_pos[root_pos]])
+            np.concatenate([net.parent_pos[root_pos], net.flat_bus_pos[self.rem]])
         )
-        rem_rows = rows[: len(self.rem)]
-        self.w_rem = _common_path_block(
-            zc, table[np.ix_(rem_rows, rem_rows)], self.rem_phase, self.rem_phase
-        )
-        if children:
-            c = len(children)
-            slot_rows = np.repeat(rows[len(self.rem):], 3)
-            slot_phase = np.tile(np.arange(3, dtype=np.int64), c)
-            self.z_roots = _common_path_block(
-                zc, table[np.ix_(slot_rows, slot_rows)], slot_phase, slot_phase
-            )
-            for k in range(c):
-                self.z_roots[3 * k: 3 * k + 3, 3 * k: 3 * k + 3] = 0.0
-            self.w_down = _common_path_block(
-                zc, table[np.ix_(slot_rows, rem_rows)], slot_phase, self.rem_phase
-            )
-            self.w_up = _common_path_block(
-                zc, table[np.ix_(rem_rows, slot_rows)], self.rem_phase, slot_phase
-            )
+        rows = np.concatenate([np.repeat(rows[:c], 3), rows[c:]])
+        phase = np.concatenate([np.tile(np.arange(3, dtype=np.int64), c), self.rem_phase])
+        self.block = _common_path_block(zc, table[np.ix_(rows, rows)], phase, phase)
+        for k in range(c):
+            self.block[3 * k: 3 * k + 3, 3 * k: 3 * k + 3] = 0.0
         self.ops = _level_op_count(
             [ch.ops for ch in children], [len(ch.idx) for ch in children], len(self.rem)
         )
@@ -264,12 +265,7 @@ class MultilevelEngine:
     """
 
     def __init__(
-        self,
-        net: Network,
-        part: PartitionHierarchy,
-        depth: int,
-        record: FlowRecord | None = None,
-        threads: int = 1,
+        self, net: Network, part: PartitionHierarchy, depth: int, record: FlowRecord | None = None
     ):
         if depth not in (1, 2):
             raise EngineError(f"multilevel depth must be 1 or 2, got {depth!r}")
@@ -281,48 +277,54 @@ class MultilevelEngine:
         self.part = part
         self.n = net.n_flat
         self.record = record
-        self.threads = max(1, int(threads))
         self._scopes: list[_Scope] = []  # post-order: children before parents
         zc = np.conj(net.z_prefix)
 
-        def build(key, root, member_ids, child_specs):
-            children = [build(*c) for c in child_specs]
-            scope = _Scope(net, zc, key, root, member_ids, children, len(self._scopes))
-            self._scopes.append(scope)
-            return scope
+        def scope(key, root, member_ids, children):
+            s = _Scope(net, zc, key, root, member_ids, children, len(self._scopes))
+            self._scopes.append(s)
+            return s
 
         areas = [
-            (
-                ("area", a.index), a.root, a.members,
-                [
-                    (("subarea", a.index, s.index), s.root, s.members, [])
-                    for s in sorted(a.subareas, key=lambda s: s.index)
-                ] if depth == 2 else [],
-            )
+            scope(("area", a.index), a.root, a.members, [
+                scope(("subarea", a.index, s.index), s.root, s.members, [])
+                for s in sorted(a.subareas, key=lambda s: s.index) if depth == 2
+            ])
             for a in sorted(part.areas, key=lambda a: a.index)
         ]
         # The feeder's remainder is the public unclustered set, so its own
         # work runs in that scope.
-        self._tree = build(
-            ("unclustered",), None, [b.id for b in net.buses if b.id != 0], areas
-        )
-        self._inner = [s for s in self._scopes if s.children]
-        # The remainders partition the flat index space.
-        self._rem_cat = np.concatenate([s.rem for s in self._scopes])
-        self._rem_slot = np.concatenate([3 * s.pos + s.rem_phase for s in self._scopes])
+        self._tree = scope(("unclustered",), None, [b.id for b in net.buses if b.id != 0], areas)
         self.op_count_per_apply = self._tree.ops
+        # With the scopes' block products laid end to end as y, t is the
+        # sum of y[_take] at _out.
+        start = np.cumsum([0] + [len(s.block) for s in self._scopes])
+        self._take = np.concatenate([first + s.take for first, s in zip(start, self._scopes)])
+        self._out = np.concatenate([s.out for s in self._scopes])
+        # Every flat index is in one scope's remainder: its aggregate slot.
+        self._slot = np.empty(self.n, dtype=np.int64)
+        for s in self._scopes:
+            self._slot[s.rem] = 3 * s.pos + s.rem_phase
+        # Aggregates are summed one tree level at a time, deepest first. A
+        # level's child rows are padded with the zero row after the last scope's.
+        self._levels, level = [], [self._tree]
+        while any(s.children for s in level):
+            rows = np.full((len(level), max(len(s.children) for s in level)), len(self._scopes))
+            for i, s in enumerate(level):
+                rows[i, : len(s.children)] = [ch.pos for ch in s.children]
+            self._levels.insert(0, (np.array([s.pos for s in level]), rows))
+            level = [ch for s in level for ch in s.children]
+        # Every child scope sends its aggregate to its parent, in post-order.
+        self._senders = [(ch.key, ch.root, ch.pos) for s in self._scopes for ch in s.children]
         if record is not None:
             record.engine = self.name
             self._record_flows(self._tree)
-
-    def _bus_ids(self, idx) -> list[int]:
-        return [self.net.buses[k].id for k in self.net.flat_bus_pos[idx]]
 
     def _record_flows(self, scope):
         """Record what scope and its descendants read, from the kernels' index arrays."""
         rec = self.record
         top = scope is self._tree
-        rem_ids = self._bus_ids(scope.rem)
+        rem_ids = [self.net.buses[k].id for k in self.net.flat_bus_pos[scope.rem]]
         roots = [ch.root for ch in scope.children]
         for ch in scope.children:
             self._record_flows(ch)
@@ -348,49 +350,27 @@ class MultilevelEngine:
 
     def compute(self, mu_upper: np.ndarray, mu_lower: np.ndarray) -> CouplingResult:
         d = _check_duals(mu_upper, mu_lower, self.n)
-        t = np.zeros(self.n, dtype=np.complex128)
-        t[self._rem_cat] += np.concatenate(self._remainder_products(d))
-        # Row k starts as scope k's remainder sums and becomes its aggregate
-        # when the post-order walk below reaches it; a leaf's is final already.
-        agg = np.bincount(
-            self._rem_slot, weights=d[self._rem_cat], minlength=3 * len(self._scopes)
-        ).reshape(-1, 3)
-        messages: list[AggregateMessage] = []
-        for scope in self._inner:
-            rows = agg[scope.child_pos]
-            sums = rows.ravel()
-            vals = scope.z_roots @ sums
-            if len(scope.rem):
-                vals = vals + scope.w_down @ d[scope.rem]
-            t[scope.cat] += vals[scope.slot]
-            messages.extend(
-                AggregateMessage(scope=ch.key, root=ch.root, sums=tuple(row))
-                for ch, row in zip(scope.children, rows.tolist())
-            )
-            own = rows.sum(axis=0)
-            if len(scope.rem):
-                t[scope.rem] += scope.w_up @ sums
-                own = own + agg[scope.pos]
-            agg[scope.pos] = own
-        out = tuple(messages)
+        # Row k starts as scope k's remainder sums; each level then adds the
+        # rows of its children, which are final, summed in order.
+        agg = np.bincount(self._slot, weights=d, minlength=3 * len(self._scopes) + 3)
+        agg = agg.reshape(-1, 3)
+        for pos, rows in self._levels:
+            agg[pos] += agg[rows].sum(axis=1)
+        x = np.concatenate([d, agg.ravel()])
+        y = np.concatenate([s.block @ x[s.gather] for s in self._scopes])[self._take]
+        sums = agg.tolist()
+        messages = tuple(
+            AggregateMessage(scope=key, root=root, sums=tuple(sums[k]))
+            for key, root, k in self._senders
+        )
         if self.record is not None:
             self.record.apply()
         return CouplingResult(
-            g_p=2.0 * t.real,
-            g_q=-2.0 * t.imag,
+            g_p=2.0 * np.bincount(self._out, weights=y.real, minlength=self.n),
+            g_q=-2.0 * np.bincount(self._out, weights=y.imag, minlength=self.n),
             op_count=self.op_count_per_apply,
-            messages=out,
+            messages=messages,
         )
-
-    def _remainder_products(self, d) -> list[np.ndarray]:
-        """Every scope's exact remainder block times its duals, one task per scope."""
-        def product(scope):
-            return scope.w_rem @ d[scope.rem]
-
-        if self.threads > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                return list(pool.map(product, self._scopes))
-        return [product(scope) for scope in self._scopes]
 
 
 def make_engine(
@@ -401,7 +381,11 @@ def make_engine(
     record: FlowRecord | None = None,
     threads: int = 1,
 ):
-    """Engine factory keyed by the flat | bilevel | trilevel selector."""
+    """Engine factory keyed by the flat | bilevel | trilevel selector.
+
+    threads is not used; every engine runs on one thread. The parameter
+    stays for callers that still pass it.
+    """
     if kind == "flat":
         if sens is None:
             raise EngineError("flat engine needs sensitivity matrices")
@@ -411,7 +395,7 @@ def make_engine(
         raise EngineError(f"unknown engine {kind!r}")
     if net is None or part is None:
         raise EngineError(f"{kind} engine needs a network and partition")
-    return MultilevelEngine(net, part, depth, record=record, threads=threads)
+    return MultilevelEngine(net, part, depth, record=record)
 
 
 # -- privacy audit ----------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from .network import Bus, Line, Network, PHASE_NAME
 from .opf import Device
-from .partition import PartitionHierarchy, auto_partition
+from .partition import PartitionHierarchy, auto_partition, size_targets
 
 
 @dataclass(frozen=True)
@@ -150,11 +150,7 @@ def generate(
             ql = pl * rng.uniform(0.2, 0.5)
             background[(bid, ph)] = (pl, ql)
 
-    if target_area_size is None:
-        target_area_size = max(2, spec.n_buses // 4)
-    if target_subarea_size is None:
-        target_subarea_size = max(2, target_area_size // 3)
-    part = auto_partition(net, target_area_size, target_subarea_size)
+    part = auto_partition(net, *size_targets(spec.n_buses, target_area_size, target_subarea_size))
 
     return GeneratedFeeder(
         net=net,

@@ -75,8 +75,8 @@ class Network:
     """
 
     def __init__(self, buses: list[Bus], lines: list[Line], base_v_squared: float = 1.0):
-        if base_v_squared <= 0:
-            raise NetworkError("base_v_squared must be positive")
+        if not 0 < base_v_squared < np.inf:
+            raise NetworkError("base_v_squared must be positive and finite")
         self.base_v_squared = float(base_v_squared)
         self.buses = sorted(buses, key=lambda b: b.id)
         self.lines = list(lines)
@@ -388,6 +388,8 @@ class Network:
 # -- document I/O ---------------------------------------------------------
 
 def _parse_z(entry: dict, from_bus: int, to_bus: int) -> np.ndarray:
+    if not isinstance(entry, dict):
+        raise NetworkError(f"line ({from_bus},{to_bus}): field 'z' must be a JSON object")
     z = np.zeros((3, 3), dtype=np.complex128)
     for key, val in entry.items():
         if len(key) != 2 or key[0] not in PHASE_CODE or key[1] not in PHASE_CODE:
@@ -422,6 +424,14 @@ def document_array(document: dict, key: str, what: str) -> list:
     return value
 
 
+def document_number(document: dict, key: str, default: float | None, what: str) -> float:
+    """The number under key, or default when absent; anything else raises NetworkError."""
+    try:
+        return float(document.get(key, default))
+    except (TypeError, ValueError):
+        raise NetworkError(f"{what} document field {key!r} must be a number") from None
+
+
 def load_network(document: dict | str | Path) -> Network:
     """Build a validated Network from a JSON document, path, or parsed dict."""
     document = read_document(document, "network")
@@ -445,7 +455,8 @@ def load_network(document: dict | str | Path) -> Network:
             lines.append(Line(from_bus=frm, to_bus=to, z=_parse_z(le.get("z", {}), frm, to)))
         except (KeyError, TypeError, ValueError) as exc:
             raise NetworkError(f"malformed line entry {le!r}: {exc}") from exc
-    return Network(buses, lines, base_v_squared=float(document.get("base_v_squared", 1.0)))
+    base_v_squared = document_number(document, "base_v_squared", 1.0, "network")
+    return Network(buses, lines, base_v_squared=base_v_squared)
 
 
 def network_to_document(net: Network) -> dict:

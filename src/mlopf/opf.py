@@ -14,7 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import Network, PHASE_NAME, document_array, phase_code, read_document
+from .network import (
+    PHASE_NAME, Network, document_array, document_number, phase_code, read_document,
+)
 from .sensitivity import SensitivityMatrices
 
 
@@ -65,6 +67,8 @@ class VoltageBounds:
     @staticmethod
     def from_magnitudes(n: int, v_min: float, v_max: float) -> "VoltageBounds":
         """Uniform bounds given as magnitudes; squared on load."""
+        if not 0 < v_min < v_max:
+            raise ProblemError(f"need 0 < vmin < vmax, got vmin={v_min!r}, vmax={v_max!r}")
         return VoltageBounds(
             v_lower=np.full(n, float(v_min) ** 2),
             v_upper=np.full(n, float(v_max) ** 2),
@@ -221,7 +225,11 @@ def lagrangian_value(
     """Regularized Lagrangian at the given primal-dual point."""
     if not (len(p) == len(q) == len(mu_upper) == len(mu_lower) == len(v) == problem.n):
         raise ProblemError("dimension mismatch in Lagrangian evaluation")
-    cost = problem.objective(p, q)
+    return _lagrangian(problem, problem.objective(p, q), mu_upper, mu_lower, v, eta)
+
+
+def _lagrangian(problem: Problem, cost: float, mu_upper, mu_lower, v, eta: float) -> float:
+    """The regularized Lagrangian given the objective value cost."""
     lower_term = float(mu_lower @ (problem.bounds.v_lower - v))
     upper_term = float(mu_upper @ (v - problem.bounds.v_upper))
     reg = 0.5 * eta * (float(mu_upper @ mu_upper) + float(mu_lower @ mu_lower))
@@ -313,6 +321,6 @@ def load_problem(
             raise ProblemError(f"malformed background entry {entry!r}: {exc}") from exc
     return make_problem(
         net, sens, devices, background,
-        v_min=float(document.get("vmin", 0.95)),
-        v_max=float(document.get("vmax", 1.05)),
+        v_min=document_number(document, "vmin", 0.95, "device"),
+        v_max=document_number(document, "vmax", 1.05, "device"),
     )

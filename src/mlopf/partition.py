@@ -126,6 +126,13 @@ def validate_partition(net: Network, part: PartitionHierarchy) -> list[str]:
     return problems
 
 
+def size_targets(n_buses: int, area: int | None = None, subarea: int | None = None):
+    """Area and subarea size targets: n_buses // 4 and area // 3, at least 2, unless given."""
+    area = max(2, n_buses // 4) if area is None else area
+    subarea = max(2, area // 3) if subarea is None else subarea
+    return area, subarea
+
+
 def auto_partition(
     net: Network, target_area_size: int, target_subarea_size: int = 0
 ) -> PartitionHierarchy:

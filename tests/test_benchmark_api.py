@@ -1,0 +1,101 @@
+"""The library calls perfbench makes, kept working by a fast test.
+
+perfbench/child.py and perfbench/tracer.py call these names with these
+keywords. The benchmark's own tests run whole samples; this one only
+checks that every call still resolves and runs on a small feeder.
+"""
+
+from __future__ import annotations
+
+import ast
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mlopf import (
+    FeederSpec,
+    FlatEngine,
+    SolverConfig,
+    auto_partition,
+    build_sensitivity,
+    feeder_documents,
+    generate,
+    load_network,
+    load_partition,
+    load_problem,
+    make_engine,
+    validate_partition,
+)
+from mlopf import solver
+from mlopf.solver import LinearVoltageModel, SweepVoltageModel, initial_state
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def test_traced_solver_names_resolve():
+    # Parse the table: perfbench/tracer.py is a script beside the benchmark,
+    # not a module of the package.
+    tree = ast.parse(TRACER.read_text())
+    table = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "SOLVER_FUNCTIONS"
+    )
+    names = ast.literal_eval(table)
+    assert names
+    for name in names:
+        assert callable(getattr(solver, name)), name
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    feeder = generate(
+        FeederSpec(n_buses=30, load_scale=20.0, seed=0),
+        target_area_size=10, target_subarea_size=4,
+    )
+    out = tmp_path_factory.mktemp("bench_inputs")
+    for name, doc in zip(("network.json", "devices.json", "partition.json"),
+                         feeder_documents(feeder)):
+        (out / name).write_text(json.dumps(doc))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["flat", "trilevel"])
+@pytest.mark.parametrize("voltage_model", ["linear", "sweep"])
+def test_benchmark_child_calls(inputs, kind, voltage_model):
+    net = load_network(inputs / "network.json")
+    part = None
+    if kind != "flat":
+        part = auto_partition(net, 10, 4)
+        assert validate_partition(net, part) == []
+    sens = build_sensitivity(net)
+    problem = load_problem(inputs / "devices.json", net, sens)
+    engine = make_engine(kind, sens=sens, net=net, part=part, threads=1)
+    if voltage_model == "sweep":
+        vmodel = SweepVoltageModel(net, sens)
+    else:
+        vmodel = LinearVoltageModel(sens)
+    state = initial_state(problem, vmodel)
+    cfg = SolverConfig(step_primal=5e-3, step_dual=5e-2, eta=1e-4, max_iters=5,
+                       residual_tol=0.0)
+    result = solver.run(state, problem, engine, vmodel, cfg)
+
+    assert len(result.trace.records) == result.state.iteration + 1
+    r = result.trace.records[-1]
+    assert np.isfinite([r.objective, r.lagrangian, r.max_over_violation,
+                        r.max_under_violation, r.residual, r.step_ns]).all()
+    assert isinstance(result.converged, bool) and np.isfinite(result.residual)
+    assert problem.bounds.v_lower.shape == (net.n_flat,)
+    assert sens.r.nbytes + sens.x.nbytes > 0
+
+    st = result.state
+    if engine.name == "flat":
+        part = load_partition(inputs / "partition.json", net)
+        engine = make_engine("trilevel", sens=sens, net=net, part=part, threads=1)
+    ref = FlatEngine(sens).compute(st.duals.mu_upper, st.duals.mu_lower)
+    got = engine.compute(st.duals.mu_upper, st.duals.mu_lower)
+    assert len(got.messages) > 0
+    assert got.op_count > 0
+    for a, b in ((got.g_p, ref.g_p), (got.g_q, ref.g_q)):
+        assert np.max(np.abs(a - b)) <= 1e-9 * (1.0 + np.max(np.abs(b)))

@@ -149,6 +149,47 @@ def test_non_array_top_level_field_is_validation_error(
     assert "Traceback" not in err
 
 
+def _with_first_line_z(doc, z):
+    return {**doc, "lines": [{**doc["lines"][0], "z": z}] + doc["lines"][1:]}
+
+
+@pytest.mark.parametrize("document,edit,message", [
+    ("devices", lambda d: {**d, "vmin": None}, "field 'vmin' must be a number"),
+    ("devices", lambda d: {**d, "vmin": [0.95]}, "field 'vmin' must be a number"),
+    ("devices", lambda d: {**d, "vmax": None}, "field 'vmax' must be a number"),
+    ("devices", lambda d: {**d, "vmax": [1.05]}, "field 'vmax' must be a number"),
+    ("devices", lambda d: {**d, "vmin": -0.96}, "0 < vmin < vmax"),
+    ("network", lambda d: {**d, "base_v_squared": [1.0]},
+     "field 'base_v_squared' must be a number"),
+    ("network", lambda d: {**d, "base_v_squared": float("nan")},
+     "base_v_squared must be positive and finite"),
+    ("network", lambda d: _with_first_line_z(d, [[0.01, 0.02]]), "field 'z' must be a JSON object"),
+    ("setpoints", lambda d: {"q": d["q"]}, "field 'p' must be a JSON object"),
+    ("setpoints", lambda d: [d], "setpoints document must be a JSON object"),
+], ids=[
+    "vmin-null", "vmin-list", "vmax-null", "vmax-list", "vmin-negative",
+    "base-v-list", "base-v-nan", "z-list", "setpoints-without-p", "setpoints-list",
+])
+def test_malformed_scalar_field_is_validation_error(
+    workspace, tmp_path, capsys, document, edit, message
+):
+    (workspace / "setpoints.json").write_text(json.dumps({"p": {}, "q": {}}))
+    doc = json.loads((workspace / f"{document}.json").read_text())
+    (tmp_path / f"{document}.json").write_text(json.dumps(edit(doc)))
+    paths = {
+        name: str((tmp_path if name == document else workspace) / f"{name}.json")
+        for name in ("network", "devices", "setpoints")
+    }
+    args = ["validate", "--network", paths["network"], "--devices", paths["devices"]]
+    if document == "setpoints":
+        args = ["compare"] + args[1:] + ["--setpoints", paths["setpoints"],
+                                         "--out", str(tmp_path / "cmp")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_partition_command_writes_hierarchy(workspace, tmp_path):
     out = tmp_path / "part.json"
     rc = main(

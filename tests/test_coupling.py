@@ -421,18 +421,6 @@ def test_audit_catches_engine_reading_a_foreign_index(fig_net, monkeypatch, dept
     assert any("foreign flat indices" in v for v in report.violations)
 
 
-def test_threaded_engine_matches_serial(fig_net):
-    part = auto_partition(fig_net, 4, 2)
-    rng = np.random.default_rng(3)
-    mu_up, mu_lo = random_duals(rng, fig_net.n_flat)
-    for depth in (1, 2):
-        serial = MultilevelEngine(fig_net, part, depth, threads=1).compute(mu_up, mu_lo)
-        threaded = MultilevelEngine(fig_net, part, depth, threads=4).compute(mu_up, mu_lo)
-        np.testing.assert_array_equal(serial.g_p, threaded.g_p)
-        np.testing.assert_array_equal(serial.g_q, threaded.g_q)
-        assert serial.messages == threaded.messages
-
-
 def documented_pools(net, part):
     """Each scope's read pools, spelled out from privacy_audit's docstring."""
     def idx(buses):

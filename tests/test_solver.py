@@ -8,7 +8,14 @@ import pytest
 from mlopf import opf, solver
 from mlopf.coupling import FlatEngine, MultilevelEngine
 from mlopf.network import load_network
-from mlopf.opf import Device, DualState, SolverConfig, make_problem, saddle_residual
+from mlopf.opf import (
+    Device,
+    DualState,
+    SolverConfig,
+    lagrangian_value,
+    make_problem,
+    saddle_residual,
+)
 from mlopf.partition import auto_partition
 from mlopf.sensitivity import build_sensitivity
 from mlopf.solver import (
@@ -298,6 +305,11 @@ def test_record_residual_is_the_saddle_residual_of_its_state(engine_name, model)
         want = saddle_residual(prob, state.p, state.q, state.duals, state.v, cfg, g.g_p, g.g_q)
         assert rec.iteration == state.iteration
         assert rec.residual == want
+        assert rec.objective == prob.objective(state.p, state.q)
+        assert rec.lagrangian == lagrangian_value(
+            prob, state.p, state.q, state.duals.mu_upper, state.duals.mu_lower,
+            state.v, cfg.eta,
+        )
     assert len(set(result.trace.residuals())) > 1
     for name in ("p", "q", "v"):
         np.testing.assert_array_equal(getattr(result.state, name), getattr(state, name))
