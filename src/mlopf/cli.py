@@ -218,6 +218,8 @@ def cmd_solve(args) -> int:
         "total_coupling_ns": result.total_coupling_ns,
         "wall_ns": wall_ns,
     }
+    if isinstance(vmodel, SweepVoltageModel):
+        summary["sweeps"] = vmodel.sweeps
     if record is not None:
         report = privacy_audit(record, net, part) if part is not None else None
         (out / "audit.jsonl").write_text(_audit_lines(record))
@@ -263,10 +265,15 @@ def cmd_compare(args) -> int:
             if not isinstance(entries, dict):
                 raise NetworkError(f"setpoints document field {name!r} must be a JSON object")
             for key in entries:
-                bus, ph = key.split(":")
-                vec[net.flat_index(int(bus), ph)] = document_number(
-                    entries, key, None, "setpoints"
-                )
+                bus, _, ph = key.partition(":")
+                try:
+                    idx = net.flat_index(int(bus), ph)
+                except ValueError as exc:
+                    raise NetworkError(
+                        f"setpoints document key {key!r} in {name!r} must be "
+                        f"'bus:phase' for a bus and phase of the network ({exc})"
+                    ) from exc
+                vec[idx] = document_number(entries, key, None, "setpoints")
     div = compare_models(net, sens, p, q)
     lines = ["flat_index,v_linear,v_nonlinear,diff"]
     for i in range(net.n_flat):

@@ -37,7 +37,7 @@ import numpy as np
 
 from .network import Network
 from .partition import PartitionHierarchy, validate_partition
-from .sensitivity import OMEGA_POW, SensitivityMatrices
+from .sensitivity import OMEGA_PAIR, SensitivityMatrices
 
 
 class EngineError(ValueError):
@@ -128,19 +128,6 @@ def _flat_indices(net: Network, bus_ids) -> np.ndarray:
     return np.sort(idx[idx >= 0])
 
 
-def _common_path_block(zc, lca, row_phase, col_phase):
-    """Complex block with entry[(i,phi),(j,psi)] = conj(Z^(psi,phi)_(j,i)) omega^(psi-phi).
-
-    zc is the conjugated root-path prefix impedance; gathering it at the
-    given pairwise lowest common ancestors and rotating by the phase
-    difference gives the block without touching the dense R/X matrices.
-    """
-    return (
-        zc[lca, col_phase[None, :], row_phase[:, None]]
-        * OMEGA_POW[col_phase[None, :] - row_phase[:, None] + 2]
-    )
-
-
 def _exact_block_ops(size: int) -> int:
     return size * size + 5 * size
 
@@ -221,7 +208,7 @@ class _Scope:
     row to its own flat index.
     """
 
-    def __init__(self, net, zc, key, root, member_ids, children, pos):
+    def __init__(self, net, w, key, root, member_ids, children, pos):
         self.key = key
         self.root = root
         self.children = children
@@ -249,7 +236,10 @@ class _Scope:
         )
         rows = np.concatenate([np.repeat(rows[:c], 3), rows[c:]])
         phase = np.concatenate([np.tile(np.arange(3, dtype=np.int64), c), self.rem_phase])
-        self.block = _common_path_block(zc, table[np.ix_(rows, rows)], phase, phase)
+        table *= 9
+        at = table[np.ix_(rows, rows)]
+        at += 3 * phase + phase[:, None]
+        self.block = np.take(w, at)
         for k in range(c):
             self.block[3 * k: 3 * k + 3, 3 * k: 3 * k + 3] = 0.0
         self.ops = _level_op_count(
@@ -278,10 +268,12 @@ class MultilevelEngine:
         self.n = net.n_flat
         self.record = record
         self._scopes: list[_Scope] = []  # post-order: children before parents
-        zc = np.conj(net.z_prefix)
+        # conj(Z^(psi,phi)) omega^(psi-phi) of bus position b at 9 b + 3 psi + phi,
+        # so a block entry [(i,phi),(j,psi)] is a gather at lca(i, j).
+        w = (np.conj(net.z_prefix) * OMEGA_PAIR).ravel()
 
         def scope(key, root, member_ids, children):
-            s = _Scope(net, zc, key, root, member_ids, children, len(self._scopes))
+            s = _Scope(net, w, key, root, member_ids, children, len(self._scopes))
             self._scopes.append(s)
             return s
 

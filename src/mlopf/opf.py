@@ -84,6 +84,14 @@ class DualState:
         if np.any(self.mu_upper < 0) or np.any(self.mu_lower < 0):
             raise ProblemError("dual variables must be nonnegative")
 
+    @classmethod
+    def _projected(cls, mu_upper: np.ndarray, mu_lower: np.ndarray) -> "DualState":
+        """Duals already clipped at zero by their maker; skips the sign check."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "mu_upper", mu_upper)
+        object.__setattr__(state, "mu_lower", mu_lower)
+        return state
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -210,7 +218,7 @@ def dual_update(
     eps = cfg.step_dual
     up = np.maximum(0.0, state.mu_upper + eps * (v - bounds.v_upper - cfg.eta * state.mu_upper))
     lo = np.maximum(0.0, state.mu_lower + eps * (bounds.v_lower - v - cfg.eta * state.mu_lower))
-    return DualState(mu_upper=up, mu_lower=lo)
+    return DualState._projected(up, lo)
 
 
 def lagrangian_value(

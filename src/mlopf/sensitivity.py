@@ -35,6 +35,9 @@ OMEGA_POW = np.array(
     dtype=np.complex128,
 )
 
+# omega**(phi - psi) at [phi, psi], the rotation of each phase pair.
+OMEGA_PAIR = OMEGA_POW[np.arange(3)[:, None] - np.arange(3)[None, :] + 2]
+
 # Rows of R and X filled per block in build_sensitivity.
 _BLOCK_ROWS = 256
 
@@ -99,26 +102,30 @@ def build_sensitivity(net: Network) -> SensitivityMatrices:
     """Materialize the dense N x N sensitivity matrices and v_tilde.
 
     Entry (a, b) with a = (i, phi), b = (j, psi) is the rotated conjugate
-    common-path impedance of buses i, j at phase pair (phi, psi). v_tilde is
-    the flat profile at the substation's squared magnitude: with losses
+    common-path impedance of buses i, j at phase pair (phi, psi). Those
+    values are computed once per bus and phase pair, and each entry is a
+    gather from that table at 9 lca(i, j) + 3 phi + psi. v_tilde is the
+    flat profile at the substation's squared magnitude: with losses
     neglected, zero injections leave every bus at the reference voltage.
     The matrices are filled in blocks of rows, so no N x N temporary is
     ever held beside them.
     """
     n = net.n_flat
-    bus = net.flat_bus_pos
-    ph = net.flat_phase
-    rows, table = net.lca_table(bus)
+    ph = net.flat_phase.astype(np.int32)
+    z = net.z_prefix
+    re, im = _rotated_parts(z.real, z.imag, OMEGA_PAIR.real, OMEGA_PAIR.imag)
+    r_pairs = (2.0 * re).ravel()
+    x_pairs = (-2.0 * im).ravel()
+    rows, table = net.lca_table(net.flat_bus_pos)
+    table *= 9
     r = np.empty((n, n), dtype=np.float64)
     x = np.empty((n, n), dtype=np.float64)
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
-        lca = table[rows[lo:hi, None], rows[None, :]]
-        z = net.z_prefix[lca, ph[lo:hi, None], ph[None, :]]
-        w = OMEGA_POW[ph[lo:hi, None] - ph[None, :] + 2]
-        re, im = _rotated_parts(z.real, z.imag, w.real, w.imag)
-        np.multiply(2.0, re, out=r[lo:hi])
-        np.multiply(-2.0, im, out=x[lo:hi])
+        k = np.take(table[rows[lo:hi]], rows, axis=1)
+        k += 3 * ph[lo:hi, None] + ph
+        np.take(r_pairs, k, out=r[lo:hi])
+        np.take(x_pairs, k, out=x[lo:hi])
     v_tilde = np.full(n, net.base_v_squared, dtype=np.float64)
     return SensitivityMatrices(r=r, x=x, v_tilde=v_tilde, net=net)
 

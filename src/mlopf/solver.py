@@ -6,8 +6,11 @@ uses the current voltages, and only then are voltages recomputed at the new
 setpoints (linearly, or through nonlinear power flow in feedback mode).
 `run` computes each update once: record k's residual is the size of the
 update computed at state k, and that update is taken only if the run goes
-on. Repeated runs of the same configuration produce bitwise identical
-traces.
+on. In feedback mode the initial state's sweep starts from the flat
+profile and every later sweep is warm-started from the phasors behind the
+previous states' voltages (extrapolated linearly from the last two), since
+one primal step moves the injections only a little. Repeated runs of the
+same configuration produce bitwise identical traces.
 """
 
 from __future__ import annotations
@@ -45,14 +48,23 @@ class LinearVoltageModel:
     def __init__(self, sens: SensitivityMatrices):
         self.sens = sens
 
-    def voltages(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    def voltages(self, p: np.ndarray, q: np.ndarray, prev: np.ndarray | None = None) -> np.ndarray:
+        """v at (p, q); prev, the previous state's voltages, is not used."""
         return voltage_linear(self.sens, p, q)
 
 
 class SweepVoltageModel:
     """Nonlinear feedback mode: voltages come from the sweep each iteration.
 
-    sens is not used; the parameter stays for callers that still pass it.
+    The model keeps the v it last returned with that solution's phasors.
+    A call whose prev is that very array continues a chain of solutions:
+    its sweep starts from those phasors or, when the last call continued
+    the chain too, from their linear extrapolation 2 V_k - V_(k-1). Any
+    other call starts flat and begins a new chain. So the starting point
+    depends only on the states the caller stepped through, never on what
+    the model solved in between, and a model reused across runs gives the
+    same bits as a fresh one. sweeps counts the sweeps of every call. sens
+    is not used; the parameter stays for callers that still pass it.
     """
 
     name = "sweep"
@@ -67,9 +79,23 @@ class SweepVoltageModel:
         self.net = net
         self.tol = tol
         self.max_sweeps = max_sweeps
+        self.sweeps = 0
+        # The last solution, and the one before it in the same chain.
+        self._last_v = self._last_phasors = self._prior_phasors = None
 
-    def voltages(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        sol = backward_forward_sweep(self.net, p, q, tol=self.tol, max_sweeps=self.max_sweeps)
+    def voltages(self, p: np.ndarray, q: np.ndarray, prev: np.ndarray | None = None) -> np.ndarray:
+        start = prior = None
+        if prev is not None and prev is self._last_v:
+            prior = self._last_phasors
+            # Starting at the last phasors alone would feed a one-step lag
+            # of the voltages back into the primal-dual loop.
+            start = prior if self._prior_phasors is None else 2.0 * prior - self._prior_phasors
+        # Called through the module name, which perfbench's tracer rebinds.
+        sol = backward_forward_sweep(
+            self.net, p, q, tol=self.tol, max_sweeps=self.max_sweeps, start=start
+        )
+        self.sweeps += sol.iterations
+        self._last_v, self._last_phasors, self._prior_phasors = sol.v, sol.phasors, prior
         return sol.v
 
 
@@ -113,7 +139,7 @@ def _advance(
     """The next state: the updated setpoints and duals, with voltages at the setpoints."""
     k = state.iteration + 1
     try:
-        v = vmodel.voltages(p, q)
+        v = vmodel.voltages(p, q, prev=state.v)
     except Exception as exc:
         raise SolverError(f"voltage model failed at iteration {k}: {exc}") from exc
     return SolverState(p=p, q=q, duals=duals, v=v, iteration=k)

@@ -321,3 +321,30 @@ def test_compare_emits_csv(workspace, tmp_path):
     rows = (tmp_path / "cmp" / "compare.csv").read_text().strip().split("\n")
     assert rows[0] == "flat_index,v_linear,v_nonlinear,diff"
     assert len(rows) > 10
+
+
+@pytest.mark.parametrize("key", ["1", "x:a", "1:d", "99999:a", "1:a:b"])
+def test_compare_setpoint_key_must_name_a_bus_and_phase(workspace, tmp_path, capsys, key):
+    setpoints = tmp_path / "setpoints.json"
+    setpoints.write_text(json.dumps({"p": {key: 0.1}, "q": {}}))
+    args = [
+        "compare",
+        "--network", str(workspace / "network.json"),
+        "--devices", str(workspace / "devices.json"),
+        "--setpoints", str(setpoints),
+        "--out", str(tmp_path / "cmp"),
+    ]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"setpoints document key {key!r}" in err
+    assert "Traceback" not in err
+
+
+def test_solve_summary_counts_sweeps_in_feedback_mode(workspace, tmp_path):
+    assert solve(workspace, tmp_path / "sw", "--engine", "flat", "--voltage-model", "sweep") == 0
+    summary = json.loads((tmp_path / "sw" / "summary.json").read_text())
+    assert isinstance(summary["sweeps"], int)
+    assert summary["sweeps"] >= summary["iterations"] + 1
+    assert solve(workspace, tmp_path / "lin", "--engine", "flat") == 0
+    summary = json.loads((tmp_path / "lin" / "summary.json").read_text())
+    assert "sweeps" not in summary

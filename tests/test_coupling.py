@@ -548,3 +548,28 @@ def test_audit_rejects_unknown_read_kinds(fig_net):
         "unknown impedance access kind 'global'",
     ]
     assert report.events_checked == 3
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_scope_blocks_match_scalar_common_path_entries(depth):
+    # Each scope's block is gathered from one per-bus, per-phase-pair table;
+    # every entry must equal the scalar common-path impedance, conjugated and
+    # rotated by numpy's complex multiply, bit for bit.
+    from mlopf.sensitivity import omega_power
+
+    feeder = generate(FeederSpec(n_buses=60, seed=4, phase_drop=0.4),
+                      target_area_size=15, target_subarea_size=5)
+    net = feeder.net
+    engine = MultilevelEngine(net, feeder.partition, depth)
+    labels = [(bus, "abc".index(ph)) for bus, ph in net.flat_labels()]
+    for scope in engine._scopes:
+        slots = [(ch.root, ph) for ch in scope.children for ph in range(3)]
+        slots += [labels[i] for i in scope.rem]
+        z = np.array([[net.common_path_impedance(j, i, psi, phi) for j, psi in slots]
+                      for i, phi in slots], dtype=np.complex128)
+        w = np.array([[omega_power(psi - phi) for _, psi in slots]
+                      for _, phi in slots], dtype=np.complex128)
+        want = (np.conj(z) * w).reshape(len(slots), len(slots))
+        for k in range(len(scope.children)):
+            want[3 * k: 3 * k + 3, 3 * k: 3 * k + 3] = 0.0
+        np.testing.assert_array_equal(scope.block, want)

@@ -152,6 +152,16 @@ def test_dual_update_preserves_nonnegativity(seed):
     nxt = dual_update(state, rng.uniform(0.5, 1.5, n), bounds, cfg)
     assert np.all(nxt.mu_upper >= 0)
     assert np.all(nxt.mu_lower >= 0)
+    # The update skips the constructor's sign check; its result is still a DualState.
+    assert isinstance(nxt, DualState)
+
+
+@pytest.mark.parametrize("which", ["mu_upper", "mu_lower"])
+def test_dual_state_built_by_hand_rejects_a_negative_entry(which):
+    duals = {"mu_upper": np.zeros(3), "mu_lower": np.zeros(3)}
+    duals[which] = np.array([0.0, -1e-300, 2.0])
+    with pytest.raises(ProblemError, match="nonnegative"):
+        DualState(**duals)
 
 
 def simple_problem():

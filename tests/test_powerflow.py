@@ -255,3 +255,58 @@ def test_tree_sweep_matches_per_level_reference(net, p, q):
     assert sol.iterations == iterations
     assert np.max(np.abs(sol.phasors - phasors)) <= 1e-12
     assert np.max(np.abs(sol.v - v)) <= 1e-12
+
+
+def flat_profile(net):
+    ref = np.sqrt(net.base_v_squared) * np.array([1.0, OMEGA, OMEGA * OMEGA])
+    return ref[net.flat_phase]
+
+
+CASE_IDS = ["undervoltage", "coupled", "chain3000"]
+
+
+@pytest.mark.parametrize("net,p,q", [case[1:] for case in sweep_cases()], ids=CASE_IDS)
+def test_start_at_the_flat_profile_is_the_flat_start(net, p, q):
+    cold = backward_forward_sweep(net, p, q)
+    given = backward_forward_sweep(net, p, q, start=flat_profile(net))
+    np.testing.assert_array_equal(given.phasors, cold.phasors)
+    assert given.iterations == cold.iterations
+    assert given.max_mismatch == cold.max_mismatch
+
+
+@pytest.mark.parametrize("net,p,q", [case[1:] for case in sweep_cases()], ids=CASE_IDS)
+def test_start_at_its_own_solution_returns_after_one_sweep(net, p, q):
+    tol = 1e-8
+    sol = backward_forward_sweep(net, p, q, tol=tol)
+    again = backward_forward_sweep(net, p, q, tol=tol, start=sol.phasors)
+    assert again.iterations == 1
+    assert again.max_mismatch < tol
+
+
+@pytest.mark.parametrize("net,p,q", [case[1:] for case in sweep_cases()], ids=CASE_IDS)
+def test_start_at_a_neighbour_solution_agrees_with_a_tight_flat_solve(net, p, q):
+    # The neighbour's injections differ by up to 1% per index.
+    rng = np.random.default_rng(5)
+    jitter = 1.0 + 0.01 * rng.uniform(-1.0, 1.0, (2, net.n_flat))
+    start = backward_forward_sweep(net, p * jitter[0], q * jitter[1]).phasors
+    exact = backward_forward_sweep(net, p, q, tol=1e-12)
+    for tol in (1e-8, 1e-12):
+        warm = backward_forward_sweep(net, p, q, tol=tol, start=start)
+        cold = backward_forward_sweep(net, p, q, tol=tol)
+        assert warm.max_mismatch < tol
+        assert warm.iterations <= cold.iterations
+    # The stopping test bounds the power mismatch, not the voltage error,
+    # so the tight solve is the one held to the flat start's answer.
+    assert np.max(np.abs(warm.v - exact.v)) <= 1e-9
+
+
+def test_start_shape_and_finiteness_checked():
+    net = single_line_net()
+    p, q = np.array([-0.5]), np.array([-0.2])
+    with pytest.raises(ValueError, match="shape"):
+        backward_forward_sweep(net, p, q, start=np.ones(2, dtype=complex))
+    with pytest.raises(ValueError, match="shape"):
+        backward_forward_sweep(net, p, q, start=np.ones((1, 1), dtype=complex))
+    for bad in (np.nan, np.inf, complex(1.0, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            backward_forward_sweep(net, p, q, start=np.array([bad], dtype=complex))

@@ -17,6 +17,7 @@ from mlopf.opf import (
     saddle_residual,
 )
 from mlopf.partition import auto_partition
+from mlopf.powerflow import backward_forward_sweep
 from mlopf.sensitivity import build_sensitivity
 from mlopf.solver import (
     LinearVoltageModel,
@@ -261,7 +262,7 @@ def test_nan_voltage_raises_instead_of_ending_the_run():
     class NanAtTwo(LinearVoltageModel):
         calls = 0
 
-        def voltages(self, p, q):
+        def voltages(self, p, q, prev=None):
             # Call 1 gives the initial state's voltages, call 3 iteration 2's.
             v = super().voltages(p, q)
             self.calls += 1
@@ -316,6 +317,72 @@ def test_record_residual_is_the_saddle_residual_of_its_state(engine_name, model)
     np.testing.assert_array_equal(result.state.duals.mu_upper, state.duals.mu_upper)
     np.testing.assert_array_equal(result.state.duals.mu_lower, state.duals.mu_lower)
     assert result.residual == result.trace.records[-1].residual
+
+
+def stable_rows(result):
+    """trace.csv rows with the timing column blanked."""
+    rows = [line.split(",") for line in result.trace.to_csv().strip().split("\n")]
+    for row in rows[1:]:
+        row[-1] = "-"
+    return rows
+
+
+def test_sweep_model_reused_across_runs_matches_a_fresh_model():
+    prob, engine, vmodel = generated_case("flat", "sweep")
+    cfg = SolverConfig(step_primal=5e-3, step_dual=5e-2, max_iters=30)
+    first = run(initial_state(prob, vmodel), prob, engine, vmodel, cfg)
+    second = run(initial_state(prob, vmodel), prob, engine, vmodel, cfg)
+    fresh_model = SweepVoltageModel(prob.net, None)
+    fresh = run(initial_state(prob, fresh_model), prob, engine, fresh_model, cfg)
+    assert stable_rows(first) == stable_rows(second) == stable_rows(fresh)
+    for result in (second, fresh):
+        np.testing.assert_array_equal(result.state.v, first.state.v)
+    assert vmodel.sweeps == 2 * fresh_model.sweeps
+
+
+def test_sweep_model_starts_from_the_chain_of_its_own_solutions():
+    prob, engine, vmodel = generated_case("flat", "sweep")
+    net = prob.net
+    p = [prob.p0 * (1.0 + 0.01 * k) for k in range(4)]
+    q = [prob.q0 * (1.0 + 0.01 * k) for k in range(4)]
+    sol0 = backward_forward_sweep(net, p[0], q[0])
+    sol1 = backward_forward_sweep(net, p[1], q[1], start=sol0.phasors)
+    sol2 = backward_forward_sweep(net, p[2], q[2], start=2.0 * sol1.phasors - sol0.phasors)
+    v0 = vmodel.voltages(p[0], q[0])
+    np.testing.assert_array_equal(v0, sol0.v)
+    # The first step from a flat start continues from its phasors, the next
+    # from the extrapolation of the last two solutions.
+    v1 = vmodel.voltages(p[1], q[1], prev=v0)
+    np.testing.assert_array_equal(v1, sol1.v)
+    before = vmodel.sweeps
+    v2 = vmodel.voltages(p[2], q[2], prev=v1)
+    np.testing.assert_array_equal(v2, sol2.v)
+    assert vmodel.sweeps - before == sol2.iterations
+    # A copy is not the array the model returned: the sweep starts flat,
+    # and the next call continues from that solution alone.
+    flat = backward_forward_sweep(net, p[3], q[3])
+    v3 = vmodel.voltages(p[3], q[3], prev=v2.copy())
+    np.testing.assert_array_equal(v3, flat.v)
+    warm = backward_forward_sweep(net, p[2], q[2], start=flat.phasors)
+    np.testing.assert_array_equal(vmodel.voltages(p[2], q[2], prev=v3), warm.v)
+    assert sol1.iterations < sol0.iterations and warm.iterations < flat.iterations
+
+
+def test_feedback_run_sweeps_less_than_flat_starts():
+    prob, engine, vmodel = generated_case("flat", "sweep")
+
+    class FlatStarts(SweepVoltageModel):
+        def voltages(self, p, q, prev=None):
+            return super().voltages(p, q)
+
+    cold = FlatStarts(prob.net, None)
+    cfg = SolverConfig(step_primal=5e-3, step_dual=5e-2, max_iters=30)
+    warm_run = run(initial_state(prob, vmodel), prob, engine, vmodel, cfg)
+    cold_run = run(initial_state(prob, cold), prob, engine, cold, cfg)
+    assert len(warm_run.trace.records) == len(cold_run.trace.records) == 31
+    assert 31 <= vmodel.sweeps < cold.sweeps
+    # Both stop each sweep on the same test, so the iterates stay together.
+    assert np.max(np.abs(warm_run.state.v - cold_run.state.v)) < 1e-6
 
 
 def test_run_computes_one_dual_update_per_record(monkeypatch):
