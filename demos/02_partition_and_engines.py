@@ -1,6 +1,7 @@
 """Three ways to compute the same coupling term.
 
-Partitions a feeder into subtree areas and subareas, then evaluates the
+Partitions a feeder into subtree areas and subareas, each kept as its
+root alone (a scope's buses are its root's subtree), then evaluates the
 dual-weighted sensitivity sums with the flat engine and the multilevel
 engine at depth 1 (bi-level: areas) and depth 2 (tri-level: areas split
 again into subareas). The results agree to machine precision while the
@@ -16,6 +17,8 @@ from mlopf import (
     MultilevelEngine,
     build_sensitivity,
     generate,
+    subtree_ids,
+    unclustered,
     validate_partition,
 )
 
@@ -25,10 +28,13 @@ feeder = generate(
 net, part = feeder.net, feeder.partition
 assert validate_partition(net, part) == []
 print(f"feeder: {net.n_flat} indices; {part.n_areas} areas, "
-      f"{len(part.unclustered)} unclustered buses")
+      f"{len(unclustered(net, part))} unclustered buses")
 for area in part.areas:
-    subs = ", ".join(f"{len(s.members)}@{s.root}" for s in area.subareas) or "-"
-    print(f"  area {area.index}: root {area.root}, {len(area.members)} buses, "
+    subs = ", ".join(
+        f"{len(subtree_ids(net, s.root))}@{s.root}" for s in area.subareas
+    ) or "-"
+    print(f"  area {area.index}: root {area.root}, "
+          f"{len(subtree_ids(net, area.root))} buses, "
           f"subareas [{subs}]")
 
 sens = build_sensitivity(net)

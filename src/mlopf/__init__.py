@@ -27,6 +27,8 @@ from .partition import (
     load_partition,
     partition_to_document,
     save_partition,
+    subtree_ids,
+    unclustered,
     validate_partition,
 )
 from .opf import (

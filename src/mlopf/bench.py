@@ -61,7 +61,6 @@ def two_level_feeder(
     areas = []
     for k, size in enumerate(sizes):
         root = add_bus(0)
-        members = {root}
         n_chains = min(subareas_per_area, size - 1)
         subareas = []
         if n_chains > 0:
@@ -69,25 +68,13 @@ def two_level_feeder(
             for j in range((size - 1) - sum(lengths)):
                 lengths[j] += 1
             for m, length in enumerate(lengths):
-                head = add_bus(root)
-                chain = {head}
-                tip = head
+                tip = head = add_bus(root)
                 for _ in range(length - 1):
                     tip = add_bus(tip)
-                    chain.add(tip)
-                members |= chain
-                subareas.append(Subarea(index=m, root=head, members=frozenset(chain)))
-        areas.append(
-            Area(
-                index=k,
-                root=root,
-                members=frozenset(members),
-                subareas=tuple(subareas),
-                remainder=frozenset({root}),
-            )
-        )
+                subareas.append(Subarea(index=m, root=head))
+        areas.append(Area(index=k, root=root, subareas=tuple(subareas)))
     net = Network(buses, lines)
-    part = PartitionHierarchy(areas=tuple(areas), unclustered=frozenset())
+    part = PartitionHierarchy(areas=tuple(areas))
     return net, part
 
 

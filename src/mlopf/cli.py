@@ -34,6 +34,7 @@ from .partition import (
     partition_to_document,
     save_partition,
     size_targets,
+    unclustered,
     validate_partition,
 )
 from .powerflow import SweepError, compare_models
@@ -101,7 +102,7 @@ def cmd_partition(args) -> int:
     else:
         print(json.dumps(partition_to_document(part), indent=2))
     print(
-        f"{part.n_areas} areas, {len(part.unclustered)} unclustered buses",
+        f"{part.n_areas} areas, {len(unclustered(net, part))} unclustered buses",
         file=sys.stderr,
     )
     return EXIT_OK

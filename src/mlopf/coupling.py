@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .network import Network
-from .partition import PartitionHierarchy, validate_partition
+from .partition import PartitionHierarchy, subtree_ids, unclustered, validate_partition
 from .sensitivity import OMEGA_PAIR, SensitivityMatrices
 
 
@@ -278,8 +278,8 @@ class MultilevelEngine:
             return s
 
         areas = [
-            scope(("area", a.index), a.root, a.members, [
-                scope(("subarea", a.index, s.index), s.root, s.members, [])
+            scope(("area", a.index), a.root, subtree_ids(net, a.root), [
+                scope(("subarea", a.index, s.index), s.root, subtree_ids(net, s.root), [])
                 for s in sorted(a.subareas, key=lambda s: s.index) if depth == 2
             ])
             for a in sorted(part.areas, key=lambda a: a.index)
@@ -429,19 +429,20 @@ def _audit_rules(net: Network, part: PartitionHierarchy) -> dict:
             "exterior_root": roots | exterior,
         }
 
-    unclustered = part.unclustered
-    unclustered_idx = frozenset(map(int, _flat_indices(net, unclustered)))
+    public = unclustered(net, part)
+    public_idx = frozenset(map(int, _flat_indices(net, public)))
     area_roots = frozenset(a.root for a in part.areas)
-    allowed = {("unclustered",): rules(unclustered, unclustered, frozenset(), area_roots)}
+    allowed = {("unclustered",): rules(public, public, frozenset(), area_roots)}
     for a in part.areas:
-        allowed[("area", a.index)] = rules(
-            a.members, unclustered | a.members, unclustered_idx, area_roots
-        )
-        remainder_idx = frozenset(map(int, _flat_indices(net, a.remainder)))
+        members = subtree_ids(net, a.root)
+        allowed[("area", a.index)] = rules(members, public | members, public_idx, area_roots)
+        sub_members = [subtree_ids(net, s.root) for s in a.subareas]
+        remainder = members.difference(*sub_members)
+        remainder_idx = frozenset(map(int, _flat_indices(net, remainder)))
         sub_roots = frozenset(s.root for s in a.subareas)
-        for s in a.subareas:
+        for s, s_members in zip(a.subareas, sub_members):
             allowed[("subarea", a.index, s.index)] = rules(
-                s.members, a.remainder, remainder_idx, sub_roots
+                s_members, remainder, remainder_idx, sub_roots
             )
     return allowed
 

@@ -1,11 +1,14 @@
 """Two-level subtree clustering of a radial feeder.
 
 Areas are full subtrees (a root bus plus every descendant); each area may
-be subdivided into disjoint full subtrees (subareas) plus a remainder.
-Buses outside every area form the unclustered set. Full-subtree closure is
-what licenses the multilevel coupling engines: any two buses in disjoint
-subtrees share the common path of the subtree roots, and a bus outside a
-subtree shares the root's common path with every bus inside it.
+be subdivided into disjoint full subtrees (subareas). A partition holds
+only the roots: a scope's buses are its root's DFS slice, read through
+`subtree_ids`, so closure holds by construction. An area's buses outside
+its subareas are its remainder, and buses outside every area form the
+unclustered set (`unclustered`). Full-subtree closure is what licenses
+the multilevel coupling engines: any two buses in disjoint subtrees share
+the common path of the subtree roots, and a bus outside a subtree shares
+the root's common path with every bus inside it.
 """
 
 from __future__ import annotations
@@ -21,22 +24,18 @@ from .network import Network, NetworkError, document_array, read_document
 class Subarea:
     index: int                 # position within the parent area
     root: int                  # bus id
-    members: frozenset[int]    # bus ids, root included
 
 
 @dataclass(frozen=True)
 class Area:
     index: int
     root: int
-    members: frozenset[int]
     subareas: tuple[Subarea, ...]
-    remainder: frozenset[int]  # members not covered by any subarea
 
 
 @dataclass(frozen=True)
 class PartitionHierarchy:
     areas: tuple[Area, ...]
-    unclustered: frozenset[int]
 
     @property
     def n_areas(self) -> int:
@@ -48,23 +47,26 @@ def _subtree_slice(net: Network, k: int):
     return net.order[net.tin[k]: net.tin[k] + net.size[k]]
 
 
-def _subtree_ids(net: Network, root: int) -> frozenset[int]:
+def subtree_ids(net: Network, root: int) -> frozenset[int]:
+    """Bus ids of root's subtree, root included."""
     subtree = _subtree_slice(net, net.bus_pos(root))
     return frozenset(net.buses[k].id for k in subtree.tolist())
 
 
+def unclustered(net: Network, part: PartitionHierarchy) -> frozenset[int]:
+    """Bus ids outside every area, the substation excluded."""
+    clustered = frozenset().union(*(subtree_ids(net, a.root) for a in part.areas))
+    return frozenset(b.id for b in net.buses if b.id != 0) - clustered
+
+
 def validate_partition(net: Network, part: PartitionHierarchy) -> list[str]:
-    """Check every scope against its parent, then the remainders and coverage.
+    """Check every root against its parent scope and its earlier siblings.
 
     One check runs for each area against the feeder and for each subarea
-    against its area. The substation roots no scope, every id is a known
-    bus other than the substation and the root lies inside the parent; a
-    scope that fails one of these is not checked further. Its members must
-    then be exactly the root's subtree, hold no bus an earlier sibling
-    claimed, and carry no phase the root lacks. Once its subareas are checked, an area's
-    remainder must be its members minus the subareas' claimed members.
-    The unclustered set must be known buses other than the substation,
-    disjoint from the areas, and cover every bus they leave out.
+    against its area. The substation roots no scope, the root is a known
+    bus and, for a subarea, lies inside its area; a scope that fails one
+    of these is not checked further. Its buses must then hold none an
+    earlier sibling claimed, which catches nested and repeated roots.
 
     Returns a list of violation descriptions; empty means the partition is
     valid for every coupling engine.
@@ -72,57 +74,33 @@ def validate_partition(net: Network, part: PartitionHierarchy) -> list[str]:
     problems: list[str] = []
     all_ids = {b.id for b in net.buses if b.id != 0}
 
-    def check_ids(ids, what):
-        unknown = sorted(i for i in ids if i not in all_ids)
-        if unknown:
-            problems.append(f"{what}: unknown or substation bus ids {unknown}")
-        return not unknown
-
-    def check_scope(tag, root, members, parent_members, claimed):
+    def check_scope(tag, root, parent_ids, claimed):
+        """The root's subtree once its buses are claimed; None for an invalid root."""
         if root == 0:
             problems.append(f"{tag}: the substation cannot root an area")
-            return False
-        if not check_ids(members | {root}, tag):
-            return False
-        if root not in parent_members:
+            return None
+        if root not in all_ids:
+            problems.append(f"{tag}: unknown bus id {root}")
+            return None
+        if root not in parent_ids:
             problems.append(f"{tag}: root {root} is outside the area")
-            return False
-        closure = _subtree_ids(net, root)
-        if members != closure:
-            problems.append(
-                f"{tag}: subtree closure violated at root {root}"
-                f" (missing {sorted(closure - members)}, extra {sorted(members - closure)})"
-            )
-        for bid in members:
+            return None
+        ids = subtree_ids(net, root)
+        for bid in sorted(ids):
             if bid in claimed:
                 problems.append(f"{tag}: bus {bid} already belongs to {claimed[bid]}")
             claimed[bid] = tag
-        root_phases = set(net.bus(root).phases)
-        for bid in members:
-            if bid in all_ids and not set(net.bus(bid).phases) <= root_phases:
-                problems.append(f"{tag}: root {root} lacks a phase carried by member {bid}")
-        return True
+        return ids
 
     claimed: dict[int, str] = {}
     for area in part.areas:
         tag = f"area {area.index}"
-        if not check_scope(tag, area.root, area.members, all_ids, claimed):
+        area_ids = check_scope(tag, area.root, all_ids, claimed)
+        if area_ids is None:
             continue
         sub_claimed: dict[int, str] = {}
         for sub in area.subareas:
-            check_scope(
-                f"{tag} subarea {sub.index}", sub.root, sub.members, area.members, sub_claimed
-            )
-        if area.remainder != area.members - set(sub_claimed):
-            problems.append(f"{tag}: remainder is not members minus subarea members")
-
-    if check_ids(part.unclustered, "unclustered set"):
-        overlap = sorted(set(part.unclustered) & set(claimed))
-        if overlap:
-            problems.append(f"unclustered set overlaps areas at buses {overlap}")
-        missing = sorted(all_ids - set(claimed) - set(part.unclustered))
-        if missing:
-            problems.append(f"buses {missing} belong to no area and are not unclustered")
+            check_scope(f"{tag} subarea {sub.index}", sub.root, area_ids, sub_claimed)
     return problems
 
 
@@ -149,32 +127,15 @@ def auto_partition(
         raise ValueError("size targets must be positive")
 
     root_pos = net.bus_pos(0)
-    area_root_pos = _greedy_cuts(net, root_pos, target_area_size, forbid={root_pos})
-
     areas = []
-    clustered: set[int] = set()
-    for k, rp in enumerate(area_root_pos):
-        root_id = net.buses[rp].id
-        members = _subtree_ids(net, root_id)
-        clustered |= members
-        subareas = []
-        if target_subarea_size >= 1:
-            sub_roots = _greedy_cuts(net, rp, target_subarea_size, forbid=set())
-            for m, srp in enumerate(sub_roots):
-                sid = net.buses[srp].id
-                subareas.append(Subarea(index=m, root=sid, members=_subtree_ids(net, sid)))
-        covered = set().union(*(s.members for s in subareas)) if subareas else set()
-        areas.append(
-            Area(
-                index=k,
-                root=root_id,
-                members=members,
-                subareas=tuple(subareas),
-                remainder=frozenset(members - covered),
-            )
+    for k, rp in enumerate(_greedy_cuts(net, root_pos, target_area_size, forbid={root_pos})):
+        sub_roots = (
+            _greedy_cuts(net, rp, target_subarea_size, forbid=set())
+            if target_subarea_size >= 1 else []
         )
-    all_ids = {b.id for b in net.buses if b.id != 0}
-    return PartitionHierarchy(areas=tuple(areas), unclustered=frozenset(all_ids - clustered))
+        subareas = tuple(Subarea(m, net.buses[srp].id) for m, srp in enumerate(sub_roots))
+        areas.append(Area(k, net.buses[rp].id, subareas))
+    return PartitionHierarchy(tuple(areas))
 
 
 def _greedy_cuts(net: Network, scope_root_pos: int, target: int, forbid: set[int]) -> list[int]:
@@ -201,34 +162,23 @@ def _greedy_cuts(net: Network, scope_root_pos: int, target: int, forbid: set[int
 # -- document I/O ---------------------------------------------------------
 
 def load_partition(document: dict | str | Path, net: Network) -> PartitionHierarchy:
-    """Build a partition from its document; members derive from the roots."""
+    """Build a partition from its document of roots.
+
+    net is not read: validate_partition checks the roots against it.
+    """
     document = read_document(document, "partition")
     areas = []
-    claimed: set[int] = set()
     for k, entry in enumerate(document_array(document, "areas", "partition")):
         try:
             root = int(entry["root"])
-            sub_roots = [int(sentry["root"]) for sentry in entry.get("subareas", [])]
+            subareas = tuple(
+                Subarea(m, int(sentry["root"]))
+                for m, sentry in enumerate(entry.get("subareas", []))
+            )
         except (KeyError, TypeError, ValueError) as exc:
             raise NetworkError(f"malformed area entry {entry!r}: {exc}") from exc
-        members = _subtree_ids(net, root)
-        subareas = tuple(
-            Subarea(index=m, root=sroot, members=_subtree_ids(net, sroot))
-            for m, sroot in enumerate(sub_roots)
-        )
-        covered = set().union(*(s.members for s in subareas))
-        areas.append(
-            Area(
-                index=k,
-                root=root,
-                members=members,
-                subareas=subareas,
-                remainder=frozenset(members - covered),
-            )
-        )
-        claimed |= members
-    all_ids = {b.id for b in net.buses if b.id != 0}
-    return PartitionHierarchy(areas=tuple(areas), unclustered=frozenset(all_ids - claimed))
+        areas.append(Area(k, root, subareas))
+    return PartitionHierarchy(tuple(areas))
 
 
 def partition_to_document(part: PartitionHierarchy) -> dict:

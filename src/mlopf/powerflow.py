@@ -52,6 +52,14 @@ def backward_forward_sweep(
     voltage below the substation. Sums run in a fixed order, so identical
     inputs give bitwise identical solutions.
 
+    tol bounds the power mismatch |V conj(I_old) - s| at every flat index,
+    where I_old is the current the last sweep drew; it does not bound the
+    voltage error. The mismatch is an index's own load times its last
+    voltage change, so at lightly loaded indices the voltage can still be
+    further off: on a 3,000-bus chain drawing 1e-4 p.u. real and 5e-5 p.u.
+    reactive power per bus, a flat start stopped at tol 1e-8 gives squared
+    voltages up to 1.6e-6 from a tol 1e-13 solution.
+
     start, if given, is a complex phasor vector over the flat index space
     that the first sweep draws its currents from in place of the flat
     profile; a converged solution at nearby injections needs fewer sweeps.

@@ -26,6 +26,7 @@ from .coupling import CouplingResult
 from .opf import (
     DualState,
     Problem,
+    ProblemError,
     SolverConfig,
     _lagrangian,
     dual_update,
@@ -109,13 +110,25 @@ class SolverState:
 
 
 def initial_state(problem: Problem, vmodel) -> SolverState:
-    """Preferred setpoints, zero duals, voltages from the model."""
+    """Preferred setpoints, zero duals, voltages from the model.
+
+    A squared voltage at or below zero means the loading is beyond what the
+    model can represent, so no iteration from it is meaningful: that raises
+    ProblemError naming the worst index.
+    """
     p = problem.p0.copy()
     q = problem.q0.copy()
     try:
         v = vmodel.voltages(p, q)
     except Exception as exc:
         raise SolverError(f"voltage model failed at the initial point: {exc}") from exc
+    if len(v) and not v.min() > 0.0:
+        worst = int(np.argmin(v))
+        bus, phase = problem.net.flat_labels()[worst]
+        raise ProblemError(
+            f"non-positive squared voltage {v[worst]:.4g} at {bus}:{phase} at the"
+            " preferred setpoints; the loading is too heavy for the voltage model"
+        )
     return SolverState(p=p, q=q, duals=DualState(
         mu_upper=np.zeros(problem.n), mu_lower=np.zeros(problem.n)
     ), v=v, iteration=0)

@@ -7,6 +7,9 @@ import json
 import pytest
 
 from mlopf.cli import main
+from mlopf.network import save_network
+
+from conftest import fig_feeder
 
 
 @pytest.fixture
@@ -190,6 +193,60 @@ def test_malformed_scalar_field_is_validation_error(
     assert "Traceback" not in err
 
 
+# Root-level faults on the figure feeder, whose area at 21 holds the
+# subtrees at 22 (with 23 below it) and 27; 18 lies in the area at 17.
+ROOT_FAULTS = {
+    "substation-root": ([{"root": 0}], "area 0: the substation cannot root an area"),
+    "unknown-root": ([{"root": 99}], "area 0: unknown bus id 99"),
+    "nested-area-roots": (
+        [{"root": 21}, {"root": 27}], "area 1: bus 27 already belongs to area 0"
+    ),
+    "repeated-area-root": (
+        [{"root": 17}, {"root": 17}], "area 1: bus 17 already belongs to area 0"
+    ),
+    "subarea-root-outside-its-area": (
+        [{"root": 21, "subareas": [{"root": 18}]}],
+        "area 0 subarea 0: root 18 is outside the area",
+    ),
+    "nested-subarea-roots": (
+        [{"root": 21, "subareas": [{"root": 22}, {"root": 23}]}],
+        "area 0 subarea 1: bus 23 already belongs to area 0 subarea 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ROOT_FAULTS))
+def test_validate_rejects_root_level_partition_faults(tmp_path, capsys, name):
+    areas, message = ROOT_FAULTS[name]
+    save_network(fig_feeder(), tmp_path / "network.json")
+    (tmp_path / "partition.json").write_text(json.dumps({"areas": areas}))
+    args = [
+        "validate", "--network", str(tmp_path / "network.json"),
+        "--partition", str(tmp_path / "partition.json"),
+    ]
+    assert main(args) == 2
+    assert f"violation: {message}" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("feeder,targets,line", [
+    ("uv300", ("90", "28"), "2 areas, 119 unclustered buses"),
+    ("fig", ("4", "2"), "3 areas, 8 unclustered buses"),
+    ("fig", ("40", "0"), "0 areas, 23 unclustered buses"),
+])
+def test_partition_command_counts_unclustered_buses(tmp_path, capsys, feeder, targets, line):
+    network = tmp_path / "network.json"
+    if feeder == "fig":
+        save_network(fig_feeder(), network)
+    else:
+        assert main(["gen", "--buses", "300", "--seed", "0", "--load-scale", "1.8",
+                     "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    args = ["partition", "--network", str(network),
+            "--target-area-size", targets[0], "--target-subarea-size", targets[1]]
+    assert main(args) == 0
+    assert capsys.readouterr().err.splitlines() == [line]
+
+
 def test_partition_command_writes_hierarchy(workspace, tmp_path):
     out = tmp_path / "part.json"
     rc = main(
@@ -280,6 +337,22 @@ def test_solve_nonconvergence_exit_code(workspace, tmp_path):
         "--out", str(tmp_path / "nc"),
     ]
     assert main(args) == 3
+
+
+def test_solve_rejects_a_non_positive_starting_voltage(tmp_path, capsys):
+    feeder = tmp_path / "feeder"
+    assert main(["gen", "--buses", "60", "--seed", "3", "--load-scale", "20",
+                 "--out", str(feeder)]) == 0
+    args = [
+        "solve",
+        "--network", str(feeder / "network.json"),
+        "--devices", str(feeder / "devices.json"),
+        "--out", str(tmp_path / "out"),
+    ]
+    assert main(args) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "validation"
+    assert "at 54:a" in record["message"]
 
 
 def test_solve_missing_file_is_validation_error(tmp_path):

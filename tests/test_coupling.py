@@ -24,6 +24,8 @@ from mlopf.partition import (
     Area,
     PartitionHierarchy,
     auto_partition,
+    subtree_ids,
+    unclustered,
     validate_partition,
 )
 from mlopf.sensitivity import build_sensitivity
@@ -75,8 +77,7 @@ def test_flat_op_count_is_four_n_squared(fig_net):
 
 def test_degenerate_partition_reduces_bilevel_to_flat(fig_net):
     sens = build_sensitivity(fig_net)
-    ids = frozenset(b.id for b in fig_net.buses if b.id != 0)
-    part = PartitionHierarchy(areas=(), unclustered=ids)
+    part = PartitionHierarchy(areas=())
     mu_up, mu_lo = random_duals(np.random.default_rng(1), sens.n)
     ref = FlatEngine(sens).compute(mu_up, mu_lo)
     res = MultilevelEngine(fig_net, part, 1).compute(mu_up, mu_lo)
@@ -127,13 +128,7 @@ def test_single_bus_areas_have_zero_inter_area_coupling():
         }
     )
     assert net.common_path_impedance(1, 2, "a", "a") == 0
-    part = PartitionHierarchy(
-        areas=(
-            Area(0, 1, frozenset({1}), (), frozenset({1})),
-            Area(1, 2, frozenset({2}), (), frozenset({2})),
-        ),
-        unclustered=frozenset(),
-    )
+    part = PartitionHierarchy(areas=(Area(0, 1, ()), Area(1, 2, ())))
     sens = build_sensitivity(net)
     mu_up = np.array([0.7, 0.3])
     res = MultilevelEngine(net, part, 1).compute(mu_up, np.zeros(2))
@@ -198,7 +193,6 @@ def test_undivided_area_costs_the_same_in_both_multilevel_engines():
         areas=tuple(
             p if p.index == 0 else f for p, f in zip(plain.areas, full.areas)
         ),
-        unclustered=plain.unclustered,
     )
     assert validate_partition(net, mixed) == []
     mu_up, mu_lo = random_duals(rng, net.n_flat)
@@ -210,12 +204,13 @@ def test_undivided_area_costs_the_same_in_both_multilevel_engines():
     for area in mixed.areas:
         if not area.subareas:
             continue
-        sub_sizes = [len(s.members) for s in area.subareas]
+        size = len(subtree_ids(net, area.root))
+        sub_sizes = [len(subtree_ids(net, s.root)) for s in area.subareas]
         inner = _level_op_count(
             [_exact_block_ops(s) for s in sub_sizes], sub_sizes,
-            len(area.remainder),
+            size - sum(sub_sizes),
         )
-        expected_delta += _exact_block_ops(len(area.members)) - inner
+        expected_delta += _exact_block_ops(size) - inner
     assert ops_bi - ops_tri == expected_delta
 
 
@@ -249,7 +244,7 @@ def test_op_count_positive_even_for_single_index():
             "lines": [{"from": 0, "to": 1, "z": {"aa": [0.01, 0.02]}}],
         }
     )
-    part = PartitionHierarchy(areas=(), unclustered=frozenset({1}))
+    part = PartitionHierarchy(areas=())
     res = MultilevelEngine(net, part, 1).compute(np.zeros(1), np.zeros(1))
     assert res.op_count > 0
 
@@ -272,7 +267,7 @@ def test_aggregate_messages_reproduce_inter_area_term(fig_net):
     labels = fig_net.flat_labels()
     area_of = {}
     for area in part.areas:
-        for bid in area.members:
+        for bid in subtree_ids(fig_net, area.root):
             area_of[bid] = area.index
     for area in part.areas:
         member_idx = [
@@ -326,12 +321,8 @@ def test_depth_other_than_one_or_two_rejected(fig_net, depth):
 
 
 def test_invalid_partition_rejected(fig_net):
-    bad = PartitionHierarchy(
-        areas=(Area(0, 21, frozenset({21, 22}), (), frozenset({21, 22})),),
-        unclustered=frozenset(
-            b.id for b in fig_net.buses if b.id not in (0, 21, 22)
-        ),
-    )
+    # Nested area roots: 27 lies in the subtree of 21.
+    bad = PartitionHierarchy(areas=(Area(0, 21, ()), Area(1, 27, ())))
     with pytest.raises(EngineError, match="invalid partition"):
         MultilevelEngine(fig_net, bad, 1)
 
@@ -400,16 +391,16 @@ def test_audit_catches_foreign_topology_access(fig_net):
 @pytest.mark.parametrize("depth", [1, 2])
 def test_audit_catches_engine_reading_a_foreign_index(fig_net, monkeypatch, depth):
     # The record must come from the index arrays the engine gathers from:
-    # widen one area's member set by a foreign flat index at construction
-    # and the audit has to report it.
+    # widen one area's flat indices by a foreign one at construction and
+    # the audit has to report it.
     part = auto_partition(fig_net, 4, 2)
-    target = part.areas[0]
-    foreign = int(coupling._flat_indices(fig_net, part.areas[1].members)[0])
+    target = subtree_ids(fig_net, part.areas[0].root)
+    foreign = int(coupling._flat_indices(fig_net, subtree_ids(fig_net, part.areas[1].root))[0])
     real = coupling._flat_indices
 
     def widened(net, bus_ids):
         idx = real(net, bus_ids)
-        if frozenset(bus_ids) == target.members:
+        if frozenset(bus_ids) == target:
             idx = np.sort(np.append(idx, foreign))
         return idx
 
@@ -426,26 +417,29 @@ def documented_pools(net, part):
     def idx(buses):
         return {net.flat_index(b, ph) for b in buses for ph in net.bus(b).phases}
 
-    unclustered = set(part.unclustered)
+    public = set(unclustered(net, part))
     area_roots = {a.root for a in part.areas}
     pools = {
         ("unclustered",): {
-            "members": idx(unclustered), "exterior": set(), "intra": unclustered,
-            "root_root": area_roots, "exterior_root": area_roots | unclustered,
+            "members": idx(public), "exterior": set(), "intra": public,
+            "root_root": area_roots, "exterior_root": area_roots | public,
         }
     }
     for a in part.areas:
+        members = set(subtree_ids(net, a.root))
+        remainder = members.difference(*(subtree_ids(net, s.root) for s in a.subareas))
         pools[("area", a.index)] = {
-            "members": idx(a.members), "exterior": idx(unclustered),
-            "intra": set(a.members), "root_root": area_roots,
-            "exterior_root": area_roots | unclustered | set(a.members),
+            "members": idx(members), "exterior": idx(public),
+            "intra": members, "root_root": area_roots,
+            "exterior_root": area_roots | public | members,
         }
         sub_roots = {s.root for s in a.subareas}
         for s in a.subareas:
+            sub_members = set(subtree_ids(net, s.root))
             pools[("subarea", a.index, s.index)] = {
-                "members": idx(s.members), "exterior": idx(a.remainder),
-                "intra": set(s.members), "root_root": sub_roots,
-                "exterior_root": sub_roots | set(a.remainder),
+                "members": idx(sub_members), "exterior": idx(remainder),
+                "intra": sub_members, "root_root": sub_roots,
+                "exterior_root": sub_roots | remainder,
             }
     return pools
 
@@ -468,8 +462,7 @@ def leaked_items(report):
 @pytest.mark.parametrize("areas", [(4, 2), (4, 0), None], ids=["subareas", "areas", "none"])
 def test_audit_flags_exactly_the_items_outside_each_documented_pool(fig_net, areas):
     if areas is None:
-        ids = frozenset(b.id for b in fig_net.buses if b.id != 0)
-        part = PartitionHierarchy(areas=(), unclustered=ids)
+        part = PartitionHierarchy(areas=())
     else:
         part = auto_partition(fig_net, *areas)
     for scope, pools in documented_pools(fig_net, part).items():

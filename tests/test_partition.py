@@ -15,6 +15,8 @@ from mlopf.partition import (
     auto_partition,
     load_partition,
     partition_to_document,
+    subtree_ids,
+    unclustered,
     validate_partition,
 )
 
@@ -44,77 +46,33 @@ def star_network(n_leaves: int) -> Network:
 
 
 def test_degenerate_partition_everything_unclustered(fig_net):
-    ids = frozenset(b.id for b in fig_net.buses if b.id != 0)
-    part = PartitionHierarchy(areas=(), unclustered=ids)
+    part = PartitionHierarchy(areas=())
     assert validate_partition(fig_net, part) == []
-
-
-def test_half_subtree_violates_closure(fig_net):
-    # Area rooted at 21 but missing one of its subtrees.
-    members = frozenset({21, 22, 23, 24})
-    part = PartitionHierarchy(
-        areas=(Area(0, 21, members, (), members),),
-        unclustered=frozenset(
-            b.id for b in fig_net.buses if b.id != 0 and b.id not in members
-        ),
-    )
-    problems = validate_partition(fig_net, part)
-    assert any("subtree closure" in p for p in problems)
-
-
-def test_reference_layout_partition_is_valid(fig_net):
-    part = PartitionHierarchy(
-        areas=(
-            Area(0, 17, frozenset({17, 18, 19, 20}), (), frozenset({17, 18, 19, 20})),
-            Area(1, 6, frozenset({6, 7, 8, 9}), (), frozenset({6, 7, 8, 9})),
-            Area(
-                2,
-                21,
-                frozenset({21, 22, 23, 24, 27, 28, 29}),
-                (
-                    Subarea(0, 22, frozenset({22, 23, 24})),
-                    Subarea(1, 27, frozenset({27, 28, 29})),
-                ),
-                frozenset({21}),
-            ),
-        ),
-        unclustered=frozenset({1, 2, 3, 4, 5, 10, 11, 12}),
-    )
-    assert validate_partition(fig_net, part) == []
+    assert unclustered(fig_net, part) == {b.id for b in fig_net.buses if b.id != 0}
 
 
 def with_subareas(*subareas):
     """The reference layout with area 2's subareas replaced."""
-    members = frozenset({21, 22, 23, 24, 27, 28, 29})
-    covered = frozenset().union(*(s.members for s in subareas))
-    return PartitionHierarchy(
-        areas=(
-            Area(0, 17, frozenset({17, 18, 19, 20}), (), frozenset({17, 18, 19, 20})),
-            Area(1, 6, frozenset({6, 7, 8, 9}), (), frozenset({6, 7, 8, 9})),
-            Area(2, 21, members, tuple(subareas), members - covered),
-        ),
-        unclustered=frozenset({1, 2, 3, 4, 5, 10, 11, 12}),
-    )
+    return PartitionHierarchy(areas=(
+        Area(0, 17, ()),
+        Area(1, 6, ()),
+        Area(2, 21, tuple(subareas)),
+    ))
+
+
+def test_reference_layout_partition_is_valid(fig_net):
+    part = with_subareas(Subarea(0, 22), Subarea(1, 27))
+    assert validate_partition(fig_net, part) == []
+    assert unclustered(fig_net, part) == {1, 2, 3, 4, 5, 10, 11, 12}
 
 
 def test_subarea_cases_start_from_a_valid_layout(fig_net):
-    part = with_subareas(
-        Subarea(0, 22, frozenset({22, 23, 24})), Subarea(1, 28, frozenset({28, 29}))
-    )
+    part = with_subareas(Subarea(0, 22), Subarea(1, 28))
     assert validate_partition(fig_net, part) == []
 
 
-def test_subarea_closure_violation_detected(fig_net):
-    part = with_subareas(Subarea(0, 22, frozenset({22, 23})))
-    assert validate_partition(fig_net, part) == [
-        "area 2 subarea 0: subtree closure violated at root 22 (missing [24], extra [])"
-    ]
-
-
 def test_overlapping_subareas_detected(fig_net):
-    part = with_subareas(
-        Subarea(0, 22, frozenset({22, 23, 24})), Subarea(1, 23, frozenset({23, 24}))
-    )
+    part = with_subareas(Subarea(0, 22), Subarea(1, 23))
     problems = validate_partition(fig_net, part)
     assert "area 2 subarea 1: bus 23 already belongs to area 2 subarea 0" in problems
     assert "area 2 subarea 1: bus 24 already belongs to area 2 subarea 0" in problems
@@ -122,52 +80,26 @@ def test_overlapping_subareas_detected(fig_net):
 
 
 def test_subarea_root_outside_its_area_detected(fig_net):
-    part = with_subareas(Subarea(0, 18, frozenset({18, 19, 20})))
+    part = with_subareas(Subarea(0, 18))
     assert validate_partition(fig_net, part) == [
         "area 2 subarea 0: root 18 is outside the area"
     ]
 
 
 def test_overlapping_areas_detected(fig_net):
-    a1 = frozenset({21, 22, 23, 24, 27, 28, 29})
-    a2 = frozenset({27, 28, 29})
-    part = PartitionHierarchy(
-        areas=(
-            Area(0, 21, a1, (), a1),
-            Area(1, 27, a2, (), a2),
-        ),
-        unclustered=frozenset(
-            b.id for b in fig_net.buses if b.id != 0 and b.id not in a1
-        ),
-    )
+    part = PartitionHierarchy(areas=(Area(0, 21, ()), Area(1, 27, ())))
     problems = validate_partition(fig_net, part)
-    assert any("already belongs" in p for p in problems)
-
-
-def test_coverage_gap_detected(fig_net):
-    part = PartitionHierarchy(areas=(), unclustered=frozenset({1, 2}))
-    problems = validate_partition(fig_net, part)
-    assert any("no area" in p for p in problems)
-
-
-def test_area_member_set_holding_the_substation_is_flagged(fig_net):
-    ref = with_subareas()
-    members = ref.areas[0].members | {0}
-    part = PartitionHierarchy(
-        areas=(Area(0, 17, members, (), members),) + ref.areas[1:],
-        unclustered=ref.unclustered,
-    )
-    problems = validate_partition(fig_net, part)
-    assert problems[0] == "area 0: unknown or substation bus ids [0]"
-    assert not any("closure" in p for p in problems)
-
-
-def test_unclustered_set_holding_the_substation_is_flagged(fig_net):
-    ref = with_subareas()
-    part = PartitionHierarchy(areas=ref.areas, unclustered=ref.unclustered | {0})
-    assert validate_partition(fig_net, part) == [
-        "unclustered set: unknown or substation bus ids [0]"
+    assert problems == [
+        f"area 1: bus {b} already belongs to area 0" for b in (27, 28, 29)
     ]
+
+
+def test_substation_area_root_is_flagged(fig_net):
+    # The area is not checked further, so its subarea and its claim on
+    # every bus go unreported.
+    ref = with_subareas(Subarea(0, 22))
+    part = PartitionHierarchy(areas=(Area(0, 0, (Subarea(0, 18),)),) + ref.areas[1:])
+    assert validate_partition(fig_net, part) == ["area 0: the substation cannot root an area"]
 
 
 def test_greedy_on_path_cuts_one_deep_subtree():
@@ -179,15 +111,15 @@ def test_greedy_on_path_cuts_one_deep_subtree():
     assert part.n_areas == 1
     area = part.areas[0]
     assert area.root == 31
-    assert area.members == frozenset(range(31, 41))
-    assert part.unclustered == frozenset(range(1, 31))
+    assert subtree_ids(net, area.root) == frozenset(range(31, 41))
+    assert unclustered(net, part) == frozenset(range(1, 31))
 
 
 def test_greedy_on_star_leaves_everything_unclustered():
     net = star_network(20)
     part = auto_partition(net, 5)
     assert part.n_areas == 0
-    assert part.unclustered == frozenset(range(1, 21))
+    assert unclustered(net, part) == frozenset(range(1, 21))
     assert validate_partition(net, part) == []
 
 
@@ -200,7 +132,7 @@ def test_target_one_makes_leaf_singletons():
         if b.id != 0 and not net.children_pos[net.bus_pos(b.id)]
     }
     assert {a.root for a in part.areas} == leaves
-    assert all(len(a.members) == 1 for a in part.areas)
+    assert all(len(subtree_ids(net, a.root)) == 1 for a in part.areas)
 
 
 def test_auto_partition_is_deterministic():
@@ -240,9 +172,10 @@ def test_auto_partition_valid_and_sized(seed):
     part = auto_partition(net, target, max(1, target // 3))
     assert validate_partition(net, part) == []
     for area in part.areas:
-        assert target <= len(area.members) <= 2 * target
+        members = subtree_ids(net, area.root)
+        assert target <= len(members) <= 2 * target
         for sub in area.subareas:
-            assert sub.members <= area.members
+            assert subtree_ids(net, sub.root) <= members
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -252,18 +185,18 @@ def test_every_bus_lands_in_exactly_one_scope(seed):
     part = auto_partition(net, 10, 4)
     seen: dict[int, int] = {}
     for area in part.areas:
-        for bid in area.members:
+        members = subtree_ids(net, area.root)
+        for bid in members:
             assert bid not in seen
             seen[bid] = area.index
         inner: dict[int, int] = {}
         for sub in area.subareas:
-            for bid in sub.members:
-                assert bid not in inner
+            for bid in subtree_ids(net, sub.root):
+                assert bid not in inner and bid in members
                 inner[bid] = sub.index
-        assert set(area.remainder) | set(inner) == set(area.members)
-    assert set(seen) | set(part.unclustered) == {
-        b.id for b in net.buses if b.id != 0
-    }
+    public = unclustered(net, part)
+    assert not public & set(seen)
+    assert set(seen) | public == {b.id for b in net.buses if b.id != 0}
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -276,9 +209,9 @@ def test_cross_area_pairs_collapse_to_root_pairs_exactly(seed):
     part = auto_partition(net, 12)
     areas = part.areas
     for k in range(len(areas)):
-        mk = sorted(areas[k].members)
+        mk = sorted(subtree_ids(net, areas[k].root))
         for h in range(k + 1, len(areas)):
-            mh = sorted(areas[h].members)
+            mh = sorted(subtree_ids(net, areas[h].root))
             for _ in range(6):
                 i = int(rng.choice(mk))
                 j = int(rng.choice(mh))
@@ -287,7 +220,7 @@ def test_cross_area_pairs_collapse_to_root_pairs_exactly(seed):
                         net.common_path_impedance(
                             areas[k].root, areas[h].root, phi, psi
                         )
-        for j in sorted(part.unclustered)[:8]:
+        for j in sorted(unclustered(net, part))[:8]:
             i = int(rng.choice(mk))
             assert net.common_path_impedance(i, j, "a", "a") == \
                 net.common_path_impedance(areas[k].root, j, "a", "a")
@@ -309,12 +242,7 @@ def test_aggregates_cancel_when_duals_match(fig_net):
 
 def test_aggregate_hand_sum():
     net = path_network(3)
-    members = frozenset({1, 2, 3})
-    sub = Subarea(0, 3, frozenset({3}))
-    part = PartitionHierarchy(
-        areas=(Area(0, 1, members, (sub,), frozenset({1, 2})),),
-        unclustered=frozenset(),
-    )
+    part = PartitionHierarchy(areas=(Area(0, 1, (Subarea(0, 3),)),))
     mu_up = np.array([0.1, 0.2, 0.0])
     mu_lo = np.array([0.0, 0.0, 0.3])
     for depth in (1, 2):
@@ -333,7 +261,7 @@ def test_aggregates_reconstruct_total(fig_net):
     mu_lo = rng.uniform(0, 1, fig_net.n_flat)
     d = mu_up - mu_lo
     unc = 0.0
-    for bid in part.unclustered:
+    for bid in unclustered(fig_net, part):
         k = fig_net.bus_pos(bid)
         for c in range(3):
             idx = fig_net.index_of[k, c]
@@ -355,7 +283,10 @@ def test_partition_document_round_trip(fig_net):
 def test_members_derived_from_roots(fig_net):
     doc = {"areas": [{"root": 21, "subareas": [{"root": 27}]}]}
     part = load_partition(doc, fig_net)
-    assert part.areas[0].members == frozenset({21, 22, 23, 24, 27, 28, 29})
-    assert part.areas[0].subareas[0].members == frozenset({27, 28, 29})
-    assert part.areas[0].remainder == frozenset({21, 22, 23, 24})
+    assert part == PartitionHierarchy(areas=(Area(0, 21, (Subarea(0, 27),)),))
+    area = subtree_ids(fig_net, 21)
+    assert area == frozenset({21, 22, 23, 24, 27, 28, 29})
+    assert subtree_ids(fig_net, 27) == frozenset({27, 28, 29})
+    assert area - subtree_ids(fig_net, 27) == frozenset({21, 22, 23, 24})
+    assert unclustered(fig_net, part) == {b.id for b in fig_net.buses if b.id != 0} - area
     assert validate_partition(fig_net, part) == []

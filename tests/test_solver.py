@@ -11,6 +11,7 @@ from mlopf.network import load_network
 from mlopf.opf import (
     Device,
     DualState,
+    ProblemError,
     SolverConfig,
     lagrangian_value,
     make_problem,
@@ -130,6 +131,16 @@ def test_zero_iteration_run_has_single_initial_record():
     assert len(result.trace.records) == 1
     assert result.trace.records[0].iteration == 0
     assert result.state.iteration == 0
+
+
+def test_non_positive_starting_voltage_is_rejected():
+    # So heavy a loading drives the linear model below zero at the
+    # preferred setpoints, where no iteration can recover.
+    feeder = generate(FeederSpec(n_buses=60, seed=3, load_scale=20))
+    sens = build_sensitivity(feeder.net)
+    prob = make_problem(feeder.net, sens, list(feeder.devices), feeder.background)
+    with pytest.raises(ProblemError, match=r"squared voltage -0\.3105 at 54:a"):
+        initial_state(prob, LinearVoltageModel(sens))
 
 
 def test_trace_csv_columns_and_determinism(tmp_path):
