@@ -10,13 +10,13 @@ quantity the multilevel split accelerates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .coupling import make_engine
-from .feedergen import FeederSpec
+from .feedergen import R_RANGE, X_RANGE
 from .network import Bus, Line, Network
 from .opf import Device, SolverConfig, make_problem
 from .partition import Area, PartitionHierarchy, Subarea
@@ -27,8 +27,8 @@ from .solver import LinearVoltageModel, initial_state, run
 def two_level_feeder(
     n_flat: int,
     n_areas: int,
-    subareas_per_area: int = 4,
-    seed: int = 0,
+    subareas_per_area: int,
+    seed: int,
 ) -> tuple[Network, PartitionHierarchy]:
     """Balanced single-phase feeder with exact-subtree areas and subareas.
 
@@ -39,7 +39,6 @@ def two_level_feeder(
     if n_flat < n_areas or n_areas < 1:
         raise ValueError("need at least one bus per area")
     rng = np.random.default_rng(seed)
-    spec = FeederSpec(n_buses=1)  # reuse its impedance ranges
     sizes = [n_flat // n_areas] * n_areas
     for k in range(n_flat - sum(sizes)):
         sizes[k] += 1
@@ -54,7 +53,7 @@ def two_level_feeder(
         next_id += 1
         buses.append(Bus(id=bid, phases=("a",), parent=parent_id))
         z = np.zeros((3, 3), dtype=np.complex128)
-        z[0, 0] = complex(rng.uniform(*spec.r_range), rng.uniform(*spec.x_range))
+        z[0, 0] = complex(rng.uniform(*R_RANGE), rng.uniform(*X_RANGE))
         lines.append(Line(from_bus=parent_id, to_bus=bid, z=z))
         return bid
 
@@ -78,11 +77,13 @@ def two_level_feeder(
     return net, part
 
 
-def bench_problem(net: Network, seed: int = 0, v_min: float = 0.95, v_max: float = 1.05):
+def bench_problem(net: Network, seed: int):
     """A loaded problem on a bench feeder: devices on a third of the slots.
 
     Loads are heavy enough to violate the lower bound, so the duals move
-    and every benched iteration performs a real coupling computation.
+    and every benched iteration performs a real coupling computation. Bench
+    feeders are shallow, so the voltage limits are a tight 0.999-1.001,
+    which keeps the duals active through the whole run.
     """
     rng = np.random.default_rng(seed + 1)
     sens = build_sensitivity(net)
@@ -99,52 +100,49 @@ def bench_problem(net: Network, seed: int = 0, v_min: float = 0.95, v_max: float
         else:
             pl = -rng.uniform(0.012, 0.03)
             background[(bid, ph)] = (pl, 0.3 * pl)
-    problem = make_problem(net, sens, devices, background, v_min=v_min, v_max=v_max)
+    problem = make_problem(net, sens, devices, background, v_min=0.999, v_max=1.001)
     return problem, sens
 
 
 @dataclass(frozen=True)
 class BenchRow:
-    n: int
-    areas: int
-    engine: str
-    iters: int
-    coupling_ops: int
-    coupling_ns: int
-    step_ns: int
-    ratio_vs_flat: float
+    """One engine's solve at one size; each field is a column, width as in the table."""
+
+    n: int = field(metadata={"width": 6})
+    areas: int = field(metadata={"width": 6})
+    engine: str = field(metadata={"width": 9})
+    iters: int = field(metadata={"width": 6})
+    coupling_ops: int = field(metadata={"width": 13})
+    coupling_ns: int = field(metadata={"width": 13})
+    step_ns: int = field(metadata={"width": 13})
+    ratio_vs_flat: float = field(metadata={"width": 13})
+
+    def cells(self, ratio_format: str) -> list[str]:
+        """The column values as text; the last, the ratio, in ratio_format."""
+        *head, ratio = (getattr(self, f.name) for f in fields(self))
+        return [str(v) for v in head] + [format(ratio, ratio_format)]
 
     def csv_row(self) -> str:
-        return ",".join(
-            [
-                str(self.n), str(self.areas), self.engine, str(self.iters),
-                str(self.coupling_ops), str(self.coupling_ns), str(self.step_ns),
-                f"{self.ratio_vs_flat:.3f}",
-            ]
-        )
+        return ",".join(self.cells(".3f"))
 
 
-BENCH_COLUMNS = (
-    "n", "areas", "engine", "iters",
-    "coupling_ops", "coupling_ns", "step_ns", "ratio_vs_flat",
-)
+BENCH_COLUMNS = tuple(f.name for f in fields(BenchRow))
+_WIDTHS = tuple(f.metadata["width"] for f in fields(BenchRow))
 
 
 def bench_sweep(
     sizes: list[int],
     engines: list[str],
-    iters: int = 30,
-    subareas_per_area: int = 4,
-    seed: int = 0,
+    iters: int,
+    subareas_per_area: int,
+    seed: int,
 ) -> list[BenchRow]:
     """Run the same solve per engine over a range of feeder sizes."""
     rows: list[BenchRow] = []
     for n in sizes:
         n_areas = max(1, round(np.sqrt(n)))
         net, part = two_level_feeder(n, n_areas, subareas_per_area, seed=seed)
-        # Bench feeders are shallow, so tight bounds keep the duals active
-        # and every iteration exercises the coupling path.
-        problem, sens = bench_problem(net, seed=seed, v_min=0.999, v_max=1.001)
+        problem, sens = bench_problem(net, seed)
         cfg = SolverConfig(max_iters=iters, residual_tol=0.0)
         vmodel = LinearVoltageModel(sens)
         flat_coupling_ns = None
@@ -183,19 +181,8 @@ def bench_csv(rows: list[BenchRow], path: str | Path | None = None) -> str:
 
 def bench_table(rows: list[BenchRow]) -> str:
     """Aligned text table; the ratio column compares coupling wall time vs flat."""
-    header = [c.rjust(w) for c, w in zip(BENCH_COLUMNS, _WIDTHS)]
-    out = ["  ".join(header)]
-    for r in rows:
-        cells = [
-            str(r.n), str(r.areas), r.engine, str(r.iters),
-            str(r.coupling_ops), str(r.coupling_ns), str(r.step_ns),
-            f"{r.ratio_vs_flat:.2f}",
-        ]
-        out.append("  ".join(c.rjust(w) for c, w in zip(cells, _WIDTHS)))
-    return "\n".join(out) + "\n"
-
-
-_WIDTHS = (6, 6, 9, 6, 13, 13, 13, 13)
+    lines = [BENCH_COLUMNS, *(r.cells(".2f") for r in rows)]
+    return "".join("  ".join(map(str.rjust, cells, _WIDTHS)) + "\n" for cells in lines)
 
 
 def fit_loglog(ns: np.ndarray, ys: np.ndarray) -> tuple[float, float]:

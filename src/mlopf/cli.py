@@ -27,7 +27,7 @@ from .coupling import (
 from .bench import bench_csv, bench_sweep, bench_table
 from .feedergen import FeederSpec, feeder_documents, generate
 from .network import NetworkError, document_number, load_network, read_document, save_network
-from .opf import ProblemError, SolverConfig, load_problem
+from .opf import V_MAX, V_MIN, ProblemError, SolverConfig, load_problem
 from .partition import (
     auto_partition,
     load_partition,
@@ -167,6 +167,13 @@ def _audit_lines(record: FlowRecord) -> str:
 
 def cmd_solve(args) -> int:
     out = Path(args.out)
+    cfg = SolverConfig(
+        step_primal=args.step_primal,
+        step_dual=args.step_dual,
+        eta=args.eta,
+        max_iters=args.iters,
+        residual_tol=args.tol,
+    )
     net = load_network(args.network)
     sens = build_sensitivity(net)
     problem = load_problem(args.devices, net, sens)
@@ -185,13 +192,6 @@ def cmd_solve(args) -> int:
         vmodel = SweepVoltageModel(net, sens)
     else:
         vmodel = LinearVoltageModel(sens)
-    cfg = SolverConfig(
-        step_primal=args.step_primal,
-        step_dual=args.step_dual,
-        eta=args.eta,
-        max_iters=args.iters,
-        residual_tol=args.tol,
-    )
     state = initial_state(problem, vmodel)
     t0 = time.perf_counter_ns()
     result = run(state, problem, engine, vmodel, cfg)
@@ -319,13 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     pg = sub.add_parser("gen", help="generate a synthetic feeder")
     pg.add_argument("--buses", type=int, required=True)
-    pg.add_argument("--seed", type=int, default=0)
-    pg.add_argument("--trunk-depth", type=int, default=4)
-    pg.add_argument("--phase-drop", type=float, default=0.25)
-    pg.add_argument("--device-density", type=float, default=0.3)
-    pg.add_argument("--load-scale", type=float, default=1.0)
-    pg.add_argument("--vmin", type=float, default=0.95)
-    pg.add_argument("--vmax", type=float, default=1.05)
+    pg.add_argument("--seed", type=int, default=FeederSpec.seed)
+    pg.add_argument("--trunk-depth", type=int, default=FeederSpec.trunk_depth)
+    pg.add_argument("--phase-drop", type=float, default=FeederSpec.phase_drop)
+    pg.add_argument("--device-density", type=float, default=FeederSpec.device_density)
+    pg.add_argument("--load-scale", type=float, default=FeederSpec.load_scale)
+    pg.add_argument("--vmin", type=float, default=V_MIN)
+    pg.add_argument("--vmax", type=float, default=V_MAX)
     pg.add_argument("--target-area-size", type=int, default=None)
     pg.add_argument("--target-subarea-size", type=int, default=None)
     pg.add_argument("--out", required=True)
@@ -337,11 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--partition")
     ps.add_argument("--engine", choices=("flat", "bilevel", "trilevel"), default="flat")
     ps.add_argument("--voltage-model", choices=("linear", "sweep"), default="linear")
-    ps.add_argument("--iters", type=int, default=3000)
-    ps.add_argument("--step-primal", type=float, default=3.5e-4)
-    ps.add_argument("--step-dual", type=float, default=3.5e-3)
-    ps.add_argument("--eta", type=float, default=1e-4)
-    ps.add_argument("--tol", type=float, default=0.0)
+    ps.add_argument("--iters", type=int, default=SolverConfig.max_iters)
+    ps.add_argument("--step-primal", type=float, default=SolverConfig.step_primal)
+    ps.add_argument("--step-dual", type=float, default=SolverConfig.step_dual)
+    ps.add_argument("--eta", type=float, default=SolverConfig.eta)
+    ps.add_argument("--tol", type=float, default=SolverConfig.residual_tol)
     ps.add_argument("--audit", action="store_true")
     ps.add_argument("--require-convergence", action="store_true")
     ps.add_argument("--out", required=True)

@@ -461,8 +461,12 @@ def privacy_audit(record: FlowRecord, net: Network, part: PartitionHierarchy) ->
     are its own buses. Any other item is a violation, and so is an event
     from a scope the partition lacks or of an unknown kind. Aggregate
     exchanges never are: they are the mechanism that keeps everything
-    else inside its scope.
+    else inside its scope. A partition that fails validate_partition has
+    no scopes to check against: its problems are the report's violations.
     """
+    global_access = any(isinstance(ev, GlobalAccess) for ev in record.events)
+    if problems := validate_partition(net, part):
+        return PrivacyReport(record.engine, global_access, problems, events_checked=0)
     allowed = _audit_rules(net, part)
     violations: list[str] = []
     for ev in record.events:
@@ -486,7 +490,7 @@ def privacy_audit(record: FlowRecord, net: Network, part: PartitionHierarchy) ->
             violations.append(f"scope {ev.scope} {text} {sorted(leak)[:5]}")
     return PrivacyReport(
         engine=record.engine,
-        global_access=any(isinstance(ev, GlobalAccess) for ev in record.events),
+        global_access=global_access,
         violations=violations,
         events_checked=len(record.events),
     )

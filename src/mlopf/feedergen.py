@@ -6,6 +6,14 @@ impedances in ranges that put a few-hundred-bus feeder at a realistic 3-8%
 voltage drop under unit load scale, sprinkles controllable devices, and
 fills the rest with background loads. Identical spec and seed reproduce
 the same feeder byte for byte.
+
+FeederSpec holds what a caller varies; these shape every feeder alike:
+
+- ROOT_DEGREE: main feeders leaving the substation
+- CHILD_WEIGHTS: probabilities of 0, 1, 2 and 3 children per frontier bus
+- R_RANGE, X_RANGE: ranges of a segment's self resistance and reactance, p.u.
+- MUTUAL_FRACTION: a mutual impedance over the mean of its two self impedances
+- DEVICE_SPAN: half-width of every device's p and q box around zero
 """
 
 from __future__ import annotations
@@ -16,39 +24,34 @@ from typing import Optional
 import numpy as np
 
 from .network import Bus, Line, Network, PHASE_NAME
-from .opf import Device
+from .opf import V_MAX, V_MIN, Device, VoltageBounds
 from .partition import PartitionHierarchy, auto_partition, size_targets
+
+
+ROOT_DEGREE = 3
+CHILD_WEIGHTS = (0.25, 0.45, 0.22, 0.08)
+R_RANGE = (0.003, 0.015)
+X_RANGE = (0.006, 0.03)
+MUTUAL_FRACTION = 0.3
+DEVICE_SPAN = 0.5
 
 
 @dataclass(frozen=True)
 class FeederSpec:
     n_buses: int                       # non-substation bus count
-    root_degree: int = 3               # main feeders leaving the substation
-    child_weights: tuple[float, ...] = (0.25, 0.45, 0.22, 0.08)  # P(0..3 children)
     trunk_depth: int = 4               # levels forced three-phase
     phase_drop: float = 0.25           # per-phase drop probability past the trunk
-    r_range: tuple[float, float] = (0.003, 0.015)   # p.u. per segment
-    x_range: tuple[float, float] = (0.006, 0.03)
-    mutual_fraction: float = 0.3       # mutual entries vs self-impedance magnitude
     device_density: float = 0.3        # fraction of (bus, phase) slots with a device
-    device_span: float = 0.5           # device box half-width around preference
     load_scale: float = 1.0            # background load multiplier
     seed: int = 0
 
     def __post_init__(self):
         if self.n_buses < 1:
             raise ValueError("need at least one bus besides the substation")
-        if self.root_degree < 1:
-            raise ValueError("the substation needs at least one feeder")
-        if not np.isclose(sum(self.child_weights), 1.0):
-            raise ValueError("child count weights must sum to one")
         if not (0.0 <= self.phase_drop <= 1.0 and 0.0 <= self.device_density <= 1.0):
             raise ValueError("probabilities must lie in [0, 1]")
-        for lo, hi in (self.r_range, self.x_range):
-            if not (0 < lo <= hi):
-                raise ValueError("impedance ranges must be positive")
-        if self.trunk_depth < 0 or self.load_scale < 0 or self.device_span <= 0:
-            raise ValueError("trunk depth, load scale, and device span must be sensible")
+        if self.trunk_depth < 0 or not 0.0 <= self.load_scale < np.inf:
+            raise ValueError("need trunk_depth >= 0 and a finite load_scale >= 0")
 
 
 @dataclass(frozen=True)
@@ -65,10 +68,11 @@ def generate(
     spec: FeederSpec,
     target_area_size: Optional[int] = None,
     target_subarea_size: Optional[int] = None,
-    v_min: float = 0.95,
-    v_max: float = 1.05,
+    v_min: float = V_MIN,
+    v_max: float = V_MAX,
 ) -> GeneratedFeeder:
     """Generate a feeder, its devices and loads, and a suggested partition."""
+    VoltageBounds.from_magnitudes(0, v_min, v_max)  # raises unless 0 < v_min < v_max < inf
     rng = np.random.default_rng(spec.seed)
 
     # Topology: fixed substation degree (the main feeders), then BFS growth
@@ -77,17 +81,15 @@ def generate(
     depth = {0: 0}
     frontier = []
     next_id = 1
-    for _ in range(min(spec.root_degree, spec.n_buses)):
+    for _ in range(min(ROOT_DEGREE, spec.n_buses)):
         parent[next_id] = 0
         depth[next_id] = 1
         frontier.append(next_id)
         next_id += 1
-    counts = np.arange(len(spec.child_weights))
+    counts = np.arange(len(CHILD_WEIGHTS))
     while next_id <= spec.n_buses:
-        if not frontier:
-            raise ValueError("feeder growth stalled; widen child_weights")
         bus = frontier.pop(0)
-        n_children = int(rng.choice(counts, p=spec.child_weights))
+        n_children = int(rng.choice(counts, p=CHILD_WEIGHTS))
         if not frontier and n_children == 0:
             n_children = 1  # keep growth alive until the target is met
         for _ in range(n_children):
@@ -119,13 +121,13 @@ def generate(
         codes = [("abc".index(ph)) for ph in phases[bid]]
         selfz = {}
         for c in codes:
-            r = rng.uniform(*spec.r_range)
-            x = rng.uniform(*spec.x_range)
+            r = rng.uniform(*R_RANGE)
+            x = rng.uniform(*X_RANGE)
             selfz[c] = complex(r, x)
             z[c, c] = selfz[c]
         for i, ci in enumerate(codes):
             for cj in codes[i + 1:]:
-                mutual = spec.mutual_fraction * 0.5 * (selfz[ci] + selfz[cj])
+                mutual = MUTUAL_FRACTION * 0.5 * (selfz[ci] + selfz[cj])
                 z[ci, cj] = mutual
                 z[cj, ci] = mutual
         lines.append(Line(from_bus=parent[bid], to_bus=bid, z=z))
@@ -134,7 +136,6 @@ def generate(
     # Devices on a seeded subset of slots, background loads on the rest.
     devices = []
     background: dict[tuple[int, str], tuple[float, float]] = {}
-    span = spec.device_span
     for k, c in zip(net.flat_bus_pos, net.flat_phase):
         bid = net.buses[int(k)].id
         ph = PHASE_NAME[int(c)]
@@ -142,7 +143,8 @@ def generate(
             devices.append(
                 Device(
                     bus=bid, phase=ph, p0=0.0, q0=0.0,
-                    p_min=-span, p_max=span, q_min=-span, q_max=span,
+                    p_min=-DEVICE_SPAN, p_max=DEVICE_SPAN,
+                    q_min=-DEVICE_SPAN, q_max=DEVICE_SPAN,
                 )
             )
         else:

@@ -9,6 +9,7 @@ saddle point unique at the cost of a bounded constraint slack.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,6 +23,9 @@ from .sensitivity import SensitivityMatrices
 
 class ProblemError(ValueError):
     """Inconsistent device, bound, or configuration data."""
+
+
+V_MIN, V_MAX = 0.95, 1.05   # default voltage magnitude limits, p.u.
 
 
 @dataclass(frozen=True)
@@ -67,8 +71,10 @@ class VoltageBounds:
     @staticmethod
     def from_magnitudes(n: int, v_min: float, v_max: float) -> "VoltageBounds":
         """Uniform bounds given as magnitudes; squared on load."""
-        if not 0 < v_min < v_max:
-            raise ProblemError(f"need 0 < vmin < vmax, got vmin={v_min!r}, vmax={v_max!r}")
+        if not 0 < v_min < v_max < math.inf:
+            raise ProblemError(
+                f"need 0 < vmin < vmax < inf, got vmin={v_min!r}, vmax={v_max!r}"
+            )
         return VoltageBounds(
             v_lower=np.full(n, float(v_min) ** 2),
             v_upper=np.full(n, float(v_max) ** 2),
@@ -102,6 +108,9 @@ class SolverConfig:
     residual_tol: float = 0.0    # 0 disables early stopping
 
     def __post_init__(self):
+        for name in ("step_primal", "step_dual", "eta", "residual_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ProblemError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.step_primal <= 0 or self.step_dual <= 0 or self.eta <= 0:
             raise ProblemError("stepsizes and eta must be positive")
         if self.max_iters < 0:
@@ -152,8 +161,8 @@ def make_problem(
     sens: SensitivityMatrices | None,
     devices: list[Device],
     background: dict[tuple[int, str], tuple[float, float]] | None = None,
-    v_min: float = 0.95,
-    v_max: float = 1.05,
+    v_min: float = V_MIN,
+    v_max: float = V_MAX,
 ) -> Problem:
     """Assemble a Problem; background maps (bus, phase) to fixed (p, q)."""
     n = net.n_flat
@@ -164,6 +173,8 @@ def make_problem(
         idx = net.flat_index(bus, ph)
         if taken[idx]:
             raise ProblemError(f"duplicate background injection at bus {bus} phase {ph}")
+        if not (math.isfinite(pv) and math.isfinite(qv)):
+            raise ProblemError(f"non-finite background injection at {bus}:{ph}")
         taken[idx] = True
         p0[idx], q0[idx] = pv, qv
     p_min, p_max = p0.copy(), p0.copy()
@@ -314,8 +325,8 @@ def load_problem(
                     p_max=float(entry["pmax"]),
                     q_min=float(entry["qmin"]),
                     q_max=float(entry["qmax"]),
-                    w_p=float(entry.get("wp", 1.0)),
-                    w_q=float(entry.get("wq", 1.0)),
+                    w_p=float(entry.get("wp", Device.w_p)),
+                    w_q=float(entry.get("wq", Device.w_q)),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -329,6 +340,6 @@ def load_problem(
             raise ProblemError(f"malformed background entry {entry!r}: {exc}") from exc
     return make_problem(
         net, sens, devices, background,
-        v_min=document_number(document, "vmin", 0.95, "device"),
-        v_max=document_number(document, "vmax", 1.05, "device"),
+        v_min=document_number(document, "vmin", V_MIN, "device"),
+        v_max=document_number(document, "vmax", V_MAX, "device"),
     )

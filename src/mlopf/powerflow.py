@@ -26,6 +26,10 @@ class SweepError(RuntimeError):
     """Sweep did not converge or hit a singular operating point."""
 
 
+SWEEP_TOL = 1e-8     # default bound on the power mismatch, p.u.
+MAX_SWEEPS = 100     # sweeps before a solve gives up
+
+
 @dataclass(frozen=True)
 class VoltageSolution:
     phasors: np.ndarray      # complex phasors over the flat index space, p.u.
@@ -38,8 +42,7 @@ def backward_forward_sweep(
     net: Network,
     p: np.ndarray,
     q: np.ndarray,
-    tol: float = 1e-8,
-    max_sweeps: int = 100,
+    tol: float = SWEEP_TOL,
     start: np.ndarray | None = None,
 ) -> VoltageSolution:
     """Solve nonlinear power flow for the given injections.
@@ -58,7 +61,8 @@ def backward_forward_sweep(
     voltage change, so at lightly loaded indices the voltage can still be
     further off: on a 3,000-bus chain drawing 1e-4 p.u. real and 5e-5 p.u.
     reactive power per bus, a flat start stopped at tol 1e-8 gives squared
-    voltages up to 1.6e-6 from a tol 1e-13 solution.
+    voltages up to 1.6e-6 from a tol 1e-13 solution. A solve still above
+    tol after MAX_SWEEPS sweeps raises SweepError.
 
     start, if given, is a complex phasor vector over the flat index space
     that the first sweep draws its currents from in place of the flat
@@ -88,7 +92,7 @@ def backward_forward_sweep(
     inj = np.zeros((3, net.n_buses), dtype=np.complex128)
 
     mismatch = np.inf
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, MAX_SWEEPS + 1):
         if np.any(np.abs(volt) < 1e-9):
             raise SweepError("zero voltage encountered; operating point is singular")
         # Backward: each line carries minus the current its subtree injects.
@@ -109,7 +113,7 @@ def backward_forward_sweep(
                 max_mismatch=mismatch,
             )
     raise SweepError(
-        f"no convergence after {max_sweeps} sweeps "
+        f"no convergence after {MAX_SWEEPS} sweeps "
         f"(power mismatch {mismatch:.3e} p.u.); loading may be excessive"
     )
 
@@ -131,11 +135,9 @@ def compare_models(
     sens: SensitivityMatrices,
     p: np.ndarray,
     q: np.ndarray,
-    tol: float = 1e-8,
-    max_sweeps: int = 100,
 ) -> ModelDivergence:
     """Run both voltage models at the same injections and report the gap."""
-    sol = backward_forward_sweep(net, p, q, tol=tol, max_sweeps=max_sweeps)
+    sol = backward_forward_sweep(net, p, q)
     v_lin = voltage_linear(sens, p, q)
     diff = sol.v - v_lin
     return ModelDivergence(

@@ -64,22 +64,15 @@ class SweepVoltageModel:
     other call starts flat and begins a new chain. So the starting point
     depends only on the states the caller stepped through, never on what
     the model solved in between, and a model reused across runs gives the
-    same bits as a fresh one. sweeps counts the sweeps of every call. sens
-    is not used; the parameter stays for callers that still pass it.
+    same bits as a fresh one. Every sweep stops at powerflow's SWEEP_TOL or
+    fails after MAX_SWEEPS. sweeps counts the sweeps of every call. sens is
+    not used; the parameter stays for callers that still pass it.
     """
 
     name = "sweep"
 
-    def __init__(
-        self,
-        net,
-        sens: SensitivityMatrices,
-        tol: float = 1e-8,
-        max_sweeps: int = 100,
-    ):
+    def __init__(self, net, sens: SensitivityMatrices):
         self.net = net
-        self.tol = tol
-        self.max_sweeps = max_sweeps
         self.sweeps = 0
         # The last solution, and the one before it in the same chain.
         self._last_v = self._last_phasors = self._prior_phasors = None
@@ -92,9 +85,7 @@ class SweepVoltageModel:
             # of the voltages back into the primal-dual loop.
             start = prior if self._prior_phasors is None else 2.0 * prior - self._prior_phasors
         # Called through the module name, which perfbench's tracer rebinds.
-        sol = backward_forward_sweep(
-            self.net, p, q, tol=self.tol, max_sweeps=self.max_sweeps, start=start
-        )
+        sol = backward_forward_sweep(self.net, p, q, start=start)
         self.sweeps += sol.iterations
         self._last_v, self._last_phasors, self._prior_phasors = sol.v, sol.phasors, prior
         return sol.v

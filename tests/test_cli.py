@@ -6,8 +6,10 @@ import json
 
 import pytest
 
-from mlopf.cli import main
+from mlopf.cli import build_parser, main
+from mlopf.feedergen import FeederSpec, feeder_documents, generate
 from mlopf.network import save_network
+from mlopf.opf import SolverConfig
 
 from conftest import fig_feeder
 
@@ -31,6 +33,36 @@ def test_gen_writes_documents_and_manifest(workspace):
     manifest = json.loads((workspace / "manifest.json").read_text())
     assert manifest["command"] == "gen"
     assert manifest["arguments"]["seed"] == 3
+
+
+def test_gen_defaults_are_the_feeder_spec_defaults(tmp_path):
+    assert main(["gen", "--buses", "40", "--seed", "3", "--out", str(tmp_path)]) == 0
+    expected = feeder_documents(generate(FeederSpec(n_buses=40, seed=3)))
+    for name, doc in zip(("network.json", "devices.json", "partition.json"), expected):
+        assert json.loads((tmp_path / name).read_text()) == json.loads(json.dumps(doc))
+
+
+def test_solve_defaults_are_the_solver_config_defaults():
+    args = build_parser().parse_args(["solve", "--network", "n", "--devices", "d", "--out", "o"])
+    parsed = SolverConfig(
+        step_primal=args.step_primal, step_dual=args.step_dual, eta=args.eta,
+        max_iters=args.iters, residual_tol=args.tol,
+    )
+    assert parsed == SolverConfig()
+
+
+@pytest.mark.parametrize("flags, text", [
+    (["--load-scale", "nan"], "load_scale"),
+    (["--load-scale", "inf"], "load_scale"),
+    (["--vmin", "nan"], "0 < vmin < vmax"),
+    (["--vmax", "inf"], "0 < vmin < vmax"),
+])
+def test_gen_rejects_non_finite_inputs(tmp_path, capsys, flags, text):
+    assert main(["gen", "--buses", "30", *flags, "--out", str(tmp_path / "g")]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "validation"
+    assert text in record["message"]
+    assert not (tmp_path / "g" / "devices.json").exists()
 
 
 def test_validate_accepts_generated_documents(workspace):
@@ -353,6 +385,36 @@ def test_solve_rejects_a_non_positive_starting_voltage(tmp_path, capsys):
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "validation"
     assert "at 54:a" in record["message"]
+
+
+@pytest.mark.parametrize("flag, name", [
+    ("--step-primal", "step_primal"), ("--step-dual", "step_dual"),
+    ("--eta", "eta"), ("--tol", "residual_tol"),
+])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_solve_rejects_a_non_finite_setting(workspace, tmp_path, capsys, flag, name, value):
+    assert solve(workspace, tmp_path / "bad", flag, value) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "validation"
+    assert name in record["message"]
+
+
+@pytest.mark.parametrize("model", ["linear", "sweep"])
+def test_solve_rejects_a_non_finite_background_injection(workspace, tmp_path, capsys, model):
+    doc = json.loads((workspace / "devices.json").read_text())
+    entry = doc["background"][0]
+    entry["p"] = float("nan")
+    bad = tmp_path / "devices.json"
+    bad.write_text(json.dumps(doc))
+    args = [
+        "solve", "--network", str(workspace / "network.json"), "--devices", str(bad),
+        "--voltage-model", model, "--out", str(tmp_path / "out"),
+    ]
+    assert main(args) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "validation"
+    label = f"{entry['bus']}:{entry['phase']}"
+    assert f"non-finite background injection at {label}" in record["message"]
 
 
 def test_solve_missing_file_is_validation_error(tmp_path):

@@ -339,6 +339,14 @@ def test_flat_engine_reports_global_access(fig_net):
     assert report.violations == []
 
 
+def test_audit_of_an_invalid_partition_reports_its_problems():
+    part = PartitionHierarchy((Area(0, 99, ()),))
+    report = privacy_audit(FlowRecord(), fig_feeder(), part)
+    assert not report.clean
+    assert report.violations == validate_partition(fig_feeder(), part)
+    assert any("bus id 99" in v for v in report.violations)
+
+
 def test_bilevel_audit_is_clean(fig_net):
     part = auto_partition(fig_net, 4, 2)
     record = FlowRecord()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mlopf.feedergen import FeederSpec, feeder_documents, generate
-from mlopf.opf import make_problem
+from mlopf.opf import ProblemError, make_problem
 from mlopf.partition import validate_partition
 from mlopf.powerflow import backward_forward_sweep
 from mlopf.sensitivity import build_sensitivity
@@ -80,7 +80,15 @@ def test_invalid_specs_rejected():
         FeederSpec(n_buses=0)
     with pytest.raises(ValueError):
         FeederSpec(n_buses=10, phase_drop=1.5)
-    with pytest.raises(ValueError):
-        FeederSpec(n_buses=10, r_range=(0.0, 0.01))
-    with pytest.raises(ValueError):
-        FeederSpec(n_buses=10, child_weights=(0.5, 0.2))
+    for load_scale in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="load_scale"):
+            FeederSpec(n_buses=10, load_scale=load_scale)
+
+
+@pytest.mark.parametrize("v_min, v_max", [
+    (float("nan"), 1.05), (0.95, float("nan")), (0.95, float("inf")),
+    (1.05, 0.95), (0.0, 1.05),
+])
+def test_generate_rejects_voltage_limits_out_of_order(v_min, v_max):
+    with pytest.raises(ProblemError, match="0 < vmin < vmax"):
+        generate(FeederSpec(n_buses=10), v_min=v_min, v_max=v_max)

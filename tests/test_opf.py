@@ -295,6 +295,19 @@ def test_dual_cap_at_fixed_points():
     assert mu[0] <= violation / eta + 1e-12
 
 
+@pytest.mark.parametrize("name", ["step_primal", "step_dual", "eta", "residual_tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_solver_config_rejects_a_non_finite_value(name, value):
+    with pytest.raises(ProblemError, match=name):
+        SolverConfig(**{name: value})
+
+
+@pytest.mark.parametrize("injection", [(float("nan"), 0.0), (-0.1, float("inf"))])
+def test_make_problem_rejects_a_non_finite_background_injection(two_bus_net, injection):
+    with pytest.raises(ProblemError, match="non-finite background injection at 1:a"):
+        make_problem(two_bus_net, None, [], {(1, "a"): injection})
+
+
 def test_make_problem_rejects_conflicts(two_bus_net):
     sens = build_sensitivity(two_bus_net)
     dev = Device(bus=1, phase="a", p0=0, q0=0,

@@ -261,7 +261,7 @@ def test_sweep_model_failure_surfaces_with_diagnostics():
     bad = make_problem(
         net, sens, list(prob.devices), {(2, "a"): (-80.0, -40.0)}
     )
-    vmodel = SweepVoltageModel(net, sens, max_sweeps=5)
+    vmodel = SweepVoltageModel(net, sens)
     with pytest.raises(SolverError, match="voltage model failed"):
         initial_state(bad, vmodel)
 
