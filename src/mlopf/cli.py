@@ -38,7 +38,7 @@ from .partition import (
     validate_partition,
 )
 from .powerflow import SweepError, compare_models
-from .sensitivity import build_sensitivity
+from .sensitivity import build_sensitivity, matrix_free_sensitivity
 from .solver import (
     LinearVoltageModel,
     SolverError,
@@ -175,7 +175,8 @@ def cmd_solve(args) -> int:
         residual_tol=args.tol,
     )
     net = load_network(args.network)
-    sens = build_sensitivity(net)
+    # Only the flat engine reads the dense R and X.
+    sens = (build_sensitivity if args.engine == "flat" else matrix_free_sensitivity)(net)
     problem = load_problem(args.devices, net, sens)
     part = None
     if args.partition:
@@ -256,7 +257,7 @@ def cmd_bench(args) -> int:
 
 def cmd_compare(args) -> int:
     net = load_network(args.network)
-    sens = build_sensitivity(net)
+    sens = matrix_free_sensitivity(net)
     problem = load_problem(args.devices, net, sens)
     p, q = problem.p0.copy(), problem.q0.copy()
     if args.setpoints:

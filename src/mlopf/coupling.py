@@ -10,12 +10,16 @@ which is R^T d and X^T d for d = mu_upper - mu_lower. The flat engine
 computes exactly that with dense products. The multilevel engine walks a
 tree of subtree scopes: the feeder, its areas and, at depth 2, each area's
 subareas. A scope's remainder is its members outside every child scope.
-Every scope, leaf or not, runs one kernel: one complex block times
-[child aggregates; remainder duals]. The block's rows and columns are the
-three phase slots of each child root, then the remainder. Pairs across two
+Every scope, leaf or not, runs one kernel: a complex product with
+[child aggregates; remainder duals], whose rows and columns are the three
+phase slots of each child root, then the remainder. Pairs across two
 children collapse to one root-to-root impedance times the other child's
 per-phase dual aggregate, a remainder bus meets a child only through the
-child's root, and pairs inside the remainder are exact. A scope's own
+child's root, and pairs inside the remainder are exact. Those exact pairs
+are a dense m x m block while the remainder is small; from
+SWEEP_MIN_REMAINDER flat indices on, where the block's m^2 work overtakes
+a sweep's fixed cost, they are sensitivity.adjoint_sweep over the
+remainder's own subtree, O(m) and without the block. A scope's own
 aggregate is its children's aggregates plus its remainder's per-phase
 sums, so the split repeats at every level: depth 1 is the bi-level engine
 and depth 2 the tri-level one. The engines are algebraically equal; the
@@ -37,7 +41,17 @@ import numpy as np
 
 from .network import Network
 from .partition import PartitionHierarchy, subtree_ids, unclustered, validate_partition
-from .sensitivity import OMEGA_PAIR, SensitivityMatrices
+from .sensitivity import OMEGA_PAIR, SensitivityMatrices, adjoint_sweep
+
+
+# A scope whose remainder holds at least this many flat indices runs the
+# remainder's exact pairs as a tree sweep instead of a dense block. With
+# BLAS on one thread the two cost the same at roughly 360-450 indices, and
+# the sweep is twice as fast by 550. The constant sits above that
+# crossover so that every remainder of the acceptance feeders (at most
+# 285) and of uv300 (at most 164) keeps its dense block, and with it the
+# declared op counts that the acceptance gates pin.
+SWEEP_MIN_REMAINDER = 512
 
 
 class EngineError(ValueError):
@@ -132,14 +146,27 @@ def _exact_block_ops(size: int) -> int:
     return size * size + 5 * size
 
 
-def _level_op_count(intra_ops: list[int], cluster_sizes: list[int], rem: int) -> int:
+def _sweep_ops(columns: int) -> int:
+    """Declared cost of adjoint_sweep over a forest of this many columns.
+
+    Per column and phase, one add each for the subtree and ancestor sums and
+    one rotation each on the way in and out; per column, nine
+    multiply-accumulates through the line.
+    """
+    return 21 * columns
+
+
+def _level_op_count(
+    intra_ops: list[int], cluster_sizes: list[int], rem: int, rem_ops: int | None = None
+) -> int:
     """Declared per-apply cost of one scope: its child clusters and remainder.
 
-    Exact pairwise blocks cost size^2 accumulates plus 5 per target (three
-    rotations, two extractions). Each cluster then pays the root-to-root
-    combine against the other clusters, the per-bus sums over the exterior
-    set, and one add per member and output vector to broadcast the shared
-    value. Exterior targets mirror the same structure.
+    rem_ops is the cost of the remainder's exact pairs. A dense block, the
+    default, costs size^2 accumulates plus 5 per target (three rotations,
+    two extractions); a tree sweep costs _sweep_ops. Each cluster then pays the
+    root-to-root combine against the other clusters, the per-bus sums over
+    the exterior set, and one add per member and output vector to
+    broadcast the shared value. Exterior targets mirror the same structure.
     """
     c = len(cluster_sizes)
     ops = sum(intra_ops) + sum(cluster_sizes)
@@ -150,7 +177,7 @@ def _level_op_count(intra_ops: list[int], cluster_sizes: list[int], rem: int) ->
             ops += 3 * rem + 15
         ops += 2 * a
     if rem > 0:
-        ops += _exact_block_ops(rem)
+        ops += _exact_block_ops(rem) if rem_ops is None else rem_ops
         if c > 0:
             ops += rem * (3 * c + 5)
     return ops
@@ -162,6 +189,8 @@ class FlatEngine:
     name = "flat"
 
     def __init__(self, sens: SensitivityMatrices, record: FlowRecord | None = None):
+        if sens.r is None or sens.x is None:
+            raise EngineError("flat engine needs the dense R and X of build_sensitivity")
         self.sens = sens
         self.n = sens.n
         self.record = record
@@ -190,10 +219,10 @@ def _check_duals(mu_upper, mu_lower, n) -> np.ndarray:
 
 
 class _Scope:
-    """One node of the scope tree and the one block its kernel reads.
+    """One node of the scope tree and the kernel that computes its share of t.
 
     The remainder is every member outside all child scopes; a scope without
-    children is a leaf, whose remainder is all of it. The block's rows and
+    children is a leaf, whose remainder is all of it. The kernel's rows and
     columns are the three phase slots of each child root followed by the
     remainder's flat indices, so its quadrants are
 
@@ -206,6 +235,14 @@ class _Scope:
     out of [d; aggregate rows], and t[out] adds the product's rows at take:
     a slot row to every member of its child with that phase, a remainder
     row to its own flat index.
+
+    A remainder of fewer than SWEEP_MIN_REMAINDER flat indices keeps all
+    four quadrants in one dense block. A larger one keeps only the slot
+    rows and the remainder-to-root columns dense and runs the exact
+    quadrant as adjoint_sweep over the remainder's own subforest: the
+    remainder is closed upward inside its scope, since children are whole
+    subtrees, so the sweep meets every pair at its common ancestor and
+    never builds the m x m block or its LCA table.
     """
 
     def __init__(self, net, w, key, root, member_ids, children, pos):
@@ -219,32 +256,59 @@ class _Scope:
             in_child[ch.idx] = True
         self.rem = self.idx[~in_child[self.idx]]
         self.rem_phase = net.flat_phase[self.rem]
-        c = len(children)
+        c, m = len(children), len(self.rem)
         slots = 3 * np.array([ch.pos for ch in children], dtype=np.int64)[:, None] + np.arange(3)
         self.gather = np.concatenate([net.n_flat + slots.ravel(), self.rem])
         self.out = np.concatenate([ch.idx for ch in children] + [self.rem])
         self.take = np.concatenate(
             [3 * k + net.flat_phase[ch.idx] for k, ch in enumerate(children)]
-            + [3 * c + np.arange(len(self.rem))]
+            + [3 * c + np.arange(m)]
         )
         # A child root meets every bus outside its subtree where its parent
-        # does, so one table over the roots' parents and the remainder
-        # holds the whole block.
-        root_pos = np.array([net.bus_pos(ch.root) for ch in children], dtype=np.int64)
-        rows, table = net.lca_table(
-            np.concatenate([net.parent_pos[root_pos], net.flat_bus_pos[self.rem]])
-        )
-        rows = np.concatenate([np.repeat(rows[:c], 3), rows[c:]])
+        # does, so its slots read the impedance table at that parent.
+        anchors = net.parent_pos[[net.bus_pos(ch.root) for ch in children]]
+        rem_bus = net.flat_bus_pos[self.rem]
         phase = np.concatenate([np.tile(np.arange(3, dtype=np.int64), c), self.rem_phase])
-        table *= 9
-        at = table[np.ix_(rows, rows)]
-        at += 3 * phase + phase[:, None]
-        self.block = np.take(w, at)
+        self.forest = None
+        if m < SWEEP_MIN_REMAINDER:
+            # One LCA table over the anchors and the remainder holds the block.
+            rows, table = net.lca_table(np.concatenate([anchors, rem_bus]))
+            rows = np.concatenate([np.repeat(rows[:c], 3), rows[c:]])
+            table *= 9
+            at = table[np.ix_(rows, rows)]
+            at += 3 * phase + phase[:, None]
+            self.block = np.take(w, at)
+            rem_ops = None
+        else:
+            # Only the anchors' rows of the LCA table: block holds the slot
+            # rows, rem_cols the remainder-to-root quadrant, and the sweep
+            # reads the remainder's cells of its own subforest.
+            table = 9 * net.lca_rows(anchors, np.concatenate([anchors, rem_bus]))
+            col = np.concatenate([np.repeat(np.arange(c), 3), c + np.arange(m)])
+            slot_rows = np.repeat(table, 3, axis=0)
+            self.block = np.take(w, slot_rows[:, col] + 3 * phase + phase[:3 * c, None])
+            self.rem_cols = np.take(
+                w, slot_rows[:, c:].T + 3 * phase[:3 * c] + self.rem_phase[:, None]
+            )
+            self.forest = net.subforest(rem_bus)
+            self.cells = self.rem_phase * self.forest.n + np.searchsorted(
+                net.tin[self.forest.buses], net.tin[rem_bus]
+            )
+            rem_ops = _sweep_ops(self.forest.n)
         for k in range(c):
             self.block[3 * k: 3 * k + 3, 3 * k: 3 * k + 3] = 0.0
         self.ops = _level_op_count(
-            [ch.ops for ch in children], [len(ch.idx) for ch in children], len(self.rem)
+            [ch.ops for ch in children], [len(ch.idx) for ch in children], m, rem_ops
         )
+
+    def product(self, x: np.ndarray) -> np.ndarray:
+        """The kernel times its operand, gathered from x = [d; aggregate rows]."""
+        x = x[self.gather]
+        if self.forest is None:
+            return self.block @ x
+        k = len(self.block)
+        rem = self.rem_cols @ x[:k] + adjoint_sweep(self.forest, self.cells, x[k:])
+        return np.concatenate([self.block @ x, rem])
 
 
 class MultilevelEngine:
@@ -288,9 +352,9 @@ class MultilevelEngine:
         # work runs in that scope.
         self._tree = scope(("unclustered",), None, [b.id for b in net.buses if b.id != 0], areas)
         self.op_count_per_apply = self._tree.ops
-        # With the scopes' block products laid end to end as y, t is the
-        # sum of y[_take] at _out.
-        start = np.cumsum([0] + [len(s.block) for s in self._scopes])
+        # With the scopes' products laid end to end as y, t is the sum of
+        # y[_take] at _out.
+        start = np.cumsum([0] + [len(s.gather) for s in self._scopes])
         self._take = np.concatenate([first + s.take for first, s in zip(start, self._scopes)])
         self._out = np.concatenate([s.out for s in self._scopes])
         # Every flat index is in one scope's remainder: its aggregate slot.
@@ -349,7 +413,7 @@ class MultilevelEngine:
         for pos, rows in self._levels:
             agg[pos] += agg[rows].sum(axis=1)
         x = np.concatenate([d, agg.ravel()])
-        y = np.concatenate([s.block @ x[s.gather] for s in self._scopes])[self._take]
+        y = np.concatenate([s.product(x) for s in self._scopes])[self._take]
         sums = agg.tolist()
         messages = tuple(
             AggregateMessage(scope=key, root=root, sums=tuple(sums[k]))

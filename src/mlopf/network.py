@@ -9,7 +9,8 @@ per-unit impedance data and the flat (bus, phase) index space. One DFS
 preorder lays every subtree out as a contiguous range; all-pairs LCA
 tables and single LCA queries both read those ranges, and so do the two
 O(N) tree sums, over subtrees and over root paths, that both voltage
-models run on.
+models run on. A Forest holds those sums for the whole tree or for any
+bus set closed upward, such as a multilevel scope's remainder.
 
 Networks are immutable after construction and safe for concurrent reads.
 """
@@ -64,6 +65,55 @@ class Line:
                 if self.z[i, j] != 0:
                     out[PHASE_NAME[i] + PHASE_NAME[j]] = complex(self.z[i, j])
         return out
+
+
+class Forest:
+    """Buses laid out in DFS preorder, and the two O(n) tree sums over them.
+
+    Column r is bus position buses[r], and its subtree is columns r up to
+    exit[r]. A forest array has shape (3, n), phase by column. z_line[phi,
+    psi, r] is the impedance of the line into column r; a column whose
+    parent lies outside the forest carries its whole root path there, as a
+    line from a virtual root.
+    """
+
+    def __init__(self, buses: np.ndarray, exit_: np.ndarray, z_line: np.ndarray):
+        n = len(buses)
+        self.buses = buses
+        self.n = n
+        self.z_line = np.ascontiguousarray(z_line.transpose(1, 2, 0))
+        self._exit = exit_
+        # Columns that share an exit are grouped here, once, so that
+        # ancestor_sums can subtract each group's sum with one reduceat.
+        inner = np.flatnonzero(exit_ < n)
+        inner = inner[np.argsort(exit_[inner], kind="stable")]
+        exits = exit_[inner]
+        first = np.flatnonzero(np.diff(exits, prepend=-1))
+        phase_rows = np.arange(3)[:, None]
+        self._exit_from = (phase_rows * n + inner).ravel()
+        self._exit_groups = (phase_rows * len(inner) + first).ravel()
+        self._exit_cells = (phase_rows * n + exits[first]).ravel()
+
+    def subtree_sums(self, x: np.ndarray) -> np.ndarray:
+        """Per-phase sums of a forest array over every column's subtree.
+
+        A prefix sum over the columns, read at [r, exit[r]).
+        """
+        prefix = np.zeros((3, self.n + 1), dtype=x.dtype)
+        np.cumsum(x, axis=1, out=prefix[:, 1:])
+        return np.take(prefix, self._exit, axis=1) - prefix[:, :-1]
+
+    def ancestor_sums(self, x: np.ndarray) -> np.ndarray:
+        """Per-phase sums of a forest array over every column and its ancestors.
+
+        A prefix sum over the columns in which each column's value is
+        subtracted again at its subtree's exit column, so the running sum at
+        a column holds exactly the columns whose subtrees contain it.
+        """
+        d = np.array(x, order="C")
+        cells = d.reshape(-1)
+        cells[self._exit_cells] -= np.add.reduceat(cells[self._exit_from], self._exit_groups)
+        return np.cumsum(d, axis=1)
 
 
 class Network:
@@ -177,18 +227,6 @@ class Network:
         for k in order[:0:-1]:
             size[parent[k]] += size[k]
         self.size = np.array(size, dtype=np.int64)
-        # Exit column of every DFS column: the first one past its subtree.
-        # Columns that share an exit are grouped here, once, so that
-        # ancestor_sums can subtract each group's sum with one reduceat.
-        self._exit = np.arange(n) + self.size[self.order]
-        inner = np.flatnonzero(self._exit < n)
-        inner = inner[np.argsort(self._exit[inner], kind="stable")]
-        exits = self._exit[inner]
-        first = np.flatnonzero(np.diff(exits, prepend=-1))
-        phase_rows = np.arange(3)[:, None]
-        self._exit_from = (phase_rows * n + inner).ravel()
-        self._exit_groups = (phase_rows * len(inner) + first).ravel()
-        self._exit_cells = (phase_rows * n + exits[first]).ravel()
 
         # Phases may only drop moving away from the substation.
         self.phase_mask = np.zeros((n, 3), dtype=bool)
@@ -242,12 +280,14 @@ class Network:
         self.flat_phase = np.array(flat_phase, dtype=np.int64)
         self.n_flat = len(flat_bus_pos)
 
-        # The same data laid out for the tree sums below: a tree array has
-        # shape (3, n_buses), phase by DFS column, where column r is bus
+        # The whole tree as one Forest for the tree sums below: a tree array
+        # has shape (3, n_buses), phase by DFS column, where column r is bus
         # order[r]. flat_cell is each flat index's cell in a raveled tree
-        # array, and z_line_dfs[phi, psi, r] is z_line[order[r], phi, psi].
+        # array, and forest.z_line[phi, psi, r] is z_line[order[r], phi, psi].
         self.flat_cell = self.flat_phase * n + self.tin[self.flat_bus_pos]
-        self.z_line_dfs = np.ascontiguousarray(self.z_line[self.order].transpose(1, 2, 0))
+        self.forest = Forest(
+            self.order, np.arange(n) + self.size[self.order], self.z_line[self.order]
+        )
 
     # -- basic lookups ---------------------------------------------------
 
@@ -287,25 +327,32 @@ class Network:
     # -- tree sums over the DFS columns ------------------------------------
 
     def subtree_sums(self, x: np.ndarray) -> np.ndarray:
-        """Per-phase sums of a tree array over every bus's subtree.
-
-        A prefix sum over the DFS columns, read at [tin, tin + size).
-        """
-        prefix = np.zeros((3, self.n_buses + 1), dtype=x.dtype)
-        np.cumsum(x, axis=1, out=prefix[:, 1:])
-        return np.take(prefix, self._exit, axis=1) - prefix[:, :-1]
+        """Per-phase sums of a tree array over every bus's subtree."""
+        return self.forest.subtree_sums(x)
 
     def ancestor_sums(self, x: np.ndarray) -> np.ndarray:
-        """Per-phase sums of a tree array over every bus and its ancestors.
+        """Per-phase sums of a tree array over every bus and its ancestors."""
+        return self.forest.ancestor_sums(x)
 
-        A prefix sum over the DFS columns in which each column's value is
-        subtracted again at its subtree's exit column, so the running sum at
-        a column holds exactly the columns whose subtrees contain it.
+    def subforest(self, buses) -> "Forest":
+        """The forest that a set of bus positions spans, in DFS order.
+
+        Every bus's parent must be in the set unless the bus is one of the
+        forest's tops. A top's column carries its whole root path, so the
+        forest's ancestor sums add up to common-path impedances; two buses
+        under different tops meet at zero impedance, which holds when the
+        tops' parents are the substation.
         """
-        d = np.array(x, order="C")
-        cells = d.reshape(-1)
-        cells[self._exit_cells] -= np.add.reduceat(cells[self._exit_from], self._exit_groups)
-        return np.cumsum(d, axis=1)
+        nodes = np.unique(np.asarray(buses, dtype=np.int64))
+        nodes = nodes[np.argsort(self.tin[nodes])]
+        t = self.tin[nodes]
+        exit_ = np.searchsorted(t, t + self.size[nodes])
+        inside = np.zeros(self.n_buses + 1, dtype=bool)  # parent -1 reads the pad
+        inside[nodes] = True
+        z = self.z_line[nodes]
+        top = ~inside[self.parent_pos[nodes]]
+        z[top] = self.z_prefix[nodes[top]]
+        return Forest(nodes, exit_, z)
 
     # -- path and impedance queries ---------------------------------------
 
@@ -364,6 +411,27 @@ class Network:
             table[r] = table[up[r - 1]]
             table[r, r: end[r]] = bus
         return row_of[buses], table
+
+    def lca_rows(self, buses, others) -> np.ndarray:
+        """Lowest common ancestors of each of a few buses with each of many.
+
+        The subtrees along one bus's root path are nested ranges of DFS
+        columns, so the number of them that hold a column is a count of
+        entries minus a count of exits, two searchsorted calls per bus.
+        Returns int64 positions, one row per bus and one column per other.
+        """
+        t = self.tin[np.asarray(others, dtype=np.int64)]
+        out = np.empty((len(buses), len(t)), dtype=np.int64)
+        for r, k in enumerate(np.asarray(buses, dtype=np.int64).tolist()):
+            path = [k]
+            while self.parent_pos[path[-1]] >= 0:
+                path.append(int(self.parent_pos[path[-1]]))
+            path = np.array(path[::-1], dtype=np.int64)  # substation first
+            entry = self.tin[path]
+            exits = np.sort(entry + self.size[path])
+            held = np.searchsorted(entry, t, "right") - np.searchsorted(exits, t, "right")
+            out[r] = path[held - 1]
+        return out
 
     def lca(self, i: int, j: int) -> int:
         """Lowest common ancestor bus id of two buses."""

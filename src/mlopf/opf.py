@@ -51,8 +51,8 @@ class Device:
             raise ProblemError(f"device at bus {self.bus}: empty box")
         if not (self.p_min <= self.p0 <= self.p_max and self.q_min <= self.q0 <= self.q_max):
             raise ProblemError(f"device at bus {self.bus}: preference outside its box")
-        if self.w_p <= 0 or self.w_q <= 0:
-            raise ProblemError(f"device at bus {self.bus}: weights must be positive")
+        if not (0 < self.w_p < np.inf and 0 < self.w_q < np.inf):
+            raise ProblemError(f"device at bus {self.bus}: weights must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -101,7 +101,7 @@ def backward_forward_sweep(
         injected = net.subtree_sums(inj)
         # Forward: each bus sits below the substation by the drops across
         # the line impedance matrices on its root path.
-        rise = (net.z_line_dfs * injected[None]).sum(axis=1)
+        rise = (net.forest.z_line * injected[None]).sum(axis=1)
         volt = (ref + net.ancestor_sums(rise)).reshape(-1)[cells]
         # Power implied by the new phasors and the currents just used.
         mismatch = float(np.max(np.abs(volt * np.conj(drawn) - s), initial=0.0))

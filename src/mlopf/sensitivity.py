@@ -6,19 +6,21 @@ signed power of the 120-degree phasor omega and projected to its real or
 imaginary part. On a radial feeder that product is a tree sweep:
 voltage_linear takes subtree sums of the injections, rotates them through
 each line's impedance and takes ancestor sums of the result, in O(N) over
-the DFS columns of Network and without the matrices. The dense R and X
-that build_sensitivity materializes, by a gather at the pairwise lowest
-common ancestors of Network.lca_table, stay as the oracle the sweep is
+the DFS columns of Network and without the matrices. adjoint_sweep runs
+the same sums in reverse for R^T d and X^T d; a multilevel scope with a
+large remainder computes that remainder's pairs with it. The dense R and
+X that build_sensitivity materializes, by a gather at the pairwise lowest
+common ancestors of Network.lca_table, stay as the oracle the sweeps are
 tested against and as the operands of the flat coupling engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .network import Network, phase_code
+from .network import Forest, Network, phase_code
 
 OMEGA = complex(np.exp(-2j * np.pi / 3))
 
@@ -51,11 +53,12 @@ def omega_power(k: int) -> complex:
 class SensitivityMatrices:
     """Dense sensitivities of squared voltage magnitudes to injections.
 
-    Carries the network as well, which is all voltage_linear reads.
+    Carries the network as well, which is all voltage_linear reads. A
+    matrix-free instance (see matrix_free_sensitivity) has r = x = None.
     """
 
-    r: np.ndarray        # N x N, d v / d p
-    x: np.ndarray        # N x N, d v / d q
+    r: np.ndarray | None  # N x N, d v / d p; None when matrix-free
+    x: np.ndarray | None  # N x N, d v / d q; None when matrix-free
     v_tilde: np.ndarray  # length N, zero-injection squared magnitudes
     net: Network = field(repr=False)  # the feeder voltage_linear sweeps
 
@@ -126,8 +129,17 @@ def build_sensitivity(net: Network) -> SensitivityMatrices:
         k += 3 * ph[lo:hi, None] + ph
         np.take(r_pairs, k, out=r[lo:hi])
         np.take(x_pairs, k, out=x[lo:hi])
-    v_tilde = np.full(n, net.base_v_squared, dtype=np.float64)
-    return SensitivityMatrices(r=r, x=x, v_tilde=v_tilde, net=net)
+    return replace(matrix_free_sensitivity(net), r=r, x=x)
+
+
+def matrix_free_sensitivity(net: Network) -> SensitivityMatrices:
+    """The linearized model without its dense matrices: net and v_tilde only.
+
+    Enough for voltage_linear, compare_models and the multilevel engines;
+    only the flat coupling engine needs build_sensitivity's R and X.
+    """
+    v_tilde = np.full(net.n_flat, net.base_v_squared, dtype=np.float64)
+    return SensitivityMatrices(r=None, x=None, v_tilde=v_tilde, net=net)
 
 
 def voltage_linear(sens: SensitivityMatrices, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -151,6 +163,26 @@ def voltage_linear(sens: SensitivityMatrices, p: np.ndarray, q: np.ndarray) -> n
     s_conj = np.zeros((3, net.n_buses), dtype=np.complex128)
     s_conj.reshape(-1)[net.flat_cell] = p - 1j * q
     current = OMEGA_POW[2:, None] * net.subtree_sums(s_conj)
-    drop = (net.z_line_dfs * current[None]).sum(axis=1)
+    drop = (net.forest.z_line * current[None]).sum(axis=1)
     t = net.ancestor_sums((OMEGA_POW[2::-1, None] * drop).real)
     return sens.v_tilde + 2.0 * t.reshape(-1)[net.flat_cell]
+
+
+def adjoint_sweep(forest: Forest, cells: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The adjoint of voltage_linear's sweep: R^T d and X^T d in O(n).
+
+    d holds one dual per cell of a raveled forest array, and the result is
+    t at the same cells, with t(i, phi) the sum over (j, psi) of
+    conj(Z(lca(i, j))[psi, phi]) omega**(psi - phi) d(j, psi). Then
+    R^T d = 2 Re t and X^T d = -2 Im t. The steps run voltage_linear's in
+    reverse order: subtree sums of d rotated by omega**psi, a rotation
+    through each line by conj(z_line), and ancestor sums rotated by
+    omega**-phi. Over Network.forest at flat_cell it is the whole flat
+    product; over a subforest, the product restricted to its buses.
+    """
+    x = np.zeros((3, forest.n), dtype=np.float64)
+    x.reshape(-1)[cells] = d
+    current = OMEGA_POW[2:, None] * forest.subtree_sums(x)
+    drop = (np.conj(forest.z_line) * current[:, None]).sum(axis=0)
+    t = OMEGA_POW[2::-1, None] * forest.ancestor_sums(drop)
+    return t.reshape(-1)[cells]

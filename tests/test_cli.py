@@ -483,3 +483,59 @@ def test_solve_summary_counts_sweeps_in_feedback_mode(workspace, tmp_path):
     assert solve(workspace, tmp_path / "lin", "--engine", "flat") == 0
     summary = json.loads((tmp_path / "lin" / "summary.json").read_text())
     assert "sweeps" not in summary
+
+
+def test_solve_rejects_a_non_finite_device_weight(workspace, tmp_path, capsys):
+    doc = json.loads((workspace / "devices.json").read_text())
+    device = doc["devices"][0]
+    device["wp"] = float("nan")
+    bad = tmp_path / "devices.json"
+    bad.write_text(json.dumps(doc))
+    args = [
+        "solve", "--network", str(workspace / "network.json"), "--devices", str(bad),
+        "--out", str(tmp_path / "out"),
+    ]
+    assert main(args) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "validation"
+    assert f"device at bus {device['bus']}: weights must be positive" in record["message"]
+
+
+def without_timing(outdir):
+    """Every output file of a run, with the timing fields dropped."""
+    files = {}
+    for path in sorted(outdir.iterdir()):
+        text = path.read_text()
+        if path.name == "trace.csv":
+            text = [row.rsplit(",", 1)[0] for row in text.splitlines()]
+        elif path.name == "summary.json":
+            text = json.loads(text)
+            del text["total_coupling_ns"], text["wall_ns"]
+        files[path.name] = text
+    return files
+
+
+def test_trilevel_solve_and_compare_build_no_dense_matrices(workspace, tmp_path, monkeypatch):
+    # The reference runs build the dense R and X as both commands once did;
+    # the checked runs may not build them and must write the same outputs.
+    from mlopf.sensitivity import build_sensitivity
+
+    def refuse(net):
+        raise AssertionError("the dense sensitivities were built")
+
+    for command, extra in (
+        ("solve", ["--partition", str(workspace / "partition.json"), "--engine", "trilevel",
+                   "--iters", "50", "--audit"]),
+        ("compare", []),
+    ):
+        out = tmp_path / command
+        args = [command, "--network", str(workspace / "network.json"),
+                "--devices", str(workspace / "devices.json"), *extra, "--out", str(out)]
+        with monkeypatch.context() as patch:
+            patch.setattr("mlopf.cli.matrix_free_sensitivity", build_sensitivity)
+            assert main(args) == 0
+        dense = without_timing(out)
+        with monkeypatch.context() as patch:
+            patch.setattr("mlopf.cli.build_sensitivity", refuse)
+            assert main(args) == 0
+        assert without_timing(out) == dense

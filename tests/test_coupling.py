@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from mlopf.network import load_network
 from mlopf.partition import (
     Area,
     PartitionHierarchy,
+    Subarea,
     auto_partition,
     subtree_ids,
     unclustered,
@@ -35,6 +38,25 @@ from conftest import fig_feeder, random_duals, random_network
 
 def equivalence_tol(g_flat: np.ndarray) -> float:
     return 1e-9 * (1.0 + float(np.max(np.abs(g_flat), initial=0.0)))
+
+
+@functools.cache
+def gen4k():
+    """FeederSpec(4000, seed=0, load_scale=0.05) with auto_partition(net, 400, 100)."""
+    net = generate(FeederSpec(n_buses=4000, seed=0, load_scale=0.05)).net
+    return net, auto_partition(net, 400, 100)
+
+
+def uv300():
+    feeder = generate(FeederSpec(n_buses=300, seed=0, load_scale=1.8),
+                      target_area_size=90, target_subarea_size=28)
+    return feeder.net, feeder.partition
+
+
+@pytest.fixture
+def all_sweeps(monkeypatch):
+    """Every scope, whatever its remainder's size, runs the tree sweep."""
+    monkeypatch.setattr(coupling, "SWEEP_MIN_REMAINDER", 0)
 
 
 def test_flat_zero_when_duals_cancel(fig_net):
@@ -229,9 +251,10 @@ def test_declared_costs_are_pinned():
     assert [
         MultilevelEngine(net, part, depth).op_count_per_apply for depth in (1, 2)
     ] == [76128, 33632]
-    big = generate(FeederSpec(n_buses=4000, seed=0, load_scale=0.05))
-    engine = MultilevelEngine(big.net, auto_partition(big.net, 400, 100), 2)
-    assert engine.op_count_per_apply == 3360202
+    # gen4k's feeder remainder (1,716 indices) runs as a tree sweep, whose
+    # declared cost is linear in its subtree rather than quadratic.
+    net, part = gen4k()
+    assert MultilevelEngine(net, part, 2).op_count_per_apply == 441973
 
 
 def test_op_count_positive_even_for_single_index():
@@ -574,3 +597,143 @@ def test_scope_blocks_match_scalar_common_path_entries(depth):
         for k in range(len(scope.children)):
             want[3 * k: 3 * k + 3, 3 * k: 3 * k + 3] = 0.0
         np.testing.assert_array_equal(scope.block, want)
+
+
+# -- remainders run as tree sweeps ------------------------------------------
+
+def criterion_1_family(trials):
+    """The first feeders, partitions and duals of acceptance criterion 1."""
+    rng = np.random.default_rng(2024)
+    for _ in range(trials):
+        n_buses = int(rng.integers(15, 121))
+        feeder = generate(
+            FeederSpec(
+                n_buses=n_buses,
+                seed=int(rng.integers(0, 10_000)),
+                phase_drop=float(rng.uniform(0.0, 0.4)),
+            ),
+            target_area_size=max(3, n_buses // int(rng.integers(3, 7))),
+            target_subarea_size=max(2, n_buses // 12),
+        )
+        yield feeder.net, feeder.partition, *random_duals(rng, feeder.net.n_flat)
+
+
+def hand_partitions():
+    """fig_feeder partitions with an empty area remainder and one-bus remainders."""
+    net = fig_feeder()
+    mu_up, mu_lo = random_duals(np.random.default_rng(9), net.n_flat)
+    for part in (
+        # A subarea rooted at its area's root leaves the area no remainder.
+        PartitionHierarchy((Area(0, 21, (Subarea(0, 21),)), Area(1, 17, ()))),
+        # Area 21 keeps only its root; areas 8 and 20 are single buses.
+        PartitionHierarchy((
+            Area(0, 21, (Subarea(0, 22), Subarea(1, 27))),
+            Area(1, 8, ()), Area(2, 20, ()),
+        )),
+    ):
+        assert validate_partition(net, part) == []
+        yield net, part, mu_up, mu_lo
+
+
+def test_sweep_remainders_match_flat_at_both_depths(all_sweeps):
+    cases = [*criterion_1_family(100), *hand_partitions()]
+    remainders = set()
+    for net, part, mu_up, mu_lo in cases:
+        ref = FlatEngine(build_sensitivity(net)).compute(mu_up, mu_lo)
+        for depth in (1, 2):
+            engine = MultilevelEngine(net, part, depth)
+            assert all(s.forest is not None for s in engine._scopes)
+            remainders.update(len(s.rem) for s in engine._scopes)
+            res = engine.compute(mu_up, mu_lo)
+            assert np.max(np.abs(res.g_p - ref.g_p)) < equivalence_tol(ref.g_p)
+            assert np.max(np.abs(res.g_q - ref.g_q)) < equivalence_tol(ref.g_q)
+    assert {0, 1} <= remainders  # empty and single-bus, single-phase remainders
+
+
+def test_sweep_remainders_send_the_dense_kernels_messages(monkeypatch):
+    cases = [*criterion_1_family(10), *hand_partitions()]
+    for net, part, mu_up, mu_lo in cases:
+        for depth in (1, 2):
+            dense = MultilevelEngine(net, part, depth).compute(mu_up, mu_lo)
+            with monkeypatch.context() as patch:
+                patch.setattr(coupling, "SWEEP_MIN_REMAINDER", 0)
+                swept = MultilevelEngine(net, part, depth).compute(mu_up, mu_lo)
+            assert swept.messages == dense.messages
+            for a, b in zip(swept.messages, dense.messages):
+                assert np.array(a.sums).tobytes() == np.array(b.sums).tobytes()
+
+
+@pytest.mark.parametrize("feeder", ["uv300", "gen4k", "two_level"])
+def test_sweep_remainders_record_the_dense_kernels_flows(monkeypatch, feeder):
+    net, part = {
+        "uv300": uv300,
+        "gen4k": gen4k,
+        "two_level": lambda: two_level_feeder(1024, 16, 4, seed=0),
+    }[feeder]()
+    for depth in (1, 2):
+        records = []
+        for threshold in (coupling.SWEEP_MIN_REMAINDER, 0):
+            monkeypatch.setattr(coupling, "SWEEP_MIN_REMAINDER", threshold)
+            records.append(FlowRecord())
+            MultilevelEngine(net, part, depth, record=records[-1])
+        assert records[0].events == records[1].events
+        assert privacy_audit(records[1], net, part).clean
+
+
+def test_sweep_op_formula_is_pinned(all_sweeps):
+    # 21 declared ops per bus of the swept subforest: per phase, the
+    # subtree and ancestor sums and the two rotations; per bus, the nine
+    # multiply-accumulates through the line.
+    assert coupling._sweep_ops(1) == 21
+    net = fig_feeder()
+    # Without areas the feeder is one scope, its subforest every bus but 0.
+    lone = MultilevelEngine(net, PartitionHierarchy(areas=()), 1)
+    assert lone.op_count_per_apply == 21 * (net.n_buses - 1)
+    part = PartitionHierarchy((Area(0, 21, (Subarea(0, 22), Subarea(1, 27))), Area(1, 17, ())))
+    engine = MultilevelEngine(net, part, 2)
+    for s in engine._scopes:
+        sizes = [len(ch.idx) for ch in s.children]
+        expect = coupling._level_op_count(
+            [ch.ops for ch in s.children], sizes, len(s.rem), 21 * s.forest.n
+        )
+        assert s.ops == expect
+        assert s.forest.n == len(set(net.flat_bus_pos[s.rem].tolist()))
+    # The feeder's remainder, buses 1-12 (26 indices on 12 buses), beside
+    # areas of 14 and 9 indices: the combine, exterior and broadcast terms
+    # per area, the sweep, and the remainder's reads of the two roots.
+    top = engine._tree
+    assert (len(top.rem), top.forest.n, sizes) == (26, 12, [14, 9])
+    inner = sum(ch.ops for ch in top.children)
+    assert top.ops == inner + 23 + 2 * (9 + 15) + 2 * (3 * 26 + 15) + 2 * 23 + (
+        21 * 12 + 26 * (3 * 2 + 5))
+
+
+def test_acceptance_feeders_keep_their_dense_blocks():
+    crit2 = generate(FeederSpec(n_buses=300, seed=3, phase_drop=0.0, load_scale=1.8),
+                     target_area_size=75, target_subarea_size=25)
+    for net, part in (uv300(), (crit2.net, crit2.partition)):
+        for depth in (1, 2):
+            for s in MultilevelEngine(net, part, depth)._scopes:
+                assert s.forest is None and len(s.rem) < coupling.SWEEP_MIN_REMAINDER
+    net, part = gen4k()
+    swept = [s.key for s in MultilevelEngine(net, part, 2)._scopes if s.forest is not None]
+    assert swept == [("unclustered",)]
+
+
+def test_flat_engine_needs_the_dense_matrices(fig_net):
+    from mlopf.sensitivity import matrix_free_sensitivity
+
+    with pytest.raises(EngineError, match="dense R and X"):
+        FlatEngine(matrix_free_sensitivity(fig_net))
+
+
+def test_swept_scope_never_builds_its_dense_block():
+    # 1,716 unclustered indices: their dense block alone would be 47 MB.
+    net, part = gen4k()
+    tracemalloc.start()
+    try:
+        MultilevelEngine(net, part, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1716 * 1716 * 16

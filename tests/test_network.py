@@ -388,6 +388,46 @@ def test_lca_table_matches_brute_force_on_subsets(seed):
         assert len(table) == len(closure), name
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_lca_rows_match_brute_force_on_subsets(seed):
+    rng = np.random.default_rng(650 + seed)
+    net = random_network(rng, int(rng.integers(8, 70)))
+    for name, buses in subset_cases(net, rng).items():
+        others = rng.choice(net.n_buses, size=20)
+        want = [[brute_force_lca(net, a, b) for b in others] for a in buses]
+        got = net.lca_rows(buses, others)
+        assert got.dtype == np.int64, name
+        np.testing.assert_array_equal(got, np.reshape(want, got.shape), err_msg=name)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_subforest_sums_match_parent_walk_inside_the_set(seed):
+    # A subtree with some of its own subtrees cut away is closed upward,
+    # as a scope's remainder is; its sums see only the buses it keeps.
+    rng = np.random.default_rng(680 + seed)
+    net = random_network(rng, int(rng.integers(20, 70)))
+    top = int(rng.integers(1, net.n_buses))
+    keep = set(net.order[net.tin[top]: net.tin[top] + net.size[top]].tolist())
+    for cut in rng.choice(sorted(keep - {top}), size=min(2, len(keep) - 1), replace=False):
+        keep -= set(net.order[net.tin[cut]: net.tin[cut] + net.size[cut]].tolist())
+    forest = net.subforest(sorted(keep))
+    assert sorted(forest.buses.tolist()) == sorted(keep)
+    assert list(net.tin[forest.buses]) == sorted(net.tin[forest.buses])
+    z_top = forest.z_line[:, :, 0]
+    np.testing.assert_array_equal(z_top, net.z_prefix[top])
+    x = rng.normal(size=(3, forest.n))
+    col = {int(b): r for r, b in enumerate(forest.buses)}
+    subtree = np.zeros_like(x)
+    ancestor = np.zeros_like(x)
+    for r, b in enumerate(forest.buses.tolist()):
+        for a in ancestors(net, b):
+            if a in col:
+                subtree[:, col[a]] += x[:, r]
+                ancestor[:, r] += x[:, col[a]]
+    np.testing.assert_allclose(forest.subtree_sums(x), subtree, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(forest.ancestor_sums(x), ancestor, rtol=0, atol=1e-12)
+
+
 def test_lca_table_of_no_buses_is_empty(fig_net):
     rows, table = fig_net.lca_table(np.zeros(0, dtype=np.int64))
     assert rows.shape == (0,)

@@ -99,8 +99,9 @@ def test_device_invariants_enforced():
         make_dev(p_max=np.inf)
     with pytest.raises(ProblemError, match="empty box"):
         make_dev(q_min=1.0, q_max=-1.0)
-    with pytest.raises(ProblemError, match="weights"):
-        make_dev(w_p=0.0)
+    for weight in ({"w_p": 0.0}, {"w_p": np.nan}, {"w_q": np.nan}, {"w_q": np.inf}):
+        with pytest.raises(ProblemError, match="weights"):
+            make_dev(**weight)
 
 
 def test_bounds_invariants():

@@ -12,7 +12,9 @@ from mlopf.feedergen import FeederSpec, generate
 from mlopf.network import NetworkError, load_network
 from mlopf.sensitivity import (
     OMEGA,
+    adjoint_sweep,
     build_sensitivity,
+    matrix_free_sensitivity,
     dv_dp_entry,
     dv_dq_entry,
     omega_power,
@@ -297,3 +299,29 @@ def test_dense_build_holds_no_full_size_temporaries():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * (sens.r.nbytes + sens.x.nbytes)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_adjoint_sweep_is_the_transpose_of_the_voltage_map(seed):
+    feeder = generate(FeederSpec(n_buses=40 + 20 * seed, seed=seed, phase_drop=0.3))
+    net = feeder.net
+    sens = build_sensitivity(net)
+    rng = np.random.default_rng(seed)
+    d, p, q = rng.normal(size=(3, net.n_flat))
+    t = adjoint_sweep(net.forest, net.flat_cell, d)
+    g_p, g_q = 2.0 * t.real, -2.0 * t.imag
+    scale = 1.0 + np.max(np.abs(sens.r.T @ d)) + np.max(np.abs(sens.x.T @ d))
+    assert np.max(np.abs(g_p - sens.r.T @ d)) <= 1e-12 * scale
+    assert np.max(np.abs(g_q - sens.x.T @ d)) <= 1e-12 * scale
+    # The adjoint identity d . (v(p, q) - v_tilde) = g_p . p + g_q . q.
+    lhs = d @ (voltage_linear(sens, p, q) - sens.v_tilde)
+    assert lhs == pytest.approx(g_p @ p + g_q @ q, rel=1e-12, abs=1e-12)
+
+
+def test_matrix_free_sensitivity_holds_only_the_network_and_v_tilde():
+    net = generate(FeederSpec(n_buses=50, seed=1, phase_drop=0.3)).net
+    light, dense = matrix_free_sensitivity(net), build_sensitivity(net)
+    assert light.r is None and light.x is None and light.net is net
+    np.testing.assert_array_equal(light.v_tilde, dense.v_tilde)
+    p, q = np.random.default_rng(2).normal(size=(2, net.n_flat))
+    np.testing.assert_array_equal(voltage_linear(light, p, q), voltage_linear(dense, p, q))
