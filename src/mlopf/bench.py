@@ -18,9 +18,9 @@ import numpy as np
 from .coupling import make_engine
 from .feedergen import R_RANGE, X_RANGE
 from .network import Bus, Line, Network
-from .opf import Device, SolverConfig, make_problem
+from .opf import Device, Problem, SolverConfig, make_problem
 from .partition import Area, PartitionHierarchy, Subarea
-from .sensitivity import build_sensitivity
+from .sensitivity import build_sensitivity, matrix_free_sensitivity
 from .solver import LinearVoltageModel, initial_state, run
 
 
@@ -77,7 +77,7 @@ def two_level_feeder(
     return net, part
 
 
-def bench_problem(net: Network, seed: int):
+def bench_problem(net: Network, seed: int) -> Problem:
     """A loaded problem on a bench feeder: devices on a third of the slots.
 
     Loads are heavy enough to violate the lower bound, so the duals move
@@ -86,7 +86,6 @@ def bench_problem(net: Network, seed: int):
     which keeps the duals active through the whole run.
     """
     rng = np.random.default_rng(seed + 1)
-    sens = build_sensitivity(net)
     devices = []
     background = {}
     for k, c in zip(net.flat_bus_pos, net.flat_phase):
@@ -100,8 +99,7 @@ def bench_problem(net: Network, seed: int):
         else:
             pl = -rng.uniform(0.012, 0.03)
             background[(bid, ph)] = (pl, 0.3 * pl)
-    problem = make_problem(net, sens, devices, background, v_min=0.999, v_max=1.001)
-    return problem, sens
+    return make_problem(net, None, devices, background, v_min=0.999, v_max=1.001)
 
 
 @dataclass(frozen=True)
@@ -137,12 +135,17 @@ def bench_sweep(
     subareas_per_area: int,
     seed: int,
 ) -> list[BenchRow]:
-    """Run the same solve per engine over a range of feeder sizes."""
+    """Run the same solve per engine over a range of feeder sizes.
+
+    The dense R and X are built only when the flat engine is among engines.
+    """
+    build = build_sensitivity if "flat" in engines else matrix_free_sensitivity
     rows: list[BenchRow] = []
     for n in sizes:
         n_areas = max(1, round(np.sqrt(n)))
         net, part = two_level_feeder(n, n_areas, subareas_per_area, seed=seed)
-        problem, sens = bench_problem(net, seed)
+        problem = bench_problem(net, seed)
+        sens = build(net)
         cfg = SolverConfig(max_iters=iters, residual_tol=0.0)
         vmodel = LinearVoltageModel(sens)
         flat_coupling_ns = None

@@ -15,11 +15,12 @@ Every scope, leaf or not, runs one kernel: a complex product with
 phase slots of each child root, then the remainder. Pairs across two
 children collapse to one root-to-root impedance times the other child's
 per-phase dual aggregate, a remainder bus meets a child only through the
-child's root, and pairs inside the remainder are exact. Those exact pairs
-are a dense m x m block while the remainder is small; from
-SWEEP_MIN_REMAINDER flat indices on, where the block's m^2 work overtakes
-a sweep's fixed cost, they are sensitivity.adjoint_sweep over the
-remainder's own subtree, O(m) and without the block. A scope's own
+child's root, and pairs inside the remainder are exact. While the
+remainder is small the kernel is a dense block. From SWEEP_MIN_REMAINDER
+flat indices on, where the block's m^2 work overtakes a sweep's fixed
+cost, the whole kernel is one sensitivity.adjoint_sweep over the
+remainder and the child roots' parents, with each child's aggregate at
+its root's parent: O(m + children) and without any block. A scope's own
 aggregate is its children's aggregates plus its remainder's per-phase
 sums, so the split repeats at every level: depth 1 is the bi-level engine
 and depth 2 the tri-level one. The engines are algebraically equal; the
@@ -44,8 +45,8 @@ from .partition import PartitionHierarchy, subtree_ids, unclustered, validate_pa
 from .sensitivity import OMEGA_PAIR, SensitivityMatrices, adjoint_sweep
 
 
-# A scope whose remainder holds at least this many flat indices runs the
-# remainder's exact pairs as a tree sweep instead of a dense block. With
+# A scope whose remainder holds at least this many flat indices runs its
+# kernel as a tree sweep instead of a dense block. With
 # BLAS on one thread the two cost the same at roughly 360-450 indices, and
 # the sweep is twice as fast by 550. The constant sits above that
 # crossover so that every remainder of the acceptance feeders (at most
@@ -156,17 +157,15 @@ def _sweep_ops(columns: int) -> int:
     return 21 * columns
 
 
-def _level_op_count(
-    intra_ops: list[int], cluster_sizes: list[int], rem: int, rem_ops: int | None = None
-) -> int:
-    """Declared per-apply cost of one scope: its child clusters and remainder.
+def _level_op_count(intra_ops: list[int], cluster_sizes: list[int], rem: int) -> int:
+    """Declared per-apply cost of a dense scope: its child clusters and remainder.
 
-    rem_ops is the cost of the remainder's exact pairs. A dense block, the
-    default, costs size^2 accumulates plus 5 per target (three rotations,
-    two extractions); a tree sweep costs _sweep_ops. Each cluster then pays the
-    root-to-root combine against the other clusters, the per-bus sums over
-    the exterior set, and one add per member and output vector to
-    broadcast the shared value. Exterior targets mirror the same structure.
+    The remainder's exact pairs cost _exact_block_ops: size^2 accumulates
+    plus 5 per target (three rotations, two extractions). Each cluster then
+    pays the root-to-root combine against the other clusters, the per-bus
+    sums over the exterior set, and one add per member and output vector
+    to broadcast the shared value. Exterior targets mirror the same
+    structure.
     """
     c = len(cluster_sizes)
     ops = sum(intra_ops) + sum(cluster_sizes)
@@ -177,10 +176,23 @@ def _level_op_count(
             ops += 3 * rem + 15
         ops += 2 * a
     if rem > 0:
-        ops += _exact_block_ops(rem) if rem_ops is None else rem_ops
+        ops += _exact_block_ops(rem)
         if c > 0:
             ops += rem * (3 * c + 5)
     return ops
+
+
+def _swept_op_count(intra_ops: list[int], cluster_sizes: list[int], columns: int) -> int:
+    """Declared per-apply cost of a swept scope over a forest of this many columns.
+
+    Its clusters' own costs, one add per member for their aggregates and
+    two per member to broadcast the slot rows back, as in the dense model;
+    the sweep, which carries every pair; and nine multiply-accumulates per
+    cluster to take its own 3x3 term back out.
+    """
+    return (
+        sum(intra_ops) + 3 * sum(cluster_sizes) + _sweep_ops(columns) + 9 * len(cluster_sizes)
+    )
 
 
 class FlatEngine:
@@ -234,15 +246,20 @@ class _Scope:
     pairs inside a child are the child's work. gather picks the operand
     out of [d; aggregate rows], and t[out] adds the product's rows at take:
     a slot row to every member of its child with that phase, a remainder
-    row to its own flat index.
+    row to its own flat index. A child root meets every bus outside its
+    subtree where its parent, the child's anchor, does, so a slot reads
+    the impedance table at its anchor.
 
-    A remainder of fewer than SWEEP_MIN_REMAINDER flat indices keeps all
-    four quadrants in one dense block. A larger one keeps only the slot
-    rows and the remainder-to-root columns dense and runs the exact
-    quadrant as adjoint_sweep over the remainder's own subforest: the
-    remainder is closed upward inside its scope, since children are whole
-    subtrees, so the sweep meets every pair at its common ancestor and
-    never builds the m x m block or its LCA table.
+    A remainder of fewer than SWEEP_MIN_REMAINDER flat indices holds the
+    kernel as one dense block. A larger one holds no block: its forest is
+    the subforest of the anchors and the remainder buses, closed upward
+    inside the scope since children are whole subtrees. Each child's
+    aggregate sits at its anchor's cells beside the remainder's duals, and
+    one adjoint_sweep meets every pair at its common ancestor: two children
+    at their anchors' LCA, a child and a remainder bus at the anchor's LCA
+    with that bus, and an anchor that is the substation at zero impedance.
+    The sweep also pairs each child with itself; own[k] is that 3x3 term,
+    subtracted from the child's slot rows.
     """
 
     def __init__(self, net, w, key, root, member_ids, children, pos):
@@ -264,51 +281,41 @@ class _Scope:
             [3 * k + net.flat_phase[ch.idx] for k, ch in enumerate(children)]
             + [3 * c + np.arange(m)]
         )
-        # A child root meets every bus outside its subtree where its parent
-        # does, so its slots read the impedance table at that parent.
         anchors = net.parent_pos[[net.bus_pos(ch.root) for ch in children]]
-        rem_bus = net.flat_bus_pos[self.rem]
+        buses = np.concatenate([anchors, net.flat_bus_pos[self.rem]])
+        # Kernel row r is at bus buses[of_bus[r]] and phase phase[r]: an
+        # anchor stands for its child's three slots.
+        of_bus = np.concatenate([np.repeat(np.arange(c), 3), c + np.arange(m)])
         phase = np.concatenate([np.tile(np.arange(3, dtype=np.int64), c), self.rem_phase])
+        child_sizes = [len(ch.idx) for ch in children]
         self.forest = None
         if m < SWEEP_MIN_REMAINDER:
             # One LCA table over the anchors and the remainder holds the block.
-            rows, table = net.lca_table(np.concatenate([anchors, rem_bus]))
-            rows = np.concatenate([np.repeat(rows[:c], 3), rows[c:]])
+            rows, table = net.lca_table(buses)
+            rows = rows[of_bus]
             table *= 9
             at = table[np.ix_(rows, rows)]
             at += 3 * phase + phase[:, None]
             self.block = np.take(w, at)
-            rem_ops = None
+            for k in range(c):
+                self.block[3 * k: 3 * k + 3, 3 * k: 3 * k + 3] = 0.0
+            self.ops = _level_op_count([ch.ops for ch in children], child_sizes, m)
         else:
-            # Only the anchors' rows of the LCA table: block holds the slot
-            # rows, rem_cols the remainder-to-root quadrant, and the sweep
-            # reads the remainder's cells of its own subforest.
-            table = 9 * net.lca_rows(anchors, np.concatenate([anchors, rem_bus]))
-            col = np.concatenate([np.repeat(np.arange(c), 3), c + np.arange(m)])
-            slot_rows = np.repeat(table, 3, axis=0)
-            self.block = np.take(w, slot_rows[:, col] + 3 * phase + phase[:3 * c, None])
-            self.rem_cols = np.take(
-                w, slot_rows[:, c:].T + 3 * phase[:3 * c] + self.rem_phase[:, None]
-            )
-            self.forest = net.subforest(rem_bus)
-            self.cells = self.rem_phase * self.forest.n + np.searchsorted(
-                net.tin[self.forest.buses], net.tin[rem_bus]
-            )
-            rem_ops = _sweep_ops(self.forest.n)
-        for k in range(c):
-            self.block[3 * k: 3 * k + 3, 3 * k: 3 * k + 3] = 0.0
-        self.ops = _level_op_count(
-            [ch.ops for ch in children], [len(ch.idx) for ch in children], m, rem_ops
-        )
+            cols, self.forest = net.subforest(buses)
+            self.cells = phase * self.forest.n + cols[of_bus]
+            # own[k, phi, psi] is w at 9 anchor + 3 psi + phi.
+            self.own = w.reshape(-1, 3, 3)[anchors].transpose(0, 2, 1)
+            self.ops = _swept_op_count([ch.ops for ch in children], child_sizes, self.forest.n)
 
     def product(self, x: np.ndarray) -> np.ndarray:
         """The kernel times its operand, gathered from x = [d; aggregate rows]."""
         x = x[self.gather]
         if self.forest is None:
             return self.block @ x
-        k = len(self.block)
-        rem = self.rem_cols @ x[:k] + adjoint_sweep(self.forest, self.cells, x[k:])
-        return np.concatenate([self.block @ x, rem])
+        t = adjoint_sweep(self.forest, self.cells, x)
+        c = len(self.own)
+        t[:3 * c] -= (self.own @ x[:3 * c].reshape(c, 3, 1)).ravel()
+        return t
 
 
 class MultilevelEngine:

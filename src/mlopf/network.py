@@ -10,7 +10,8 @@ preorder lays every subtree out as a contiguous range; all-pairs LCA
 tables and single LCA queries both read those ranges, and so do the two
 O(N) tree sums, over subtrees and over root paths, that both voltage
 models run on. A Forest holds those sums for the whole tree or for any
-bus set closed upward, such as a multilevel scope's remainder.
+bus set closed upward, such as a multilevel scope's remainder together
+with its children's anchors.
 
 Networks are immutable after construction and safe for concurrent reads.
 """
@@ -324,35 +325,28 @@ class Network:
             for k, c in zip(self.flat_bus_pos, self.flat_phase)
         ]
 
-    # -- tree sums over the DFS columns ------------------------------------
+    # -- forests over the DFS columns ---------------------------------------
 
-    def subtree_sums(self, x: np.ndarray) -> np.ndarray:
-        """Per-phase sums of a tree array over every bus's subtree."""
-        return self.forest.subtree_sums(x)
-
-    def ancestor_sums(self, x: np.ndarray) -> np.ndarray:
-        """Per-phase sums of a tree array over every bus and its ancestors."""
-        return self.forest.ancestor_sums(x)
-
-    def subforest(self, buses) -> "Forest":
+    def subforest(self, buses) -> tuple[np.ndarray, "Forest"]:
         """The forest that a set of bus positions spans, in DFS order.
 
         Every bus's parent must be in the set unless the bus is one of the
         forest's tops. A top's column carries its whole root path, so the
         forest's ancestor sums add up to common-path impedances; two buses
         under different tops meet at zero impedance, which holds when the
-        tops' parents are the substation.
+        tops' parents are the substation or a top is the substation itself.
+        The set may repeat buses. Returns (cols, forest): cols[a] is the
+        column of buses[a], as lca_table returns its rows.
         """
-        nodes = np.unique(np.asarray(buses, dtype=np.int64))
-        nodes = nodes[np.argsort(self.tin[nodes])]
-        t = self.tin[nodes]
+        t, cols = np.unique(self.tin[np.asarray(buses, dtype=np.int64)], return_inverse=True)
+        nodes = self.order[t]
         exit_ = np.searchsorted(t, t + self.size[nodes])
         inside = np.zeros(self.n_buses + 1, dtype=bool)  # parent -1 reads the pad
         inside[nodes] = True
         z = self.z_line[nodes]
         top = ~inside[self.parent_pos[nodes]]
         z[top] = self.z_prefix[nodes[top]]
-        return Forest(nodes, exit_, z)
+        return cols, Forest(nodes, exit_, z)
 
     # -- path and impedance queries ---------------------------------------
 
@@ -411,27 +405,6 @@ class Network:
             table[r] = table[up[r - 1]]
             table[r, r: end[r]] = bus
         return row_of[buses], table
-
-    def lca_rows(self, buses, others) -> np.ndarray:
-        """Lowest common ancestors of each of a few buses with each of many.
-
-        The subtrees along one bus's root path are nested ranges of DFS
-        columns, so the number of them that hold a column is a count of
-        entries minus a count of exits, two searchsorted calls per bus.
-        Returns int64 positions, one row per bus and one column per other.
-        """
-        t = self.tin[np.asarray(others, dtype=np.int64)]
-        out = np.empty((len(buses), len(t)), dtype=np.int64)
-        for r, k in enumerate(np.asarray(buses, dtype=np.int64).tolist()):
-            path = [k]
-            while self.parent_pos[path[-1]] >= 0:
-                path.append(int(self.parent_pos[path[-1]]))
-            path = np.array(path[::-1], dtype=np.int64)  # substation first
-            entry = self.tin[path]
-            exits = np.sort(entry + self.size[path])
-            held = np.searchsorted(entry, t, "right") - np.searchsorted(exits, t, "right")
-            out[r] = path[held - 1]
-        return out
 
     def lca(self, i: int, j: int) -> int:
         """Lowest common ancestor bus id of two buses."""

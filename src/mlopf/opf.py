@@ -128,7 +128,6 @@ class Problem:
     """
 
     net: Network
-    sens: SensitivityMatrices | None  # dense R/X; no solver code reads them
     devices: tuple[Device, ...]
     bounds: VoltageBounds
     p0: np.ndarray = field(repr=False)       # preferences / fixed injections
@@ -164,7 +163,11 @@ def make_problem(
     v_min: float = V_MIN,
     v_max: float = V_MAX,
 ) -> Problem:
-    """Assemble a Problem; background maps (bus, phase) to fixed (p, q)."""
+    """Assemble a Problem; background maps (bus, phase) to fixed (p, q).
+
+    sens is not used; a Problem holds no sensitivities. The parameter stays
+    for callers that still pass it.
+    """
     n = net.n_flat
     p0 = np.zeros(n)
     q0 = np.zeros(n)
@@ -199,7 +202,7 @@ def make_problem(
         w_p[idx], w_q[idx] = dev.w_p, dev.w_q
     bounds = VoltageBounds.from_magnitudes(n, v_min, v_max)
     return Problem(
-        net=net, sens=sens, devices=tuple(devices), bounds=bounds,
+        net=net, devices=tuple(devices), bounds=bounds,
         p0=p0, q0=q0, p_min=p_min, p_max=p_max, q_min=q_min, q_max=q_max,
         w_p=w_p, w_q=w_q, device_index=np.array(sorted(dev_idx), dtype=np.int64),
     )
@@ -308,8 +311,7 @@ def load_problem(
 ) -> Problem:
     """Build a Problem from the device document schema.
 
-    sens may be None when nothing will read the dense sensitivities, as
-    when the document is only being validated.
+    sens is not used, as in make_problem, and may be None.
     """
     document = read_document(document, "device")
     devices = []

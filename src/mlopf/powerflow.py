@@ -98,11 +98,11 @@ def backward_forward_sweep(
         # Backward: each line carries minus the current its subtree injects.
         drawn = np.conj(s / volt)
         inj.reshape(-1)[cells] = drawn
-        injected = net.subtree_sums(inj)
+        injected = net.forest.subtree_sums(inj)
         # Forward: each bus sits below the substation by the drops across
         # the line impedance matrices on its root path.
         rise = (net.forest.z_line * injected[None]).sum(axis=1)
-        volt = (ref + net.ancestor_sums(rise)).reshape(-1)[cells]
+        volt = (ref + net.forest.ancestor_sums(rise)).reshape(-1)[cells]
         # Power implied by the new phasors and the currents just used.
         mismatch = float(np.max(np.abs(volt * np.conj(drawn) - s), initial=0.0))
         if mismatch < tol:

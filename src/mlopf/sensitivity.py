@@ -8,10 +8,11 @@ voltage_linear takes subtree sums of the injections, rotates them through
 each line's impedance and takes ancestor sums of the result, in O(N) over
 the DFS columns of Network and without the matrices. adjoint_sweep runs
 the same sums in reverse for R^T d and X^T d; a multilevel scope with a
-large remainder computes that remainder's pairs with it. The dense R and
-X that build_sensitivity materializes, by a gather at the pairwise lowest
-common ancestors of Network.lca_table, stay as the oracle the sweeps are
-tested against and as the operands of the flat coupling engine.
+large remainder computes its whole share of the product with it. The
+dense R and X that build_sensitivity materializes, by a gather at the
+pairwise lowest common ancestors of Network.lca_table, stay as the oracle
+the sweeps are tested against and as the operands of the flat coupling
+engine.
 """
 
 from __future__ import annotations
@@ -162,26 +163,28 @@ def voltage_linear(sens: SensitivityMatrices, p: np.ndarray, q: np.ndarray) -> n
     net = sens.net
     s_conj = np.zeros((3, net.n_buses), dtype=np.complex128)
     s_conj.reshape(-1)[net.flat_cell] = p - 1j * q
-    current = OMEGA_POW[2:, None] * net.subtree_sums(s_conj)
+    current = OMEGA_POW[2:, None] * net.forest.subtree_sums(s_conj)
     drop = (net.forest.z_line * current[None]).sum(axis=1)
-    t = net.ancestor_sums((OMEGA_POW[2::-1, None] * drop).real)
+    t = net.forest.ancestor_sums((OMEGA_POW[2::-1, None] * drop).real)
     return sens.v_tilde + 2.0 * t.reshape(-1)[net.flat_cell]
 
 
 def adjoint_sweep(forest: Forest, cells: np.ndarray, d: np.ndarray) -> np.ndarray:
     """The adjoint of voltage_linear's sweep: R^T d and X^T d in O(n).
 
-    d holds one dual per cell of a raveled forest array, and the result is
-    t at the same cells, with t(i, phi) the sum over (j, psi) of
+    d holds one value per entry of cells, a cell of a raveled forest
+    array; values at a repeated cell add up. The result is t at the same
+    cells, with t(i, phi) the sum over (j, psi) of
     conj(Z(lca(i, j))[psi, phi]) omega**(psi - phi) d(j, psi). Then
     R^T d = 2 Re t and X^T d = -2 Im t. The steps run voltage_linear's in
     reverse order: subtree sums of d rotated by omega**psi, a rotation
     through each line by conj(z_line), and ancestor sums rotated by
     omega**-phi. Over Network.forest at flat_cell it is the whole flat
-    product; over a subforest, the product restricted to its buses.
+    product; over a subforest, the product restricted to its buses, where
+    a multilevel scope also places each child's per-phase aggregate at
+    its anchor's cells.
     """
-    x = np.zeros((3, forest.n), dtype=np.float64)
-    x.reshape(-1)[cells] = d
+    x = np.bincount(cells, weights=d, minlength=3 * forest.n).reshape(3, forest.n)
     current = OMEGA_POW[2:, None] * forest.subtree_sums(x)
     drop = (np.conj(forest.z_line) * current[:, None]).sum(axis=0)
     t = OMEGA_POW[2::-1, None] * forest.ancestor_sums(drop)

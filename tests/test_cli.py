@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from mlopf.bench import bench_sweep
 from mlopf.cli import build_parser, main
 from mlopf.feedergen import FeederSpec, feeder_documents, generate
 from mlopf.network import save_network
@@ -441,6 +442,21 @@ def test_bench_single_row_consistency(tmp_path):
     bi_row = rows[2].split(",")
     assert flat_row[2] == "flat" and bi_row[2] == "bilevel"
     assert int(bi_row[4]) < int(flat_row[4])  # coupling op counts
+
+
+def test_bench_without_flat_never_builds_the_dense_matrices(monkeypatch):
+    def counts(rows):
+        return [(r.n, r.engine, r.iters, r.coupling_ops) for r in rows if r.engine != "flat"]
+
+    dense = bench_sweep([64, 128], ["flat", "bilevel", "trilevel"], 5, 4, seed=0)
+
+    def refuse(net):
+        raise AssertionError("bench built the dense sensitivities")
+
+    monkeypatch.setattr("mlopf.bench.build_sensitivity", refuse)
+    light = bench_sweep([64, 128], ["bilevel", "trilevel"], 5, 4, seed=0)
+    assert counts(light) == counts(dense)
+    assert len(light) == 4
 
 
 def test_compare_emits_csv(workspace, tmp_path):

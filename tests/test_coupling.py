@@ -21,7 +21,7 @@ from mlopf.coupling import (
     privacy_audit,
 )
 from mlopf.feedergen import FeederSpec, generate
-from mlopf.network import load_network
+from mlopf.network import load_network, network_to_document
 from mlopf.partition import (
     Area,
     PartitionHierarchy,
@@ -251,10 +251,13 @@ def test_declared_costs_are_pinned():
     assert [
         MultilevelEngine(net, part, depth).op_count_per_apply for depth in (1, 2)
     ] == [76128, 33632]
-    # gen4k's feeder remainder (1,716 indices) runs as a tree sweep, whose
-    # declared cost is linear in its subtree rather than quadratic.
+    # gen4k's feeder scope (1,716 remainder indices) is one tree sweep: its
+    # five dense areas (339,577), three per area member (2,333), 21 per
+    # column of its 1,667-bus forest and nine per area.
     net, part = gen4k()
-    assert MultilevelEngine(net, part, 2).op_count_per_apply == 441973
+    assert MultilevelEngine(net, part, 2).op_count_per_apply == (
+        339577 + 3 * 2333 + 21 * 1667 + 9 * 5
+    ) == 381628
 
 
 def test_op_count_positive_even_for_single_index():
@@ -618,36 +621,91 @@ def criterion_1_family(trials):
         yield feeder.net, feeder.partition, *random_duals(rng, feeder.net.n_flat)
 
 
+def two_head_feeder():
+    """fig_feeder with a second head: buses 30-33 hang off the substation."""
+    doc = network_to_document(fig_feeder())
+    z = {"aa": [0.006, 0.012], "bb": [0.005, 0.011], "ab": [0.002, 0.004]}
+    doc["buses"] += [
+        {"id": 30, "phases": ["a", "b", "c"], "parent": 0},
+        {"id": 31, "phases": ["a", "b", "c"], "parent": 30},
+        {"id": 32, "phases": ["a", "b"], "parent": 30},
+        {"id": 33, "phases": ["b"], "parent": 32},
+    ]
+    doc["lines"] += [
+        {"from": 0, "to": 30, "z": {**z, "cc": [0.007, 0.013], "ca": [0.001, 0.003]}},
+        {"from": 30, "to": 31, "z": {**z, "cc": [0.004, 0.009]}},
+        {"from": 30, "to": 32, "z": z},
+        {"from": 32, "to": 33, "z": {"bb": [0.003, 0.008]}},
+    ]
+    return load_network(doc)
+
+
 def hand_partitions():
-    """fig_feeder partitions with an empty area remainder and one-bus remainders."""
-    net = fig_feeder()
-    mu_up, mu_lo = random_duals(np.random.default_rng(9), net.n_flat)
-    for part in (
-        # A subarea rooted at its area's root leaves the area no remainder.
-        PartitionHierarchy((Area(0, 21, (Subarea(0, 21),)), Area(1, 17, ()))),
-        # Area 21 keeps only its root; areas 8 and 20 are single buses.
-        PartitionHierarchy((
+    """Hand partitions whose scopes' children meet at every kind of anchor.
+
+    A child's anchor is its root's parent. Between them the partitions hold
+    an empty area remainder, single-bus remainders, sibling children that
+    share an anchor, anchors that are remainder buses, and the substation
+    as an anchor.
+    """
+    fig, heads = fig_feeder(), two_head_feeder()
+    for net, part in (
+        # A subarea rooted at its area's root leaves the area no remainder;
+        # its anchor, bus 12, lies outside the area.
+        (fig, PartitionHierarchy((Area(0, 21, (Subarea(0, 21),)), Area(1, 17, ())))),
+        # Area 21 keeps only its root, the anchor of both its subareas;
+        # areas 8 and 20 are single buses.
+        (fig, PartitionHierarchy((
             Area(0, 21, (Subarea(0, 22), Subarea(1, 27))),
             Area(1, 8, ()), Area(2, 20, ()),
-        )),
+        ))),
+        # Areas 10 and 12 share the feeder remainder's bus 4 as anchor, and
+        # subareas 22 and 27 share bus 21 of area 12's remainder.
+        (fig, PartitionHierarchy((
+            Area(0, 10, ()), Area(1, 12, (Subarea(0, 22), Subarea(1, 27))),
+        ))),
+        # Area 30 hangs off the substation, so the substation is its anchor.
+        (heads, PartitionHierarchy((Area(0, 30, (Subarea(0, 32),)), Area(1, 17, ())))),
     ):
         assert validate_partition(net, part) == []
-        yield net, part, mu_up, mu_lo
+        yield net, part, *random_duals(np.random.default_rng(9), net.n_flat)
+
+
+def anchor_cases(net, scope, d):
+    """The edge cases a scope's anchors present."""
+    anchors = [int(net.parent_pos[net.bus_pos(ch.root)]) for ch in scope.children]
+    rem_bus = net.flat_bus_pos[scope.rem]
+    cases = set()
+    if len(set(anchors)) < len(anchors):
+        cases.add("shared anchor")
+    if any(np.any(d[scope.rem[rem_bus == a]] != 0) for a in anchors):
+        cases.add("remainder anchor with a nonzero dual")
+    if net.bus_pos(0) in anchors:
+        cases.add("substation anchor")
+    if anchors and not len(scope.rem):
+        cases.add("empty remainder")
+    return cases
 
 
 def test_sweep_remainders_match_flat_at_both_depths(all_sweeps):
     cases = [*criterion_1_family(100), *hand_partitions()]
-    remainders = set()
+    remainders, anchors = set(), set()
     for net, part, mu_up, mu_lo in cases:
         ref = FlatEngine(build_sensitivity(net)).compute(mu_up, mu_lo)
         for depth in (1, 2):
             engine = MultilevelEngine(net, part, depth)
             assert all(s.forest is not None for s in engine._scopes)
             remainders.update(len(s.rem) for s in engine._scopes)
+            for s in engine._scopes:
+                anchors |= anchor_cases(net, s, mu_up - mu_lo)
             res = engine.compute(mu_up, mu_lo)
-            assert np.max(np.abs(res.g_p - ref.g_p)) < equivalence_tol(ref.g_p)
-            assert np.max(np.abs(res.g_q - ref.g_q)) < equivalence_tol(ref.g_q)
+            for got, want in ((res.g_p, ref.g_p), (res.g_q, ref.g_q)):
+                assert np.max(np.abs(got - want)) < 1e-12 * (1.0 + np.max(np.abs(want)))
     assert {0, 1} <= remainders  # empty and single-bus, single-phase remainders
+    assert anchors == {
+        "shared anchor", "remainder anchor with a nonzero dual",
+        "substation anchor", "empty remainder",
+    }
 
 
 def test_sweep_remainders_send_the_dense_kernels_messages(monkeypatch):
@@ -681,31 +739,29 @@ def test_sweep_remainders_record_the_dense_kernels_flows(monkeypatch, feeder):
 
 
 def test_sweep_op_formula_is_pinned(all_sweeps):
-    # 21 declared ops per bus of the swept subforest: per phase, the
-    # subtree and ancestor sums and the two rotations; per bus, the nine
+    # 21 declared ops per column of the swept forest: per phase, the
+    # subtree and ancestor sums and the two rotations; per column, the nine
     # multiply-accumulates through the line.
     assert coupling._sweep_ops(1) == 21
     net = fig_feeder()
-    # Without areas the feeder is one scope, its subforest every bus but 0.
+    # Without areas the feeder is one scope, its forest every bus but 0.
     lone = MultilevelEngine(net, PartitionHierarchy(areas=()), 1)
     assert lone.op_count_per_apply == 21 * (net.n_buses - 1)
     part = PartitionHierarchy((Area(0, 21, (Subarea(0, 22), Subarea(1, 27))), Area(1, 17, ())))
     engine = MultilevelEngine(net, part, 2)
     for s in engine._scopes:
         sizes = [len(ch.idx) for ch in s.children]
-        expect = coupling._level_op_count(
-            [ch.ops for ch in s.children], sizes, len(s.rem), 21 * s.forest.n
-        )
-        assert s.ops == expect
-        assert s.forest.n == len(set(net.flat_bus_pos[s.rem].tolist()))
-    # The feeder's remainder, buses 1-12 (26 indices on 12 buses), beside
-    # areas of 14 and 9 indices: the combine, exterior and broadcast terms
-    # per area, the sweep, and the remainder's reads of the two roots.
+        anchors = {int(net.parent_pos[net.bus_pos(ch.root)]) for ch in s.children}
+        assert s.forest.n == len(anchors | set(net.flat_bus_pos[s.rem].tolist()))
+        assert s.ops == coupling._swept_op_count([ch.ops for ch in s.children], sizes, s.forest.n)
+    # The feeder's remainder, buses 1-12 (26 indices on 12 buses), holds
+    # both areas' anchors, 12 and 3. Beside areas of 14 and 9 indices it
+    # costs three ops per area member to aggregate and broadcast, the
+    # sweep, and nine per area for the area's own 3x3 term.
     top = engine._tree
     assert (len(top.rem), top.forest.n, sizes) == (26, 12, [14, 9])
     inner = sum(ch.ops for ch in top.children)
-    assert top.ops == inner + 23 + 2 * (9 + 15) + 2 * (3 * 26 + 15) + 2 * 23 + (
-        21 * 12 + 26 * (3 * 2 + 5))
+    assert top.ops == inner + 3 * (14 + 9) + 21 * 12 + 9 * 2
 
 
 def test_acceptance_feeders_keep_their_dense_blocks():
@@ -732,8 +788,15 @@ def test_swept_scope_never_builds_its_dense_block():
     net, part = gen4k()
     tracemalloc.start()
     try:
-        MultilevelEngine(net, part, 2)
+        engine = MultilevelEngine(net, part, 2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1716 * 1716 * 16
+    # The engine build peaked at 8.7 MB while the swept scope kept dense
+    # slot rows beside its sweep.
+    assert peak <= 8.7e6
+    swept = engine._tree
+    c = len(swept.children)
+    for name, value in vars(swept).items():
+        if isinstance(value, np.ndarray) and value.ndim != 1:
+            assert (name, value.shape) == ("own", (c, 3, 3))

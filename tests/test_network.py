@@ -388,33 +388,8 @@ def test_lca_table_matches_brute_force_on_subsets(seed):
         assert len(table) == len(closure), name
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_lca_rows_match_brute_force_on_subsets(seed):
-    rng = np.random.default_rng(650 + seed)
-    net = random_network(rng, int(rng.integers(8, 70)))
-    for name, buses in subset_cases(net, rng).items():
-        others = rng.choice(net.n_buses, size=20)
-        want = [[brute_force_lca(net, a, b) for b in others] for a in buses]
-        got = net.lca_rows(buses, others)
-        assert got.dtype == np.int64, name
-        np.testing.assert_array_equal(got, np.reshape(want, got.shape), err_msg=name)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_subforest_sums_match_parent_walk_inside_the_set(seed):
-    # A subtree with some of its own subtrees cut away is closed upward,
-    # as a scope's remainder is; its sums see only the buses it keeps.
-    rng = np.random.default_rng(680 + seed)
-    net = random_network(rng, int(rng.integers(20, 70)))
-    top = int(rng.integers(1, net.n_buses))
-    keep = set(net.order[net.tin[top]: net.tin[top] + net.size[top]].tolist())
-    for cut in rng.choice(sorted(keep - {top}), size=min(2, len(keep) - 1), replace=False):
-        keep -= set(net.order[net.tin[cut]: net.tin[cut] + net.size[cut]].tolist())
-    forest = net.subforest(sorted(keep))
-    assert sorted(forest.buses.tolist()) == sorted(keep)
-    assert list(net.tin[forest.buses]) == sorted(net.tin[forest.buses])
-    z_top = forest.z_line[:, :, 0]
-    np.testing.assert_array_equal(z_top, net.z_prefix[top])
+def assert_forest_sums_match_parent_walk(net, forest, rng):
+    """A forest's sums see exactly the ancestors and descendants it holds."""
     x = rng.normal(size=(3, forest.n))
     col = {int(b): r for r, b in enumerate(forest.buses)}
     subtree = np.zeros_like(x)
@@ -426,6 +401,41 @@ def test_subforest_sums_match_parent_walk_inside_the_set(seed):
                 ancestor[:, r] += x[:, col[a]]
     np.testing.assert_allclose(forest.subtree_sums(x), subtree, rtol=0, atol=1e-12)
     np.testing.assert_allclose(forest.ancestor_sums(x), ancestor, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_subforest_columns_match_brute_force_on_subsets(seed):
+    rng = np.random.default_rng(650 + seed)
+    net = random_network(rng, int(rng.integers(8, 70)))
+    for name, buses in subset_cases(net, rng).items():
+        cols, forest = net.subforest(buses)
+        np.testing.assert_array_equal(forest.buses[cols], buses, err_msg=name)
+        assert sorted(forest.buses.tolist()) == sorted(set(buses.tolist())), name
+        assert list(net.tin[forest.buses]) == sorted(net.tin[forest.buses]), name
+        assert_forest_sums_match_parent_walk(net, forest, rng)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_subforest_sums_match_parent_walk_inside_the_set(seed):
+    # A subtree with some of its own subtrees cut away is closed upward,
+    # as a scope's remainder is; its sums see only the buses it keeps, and
+    # its ancestor sums of line impedances are the root-path impedances.
+    rng = np.random.default_rng(680 + seed)
+    net = random_network(rng, int(rng.integers(20, 70)))
+    top = int(rng.integers(1, net.n_buses))
+    keep = set(net.order[net.tin[top]: net.tin[top] + net.size[top]].tolist())
+    for cut in rng.choice(sorted(keep - {top}), size=min(2, len(keep) - 1), replace=False):
+        keep -= set(net.order[net.tin[cut]: net.tin[cut] + net.size[cut]].tolist())
+    cols, forest = net.subforest(sorted(keep))
+    np.testing.assert_array_equal(forest.buses[cols], sorted(keep))
+    z_top = forest.z_line[:, :, 0]
+    np.testing.assert_array_equal(z_top, net.z_prefix[top])
+    for phi in range(3):
+        np.testing.assert_allclose(
+            forest.ancestor_sums(forest.z_line[phi]), net.z_prefix[forest.buses, phi].T,
+            rtol=0, atol=1e-12,
+        )
+    assert_forest_sums_match_parent_walk(net, forest, rng)
 
 
 def test_lca_table_of_no_buses_is_empty(fig_net):
@@ -470,8 +480,8 @@ def test_tree_sums_match_parent_walk(net, dtype):
         if parent[k] >= 0:
             ancestor[:, k] += ancestor[:, parent[k]]
 
-    got_subtree = net.subtree_sums(x)
-    got_ancestor = net.ancestor_sums(x)
+    got_subtree = net.forest.subtree_sums(x)
+    got_ancestor = net.forest.ancestor_sums(x)
     assert got_subtree.dtype == dtype and got_ancestor.dtype == dtype
     np.testing.assert_array_equal(x, kept)
     for got, want in ((got_subtree, subtree), (got_ancestor, ancestor)):

@@ -181,14 +181,16 @@ def test_lagrangian_reduces_to_cost_at_zero_duals():
     prob = simple_problem()
     rng = np.random.default_rng(0)
     p, q = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
-    v = prob.sens.r @ p + prob.sens.x @ q + prob.sens.v_tilde
+    sens = build_sensitivity(prob.net)
+    v = sens.r @ p + sens.x @ q + sens.v_tilde
     val = lagrangian_value(prob, p, q, np.zeros(2), np.zeros(2), v, eta=1e-4)
     assert val == pytest.approx(prob.objective(p, q))
 
 
 def test_lagrangian_zero_at_preference_with_zero_duals():
     prob = simple_problem()
-    v = prob.sens.r @ prob.p0 + prob.sens.x @ prob.q0 + prob.sens.v_tilde
+    sens = build_sensitivity(prob.net)
+    v = sens.r @ prob.p0 + sens.x @ prob.q0 + sens.v_tilde
     assert lagrangian_value(
         prob, prob.p0, prob.q0, np.zeros(2), np.zeros(2), v, eta=1e-4
     ) == 0.0
@@ -266,7 +268,8 @@ def constructed_fixed_point():
 
 def coupling_terms(prob, duals):
     d = duals.mu_upper - duals.mu_lower
-    return prob.sens.r.T @ d, prob.sens.x.T @ d
+    sens = build_sensitivity(prob.net)
+    return sens.r.T @ d, sens.x.T @ d
 
 
 def test_residual_zero_at_constructed_saddle_point():

@@ -318,6 +318,23 @@ def test_adjoint_sweep_is_the_transpose_of_the_voltage_map(seed):
     assert lhs == pytest.approx(g_p @ p + g_q @ q, rel=1e-12, abs=1e-12)
 
 
+def test_adjoint_sweep_adds_the_values_at_a_repeated_cell():
+    # A swept scope places child aggregates at anchor cells that other
+    # children or remainder duals may also hold.
+    net = generate(FeederSpec(n_buses=60, seed=2, phase_drop=0.3)).net
+    rng = np.random.default_rng(5)
+    again = rng.choice(net.n_flat, size=30)
+    cells = np.concatenate([net.flat_cell, net.flat_cell[again]])
+    d, extra = rng.normal(size=net.n_flat), rng.normal(size=len(again))
+    t = adjoint_sweep(net.forest, cells, np.concatenate([d, extra]))
+    separate = adjoint_sweep(net.forest, net.flat_cell, d) + adjoint_sweep(
+        net.forest, net.flat_cell, np.bincount(again, weights=extra, minlength=net.n_flat)
+    )
+    tol = 1e-12 * (1.0 + np.max(np.abs(separate)))
+    assert np.max(np.abs(t[: net.n_flat] - separate)) <= tol
+    np.testing.assert_array_equal(t[net.n_flat:], t[again])
+
+
 def test_matrix_free_sensitivity_holds_only_the_network_and_v_tilde():
     net = generate(FeederSpec(n_buses=50, seed=1, phase_drop=0.3)).net
     light, dense = matrix_free_sensitivity(net), build_sensitivity(net)
