@@ -20,7 +20,7 @@ from .feedergen import R_RANGE, X_RANGE
 from .network import Bus, Line, Network
 from .opf import Device, Problem, SolverConfig, make_problem
 from .partition import Area, PartitionHierarchy, Subarea
-from .sensitivity import build_sensitivity, matrix_free_sensitivity
+from .sensitivity import matrix_free_sensitivity
 from .solver import LinearVoltageModel, initial_state, run
 
 
@@ -137,15 +137,14 @@ def bench_sweep(
 ) -> list[BenchRow]:
     """Run the same solve per engine over a range of feeder sizes.
 
-    The dense R and X are built only when the flat engine is among engines.
+    Only the flat engine builds the dense R and X, in its constructor.
     """
-    build = build_sensitivity if "flat" in engines else matrix_free_sensitivity
     rows: list[BenchRow] = []
     for n in sizes:
         n_areas = max(1, round(np.sqrt(n)))
         net, part = two_level_feeder(n, n_areas, subareas_per_area, seed=seed)
         problem = bench_problem(net, seed)
-        sens = build(net)
+        sens = matrix_free_sensitivity(net)
         cfg = SolverConfig(max_iters=iters, residual_tol=0.0)
         vmodel = LinearVoltageModel(sens)
         flat_coupling_ns = None

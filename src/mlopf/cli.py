@@ -38,7 +38,7 @@ from .partition import (
     validate_partition,
 )
 from .powerflow import SweepError, compare_models
-from .sensitivity import build_sensitivity, matrix_free_sensitivity
+from .sensitivity import matrix_free_sensitivity
 from .solver import (
     LinearVoltageModel,
     SolverError,
@@ -175,8 +175,7 @@ def cmd_solve(args) -> int:
         residual_tol=args.tol,
     )
     net = load_network(args.network)
-    # Only the flat engine reads the dense R and X.
-    sens = (build_sensitivity if args.engine == "flat" else matrix_free_sensitivity)(net)
+    sens = matrix_free_sensitivity(net)
     problem = load_problem(args.devices, net, sens)
     part = None
     if args.partition:

@@ -15,18 +15,19 @@ Every scope, leaf or not, runs one kernel: a complex product with
 phase slots of each child root, then the remainder. Pairs across two
 children collapse to one root-to-root impedance times the other child's
 per-phase dual aggregate, a remainder bus meets a child only through the
-child's root, and pairs inside the remainder are exact. While the
-remainder is small the kernel is a dense block. From SWEEP_MIN_REMAINDER
-flat indices on, where the block's m^2 work overtakes a sweep's fixed
-cost, the whole kernel is one sensitivity.adjoint_sweep over the
-remainder and the child roots' parents, with each child's aggregate at
-its root's parent: O(m + children) and without any block. A scope's own
-aggregate is its children's aggregates plus its remainder's per-phase
-sums, so the split repeats at every level: depth 1 is the bi-level engine
-and depth 2 the tri-level one. The engines are algebraically equal; the
-multilevel one replaces almost all of the N^2 pairwise work with
-aggregate exchanges, which is also what keeps per-bus duals and interior
-topology inside their scope.
+child's root, and pairs inside the remainder are exact. Every scope lays
+the remainder and the child roots' parents out as one forest. While the
+remainder is small the kernel is a dense block gathered at that forest's
+LCA table. From SWEEP_MIN_REMAINDER flat indices on, where the block's
+m^2 work overtakes a sweep's fixed cost, the whole kernel is one
+sensitivity.adjoint_sweep over the same forest, with each child's
+aggregate at its root's parent: O(m + children) and without any block.
+A scope's own aggregate is its children's aggregates plus its
+remainder's per-phase sums, so the split repeats at every level: depth 1
+is the bi-level engine and depth 2 the tri-level one. The engines are
+algebraically equal; the multilevel one replaces almost all of the N^2
+pairwise work with aggregate exchanges, which is also what keeps per-bus
+duals and interior topology inside their scope.
 
 Operation counts follow a declared cost model (complex multiply-accumulate,
 rotation, and real/imaginary extraction each count one; the flat engine
@@ -42,7 +43,7 @@ import numpy as np
 
 from .network import Network
 from .partition import PartitionHierarchy, subtree_ids, unclustered, validate_partition
-from .sensitivity import OMEGA_PAIR, SensitivityMatrices, adjoint_sweep
+from .sensitivity import OMEGA_PAIR, SensitivityMatrices, adjoint_sweep, build_sensitivity
 
 
 # A scope whose remainder holds at least this many flat indices runs its
@@ -196,13 +197,16 @@ def _swept_op_count(intra_ops: list[int], cluster_sizes: list[int], columns: int
 
 
 class FlatEngine:
-    """Direct dense products R^T d and X^T d."""
+    """Direct dense products R^T d and X^T d.
+
+    Given a matrix-free sens, the engine builds R and X from sens.net.
+    """
 
     name = "flat"
 
     def __init__(self, sens: SensitivityMatrices, record: FlowRecord | None = None):
         if sens.r is None or sens.x is None:
-            raise EngineError("flat engine needs the dense R and X of build_sensitivity")
+            sens = build_sensitivity(sens.net)
         self.sens = sens
         self.n = sens.n
         self.record = record
@@ -247,19 +251,21 @@ class _Scope:
     out of [d; aggregate rows], and t[out] adds the product's rows at take:
     a slot row to every member of its child with that phase, a remainder
     row to its own flat index. A child root meets every bus outside its
-    subtree where its parent, the child's anchor, does, so a slot reads
-    the impedance table at its anchor.
+    subtree where its parent, the child's anchor, does, so a slot stands
+    at its anchor.
 
-    A remainder of fewer than SWEEP_MIN_REMAINDER flat indices holds the
-    kernel as one dense block. A larger one holds no block: its forest is
-    the subforest of the anchors and the remainder buses, closed upward
-    inside the scope since children are whole subtrees. Each child's
-    aggregate sits at its anchor's cells beside the remainder's duals, and
-    one adjoint_sweep meets every pair at its common ancestor: two children
-    at their anchors' LCA, a child and a remainder bus at the anchor's LCA
-    with that bus, and an anchor that is the substation at zero impedance.
-    The sweep also pairs each child with itself; own[k] is that 3x3 term,
-    subtracted from the child's slot rows.
+    The scope's forest is the subforest of the anchors and the remainder
+    buses, closed upward inside the scope since children are whole
+    subtrees; several tops are all the substation's children. A remainder
+    of fewer than SWEEP_MIN_REMAINDER flat indices holds the kernel as one
+    dense block, gathered at the forest's LCA table, where two tops' pairs
+    read a zero row. A larger one holds no block: each child's aggregate
+    sits at its anchor's cells beside the remainder's duals, and one
+    adjoint_sweep over the forest meets every pair at its common ancestor:
+    two children at their anchors' LCA, a child and a remainder bus at the
+    anchor's LCA with that bus, and two tops, or an anchor that is the
+    substation, at zero impedance. The sweep also pairs each child with
+    itself; own[k] is that 3x3 term, subtracted from the child's slot rows.
     """
 
     def __init__(self, net, w, key, root, member_ids, children, pos):
@@ -288,21 +294,24 @@ class _Scope:
         of_bus = np.concatenate([np.repeat(np.arange(c), 3), c + np.arange(m)])
         phase = np.concatenate([np.tile(np.arange(3, dtype=np.int64), c), self.rem_phase])
         child_sizes = [len(ch.idx) for ch in children]
+        cols, forest = net.subforest(buses)
+        cols = cols[of_bus]
         self.forest = None
         if m < SWEEP_MIN_REMAINDER:
-            # One LCA table over the anchors and the remainder holds the block.
-            rows, table = net.lca_table(buses)
-            rows = rows[of_bus]
+            # The forest's LCA table holds the block. w by forest column has
+            # a zero row last, which the -1 of two tops' pairs reads.
+            w_col = np.concatenate([w.reshape(-1, 9)[forest.buses], np.zeros((1, 9))])
+            table = forest.lca_table()
             table *= 9
-            at = table[np.ix_(rows, rows)]
+            at = table[np.ix_(cols, cols)]
             at += 3 * phase + phase[:, None]
-            self.block = np.take(w, at)
+            self.block = np.take(w_col, at)
             for k in range(c):
                 self.block[3 * k: 3 * k + 3, 3 * k: 3 * k + 3] = 0.0
             self.ops = _level_op_count([ch.ops for ch in children], child_sizes, m)
         else:
-            cols, self.forest = net.subforest(buses)
-            self.cells = phase * self.forest.n + cols[of_bus]
+            self.forest = forest
+            self.cells = phase * forest.n + cols
             # own[k, phi, psi] is w at 9 anchor + 3 psi + phi.
             self.own = w.reshape(-1, 3, 3)[anchors].transpose(0, 2, 1)
             self.ops = _swept_op_count([ch.ops for ch in children], child_sizes, self.forest.n)

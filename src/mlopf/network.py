@@ -6,12 +6,12 @@ the per-phase-pair impedance summed over the shared portion of two buses'
 paths back to the substation. That shared portion is the root path of the
 buses' lowest common ancestor, so this module owns the topology, the
 per-unit impedance data and the flat (bus, phase) index space. One DFS
-preorder lays every subtree out as a contiguous range; all-pairs LCA
-tables and single LCA queries both read those ranges, and so do the two
-O(N) tree sums, over subtrees and over root paths, that both voltage
-models run on. A Forest holds those sums for the whole tree or for any
-bus set closed upward, such as a multilevel scope's remainder together
-with its children's anchors.
+preorder lays every subtree out as a contiguous range; single LCA queries
+read those ranges. A Forest is that layout restricted to a bus set
+closed upward: the whole tree, or a multilevel scope's remainder together
+with its children's anchors. It runs the two O(N) tree sums, over
+subtrees and over root paths, that both voltage models run on, and fills
+all-pairs LCA tables over its columns.
 
 Networks are immutable after construction and safe for concurrent reads.
 """
@@ -69,19 +69,20 @@ class Line:
 
 
 class Forest:
-    """Buses laid out in DFS preorder, and the two O(n) tree sums over them.
+    """Buses laid out in DFS preorder: the two O(n) tree sums and the LCA table.
 
-    Column r is bus position buses[r], and its subtree is columns r up to
-    exit[r]. A forest array has shape (3, n), phase by column. z_line[phi,
-    psi, r] is the impedance of the line into column r; a column whose
-    parent lies outside the forest carries its whole root path there, as a
+    Column r is bus position buses[r], its parent column is up[r], -1 for
+    a top, and its subtree is columns r up to exit[r]. A forest array has
+    shape (3, n), phase by column. z_line[phi, psi, r] is the impedance of
+    the line into column r; a top carries its whole root path there, as a
     line from a virtual root.
     """
 
-    def __init__(self, buses: np.ndarray, exit_: np.ndarray, z_line: np.ndarray):
+    def __init__(self, buses: np.ndarray, up: np.ndarray, exit_: np.ndarray, z_line: np.ndarray):
         n = len(buses)
         self.buses = buses
         self.n = n
+        self.up = up
         self.z_line = np.ascontiguousarray(z_line.transpose(1, 2, 0))
         self._exit = exit_
         # Columns that share an exit are grouped here, once, so that
@@ -115,6 +116,20 @@ class Forest:
         cells = d.reshape(-1)
         cells[self._exit_cells] -= np.add.reduceat(cells[self._exit_from], self._exit_groups)
         return np.cumsum(d, axis=1)
+
+    def lca_table(self) -> np.ndarray:
+        """All-pairs lowest common ancestors: table[r, s] is a column, as int32.
+
+        Row r copies its parent's row, or is -1 throughout for a top, and
+        then writes r over its subtree's range, since a column is its own
+        LCA with any descendant and meets every other column where its
+        parent does. Two columns under different tops stay at -1.
+        """
+        table = np.empty((self.n, self.n), dtype=np.int32)
+        for r, (up, end) in enumerate(zip(self.up.tolist(), self._exit.tolist())):
+            table[r] = table[up] if up >= 0 else -1
+            table[r, r:end] = r
+        return table
 
 
 class Network:
@@ -190,10 +205,6 @@ class Network:
                     f"line ({ln.from_bus},{ln.to_bus}) disagrees with bus {ln.to_bus}'s "
                     f"parent {child.parent}"
                 )
-            if np.any(ln.z.diagonal().real < 0):
-                raise NetworkError(
-                    f"line ({ln.from_bus},{ln.to_bus}) has negative series resistance"
-                )
             self._line_by_child[ln.to_bus] = ln
 
         # Reachability from the substation: anything unreached sits on a cycle
@@ -259,6 +270,13 @@ class Network:
         self.z_line = np.zeros((n, 3, 3), dtype=np.complex128)
         for ln in self.lines:
             self.z_line[self._pos[ln.to_bus]] = ln.z
+        non_finite = ~np.isfinite(self.z_line).all(axis=(1, 2))
+        negative = (self.z_line.diagonal(axis1=1, axis2=2).real < 0).any(axis=1)
+        for bad, what in ((non_finite, "a non-finite impedance"),
+                          (negative, "negative series resistance")):
+            if bad.any():
+                ln = self._line_by_child[self.buses[int(np.argmax(bad))].id]
+                raise NetworkError(f"line ({ln.from_bus},{ln.to_bus}) has {what}")
         self.z_prefix = np.zeros((n, 3, 3), dtype=np.complex128)
         for k in self.order:
             pp = self.parent_pos[k]
@@ -281,14 +299,11 @@ class Network:
         self.flat_phase = np.array(flat_phase, dtype=np.int64)
         self.n_flat = len(flat_bus_pos)
 
-        # The whole tree as one Forest for the tree sums below: a tree array
-        # has shape (3, n_buses), phase by DFS column, where column r is bus
-        # order[r]. flat_cell is each flat index's cell in a raveled tree
-        # array, and forest.z_line[phi, psi, r] is z_line[order[r], phi, psi].
+        # The whole tree as one Forest: a tree array has shape (3, n_buses),
+        # phase by DFS column, where column r is bus order[r]. flat_cell is
+        # each flat index's cell in a raveled tree array.
         self.flat_cell = self.flat_phase * n + self.tin[self.flat_bus_pos]
-        self.forest = Forest(
-            self.order, np.arange(n) + self.size[self.order], self.z_line[self.order]
-        )
+        _, self.forest = self.subforest(self.order)
 
     # -- basic lookups ---------------------------------------------------
 
@@ -334,19 +349,20 @@ class Network:
         forest's tops. A top's column carries its whole root path, so the
         forest's ancestor sums add up to common-path impedances; two buses
         under different tops meet at zero impedance, which holds when the
-        tops' parents are the substation or a top is the substation itself.
-        The set may repeat buses. Returns (cols, forest): cols[a] is the
-        column of buses[a], as lca_table returns its rows.
+        tops' parents are the substation or a top is the substation itself,
+        and where the forest's lca_table reads -1. The set may repeat buses.
+        Returns (cols, forest): cols[a] is the column of buses[a].
         """
         t, cols = np.unique(self.tin[np.asarray(buses, dtype=np.int64)], return_inverse=True)
         nodes = self.order[t]
         exit_ = np.searchsorted(t, t + self.size[nodes])
-        inside = np.zeros(self.n_buses + 1, dtype=bool)  # parent -1 reads the pad
-        inside[nodes] = True
+        col = np.full(self.n_buses + 1, -1, dtype=np.int64)  # parent -1 reads the pad
+        col[nodes] = np.arange(len(nodes))
+        up = col[self.parent_pos[nodes]]
         z = self.z_line[nodes]
-        top = ~inside[self.parent_pos[nodes]]
+        top = up < 0
         z[top] = self.z_prefix[nodes[top]]
-        return cols, Forest(nodes, exit_, z)
+        return cols, Forest(nodes, up, exit_, z)
 
     # -- path and impedance queries ---------------------------------------
 
@@ -367,44 +383,6 @@ class Network:
         while not self.tin[a] <= tb < self.tin[a] + self.size[a]:
             a = self.parent_pos[a]
         return int(a)
-
-    def lca_table(self, buses) -> tuple[np.ndarray, np.ndarray]:
-        """All-pairs lowest common ancestors of a set of bus positions.
-
-        The set is closed under ancestors up to its own LCA, which is the
-        LCA of its first and last members in DFS order, and the closure is
-        laid out in DFS order. Every row copies its parent's row and then
-        writes its own bus over its subtree's range, since a bus is its own
-        LCA with any descendant and meets every other bus where its parent
-        does. Returns (rows, table): table[rows[a], rows[b]] is the LCA
-        position of buses[a] and buses[b], as int32.
-        """
-        buses = np.asarray(buses, dtype=np.int64)
-        if buses.size == 0:
-            return np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int32)
-        t = self.tin[buses]
-        top = self._lca_walk(self.order[t.min()], self.order[t.max()])
-        keep = np.zeros(self.n_buses, dtype=bool)
-        keep[top] = True
-        for k in buses.tolist():
-            while not keep[k]:
-                keep[k] = True
-                k = self.parent_pos[k]
-        start = self.tin[top]
-        nodes = self.order[start: start + self.size[top]]
-        nodes = nodes[keep[nodes]]
-        m = len(nodes)
-        row_of = np.empty(self.n_buses, dtype=np.int64)
-        row_of[nodes] = np.arange(m)
-        t_nodes = self.tin[nodes]
-        end = np.searchsorted(t_nodes, t_nodes + self.size[nodes]).tolist()
-        up = row_of[self.parent_pos[nodes[1:]]].tolist()
-        table = np.empty((m, m), dtype=np.int32)
-        table[0] = top
-        for r, bus in enumerate(nodes[1:].tolist(), start=1):
-            table[r] = table[up[r - 1]]
-            table[r, r: end[r]] = bus
-        return row_of[buses], table
 
     def lca(self, i: int, j: int) -> int:
         """Lowest common ancestor bus id of two buses."""
@@ -473,6 +451,13 @@ def document_number(document: dict, key: str, default: float | None, what: str) 
         raise NetworkError(f"{what} document field {key!r} must be a number") from None
 
 
+def document_id(value) -> int:
+    """A bus id as written in a document; a bool or a fraction raises ValueError."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"bus id {value!r} is not an integer")
+    return int(value)
+
+
 def load_network(document: dict | str | Path) -> Network:
     """Build a validated Network from a JSON document, path, or parsed dict."""
     document = read_document(document, "network")
@@ -484,15 +469,15 @@ def load_network(document: dict | str | Path) -> Network:
     for be in document_array(document, "buses", "network"):
         try:
             phases = tuple(sorted(be["phases"], key=phase_code))
-            buses.append(Bus(id=int(be["id"]), phases=phases, parent=(
-                None if be.get("parent") is None else int(be["parent"])
+            buses.append(Bus(id=document_id(be["id"]), phases=phases, parent=(
+                None if be.get("parent") is None else document_id(be["parent"])
             )))
         except (KeyError, TypeError, ValueError) as exc:
             raise NetworkError(f"malformed bus entry {be!r}: {exc}") from exc
     lines = []
     for le in document_array(document, "lines", "network"):
         try:
-            frm, to = int(le["from"]), int(le["to"])
+            frm, to = document_id(le["from"]), document_id(le["to"])
             lines.append(Line(from_bus=frm, to_bus=to, z=_parse_z(le.get("z", {}), frm, to)))
         except (KeyError, TypeError, ValueError) as exc:
             raise NetworkError(f"malformed line entry {le!r}: {exc}") from exc

@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .network import (
-    PHASE_NAME, Network, document_array, document_number, phase_code, read_document,
+    PHASE_NAME, Network, document_array, document_id, document_number, phase_code,
+    read_document,
 )
 from .sensitivity import SensitivityMatrices
 
@@ -319,7 +320,7 @@ def load_problem(
         try:
             devices.append(
                 Device(
-                    bus=int(entry["bus"]),
+                    bus=document_id(entry["bus"]),
                     phase=PHASE_NAME[phase_code(entry["phase"])],
                     p0=float(entry["p0"]),
                     q0=float(entry["q0"]),
@@ -336,7 +337,7 @@ def load_problem(
     background = {}
     for entry in document_array(document, "background", "device"):
         try:
-            key = (int(entry["bus"]), PHASE_NAME[phase_code(entry["phase"])])
+            key = (document_id(entry["bus"]), PHASE_NAME[phase_code(entry["phase"])])
             background[key] = (float(entry["p"]), float(entry["q"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ProblemError(f"malformed background entry {entry!r}: {exc}") from exc

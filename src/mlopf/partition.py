@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .network import Network, NetworkError, document_array, read_document
+from .network import Network, NetworkError, document_array, document_id, read_document
 
 
 @dataclass(frozen=True)
@@ -170,9 +170,9 @@ def load_partition(document: dict | str | Path, net: Network) -> PartitionHierar
     areas = []
     for k, entry in enumerate(document_array(document, "areas", "partition")):
         try:
-            root = int(entry["root"])
+            root = document_id(entry["root"])
             subareas = tuple(
-                Subarea(m, int(sentry["root"]))
+                Subarea(m, document_id(sentry["root"]))
                 for m, sentry in enumerate(entry.get("subareas", []))
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -10,9 +10,9 @@ the DFS columns of Network and without the matrices. adjoint_sweep runs
 the same sums in reverse for R^T d and X^T d; a multilevel scope with a
 large remainder computes its whole share of the product with it. The
 dense R and X that build_sensitivity materializes, by a gather at the
-pairwise lowest common ancestors of Network.lca_table, stay as the oracle
-the sweeps are tested against and as the operands of the flat coupling
-engine.
+pairwise lowest common ancestors of Network.forest's lca_table, stay as
+the oracle the sweeps are tested against and as the operands of the flat
+coupling engine.
 """
 
 from __future__ import annotations
@@ -107,20 +107,22 @@ def build_sensitivity(net: Network) -> SensitivityMatrices:
 
     Entry (a, b) with a = (i, phi), b = (j, psi) is the rotated conjugate
     common-path impedance of buses i, j at phase pair (phi, psi). Those
-    values are computed once per bus and phase pair, and each entry is a
-    gather from that table at 9 lca(i, j) + 3 phi + psi. v_tilde is the
-    flat profile at the substation's squared magnitude: with losses
-    neglected, zero injections leave every bus at the reference voltage.
-    The matrices are filled in blocks of rows, so no N x N temporary is
-    ever held beside them.
+    values are computed once per bus and phase pair, in the DFS column
+    order of Network.forest, and each entry is a gather from that table
+    at 9 lca(i, j) + 3 phi + psi, with lca(i, j) the column that the
+    forest's lca_table holds. v_tilde is the flat profile at the
+    substation's squared magnitude: with losses neglected, zero injections
+    leave every bus at the reference voltage. The matrices are filled in
+    blocks of rows, so no N x N temporary is ever held beside them.
     """
     n = net.n_flat
     ph = net.flat_phase.astype(np.int32)
-    z = net.z_prefix
+    z = net.z_prefix[net.order]
     re, im = _rotated_parts(z.real, z.imag, OMEGA_PAIR.real, OMEGA_PAIR.imag)
     r_pairs = (2.0 * re).ravel()
     x_pairs = (-2.0 * im).ravel()
-    rows, table = net.lca_table(net.flat_bus_pos)
+    rows = net.tin[net.flat_bus_pos]
+    table = net.forest.lca_table()
     table *= 9
     r = np.empty((n, n), dtype=np.float64)
     x = np.empty((n, n), dtype=np.float64)
@@ -137,7 +139,7 @@ def matrix_free_sensitivity(net: Network) -> SensitivityMatrices:
     """The linearized model without its dense matrices: net and v_tilde only.
 
     Enough for voltage_linear, compare_models and the multilevel engines;
-    only the flat coupling engine needs build_sensitivity's R and X.
+    the flat coupling engine builds R and X itself when handed this.
     """
     v_tilde = np.full(net.n_flat, net.base_v_squared, dtype=np.float64)
     return SensitivityMatrices(r=None, x=None, v_tilde=v_tilde, net=net)

@@ -82,7 +82,7 @@ def test_validate_devices_builds_no_dense_matrices(workspace, tmp_path, monkeypa
     def refuse(net):
         raise AssertionError("validate built the dense sensitivities")
 
-    monkeypatch.setattr("mlopf.cli.build_sensitivity", refuse)
+    monkeypatch.setattr("mlopf.coupling.build_sensitivity", refuse)
     network = str(workspace / "network.json")
     assert main(["validate", "--network", network,
                  "--devices", str(workspace / "devices.json")]) == 0
@@ -127,6 +127,8 @@ MALFORMED_PARTITIONS = {
     "subarea-not-an-object": {"areas": [{"root": 1, "subareas": [5]}]},
     "area-not-an-object": {"areas": [7]},
     "root-not-a-number": {"areas": [{"root": "x"}]},
+    "root-a-fraction": {"areas": [{"root": 3.7}]},
+    "subarea-root-a-bool": {"areas": [{"root": 1, "subareas": [{"root": True}]}]},
     "document-is-an-array": [{"root": 1}],
 }
 
@@ -185,8 +187,15 @@ def test_non_array_top_level_field_is_validation_error(
     assert "Traceback" not in err
 
 
-def _with_first_line_z(doc, z):
-    return {**doc, "lines": [{**doc["lines"][0], "z": z}] + doc["lines"][1:]}
+def _with_entry(doc, key, k, fields):
+    """doc with fields set in entry k of its array under key."""
+    entries = list(doc[key])
+    entries[k] = {**entries[k], **fields}
+    return {**doc, key: entries}
+
+
+def _with_first_line_aa(doc, aa):
+    return _with_entry(doc, "lines", 0, {"z": {**doc["lines"][0]["z"], "aa": aa}})
 
 
 @pytest.mark.parametrize("document,edit,message", [
@@ -199,12 +208,26 @@ def _with_first_line_z(doc, z):
      "field 'base_v_squared' must be a number"),
     ("network", lambda d: {**d, "base_v_squared": float("nan")},
      "base_v_squared must be positive and finite"),
-    ("network", lambda d: _with_first_line_z(d, [[0.01, 0.02]]), "field 'z' must be a JSON object"),
+    ("network", lambda d: _with_entry(d, "lines", 0, {"z": [[0.01, 0.02]]}),
+     "field 'z' must be a JSON object"),
+    ("network", lambda d: _with_first_line_aa(d, [float("nan"), 0.01]), "non-finite impedance"),
+    ("network", lambda d: _with_first_line_aa(d, [0.01, float("inf")]), "non-finite impedance"),
+    ("network", lambda d: _with_first_line_aa(d, [float("-inf"), 0.01]), "non-finite impedance"),
+    ("network", lambda d: _with_entry(d, "buses", 1, {"id": 1.9}), "malformed bus entry"),
+    ("network", lambda d: _with_entry(d, "buses", 1, {"id": True}), "malformed bus entry"),
+    ("network", lambda d: _with_entry(d, "buses", 1, {"parent": 0.2}), "malformed bus entry"),
+    ("network", lambda d: _with_entry(d, "lines", 0, {"to": 1.5}), "malformed line entry"),
+    ("devices", lambda d: _with_entry(d, "devices", 0, {"bus": d["devices"][0]["bus"] + 0.5}),
+     "malformed device entry"),
+    ("devices", lambda d: _with_entry(d, "background", 0, {"bus": True}),
+     "malformed background entry"),
     ("setpoints", lambda d: {"q": d["q"]}, "field 'p' must be a JSON object"),
     ("setpoints", lambda d: [d], "setpoints document must be a JSON object"),
 ], ids=[
     "vmin-null", "vmin-list", "vmax-null", "vmax-list", "vmin-negative",
-    "base-v-list", "base-v-nan", "z-list", "setpoints-without-p", "setpoints-list",
+    "base-v-list", "base-v-nan", "z-list", "z-nan", "z-inf", "z-neg-inf",
+    "bus-id-fraction", "bus-id-bool", "parent-fraction", "line-end-fraction",
+    "device-bus-fraction", "background-bus-bool", "setpoints-without-p", "setpoints-list",
 ])
 def test_malformed_scalar_field_is_validation_error(
     workspace, tmp_path, capsys, document, edit, message
@@ -453,7 +476,7 @@ def test_bench_without_flat_never_builds_the_dense_matrices(monkeypatch):
     def refuse(net):
         raise AssertionError("bench built the dense sensitivities")
 
-    monkeypatch.setattr("mlopf.bench.build_sensitivity", refuse)
+    monkeypatch.setattr("mlopf.coupling.build_sensitivity", refuse)
     light = bench_sweep([64, 128], ["bilevel", "trilevel"], 5, 4, seed=0)
     assert counts(light) == counts(dense)
     assert len(light) == 4
@@ -552,6 +575,23 @@ def test_trilevel_solve_and_compare_build_no_dense_matrices(workspace, tmp_path,
             assert main(args) == 0
         dense = without_timing(out)
         with monkeypatch.context() as patch:
-            patch.setattr("mlopf.cli.build_sensitivity", refuse)
+            patch.setattr("mlopf.coupling.build_sensitivity", refuse)
             assert main(args) == 0
         assert without_timing(out) == dense
+
+
+def test_flat_solve_writes_what_it_wrote_with_built_matrices(workspace, tmp_path, monkeypatch):
+    # solve hands every engine the matrix-free model; the flat engine builds
+    # R and X itself, and the outputs match a run that built them first.
+    from mlopf.sensitivity import build_sensitivity
+
+    out = tmp_path / "flat"
+    args = ["solve", "--network", str(workspace / "network.json"),
+            "--devices", str(workspace / "devices.json"), "--engine", "flat",
+            "--iters", "50", "--audit", "--out", str(out)]
+    with monkeypatch.context() as patch:
+        patch.setattr("mlopf.cli.matrix_free_sensitivity", build_sensitivity)
+        assert main(args) == 0
+    dense = without_timing(out)
+    assert main(args) == 0
+    assert without_timing(out) == dense

@@ -666,6 +666,9 @@ def hand_partitions():
         ))),
         # Area 30 hangs off the substation, so the substation is its anchor.
         (heads, PartitionHierarchy((Area(0, 30, (Subarea(0, 32),)), Area(1, 17, ())))),
+        # No area hangs off the substation: the feeder's forest has two tops,
+        # buses 1 and 30, whose pairs meet at zero impedance.
+        (heads, PartitionHierarchy((Area(0, 32, ()), Area(1, 21, (Subarea(0, 27),))))),
     ):
         assert validate_partition(net, part) == []
         yield net, part, *random_duals(np.random.default_rng(9), net.n_flat)
@@ -706,6 +709,24 @@ def test_sweep_remainders_match_flat_at_both_depths(all_sweeps):
         "shared anchor", "remainder anchor with a nonzero dual",
         "substation anchor", "empty remainder",
     }
+
+
+def test_dense_kernels_match_flat_at_both_depths():
+    tops = set()
+    for net, part, mu_up, mu_lo in hand_partitions():
+        ref = FlatEngine(build_sensitivity(net)).compute(mu_up, mu_lo)
+        for depth in (1, 2):
+            engine = MultilevelEngine(net, part, depth)
+            assert all(s.forest is None for s in engine._scopes)
+            top = engine._tree
+            anchors = [net.parent_pos[net.bus_pos(ch.root)] for ch in top.children]
+            _, forest = net.subforest([*anchors, *net.flat_bus_pos[top.rem]])
+            if net.bus_pos(0) not in forest.buses:
+                tops.add(int(np.sum(forest.up < 0)))
+            res = engine.compute(mu_up, mu_lo)
+            for got, want in ((res.g_p, ref.g_p), (res.g_q, ref.g_q)):
+                assert np.max(np.abs(got - want)) < 1e-12 * (1.0 + np.max(np.abs(want)))
+    assert max(tops) >= 2
 
 
 def test_sweep_remainders_send_the_dense_kernels_messages(monkeypatch):
@@ -776,11 +797,16 @@ def test_acceptance_feeders_keep_their_dense_blocks():
     assert swept == [("unclustered",)]
 
 
-def test_flat_engine_needs_the_dense_matrices(fig_net):
+def test_flat_engine_builds_the_dense_matrices_it_lacks():
     from mlopf.sensitivity import matrix_free_sensitivity
 
-    with pytest.raises(EngineError, match="dense R and X"):
-        FlatEngine(matrix_free_sensitivity(fig_net))
+    net, _ = uv300()
+    mu_up, mu_lo = random_duals(np.random.default_rng(12), net.n_flat)
+    built = FlatEngine(build_sensitivity(net)).compute(mu_up, mu_lo)
+    light = FlatEngine(matrix_free_sensitivity(net)).compute(mu_up, mu_lo)
+    assert light.g_p.tobytes() == built.g_p.tobytes()
+    assert light.g_q.tobytes() == built.g_q.tobytes()
+    assert light.op_count == built.op_count
 
 
 def test_swept_scope_never_builds_its_dense_block():

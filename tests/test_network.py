@@ -199,6 +199,22 @@ def test_negative_resistance_rejected():
         )
 
 
+@pytest.mark.parametrize("aa", [
+    [float("nan"), 0.01], [0.01, float("inf")], [float("-inf"), 0.01],
+], ids=["nan", "inf", "neg-inf"])
+def test_non_finite_impedance_rejected(aa):
+    with pytest.raises(NetworkError, match=r"line \(0,1\) has a non-finite impedance"):
+        load_network(
+            {
+                "buses": [
+                    {"id": 0, "phases": ["a", "b", "c"], "parent": None},
+                    {"id": 1, "phases": ["a"], "parent": 0},
+                ],
+                "lines": [{"from": 0, "to": 1, "z": {"aa": aa}}],
+            }
+        )
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_common_path_symmetry_on_random_trees(seed):
     rng = np.random.default_rng(seed)
@@ -335,7 +351,7 @@ def brute_force_lca(net, a, b):
 @pytest.mark.parametrize("net", lca_networks(), ids=LCA_NETWORK_IDS)
 def test_lca_table_matches_scalar_queries(net):
     ids = [b.id for b in net.buses]
-    rows, table = net.lca_table(np.arange(net.n_buses))
+    table = net.forest.lca_table()
     rng = np.random.default_rng(7)
     for _ in range(50):
         i, j = (int(v) for v in rng.choice(ids, size=2))
@@ -344,8 +360,64 @@ def test_lca_table_matches_scalar_queries(net):
         pj = [0] + [child for (_, child) in net.path_to_root(j)]
         common = [a for a, b in zip(pi, pj) if a == b]
         assert lca == common[-1]
-        a, b = net.bus_pos(i), net.bus_pos(j)
-        assert net.buses[table[rows[a], rows[b]]].id == lca
+        a, b = net.tin[net.bus_pos(i)], net.tin[net.bus_pos(j)]
+        assert net.buses[net.forest.buses[table[a, b]]].id == lca
+
+
+def subtree_positions(net, k):
+    return net.order[net.tin[k]: net.tin[k] + net.size[k]]
+
+
+def substation_branches(net):
+    """net with bus 1's children moved onto the substation, their lines unchanged."""
+    doc = network_to_document(net)
+    moved = {b["id"] for b in doc["buses"] if b["parent"] == 1}
+    for entry in doc["buses"]:
+        if entry["id"] in moved:
+            entry["parent"] = 0
+    for entry in doc["lines"]:
+        if entry["to"] in moved:
+            entry["from"] = 0
+    return load_network(doc)
+
+
+def forest_cases(net, rng):
+    """Named bus-position sets closed upward below their tops."""
+    root = net.bus_pos(0)
+    k = int(rng.integers(1, net.n_buses))
+    subtree = subtree_positions(net, k)
+    kept = set(subtree.tolist())
+    for cut in rng.choice(subtree[1:], size=min(2, len(subtree) - 1), replace=False):
+        kept -= set(subtree_positions(net, cut).tolist())
+    return {
+        "tree": net.order,
+        "subtree": subtree,
+        "subtree_with_cuts": np.array(sorted(kept)),
+        "branches": np.setdiff1d(np.arange(net.n_buses), [root]),
+    }
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lca_table_matches_brute_force_on_subsets(seed):
+    # The branches case is every bus but the substation, so its tops are the
+    # substation's children, and columns under two of them meet at -1.
+    rng = np.random.default_rng(600 + seed)
+    net = substation_branches(random_network(rng, int(rng.integers(8, 70))))
+    root = net.bus_pos(0)
+    for name, buses in forest_cases(net, rng).items():
+        cols, forest = net.subforest(buses)
+        table = forest.lca_table()
+        assert table.dtype == np.int32, name
+        got = table[np.ix_(cols, cols)]
+        col = {int(b): r for r, b in enumerate(forest.buses)}
+        want = [[col.get(brute_force_lca(net, a, b), -1) for b in buses] for a in buses]
+        np.testing.assert_array_equal(got, want, err_msg=name)
+        if name == "branches":
+            assert set(forest.buses[forest.up < 0]) == set(net.children_pos[root])
+            branch = [ancestors(net, int(b))[-2] for b in buses]
+            np.testing.assert_array_equal(got == -1, np.not_equal.outer(branch, branch))
+        else:
+            assert (got >= 0).all(), name
 
 
 def subset_cases(net, rng):
@@ -364,28 +436,6 @@ def subset_cases(net, rng):
         "single": np.array([k]),
         "repeats": np.concatenate([scattered, scattered[::-1]]),
     }
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_lca_table_matches_brute_force_on_subsets(seed):
-    rng = np.random.default_rng(600 + seed)
-    net = random_network(rng, int(rng.integers(8, 70)))
-    for name, buses in subset_cases(net, rng).items():
-        rows, table = net.lca_table(buses)
-        assert table.dtype == np.int32, name
-        got = table[np.ix_(rows, rows)]
-        want = [[brute_force_lca(net, a, b) for b in buses] for a in buses]
-        np.testing.assert_array_equal(got, want, err_msg=name)
-        # The closure stops at the set's own LCA: it holds that LCA and the
-        # members' ancestors below it, nothing above.
-        top = int(buses[0])
-        for b in buses:
-            top = brute_force_lca(net, top, int(b))
-        closure = {top}
-        for b in buses:
-            path = ancestors(net, int(b))
-            closure.update(path[: path.index(top)])
-        assert len(table) == len(closure), name
 
 
 def assert_forest_sums_match_parent_walk(net, forest, rng):
@@ -439,9 +489,9 @@ def test_subforest_sums_match_parent_walk_inside_the_set(seed):
 
 
 def test_lca_table_of_no_buses_is_empty(fig_net):
-    rows, table = fig_net.lca_table(np.zeros(0, dtype=np.int64))
-    assert rows.shape == (0,)
-    assert table.shape == (0, 0)
+    cols, forest = fig_net.subforest(np.zeros(0, dtype=np.int64))
+    assert cols.shape == (0,)
+    assert forest.lca_table().shape == (0, 0)
 
 
 @pytest.mark.parametrize("net", lca_networks(), ids=LCA_NETWORK_IDS)
