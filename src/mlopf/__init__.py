@@ -38,7 +38,6 @@ from .opf import (
     ProblemError,
     SolverConfig,
     VoltageBounds,
-    cost_and_gradient,
     dual_update,
     lagrangian_value,
     load_problem,

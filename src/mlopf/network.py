@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -85,16 +86,26 @@ class Forest:
         self.up = up
         self.z_line = np.ascontiguousarray(z_line.transpose(1, 2, 0))
         self._exit = exit_
-        # Columns that share an exit are grouped here, once, so that
-        # ancestor_sums can subtract each group's sum with one reduceat.
+
+    @cached_property
+    def _exit_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Columns that share an exit, grouped so that ancestor_sums can
+        subtract each group's sum with one reduceat: the raveled cells to
+        sum, each group's first entry among them, and the group's exit cell.
+        Built on first use, since a forest read only for its LCA table never
+        needs them.
+        """
+        n, exit_ = self.n, self._exit
         inner = np.flatnonzero(exit_ < n)
         inner = inner[np.argsort(exit_[inner], kind="stable")]
         exits = exit_[inner]
         first = np.flatnonzero(np.diff(exits, prepend=-1))
         phase_rows = np.arange(3)[:, None]
-        self._exit_from = (phase_rows * n + inner).ravel()
-        self._exit_groups = (phase_rows * len(inner) + first).ravel()
-        self._exit_cells = (phase_rows * n + exits[first]).ravel()
+        return (
+            (phase_rows * n + inner).ravel(),
+            (phase_rows * len(inner) + first).ravel(),
+            (phase_rows * n + exits[first]).ravel(),
+        )
 
     def subtree_sums(self, x: np.ndarray) -> np.ndarray:
         """Per-phase sums of a forest array over every column's subtree.
@@ -112,9 +123,10 @@ class Forest:
         subtracted again at its subtree's exit column, so the running sum at
         a column holds exactly the columns whose subtrees contain it.
         """
+        sources, groups, exits = self._exit_groups
         d = np.array(x, order="C")
         cells = d.reshape(-1)
-        cells[self._exit_cells] -= np.add.reduceat(cells[self._exit_from], self._exit_groups)
+        cells[exits] -= np.add.reduceat(cells[sources], groups)
         return np.cumsum(d, axis=1)
 
     def lca_table(self) -> np.ndarray:
@@ -151,34 +163,36 @@ class Network:
     # -- construction ----------------------------------------------------
 
     def _validate_and_build(self) -> None:
+        n = len(self.buses)
         ids = [b.id for b in self.buses]
-        if len(set(ids)) != len(ids):
+        self._pos = dict(zip(ids, range(n)))
+        if len(self._pos) != n:
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise NetworkError(f"duplicate bus ids: {dupes}")
-        if any(i < 0 for i in ids):
+        if ids and ids[0] < 0:
             raise NetworkError("bus ids must be nonnegative")
-        self._pos = {bid: k for k, bid in enumerate(ids)}
         if 0 not in self._pos:
             raise NetworkError("substation bus 0 is missing")
-        n = len(self.buses)
-
-        for b in self.buses:
-            if not b.phases:
-                raise NetworkError(f"bus {b.id} has no phases")
-            if any(ph not in PHASE_CODE for ph in b.phases):
-                raise NetworkError(f"bus {b.id} has an unknown phase")
-            codes = [PHASE_CODE[ph] for ph in b.phases]
-            if codes != sorted(set(codes)):
-                raise NetworkError(f"bus {b.id} phases must be distinct and sorted a<b<c")
-        sub = self.buses[self._pos[0]]
-        if sub.parent is not None:
+        # Positions follow ids, so the substation is position 0 and every
+        # children list below fills in ascending bus-id order.
+        if self.buses[0].parent is not None:
             raise NetworkError("substation bus 0 must not have a parent")
-        if sub.phases != PHASES:
+        if self.buses[0].phases != PHASES:
             raise NetworkError("substation bus 0 must carry phases a, b, c")
 
-        self.parent_pos = np.full(n, -1, dtype=np.int64)
-        for b in self.buses:
-            if b.id == 0:
+        cells = []
+        parent = [-1] * n
+        self.children_pos: list[list[int]] = [[] for _ in range(n)]
+        for k, b in enumerate(self.buses):
+            if not b.phases:
+                raise NetworkError(f"bus {b.id} has no phases")
+            codes = [PHASE_CODE.get(ph) for ph in b.phases]
+            if None in codes:
+                raise NetworkError(f"bus {b.id} has an unknown phase")
+            if codes != sorted(set(codes)):
+                raise NetworkError(f"bus {b.id} phases must be distinct and sorted a<b<c")
+            cells += [3 * k + c for c in codes]
+            if k == 0:
                 continue
             if b.parent is None:
                 raise NetworkError(f"bus {b.id} has no parent")
@@ -186,7 +200,11 @@ class Network:
                 raise NetworkError(f"bus {b.id} references unknown parent {b.parent}")
             if b.parent == b.id:
                 raise NetworkError(f"not a tree: bus {b.id} is its own parent")
-            self.parent_pos[self._pos[b.id]] = self._pos[b.parent]
+            parent[k] = self._pos[b.parent]
+            self.children_pos[parent[k]].append(k)
+        self.parent_pos = np.array(parent, dtype=np.int64)
+        self.phase_mask = np.zeros((n, 3), dtype=bool)
+        self.phase_mask.reshape(-1)[cells] = True
 
         # Exactly one line per non-root bus, endpoints agreeing with parents.
         if len(self.lines) != n - 1:
@@ -194,82 +212,65 @@ class Network:
                 f"not a tree: {len(self.lines)} lines for {n} buses (need {n - 1})"
             )
         self._line_by_child = {}
+        self.z_line = np.zeros((n, 3, 3), dtype=np.complex128)
         for ln in self.lines:
             if ln.to_bus not in self._pos or ln.from_bus not in self._pos:
                 raise NetworkError(f"line ({ln.from_bus},{ln.to_bus}) references unknown bus")
             if ln.to_bus in self._line_by_child:
                 raise NetworkError(f"not a tree: bus {ln.to_bus} has two incoming lines")
-            child = self.buses[self._pos[ln.to_bus]]
-            if child.parent != ln.from_bus:
+            k = self._pos[ln.to_bus]
+            if self.buses[k].parent != ln.from_bus:
                 raise NetworkError(
                     f"line ({ln.from_bus},{ln.to_bus}) disagrees with bus {ln.to_bus}'s "
-                    f"parent {child.parent}"
+                    f"parent {self.buses[k].parent}"
                 )
             self._line_by_child[ln.to_bus] = ln
+            self.z_line[k] = ln.z
 
-        # Reachability from the substation: anything unreached sits on a cycle
-        # (parent pointers all resolve, so no dangling ends are possible).
-        self.children_pos: list[list[int]] = [[] for _ in range(n)]
-        for k in range(n):
-            pp = self.parent_pos[k]
-            if pp >= 0:
-                self.children_pos[pp].append(k)
-        for ch in self.children_pos:
-            ch.sort(key=lambda k: self.buses[k].id)
         # One DFS preorder, children in ascending bus-id order: bus k's
-        # subtree is order[tin[k] : tin[k] + size[k]].
-        self.depth = np.full(n, -1, dtype=np.int64)
-        self.depth[self._pos[0]] = 0
+        # subtree is order[tin[k] : tin[k] + size[k]]. Parent pointers all
+        # resolve, so anything the DFS leaves unreached sits on a cycle.
+        depth = [-1] * n
+        depth[0] = 0
         order = []
-        stack = [self._pos[0]]
+        stack = [0]
         while stack:
             k = stack.pop()
             order.append(k)
             for c in reversed(self.children_pos[k]):
-                self.depth[c] = self.depth[k] + 1
+                depth[c] = depth[k] + 1
                 stack.append(c)
         if len(order) != n:
-            missing = sorted(self.buses[k].id for k in range(n) if self.depth[k] < 0)
+            missing = sorted(self.buses[k].id for k in range(n) if depth[k] < 0)
             raise NetworkError(f"not a tree: buses {missing} are not reachable from bus 0")
+        self.depth = np.array(depth, dtype=np.int64)
         self.order = np.array(order, dtype=np.int64)
         self.tin = np.empty(n, dtype=np.int64)
         self.tin[self.order] = np.arange(n)
         size = [1] * n
-        parent = self.parent_pos.tolist()
         for k in order[:0:-1]:
             size[parent[k]] += size[k]
         self.size = np.array(size, dtype=np.int64)
 
-        # Phases may only drop moving away from the substation.
-        self.phase_mask = np.zeros((n, 3), dtype=bool)
-        for b in self.buses:
-            for ph in b.phases:
-                self.phase_mask[self._pos[b.id], PHASE_CODE[ph]] = True
-        for b in self.buses:
-            if b.id == 0:
-                continue
-            pmask = self.phase_mask[self._pos[b.parent]]
-            for ph in b.phases:
-                if not pmask[PHASE_CODE[ph]]:
-                    raise NetworkError(
-                        f"bus {b.id}: phase {ph} not present on parent bus {b.parent}"
-                    )
-
-        # Line phase set must equal the child's phase set.
-        for ln in self.lines:
-            cmask = self.phase_mask[self._pos[ln.to_bus]]
-            touched = (ln.z != 0).any(axis=1) | (ln.z != 0).any(axis=0)
-            for c in range(3):
-                if touched[c] and not cmask[c]:
-                    raise NetworkError(
-                        f"line ({ln.from_bus},{ln.to_bus}) has impedance on phase "
-                        f"{PHASE_NAME[c]} absent from bus {ln.to_bus}"
-                    )
-
-        # Zero-padded per-child line impedances and root-path prefix sums.
-        self.z_line = np.zeros((n, 3, 3), dtype=np.complex128)
-        for ln in self.lines:
-            self.z_line[self._pos[ln.to_bus]] = ln.z
+        # Phases may only drop moving away from the substation, and a line's
+        # phase set must equal its child's. Rows follow bus ids, so the first
+        # offending row names the lowest offending bus id.
+        drop = self.phase_mask[1:] & ~self.phase_mask[self.parent_pos[1:]]
+        if drop.any():
+            k, c = np.argwhere(drop)[0].tolist()
+            b = self.buses[k + 1]
+            raise NetworkError(
+                f"bus {b.id}: phase {PHASE_NAME[c]} not present on parent bus {b.parent}"
+            )
+        nonzero = self.z_line != 0
+        stray = (nonzero.any(axis=2) | nonzero.any(axis=1)) & ~self.phase_mask
+        if stray.any():
+            k, c = np.argwhere(stray)[0].tolist()
+            ln = self._line_by_child[self.buses[k].id]
+            raise NetworkError(
+                f"line ({ln.from_bus},{ln.to_bus}) has impedance on phase "
+                f"{PHASE_NAME[c]} absent from bus {ln.to_bus}"
+            )
         non_finite = ~np.isfinite(self.z_line).all(axis=(1, 2))
         negative = (self.z_line.diagonal(axis1=1, axis2=2).real < 0).any(axis=1)
         for bad, what in ((non_finite, "a non-finite impedance"),
@@ -277,27 +278,18 @@ class Network:
             if bad.any():
                 ln = self._line_by_child[self.buses[int(np.argmax(bad))].id]
                 raise NetworkError(f"line ({ln.from_bus},{ln.to_bus}) has {what}")
-        self.z_prefix = np.zeros((n, 3, 3), dtype=np.complex128)
-        for k in self.order:
-            pp = self.parent_pos[k]
-            if pp >= 0:
-                self.z_prefix[k] = self.z_prefix[pp] + self.z_line[k]
 
-        # Flat (bus, phase) index space, bus-id-major, phase-minor.
-        flat_bus_pos: list[int] = []
-        flat_phase: list[int] = []
+        # Root-path prefix sums of the zero-padded per-child line impedances.
+        self.z_prefix = np.zeros((n, 3, 3), dtype=np.complex128)
+        for k in order[1:]:
+            self.z_prefix[k] = self.z_prefix[parent[k]] + self.z_line[k]
+
+        # Flat (bus, phase) index space, bus-id-major, phase-minor: the cells
+        # of phase_mask that are set, after the substation's three.
+        self.flat_bus_pos, self.flat_phase = np.divmod(np.flatnonzero(self.phase_mask)[3:], 3)
+        self.n_flat = len(self.flat_phase)
         self.index_of = np.full((n, 3), -1, dtype=np.int64)
-        for b in self.buses:
-            if b.id == 0:
-                continue
-            k = self._pos[b.id]
-            for ph in b.phases:
-                self.index_of[k, PHASE_CODE[ph]] = len(flat_bus_pos)
-                flat_bus_pos.append(k)
-                flat_phase.append(PHASE_CODE[ph])
-        self.flat_bus_pos = np.array(flat_bus_pos, dtype=np.int64)
-        self.flat_phase = np.array(flat_phase, dtype=np.int64)
-        self.n_flat = len(flat_bus_pos)
+        self.index_of[self.flat_bus_pos, self.flat_phase] = np.arange(self.n_flat)
 
         # The whole tree as one Forest: a tree array has shape (3, n_buses),
         # phase by DFS column, where column r is bus order[r]. flat_cell is
@@ -419,7 +411,8 @@ def _parse_z(entry: dict, from_bus: int, to_bus: int) -> np.ndarray:
             raise NetworkError(
                 f"line ({from_bus},{to_bus}): impedance {key!r} must be [re, im]"
             )
-        z[PHASE_CODE[key[0]], PHASE_CODE[key[1]]] = complex(val[0], val[1])
+        real, imag = json_number(val[0]), json_number(val[1])
+        z[PHASE_CODE[key[0]], PHASE_CODE[key[1]]] = complex(real, imag)
     return z
 
 
@@ -443,17 +436,27 @@ def document_array(document: dict, key: str, what: str) -> list:
     return value
 
 
+def json_number(value) -> float:
+    """A JSON number as a float; a string, a bool or anything else raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a JSON number")
+    return float(value)
+
+
 def document_number(document: dict, key: str, default: float | None, what: str) -> float:
     """The number under key, or default when absent; anything else raises NetworkError."""
     try:
-        return float(document.get(key, default))
-    except (TypeError, ValueError):
+        return json_number(document.get(key, default))
+    except TypeError:
         raise NetworkError(f"{what} document field {key!r} must be a number") from None
 
 
 def document_id(value) -> int:
-    """A bus id as written in a document; a bool or a fraction raises ValueError."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """A bus id as written in a document: an integer, or an integral float such as 3.0.
+
+    A string or a bool raises TypeError, a fraction ValueError.
+    """
+    if not json_number(value).is_integer():
         raise ValueError(f"bus id {value!r} is not an integer")
     return int(value)
 

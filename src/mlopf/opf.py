@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .network import (
-    PHASE_NAME, Network, document_array, document_id, document_number, phase_code,
+    PHASE_NAME, Network, document_array, document_id, document_number, json_number, phase_code,
     read_document,
 )
 from .sensitivity import SensitivityMatrices
@@ -209,18 +209,6 @@ def make_problem(
     )
 
 
-# -- scalar per-device cost ------------------------------------------------
-
-def cost_and_gradient(dev: Device, p: float, q: float) -> tuple[float, float, float]:
-    """Deviation cost and its gradient for a single device."""
-    dp, dq = p - dev.p0, q - dev.q0
-    return (
-        dev.w_p * dp * dp + dev.w_q * dq * dq,
-        2.0 * dev.w_p * dp,
-        2.0 * dev.w_q * dq,
-    )
-
-
 # -- dual update and saddle diagnostics -------------------------------------
 
 def dual_update(
@@ -322,14 +310,14 @@ def load_problem(
                 Device(
                     bus=document_id(entry["bus"]),
                     phase=PHASE_NAME[phase_code(entry["phase"])],
-                    p0=float(entry["p0"]),
-                    q0=float(entry["q0"]),
-                    p_min=float(entry["pmin"]),
-                    p_max=float(entry["pmax"]),
-                    q_min=float(entry["qmin"]),
-                    q_max=float(entry["qmax"]),
-                    w_p=float(entry.get("wp", Device.w_p)),
-                    w_q=float(entry.get("wq", Device.w_q)),
+                    p0=json_number(entry["p0"]),
+                    q0=json_number(entry["q0"]),
+                    p_min=json_number(entry["pmin"]),
+                    p_max=json_number(entry["pmax"]),
+                    q_min=json_number(entry["qmin"]),
+                    q_max=json_number(entry["qmax"]),
+                    w_p=json_number(entry.get("wp", Device.w_p)),
+                    w_q=json_number(entry.get("wq", Device.w_q)),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -338,7 +326,7 @@ def load_problem(
     for entry in document_array(document, "background", "device"):
         try:
             key = (document_id(entry["bus"]), PHASE_NAME[phase_code(entry["phase"])])
-            background[key] = (float(entry["p"]), float(entry["q"]))
+            background[key] = (json_number(entry["p"]), json_number(entry["q"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ProblemError(f"malformed background entry {entry!r}: {exc}") from exc
     return make_problem(

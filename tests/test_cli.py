@@ -129,6 +129,7 @@ MALFORMED_PARTITIONS = {
     "root-not-a-number": {"areas": [{"root": "x"}]},
     "root-a-fraction": {"areas": [{"root": 3.7}]},
     "subarea-root-a-bool": {"areas": [{"root": 1, "subareas": [{"root": True}]}]},
+    "root-a-string": {"areas": [{"root": "1"}]},
     "document-is-an-array": [{"root": 1}],
 }
 
@@ -223,11 +224,32 @@ def _with_first_line_aa(doc, aa):
      "malformed background entry"),
     ("setpoints", lambda d: {"q": d["q"]}, "field 'p' must be a JSON object"),
     ("setpoints", lambda d: [d], "setpoints document must be a JSON object"),
+    ("network", lambda d: _with_entry(d, "buses", 1, {"id": str(d["buses"][1]["id"])}),
+     "malformed bus entry"),
+    ("network", lambda d: _with_entry(d, "buses", 1, {"parent": str(d["buses"][1]["parent"])}),
+     "malformed bus entry"),
+    ("network", lambda d: _with_entry(d, "lines", 0, {"from": str(d["lines"][0]["from"])}),
+     "malformed line entry"),
+    ("network", lambda d: _with_entry(d, "lines", 0, {"to": str(d["lines"][0]["to"])}),
+     "malformed line entry"),
+    ("network", lambda d: {**d, "base_v_squared": "1.0"},
+     "field 'base_v_squared' must be a number"),
+    ("devices", lambda d: {**d, "vmin": "0.9"}, "field 'vmin' must be a number"),
+    ("devices", lambda d: _with_entry(d, "devices", 0, {"p0": "0"}), "malformed device entry"),
+    ("devices", lambda d: _with_entry(d, "devices", 0, {"q0": False}), "malformed device entry"),
+    ("devices", lambda d: _with_entry(d, "devices", 0, {"qmax": True}), "malformed device entry"),
+    ("devices", lambda d: _with_entry(d, "background", 0, {"p": "0.01"}),
+     "malformed background entry"),
+    ("network", lambda d: _with_first_line_aa(d, [True, 0]), "malformed line entry"),
+    ("setpoints", lambda d: {**d, "p": {"1:a": "0.1"}}, "field '1:a' must be a number"),
 ], ids=[
     "vmin-null", "vmin-list", "vmax-null", "vmax-list", "vmin-negative",
     "base-v-list", "base-v-nan", "z-list", "z-nan", "z-inf", "z-neg-inf",
     "bus-id-fraction", "bus-id-bool", "parent-fraction", "line-end-fraction",
     "device-bus-fraction", "background-bus-bool", "setpoints-without-p", "setpoints-list",
+    "bus-id-string", "parent-string", "line-from-string", "line-to-string", "base-v-string",
+    "vmin-string", "device-p0-string", "device-q0-bool", "device-qmax-bool",
+    "background-p-string", "z-bool", "setpoint-string",
 ])
 def test_malformed_scalar_field_is_validation_error(
     workspace, tmp_path, capsys, document, edit, message

@@ -68,6 +68,22 @@ def test_phase_missing_on_parent_is_rejected():
     }
     with pytest.raises(NetworkError, match="phase b not present on parent"):
         load_network(doc)
+    # Two buses drop a phase of bus 1, listed out of id order: the lower id is named.
+    doc = {
+        "buses": [
+            {"id": 0, "phases": ["a", "b", "c"], "parent": None},
+            {"id": 1, "phases": ["a"], "parent": 0},
+            {"id": 5, "phases": ["b"], "parent": 1},
+            {"id": 3, "phases": ["c"], "parent": 1},
+        ],
+        "lines": [
+            {"from": 0, "to": 1, "z": {"aa": [0.01, 0.0]}},
+            {"from": 1, "to": 5, "z": {"bb": [0.01, 0.0]}},
+            {"from": 1, "to": 3, "z": {"cc": [0.01, 0.0]}},
+        ],
+    }
+    with pytest.raises(NetworkError, match="bus 3: phase c not present on parent bus 1"):
+        load_network(doc)
 
 
 def test_duplicate_bus_ids_rejected():
@@ -182,6 +198,21 @@ def test_impedance_key_outside_line_phases_rejected():
                     {"id": 1, "phases": ["a"], "parent": 0},
                 ],
                 "lines": [{"from": 0, "to": 1, "z": {"bb": [0.01, 0.02]}}],
+            }
+        )
+    # Two such lines, listed out of id order: the line into the lower bus id is named.
+    with pytest.raises(NetworkError, match=r"line \(0,3\) has impedance on phase c absent"):
+        load_network(
+            {
+                "buses": [
+                    {"id": 0, "phases": ["a", "b", "c"], "parent": None},
+                    {"id": 3, "phases": ["a"], "parent": 0},
+                    {"id": 5, "phases": ["a"], "parent": 0},
+                ],
+                "lines": [
+                    {"from": 0, "to": 5, "z": {"bb": [0.01, 0.02]}},
+                    {"from": 0, "to": 3, "z": {"cc": [0.01, 0.02]}},
+                ],
             }
         )
 
@@ -325,14 +356,45 @@ def test_document_round_trip(fig_net):
     assert net2.flat_labels() == fig_net.flat_labels()
 
 
+def sparse_unordered_feeder() -> Network:
+    """Sparse bus ids, some below their parent's, with buses and lines listed out of order."""
+    tree = {  # bus id: (parent id, phases)
+        40: (0, "abc"), 7: (40, "ab"), 12: (0, "abc"), 3: (12, "c"),
+        25: (7, "b"), 19: (12, "ac"), 31: (40, "abc"), 2: (19, "a"),
+    }
+    buses = [Bus(bid, tuple(ph), parent) for bid, (parent, ph) in tree.items()]
+    lines = []
+    for bid, (parent, ph) in reversed(tree.items()):
+        z = np.zeros((3, 3), dtype=np.complex128)
+        for c in ph:
+            z["abc".index(c), "abc".index(c)] = complex(0.001 * bid, 0.002 * bid)
+        lines.append(Line(parent, bid, z))
+    return Network([*buses, Bus(0, ("a", "b", "c"), None)], lines)
+
+
 def lca_networks():
     yield fig_feeder()
     for seed in range(5):
         rng = np.random.default_rng(500 + seed)
         yield random_network(rng, int(rng.integers(10, 60)), multi_phase=seed % 2 == 0)
+    yield sparse_unordered_feeder()
 
 
-LCA_NETWORK_IDS = ["fig", *map(str, range(5))]
+LCA_NETWORK_IDS = ["fig", *map(str, range(5)), "sparse"]
+
+
+@pytest.mark.parametrize("net", lca_networks(), ids=LCA_NETWORK_IDS)
+def test_flat_index_space_is_bus_major_and_addressed_in_the_forest(net):
+    np.testing.assert_array_equal(
+        net.index_of[net.flat_bus_pos, net.flat_phase], np.arange(net.n_flat)
+    )
+    assert np.count_nonzero(net.index_of >= 0) == net.n_flat
+    labels = net.flat_labels()
+    assert labels == sorted(labels)
+    assert set(labels) == {(b.id, ph) for b in net.buses if b.id != 0 for ph in b.phases}
+    phases, cols = np.divmod(net.flat_cell, net.n_buses)
+    np.testing.assert_array_equal(phases, net.flat_phase)
+    np.testing.assert_array_equal(net.forest.buses[cols], net.flat_bus_pos)
 
 
 def ancestors(net, k):

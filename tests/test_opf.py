@@ -12,7 +12,6 @@ from mlopf.opf import (
     ProblemError,
     SolverConfig,
     VoltageBounds,
-    cost_and_gradient,
     dual_update,
     lagrangian_value,
     load_problem,
@@ -33,12 +32,30 @@ def make_dev(**kw) -> Device:
     return Device(**base)
 
 
+# One flat index, (1, a), for a device built by make_dev.
+ONE_INDEX_NET = load_network({
+    "buses": [
+        {"id": 0, "phases": ["a", "b", "c"], "parent": None},
+        {"id": 1, "phases": ["a"], "parent": 0},
+    ],
+    "lines": [{"from": 0, "to": 1, "z": {"aa": [0.01, 0.02]}}],
+})
+
+
+def device_cost(dev: Device, p: float, q: float) -> tuple[float, float, float]:
+    """Deviation cost and its gradient for a single device, through a Problem holding only it."""
+    prob = make_problem(ONE_INDEX_NET, None, [dev])
+    pv, qv = np.array([p]), np.array([q])
+    g_p, g_q = prob.cost_gradients(pv, qv)
+    return prob.objective(pv, qv), float(g_p[0]), float(g_q[0])
+
+
 def test_cost_zero_at_preference():
-    assert cost_and_gradient(make_dev(), 0.0, 0.0) == (0.0, 0.0, 0.0)
+    assert device_cost(make_dev(), 0.0, 0.0) == (0.0, 0.0, 0.0)
 
 
 def test_cost_hand_values():
-    cost, dp, dq = cost_and_gradient(make_dev(), 0.1, -0.2)
+    cost, dp, dq = device_cost(make_dev(), 0.1, -0.2)
     assert cost == pytest.approx(0.05)
     assert dp == pytest.approx(0.2)
     assert dq == pytest.approx(-0.4)
@@ -47,8 +64,8 @@ def test_cost_hand_values():
 def test_cost_weight_scaling():
     dev1 = make_dev(w_p=1.0)
     dev2 = make_dev(w_p=2.0)
-    c1, dp1, dq1 = cost_and_gradient(dev1, 0.3, 0.1)
-    c2, dp2, dq2 = cost_and_gradient(dev2, 0.3, 0.1)
+    c1, dp1, dq1 = device_cost(dev1, 0.3, 0.1)
+    c2, dp2, dq2 = device_cost(dev2, 0.3, 0.1)
     assert dp2 == pytest.approx(2 * dp1)
     assert dq2 == dq1
     assert c2 - c1 == pytest.approx(dev1.w_p * 0.3**2)
@@ -63,9 +80,9 @@ def test_cost_gradient_matches_finite_differences():
             w_p=rng.uniform(0.5, 3), w_q=rng.uniform(0.5, 3),
         )
         p, q = rng.uniform(-1, 1), rng.uniform(-1, 1)
-        _, dp, dq = cost_and_gradient(dev, p, q)
-        fd_p = (cost_and_gradient(dev, p + h, q)[0] - cost_and_gradient(dev, p - h, q)[0]) / (2 * h)
-        fd_q = (cost_and_gradient(dev, p, q + h)[0] - cost_and_gradient(dev, p, q - h)[0]) / (2 * h)
+        _, dp, dq = device_cost(dev, p, q)
+        fd_p = (device_cost(dev, p + h, q)[0] - device_cost(dev, p - h, q)[0]) / (2 * h)
+        fd_q = (device_cost(dev, p, q + h)[0] - device_cost(dev, p, q - h)[0]) / (2 * h)
         assert dp == pytest.approx(fd_p, rel=1e-7, abs=1e-9)
         assert dq == pytest.approx(fd_q, rel=1e-7, abs=1e-9)
 
@@ -205,7 +222,7 @@ def test_lagrangian_term_by_term_oracle():
     eta = 1e-3
     expected = 0.0
     for idx, dev in zip(prob.device_index, prob.devices):
-        expected += cost_and_gradient(dev, p[idx], q[idx])[0]
+        expected += dev.w_p * (p[idx] - dev.p0) ** 2 + dev.w_q * (q[idx] - dev.q0) ** 2
     for i in range(2):
         expected += mu_lo[i] * (prob.bounds.v_lower[i] - v[i])
         expected += mu_up[i] * (v[i] - prob.bounds.v_upper[i])
