@@ -165,6 +165,11 @@ def _audit_lines(record: FlowRecord) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _setpoint_labels(net) -> list[str]:
+    """The 'bus:phase' label of each flat index, in index order: setpoints.json's keys."""
+    return [f"{bus}:{ph}" for bus, ph in net.flat_labels()]
+
+
 def cmd_solve(args) -> int:
     out = Path(args.out)
     cfg = SolverConfig(
@@ -199,10 +204,10 @@ def cmd_solve(args) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     result.trace.to_csv(out / "trace.csv")
-    labels = net.flat_labels()
+    labels = _setpoint_labels(net)
     setpoints = {
-        "p": {f"{bus}:{ph}": float(v) for (bus, ph), v in zip(labels, result.state.p)},
-        "q": {f"{bus}:{ph}": float(v) for (bus, ph), v in zip(labels, result.state.q)},
+        name: dict(zip(labels, vec.tolist()))
+        for name, vec in (("p", result.state.p), ("q", result.state.q))
     }
     (out / "setpoints.json").write_text(json.dumps(setpoints, indent=2) + "\n")
     last = result.trace.records[-1]
@@ -261,20 +266,18 @@ def cmd_compare(args) -> int:
     p, q = problem.p0.copy(), problem.q0.copy()
     if args.setpoints:
         doc = read_document(args.setpoints, "setpoints")
+        index = {label: i for i, label in enumerate(_setpoint_labels(net))}
         for name, vec in (("p", p), ("q", q)):
             entries = doc.get(name)
             if not isinstance(entries, dict):
                 raise NetworkError(f"setpoints document field {name!r} must be a JSON object")
             for key in entries:
-                bus, _, ph = key.partition(":")
-                try:
-                    idx = net.flat_index(int(bus), ph)
-                except ValueError as exc:
+                if key not in index:
                     raise NetworkError(
                         f"setpoints document key {key!r} in {name!r} must be "
-                        f"'bus:phase' for a bus and phase of the network ({exc})"
-                    ) from exc
-                vec[idx] = document_number(entries, key, None, "setpoints")
+                        "'bus:phase' for a bus and phase of the network"
+                    )
+                vec[index[key]] = document_number(entries, key, None, "setpoints")
     div = compare_models(net, sens, p, q)
     lines = ["flat_index,v_linear,v_nonlinear,diff"]
     for i in range(net.n_flat):

@@ -35,13 +35,13 @@ class NetworkError(ValueError):
 
 
 def phase_code(phase: str | int) -> int:
-    """Numeric code of a phase: a, b, c map to 0, 1, 2."""
+    """Numeric code of a phase: a, b, c map to 0, 1, 2; a bool is no phase."""
     if isinstance(phase, str):
         try:
             return PHASE_CODE[phase]
         except KeyError:
             raise NetworkError(f"unknown phase {phase!r}") from None
-    if phase not in (0, 1, 2):
+    if isinstance(phase, bool) or phase not in (0, 1, 2):
         raise NetworkError(f"unknown phase code {phase!r}")
     return int(phase)
 
@@ -58,15 +58,6 @@ class Line:
     from_bus: int               # parent side
     to_bus: int                 # child side
     z: np.ndarray               # 3x3 complex p.u., zero outside the line's phase pairs
-
-    def phase_pairs(self) -> dict[str, complex]:
-        """Nonzero impedance entries keyed by two-character phase-pair strings."""
-        out = {}
-        for i in range(3):
-            for j in range(3):
-                if self.z[i, j] != 0:
-                    out[PHASE_NAME[i] + PHASE_NAME[j]] = complex(self.z[i, j])
-        return out
 
 
 class Forest:
@@ -149,7 +140,8 @@ class Network:
 
     Flat indices cover every phase of every non-substation bus, ordered
     bus-id-major with phases a < b < c within a bus. The substation carries
-    no flat indices; its voltage is the reference.
+    no flat indices; its voltage is the reference. Each line is kept once,
+    as the z_line row of the bus it feeds, and is named (parent, bus).
     """
 
     def __init__(self, buses: list[Bus], lines: list[Line], base_v_squared: float = 1.0):
@@ -157,12 +149,6 @@ class Network:
             raise NetworkError("base_v_squared must be positive and finite")
         self.base_v_squared = float(base_v_squared)
         self.buses = sorted(buses, key=lambda b: b.id)
-        self.lines = list(lines)
-        self._validate_and_build()
-
-    # -- construction ----------------------------------------------------
-
-    def _validate_and_build(self) -> None:
         n = len(self.buses)
         ids = [b.id for b in self.buses]
         self._pos = dict(zip(ids, range(n)))
@@ -207,24 +193,24 @@ class Network:
         self.phase_mask.reshape(-1)[cells] = True
 
         # Exactly one line per non-root bus, endpoints agreeing with parents.
-        if len(self.lines) != n - 1:
+        if len(lines) != n - 1:
             raise NetworkError(
-                f"not a tree: {len(self.lines)} lines for {n} buses (need {n - 1})"
+                f"not a tree: {len(lines)} lines for {n} buses (need {n - 1})"
             )
-        self._line_by_child = {}
+        fed = [False] * n
         self.z_line = np.zeros((n, 3, 3), dtype=np.complex128)
-        for ln in self.lines:
+        for ln in lines:
             if ln.to_bus not in self._pos or ln.from_bus not in self._pos:
                 raise NetworkError(f"line ({ln.from_bus},{ln.to_bus}) references unknown bus")
-            if ln.to_bus in self._line_by_child:
-                raise NetworkError(f"not a tree: bus {ln.to_bus} has two incoming lines")
             k = self._pos[ln.to_bus]
+            if fed[k]:
+                raise NetworkError(f"not a tree: bus {ln.to_bus} has two incoming lines")
             if self.buses[k].parent != ln.from_bus:
                 raise NetworkError(
                     f"line ({ln.from_bus},{ln.to_bus}) disagrees with bus {ln.to_bus}'s "
                     f"parent {self.buses[k].parent}"
                 )
-            self._line_by_child[ln.to_bus] = ln
+            fed[k] = True
             self.z_line[k] = ln.z
 
         # One DFS preorder, children in ascending bus-id order: bus k's
@@ -266,18 +252,18 @@ class Network:
         stray = (nonzero.any(axis=2) | nonzero.any(axis=1)) & ~self.phase_mask
         if stray.any():
             k, c = np.argwhere(stray)[0].tolist()
-            ln = self._line_by_child[self.buses[k].id]
+            b = self.buses[k]
             raise NetworkError(
-                f"line ({ln.from_bus},{ln.to_bus}) has impedance on phase "
-                f"{PHASE_NAME[c]} absent from bus {ln.to_bus}"
+                f"line ({b.parent},{b.id}) has impedance on phase "
+                f"{PHASE_NAME[c]} absent from bus {b.id}"
             )
         non_finite = ~np.isfinite(self.z_line).all(axis=(1, 2))
         negative = (self.z_line.diagonal(axis1=1, axis2=2).real < 0).any(axis=1)
         for bad, what in ((non_finite, "a non-finite impedance"),
                           (negative, "negative series resistance")):
             if bad.any():
-                ln = self._line_by_child[self.buses[int(np.argmax(bad))].id]
-                raise NetworkError(f"line ({ln.from_bus},{ln.to_bus}) has {what}")
+                b = self.buses[int(np.argmax(bad))]
+                raise NetworkError(f"line ({b.parent},{b.id}) has {what}")
 
         # Root-path prefix sums of the zero-padded per-child line impedances.
         self.z_prefix = np.zeros((n, 3, 3), dtype=np.complex128)
@@ -312,12 +298,16 @@ class Network:
     def bus(self, bus_id: int) -> Bus:
         return self.buses[self.bus_pos(bus_id)]
 
+    @property
+    def lines(self) -> list[Line]:
+        """Every line, in the id order of the bus it feeds."""
+        return [Line(b.parent, b.id, z) for b, z in zip(self.buses[1:], self.z_line[1:])]
+
     def line_to(self, bus_id: int) -> Line:
-        self.bus_pos(bus_id)
-        try:
-            return self._line_by_child[bus_id]
-        except KeyError:
-            raise NetworkError(f"bus {bus_id} has no incoming line") from None
+        k = self.bus_pos(bus_id)
+        if k == 0:
+            raise NetworkError(f"bus {bus_id} has no incoming line")
+        return Line(self.buses[k].parent, bus_id, self.z_line[k])
 
     def flat_index(self, bus_id: int, phase: str | int) -> int:
         idx = self.index_of[self.bus_pos(bus_id), phase_code(phase)]
@@ -398,24 +388,6 @@ class Network:
 
 # -- document I/O ---------------------------------------------------------
 
-def _parse_z(entry: dict, from_bus: int, to_bus: int) -> np.ndarray:
-    if not isinstance(entry, dict):
-        raise NetworkError(f"line ({from_bus},{to_bus}): field 'z' must be a JSON object")
-    z = np.zeros((3, 3), dtype=np.complex128)
-    for key, val in entry.items():
-        if len(key) != 2 or key[0] not in PHASE_CODE or key[1] not in PHASE_CODE:
-            raise NetworkError(
-                f"line ({from_bus},{to_bus}): bad impedance key {key!r}"
-            )
-        if not (isinstance(val, (list, tuple)) and len(val) == 2):
-            raise NetworkError(
-                f"line ({from_bus},{to_bus}): impedance {key!r} must be [re, im]"
-            )
-        real, imag = json_number(val[0]), json_number(val[1])
-        z[PHASE_CODE[key[0]], PHASE_CODE[key[1]]] = complex(real, imag)
-    return z
-
-
 def read_document(document: dict | str | Path, what: str) -> dict:
     """The JSON object at a path, or a parsed document; anything else raises NetworkError."""
     if isinstance(document, (str, Path)):
@@ -428,12 +400,21 @@ def read_document(document: dict | str | Path, what: str) -> dict:
     return document
 
 
-def document_array(document: dict, key: str, what: str) -> list:
-    """The JSON array under key, or [] when absent; anything else raises NetworkError."""
-    value = document.get(key, [])
-    if not isinstance(value, list):
+def document_entries(document: dict, key: str, what: str, entry: str, parse, error=NetworkError):
+    """Each entry of the JSON array under key, read by parse; [] when absent.
+
+    A non-array raises NetworkError; an entry that parse rejects raises error.
+    """
+    values = document.get(key, [])
+    if not isinstance(values, list):
         raise NetworkError(f"{what} document field {key!r} must be a JSON array")
-    return value
+    parsed = []
+    for value in values:
+        try:
+            parsed.append(parse(value))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise error(f"malformed {entry} entry {value!r}: {exc}") from exc
+    return parsed
 
 
 def json_number(value) -> float:
@@ -461,29 +442,48 @@ def document_id(value) -> int:
     return int(value)
 
 
+def document_phase(value) -> str:
+    """A phase as written in a document: the string "a", "b" or "c"; else ValueError."""
+    if not isinstance(value, str) or value not in PHASE_CODE:
+        raise ValueError(f"unknown phase {value!r}")
+    return value
+
+
+def _read_bus(entry: dict) -> Bus:
+    phases, parent = entry["phases"], entry.get("parent")
+    if not isinstance(phases, list):
+        raise TypeError(f"phases {phases!r} is not a JSON array")
+    phases = tuple(sorted(map(document_phase, phases)))
+    return Bus(document_id(entry["id"]), phases, None if parent is None else document_id(parent))
+
+
+def _read_line(entry: dict) -> Line:
+    frm, to = document_id(entry["from"]), document_id(entry["to"])
+    pairs = entry.get("z", {})
+    if not isinstance(pairs, dict):
+        raise NetworkError(f"line ({frm},{to}): field 'z' must be a JSON object")
+    z = np.zeros((3, 3), dtype=np.complex128)
+    for key, val in pairs.items():
+        if len(key) != 2 or key[0] not in PHASE_CODE or key[1] not in PHASE_CODE:
+            raise NetworkError(f"line ({frm},{to}): bad impedance key {key!r}")
+        if not (isinstance(val, (list, tuple)) and len(val) == 2):
+            raise NetworkError(f"line ({frm},{to}): impedance {key!r} must be [re, im]")
+        real, imag = json_number(val[0]), json_number(val[1])
+        z[PHASE_CODE[key[0]], PHASE_CODE[key[1]]] = complex(real, imag)
+    return Line(from_bus=frm, to_bus=to, z=z)
+
+
 def load_network(document: dict | str | Path) -> Network:
-    """Build a validated Network from a JSON document, path, or parsed dict."""
+    """Build a validated Network from a JSON document, path, or parsed dict.
+
+    Entries are read by document_entries, phases by document_phase.
+    """
     document = read_document(document, "network")
     for key in ("buses", "lines"):
         if key not in document:
             raise NetworkError(f"network document lacks key {key!r}")
-
-    buses = []
-    for be in document_array(document, "buses", "network"):
-        try:
-            phases = tuple(sorted(be["phases"], key=phase_code))
-            buses.append(Bus(id=document_id(be["id"]), phases=phases, parent=(
-                None if be.get("parent") is None else document_id(be["parent"])
-            )))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise NetworkError(f"malformed bus entry {be!r}: {exc}") from exc
-    lines = []
-    for le in document_array(document, "lines", "network"):
-        try:
-            frm, to = document_id(le["from"]), document_id(le["to"])
-            lines.append(Line(from_bus=frm, to_bus=to, z=_parse_z(le.get("z", {}), frm, to)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise NetworkError(f"malformed line entry {le!r}: {exc}") from exc
+    buses = document_entries(document, "buses", "network", "bus", _read_bus)
+    lines = document_entries(document, "lines", "network", "line", _read_line)
     base_v_squared = document_number(document, "base_v_squared", 1.0, "network")
     return Network(buses, lines, base_v_squared=base_v_squared)
 
@@ -500,9 +500,10 @@ def network_to_document(net: Network) -> dict:
             {
                 "from": ln.from_bus,
                 "to": ln.to_bus,
-                "z": {k: [v.real, v.imag] for k, v in sorted(ln.phase_pairs().items())},
+                "z": {PHASE_NAME[i] + PHASE_NAME[j]: [float(v.real), float(v.imag)]
+                      for (i, j), v in np.ndenumerate(ln.z) if v != 0},
             }
-            for ln in sorted(net.lines, key=lambda ln: ln.to_bus)
+            for ln in net.lines
         ],
     }
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .network import (
-    PHASE_NAME, Network, document_array, document_id, document_number, json_number, phase_code,
+    Network, document_entries, document_id, document_number, document_phase, json_number,
     read_document,
 )
 from .sensitivity import SensitivityMatrices
@@ -295,40 +295,38 @@ def violation_extents(v: np.ndarray, bounds: VoltageBounds) -> tuple[float, floa
 
 # -- document I/O ---------------------------------------------------------
 
+def _read_device(entry: dict) -> Device:
+    return Device(
+        bus=document_id(entry["bus"]),
+        phase=document_phase(entry["phase"]),
+        p0=json_number(entry["p0"]),
+        q0=json_number(entry["q0"]),
+        p_min=json_number(entry["pmin"]),
+        p_max=json_number(entry["pmax"]),
+        q_min=json_number(entry["qmin"]),
+        q_max=json_number(entry["qmax"]),
+        w_p=json_number(entry.get("wp", Device.w_p)),
+        w_q=json_number(entry.get("wq", Device.w_q)),
+    )
+
+
+def _read_background(entry: dict) -> tuple[tuple[int, str], tuple[float, float]]:
+    key = (document_id(entry["bus"]), document_phase(entry["phase"]))
+    return key, (json_number(entry["p"]), json_number(entry["q"]))
+
+
 def load_problem(
     document: dict | str | Path, net: Network, sens: SensitivityMatrices | None
 ) -> Problem:
     """Build a Problem from the device document schema.
 
-    sens is not used, as in make_problem, and may be None.
+    Phases are read by document_phase; sens is not used, as in make_problem, and may be None.
     """
     document = read_document(document, "device")
-    devices = []
-    for entry in document_array(document, "devices", "device"):
-        try:
-            devices.append(
-                Device(
-                    bus=document_id(entry["bus"]),
-                    phase=PHASE_NAME[phase_code(entry["phase"])],
-                    p0=json_number(entry["p0"]),
-                    q0=json_number(entry["q0"]),
-                    p_min=json_number(entry["pmin"]),
-                    p_max=json_number(entry["pmax"]),
-                    q_min=json_number(entry["qmin"]),
-                    q_max=json_number(entry["qmax"]),
-                    w_p=json_number(entry.get("wp", Device.w_p)),
-                    w_q=json_number(entry.get("wq", Device.w_q)),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProblemError(f"malformed device entry {entry!r}: {exc}") from exc
-    background = {}
-    for entry in document_array(document, "background", "device"):
-        try:
-            key = (document_id(entry["bus"]), PHASE_NAME[phase_code(entry["phase"])])
-            background[key] = (json_number(entry["p"]), json_number(entry["q"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProblemError(f"malformed background entry {entry!r}: {exc}") from exc
+    devices = document_entries(document, "devices", "device", "device", _read_device, ProblemError)
+    background = dict(document_entries(
+        document, "background", "device", "background", _read_background, ProblemError
+    ))
     return make_problem(
         net, sens, devices, background,
         v_min=document_number(document, "vmin", V_MIN, "device"),

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .network import Network, NetworkError, document_array, document_id, read_document
+from .network import Network, document_entries, document_id, read_document
 
 
 @dataclass(frozen=True)
@@ -167,18 +167,15 @@ def load_partition(document: dict | str | Path, net: Network) -> PartitionHierar
     net is not read: validate_partition checks the roots against it.
     """
     document = read_document(document, "partition")
-    areas = []
-    for k, entry in enumerate(document_array(document, "areas", "partition")):
-        try:
-            root = document_id(entry["root"])
-            subareas = tuple(
-                Subarea(m, document_id(sentry["root"]))
-                for m, sentry in enumerate(entry.get("subareas", []))
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise NetworkError(f"malformed area entry {entry!r}: {exc}") from exc
-        areas.append(Area(k, root, subareas))
-    return PartitionHierarchy(tuple(areas))
+    areas = document_entries(document, "areas", "partition", "area", _read_area)
+    return PartitionHierarchy(tuple(Area(k, *area) for k, area in enumerate(areas)))
+
+
+def _read_area(entry: dict) -> tuple[int, tuple[Subarea, ...]]:
+    return document_id(entry["root"]), tuple(
+        Subarea(m, document_id(sub["root"]))
+        for m, sub in enumerate(entry.get("subareas", []))
+    )
 
 
 def partition_to_document(part: PartitionHierarchy) -> dict:

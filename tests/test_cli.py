@@ -242,6 +242,14 @@ def _with_first_line_aa(doc, aa):
      "malformed background entry"),
     ("network", lambda d: _with_first_line_aa(d, [True, 0]), "malformed line entry"),
     ("setpoints", lambda d: {**d, "p": {"1:a": "0.1"}}, "field '1:a' must be a number"),
+    ("devices", lambda d: _with_entry(d, "devices", 0, {"phase": 0}), "malformed device entry"),
+    ("devices", lambda d: _with_entry(d, "devices", 0, {"phase": True}), "malformed device entry"),
+    ("devices", lambda d: _with_entry(d, "devices", 0, {"phase": 1.0}), "malformed device entry"),
+    ("devices", lambda d: _with_entry(d, "devices", 0, {"phase": "A"}), "malformed device entry"),
+    ("devices", lambda d: _with_entry(d, "background", 0, {"phase": 0}),
+     "malformed background entry"),
+    ("network", lambda d: _with_entry(d, "buses", 1, {"phases": "abc"}), "malformed bus entry"),
+    ("network", lambda d: _with_entry(d, "buses", 1, {"phases": [True]}), "malformed bus entry"),
 ], ids=[
     "vmin-null", "vmin-list", "vmax-null", "vmax-list", "vmin-negative",
     "base-v-list", "base-v-nan", "z-list", "z-nan", "z-inf", "z-neg-inf",
@@ -250,6 +258,8 @@ def _with_first_line_aa(doc, aa):
     "bus-id-string", "parent-string", "line-from-string", "line-to-string", "base-v-string",
     "vmin-string", "device-p0-string", "device-q0-bool", "device-qmax-bool",
     "background-p-string", "z-bool", "setpoint-string",
+    "device-phase-zero", "device-phase-bool", "device-phase-float", "device-phase-upper",
+    "background-phase-zero", "bus-phases-string", "bus-phases-bool",
 ])
 def test_malformed_scalar_field_is_validation_error(
     workspace, tmp_path, capsys, document, edit, message
@@ -519,7 +529,9 @@ def test_compare_emits_csv(workspace, tmp_path):
     assert len(rows) > 10
 
 
-@pytest.mark.parametrize("key", ["1", "x:a", "1:d", "99999:a", "1:a:b"])
+@pytest.mark.parametrize("key", [
+    "1", "x:a", "1:d", "99999:a", "1:a:b", "1_0:a", " 1:a", "01:a", "+1:a",
+])
 def test_compare_setpoint_key_must_name_a_bus_and_phase(workspace, tmp_path, capsys, key):
     setpoints = tmp_path / "setpoints.json"
     setpoints.write_text(json.dumps({"p": {key: 0.1}, "q": {}}))

@@ -1,8 +1,9 @@
 """The demos and the README quick start keep up with the package API.
 
 Every name they import from mlopf must exist (checked from the syntax tree,
-without running them), and the two fast demos must run to completion. The
-other demos take seconds each and are left out.
+without running them), every `mlopf` command line in the README parses, and
+the two fast demos must run to completion. The other demos take seconds each
+and are left out.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import ast
 import importlib
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import mlopf
+from mlopf.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -50,6 +53,17 @@ def test_demo_and_readme_imports_exist():
             if not hasattr(importlib.import_module(module), name):
                 missing.append(f"{where}: {module}.{name}")
     assert missing == []
+
+
+def test_readme_command_lines_parse():
+    section = (ROOT / "README.md").read_text().split("## Command line", 1)[1]
+    block = re.search(r"```bash\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    commands = [words for words in commands if words[:1] == ["mlopf"]]
+    parser = build_parser()
+    assert sorted(parser.parse_args(words[1:]).command for words in commands) == sorted(
+        ["gen", "validate", "partition", "solve", "bench", "compare"]
+    )
 
 
 @pytest.mark.parametrize("name", FAST_DEMOS)

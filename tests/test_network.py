@@ -38,6 +38,13 @@ def test_smallest_valid_network_has_single_index():
     assert net.flat_index(1, "a") == 0
 
 
+@pytest.mark.parametrize("phase", [True, 3, "d"])
+def test_flat_index_rejects_a_non_phase(chain_net, phase):
+    # True == 1 and would otherwise read as phase b.
+    with pytest.raises(NetworkError, match="unknown phase"):
+        chain_net.flat_index(1, phase)
+
+
 def test_cycle_is_rejected_as_not_a_tree():
     doc = {
         "buses": [
