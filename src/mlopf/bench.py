@@ -138,6 +138,10 @@ def bench_sweep(
     """Run the same solve per engine over a range of feeder sizes.
 
     Only the flat engine builds the dense R and X, in its constructor.
+    Each engine's solve runs three times and its row reports the fastest
+    coupling and step times, so that one stall of a shared machine does
+    not decide a ratio; the solves are deterministic, so iterations and
+    op counts must agree across the three.
     """
     rows: list[BenchRow] = []
     for n in sizes:
@@ -150,13 +154,19 @@ def bench_sweep(
         flat_coupling_ns = None
         for kind in engines:
             engine = make_engine(kind, sens=sens, net=net, part=part)
-            state = initial_state(problem, vmodel)
-            result = run(state, problem, engine, vmodel, cfg)
+            results = [
+                run(initial_state(problem, vmodel), problem, engine, vmodel, cfg)
+                for _ in range(3)
+            ]
+            counts = {(r.state.iteration, r.trace.total_coupling_ops()) for r in results}
+            assert len(counts) == 1, f"{kind} solves at n={n} differ: {sorted(counts)}"
+            (iters, ops), = counts
+            coupling_ns = min(r.total_coupling_ns for r in results)
             if kind == "flat":
-                flat_coupling_ns = result.total_coupling_ns
+                flat_coupling_ns = coupling_ns
             ratio = (
-                flat_coupling_ns / result.total_coupling_ns
-                if flat_coupling_ns and result.total_coupling_ns
+                flat_coupling_ns / coupling_ns
+                if flat_coupling_ns and coupling_ns
                 else float("nan")
             )
             rows.append(
@@ -164,10 +174,10 @@ def bench_sweep(
                     n=n,
                     areas=n_areas,
                     engine=kind,
-                    iters=result.state.iteration,
-                    coupling_ops=result.trace.total_coupling_ops(),
-                    coupling_ns=result.total_coupling_ns,
-                    step_ns=result.total_step_ns,
+                    iters=iters,
+                    coupling_ops=ops,
+                    coupling_ns=coupling_ns,
+                    step_ns=min(r.total_step_ns for r in results),
                     ratio_vs_flat=ratio,
                 )
             )

@@ -417,6 +417,16 @@ def document_entries(document: dict, key: str, what: str, entry: str, parse, err
     return parsed
 
 
+def document_keys(value, keys: tuple[str, ...], what: str) -> dict:
+    """value, a JSON object holding no key outside keys; else NetworkError naming what."""
+    if not isinstance(value, dict):
+        raise NetworkError(f"{what} must be a JSON object")
+    for key in value:
+        if key not in keys:
+            raise NetworkError(f"{what} has unknown key {key!r}")
+    return value
+
+
 def json_number(value) -> float:
     """A JSON number as a float; a string, a bool or anything else raises TypeError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -450,6 +460,7 @@ def document_phase(value) -> str:
 
 
 def _read_bus(entry: dict) -> Bus:
+    document_keys(entry, ("id", "phases", "parent"), "entry")
     phases, parent = entry["phases"], entry.get("parent")
     if not isinstance(phases, list):
         raise TypeError(f"phases {phases!r} is not a JSON array")
@@ -458,6 +469,7 @@ def _read_bus(entry: dict) -> Bus:
 
 
 def _read_line(entry: dict) -> Line:
+    document_keys(entry, ("from", "to", "z"), "entry")
     frm, to = document_id(entry["from"]), document_id(entry["to"])
     pairs = entry.get("z", {})
     if not isinstance(pairs, dict):
@@ -476,9 +488,13 @@ def _read_line(entry: dict) -> Line:
 def load_network(document: dict | str | Path) -> Network:
     """Build a validated Network from a JSON document, path, or parsed dict.
 
-    Entries are read by document_entries, phases by document_phase.
+    Entries are read by document_entries, phases by document_phase; a key
+    outside the schema is rejected by document_keys.
     """
-    document = read_document(document, "network")
+    document = document_keys(
+        read_document(document, "network"), ("base_v_squared", "buses", "lines"),
+        "network document",
+    )
     for key in ("buses", "lines"):
         if key not in document:
             raise NetworkError(f"network document lacks key {key!r}")

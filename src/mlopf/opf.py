@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .network import (
-    Network, document_entries, document_id, document_number, document_phase, json_number,
-    read_document,
+    Network, document_entries, document_id, document_keys, document_number, document_phase,
+    json_number, read_document,
 )
 from .sensitivity import SensitivityMatrices
 
@@ -296,6 +296,8 @@ def violation_extents(v: np.ndarray, bounds: VoltageBounds) -> tuple[float, floa
 # -- document I/O ---------------------------------------------------------
 
 def _read_device(entry: dict) -> Device:
+    document_keys(entry, ("bus", "phase", "p0", "q0", "pmin", "pmax", "qmin", "qmax", "wp", "wq"),
+                  "entry")
     return Device(
         bus=document_id(entry["bus"]),
         phase=document_phase(entry["phase"]),
@@ -311,6 +313,7 @@ def _read_device(entry: dict) -> Device:
 
 
 def _read_background(entry: dict) -> tuple[tuple[int, str], tuple[float, float]]:
+    document_keys(entry, ("bus", "phase", "p", "q"), "entry")
     key = (document_id(entry["bus"]), document_phase(entry["phase"]))
     return key, (json_number(entry["p"]), json_number(entry["q"]))
 
@@ -321,12 +324,21 @@ def load_problem(
     """Build a Problem from the device document schema.
 
     Phases are read by document_phase; sens is not used, as in make_problem, and may be None.
+    A key outside the schema, or a second background entry at one bus and
+    phase, is rejected.
     """
-    document = read_document(document, "device")
+    document = document_keys(
+        read_document(document, "device"), ("devices", "background", "vmin", "vmax"),
+        "device document",
+    )
     devices = document_entries(document, "devices", "device", "device", _read_device, ProblemError)
-    background = dict(document_entries(
+    background = {}
+    for key, injection in document_entries(
         document, "background", "device", "background", _read_background, ProblemError
-    ))
+    ):
+        if key in background:
+            raise ProblemError("duplicate background entry at %d:%s" % key)
+        background[key] = injection
     return make_problem(
         net, sens, devices, background,
         v_min=document_number(document, "vmin", V_MIN, "device"),

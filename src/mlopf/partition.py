@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .network import Network, document_entries, document_id, read_document
+from .network import Network, document_entries, document_id, document_keys, read_document
 
 
 @dataclass(frozen=True)
@@ -164,16 +164,19 @@ def _greedy_cuts(net: Network, scope_root_pos: int, target: int, forbid: set[int
 def load_partition(document: dict | str | Path, net: Network) -> PartitionHierarchy:
     """Build a partition from its document of roots.
 
-    net is not read: validate_partition checks the roots against it.
+    net is not read: validate_partition checks the roots against it. A key
+    outside the schema is rejected by document_keys.
     """
-    document = read_document(document, "partition")
+    document = document_keys(read_document(document, "partition"), ("areas",),
+                              "partition document")
     areas = document_entries(document, "areas", "partition", "area", _read_area)
     return PartitionHierarchy(tuple(Area(k, *area) for k, area in enumerate(areas)))
 
 
 def _read_area(entry: dict) -> tuple[int, tuple[Subarea, ...]]:
+    document_keys(entry, ("root", "subareas"), "entry")
     return document_id(entry["root"]), tuple(
-        Subarea(m, document_id(sub["root"]))
+        Subarea(m, document_id(document_keys(sub, ("root",), "subarea")["root"]))
         for m, sub in enumerate(entry.get("subareas", []))
     )
 

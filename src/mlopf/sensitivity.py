@@ -9,10 +9,10 @@ each line's impedance and takes ancestor sums of the result, in O(N) over
 the DFS columns of Network and without the matrices. adjoint_sweep runs
 the same sums in reverse for R^T d and X^T d; a multilevel scope with a
 large remainder computes its whole share of the product with it. The
-dense R and X that build_sensitivity materializes, by a gather at the
-pairwise lowest common ancestors of Network.forest's lca_table, stay as
-the oracle the sweeps are tested against and as the operands of the flat
-coupling engine.
+dense R and X that build_sensitivity materializes, each row a copy of
+its parent bus's row with the bus's own pair values over its subtree,
+stay as the oracle the sweeps are tested against and as the operands of
+the flat coupling engine.
 """
 
 from __future__ import annotations
@@ -40,9 +40,6 @@ OMEGA_POW = np.array(
 
 # omega**(phi - psi) at [phi, psi], the rotation of each phase pair.
 OMEGA_PAIR = OMEGA_POW[np.arange(3)[:, None] - np.arange(3)[None, :] + 2]
-
-# Rows of R and X filled per block in build_sensitivity.
-_BLOCK_ROWS = 256
 
 
 def omega_power(k: int) -> complex:
@@ -106,32 +103,57 @@ def build_sensitivity(net: Network) -> SensitivityMatrices:
     """Materialize the dense N x N sensitivity matrices and v_tilde.
 
     Entry (a, b) with a = (i, phi), b = (j, psi) is the rotated conjugate
-    common-path impedance of buses i, j at phase pair (phi, psi). Those
-    values are computed once per bus and phase pair, in the DFS column
-    order of Network.forest, and each entry is a gather from that table
-    at 9 lca(i, j) + 3 phi + psi, with lca(i, j) the column that the
-    forest's lca_table holds. v_tilde is the flat profile at the
-    substation's squared magnitude: with losses neglected, zero injections
-    leave every bus at the reference voltage. The matrices are filled in
-    blocks of rows, so no N x N temporary is ever held beside them.
+    common-path impedance of buses i, j at phase pair (phi, psi), a value
+    computed once per bus and phase pair. Row a is built from its parent
+    row: outside i's subtree, lca(i, j) = lca(parent(i), j), so the row
+    copies row (parent(i), phi), which exists because phases only drop
+    moving away from the substation; inside the subtree every column
+    meets i at i and takes i's own pair value. Rows of depth-1 buses start
+    from the substation's pair values. The rows are filled one depth
+    level at a time, each level one row copy plus one scatter over its
+    subtrees' columns, which are contiguous once the flat indices are
+    sorted into DFS order. Beside R and X the build holds only one
+    level's copied rows and O(N) index arrays per level. v_tilde is the
+    flat profile at the substation's squared magnitude: with losses
+    neglected, zero injections leave every bus at the reference voltage.
     """
     n = net.n_flat
-    ph = net.flat_phase.astype(np.int32)
+    ph = net.flat_phase
     z = net.z_prefix[net.order]
     re, im = _rotated_parts(z.real, z.imag, OMEGA_PAIR.real, OMEGA_PAIR.imag)
     r_pairs = (2.0 * re).ravel()
     x_pairs = (-2.0 * im).ravel()
-    rows = net.tin[net.flat_bus_pos]
-    table = net.forest.lca_table()
-    table *= 9
+    # Flat indices in DFS order; the subtree of DFS column t holds the
+    # entries dfs[first[t] : first[t + size]].
+    held = net.index_of[net.order]
+    dfs = held[held >= 0]
+    first = np.zeros(net.n_buses + 1, dtype=np.int64)
+    np.cumsum((held >= 0).sum(axis=1), out=first[1:])
+    col = net.tin[net.flat_bus_pos]
+    start = first[col]
+    stop = first[col + net.size[net.flat_bus_pos]]
+    depth = net.depth[net.flat_bus_pos]
+    rows = np.argsort(depth, kind="stable")
+    bounds = np.cumsum(np.bincount(depth))
+    up = net.index_of[net.parent_pos[net.flat_bus_pos], ph]
     r = np.empty((n, n), dtype=np.float64)
     x = np.empty((n, n), dtype=np.float64)
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n)
-        k = np.take(table[rows[lo:hi]], rows, axis=1)
-        k += 3 * ph[lo:hi, None] + ph
-        np.take(r_pairs, k, out=r[lo:hi])
-        np.take(x_pairs, k, out=x[lo:hi])
+    for d in range(1, int(net.depth.max()) + 1):
+        level = rows[bounds[d - 1]:bounds[d]]
+        if d == 1:
+            r[level] = r_pairs[:9].reshape(3, 3)[ph[level, None], ph]
+            x[level] = x_pairs[:9].reshape(3, 3)[ph[level, None], ph]
+        else:
+            r[level] = r[up[level]]
+            x[level] = x[up[level]]
+        # Each row's subtree columns, concatenated row by row.
+        counts = stop[level] - start[level]
+        ends = np.cumsum(counts)
+        cols = dfs[np.arange(ends[-1]) + np.repeat(start[level] + counts - ends, counts)]
+        at = np.repeat(level, counts)
+        pair = np.repeat(9 * col[level] + 3 * ph[level], counts) + ph[cols]
+        r[at, cols] = r_pairs[pair]
+        x[at, cols] = x_pairs[pair]
     return replace(matrix_free_sensitivity(net), r=r, x=x)
 
 

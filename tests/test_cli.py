@@ -176,15 +176,57 @@ def test_non_array_top_level_field_is_validation_error(
 ):
     doc = json.loads((workspace / f"{document}.json").read_text())
     doc[field] = 5
+    assert _validate_with(workspace, tmp_path, document, doc) == 2
+    err = capsys.readouterr().err
+    assert f"document field '{field}' must be a JSON array" in err
+    assert "Traceback" not in err
+
+
+def _validate_with(workspace, tmp_path, document, doc):
+    """Exit code of validate on the workspace documents, with doc in place of one."""
     (tmp_path / f"{document}.json").write_text(json.dumps(doc))
     paths = {
         name: str((tmp_path if name == document else workspace) / f"{name}.json")
         for name in ("network", "partition", "devices")
     }
-    args = ["validate"] + [a for name, path in paths.items() for a in (f"--{name}", path)]
-    assert main(args) == 2
+    return main(["validate"] + [a for name, path in paths.items() for a in (f"--{name}", path)])
+
+
+@pytest.mark.parametrize("document,edit,where,key", [
+    ("network", lambda d: {**d, "base_v_sqared": 1.0}, "network document", "base_v_sqared"),
+    ("network", lambda d: _with_entry(d, "buses", 1, {"parnet": 0}), "malformed bus entry",
+     "parnet"),
+    ("network", lambda d: _with_entry(d, "lines", 0, {"Z": {}}), "malformed line entry", "Z"),
+    ("devices", lambda d: {**d, "vmn": 0.9}, "device document", "vmn"),
+    ("devices", lambda d: _with_entry(d, "devices", 0, {"Wp": 2.0}), "malformed device entry",
+     "Wp"),
+    ("devices", lambda d: _with_entry(d, "background", 0, {"pp": 0.0}),
+     "malformed background entry", "pp"),
+    ("partition", lambda d: {**d, "area": []}, "partition document", "area"),
+    ("partition", lambda d: _with_entry(d, "areas", 0, {"subarea": []}), "malformed area entry",
+     "subarea"),
+    ("partition", lambda d: _with_entry(d, "areas", 0, {"subareas": [{"root": 1, "size": 3}]}),
+     "malformed area entry", "size"),
+], ids=["network", "bus", "line", "devices", "device", "background", "partition", "area",
+        "subarea"])
+def test_unknown_document_key_is_validation_error(
+    workspace, tmp_path, capsys, document, edit, where, key
+):
+    doc = edit(json.loads((workspace / f"{document}.json").read_text()))
+    assert _validate_with(workspace, tmp_path, document, doc) == 2
     err = capsys.readouterr().err
-    assert f"document field '{field}' must be a JSON array" in err
+    assert where in err
+    assert f"has unknown key {key!r}" in err
+    assert "Traceback" not in err
+
+
+def test_duplicate_background_entry_is_validation_error(workspace, tmp_path, capsys):
+    doc = json.loads((workspace / "devices.json").read_text())
+    first = doc["background"][0]
+    doc["background"].append({**first, "p": first["p"] - 0.1})
+    assert _validate_with(workspace, tmp_path, "devices", doc) == 2
+    err = capsys.readouterr().err
+    assert f"duplicate background entry at {first['bus']}:{first['phase']}" in err
     assert "Traceback" not in err
 
 

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from mlopf.feedergen import FeederSpec, generate
-from mlopf.network import NetworkError, load_network
+from mlopf.network import Bus, Line, Network, NetworkError, load_network
 from mlopf.sensitivity import (
     OMEGA,
+    OMEGA_PAIR,
+    _rotated_parts,
     adjoint_sweep,
     build_sensitivity,
     matrix_free_sensitivity,
@@ -290,6 +292,58 @@ def test_linear_voltage_model_reads_no_dense_entry(net):
         model.voltages(np.zeros(n + 1), np.zeros(n + 1))
 
 
+def lca_gather(net: Network) -> tuple[np.ndarray, np.ndarray]:
+    """R and X gathered at every pair's lowest common ancestor: the oracle.
+
+    Each entry reads the rotated pair value of the pair's LCA column in
+    Network.forest's all-pairs table, the way the dense build once did.
+    """
+    z = net.z_prefix[net.order]
+    re, im = _rotated_parts(z.real, z.imag, OMEGA_PAIR.real, OMEGA_PAIR.imag)
+    cols = net.tin[net.flat_bus_pos]
+    ph = net.flat_phase
+    k = 9 * net.forest.lca_table()[np.ix_(cols, cols)] + 3 * ph[:, None] + ph
+    return (2.0 * re).ravel()[k], (-2.0 * im).ravel()[k]
+
+
+def star_feeder(n_buses: int, seed: int) -> Network:
+    """Every bus hangs off the substation, on a random nonempty phase set."""
+    rng = np.random.default_rng(seed)
+    buses = [Bus(0, ("a", "b", "c"), None)]
+    lines = []
+    for bid in range(1, n_buses + 1):
+        held = rng.random(3) < 0.6
+        held[1] |= not held.any()
+        z = rng.uniform(0, 1e-2, (3, 3)) + 1j * rng.uniform(-1e-2, 1e-2, (3, 3))
+        z[~np.outer(held, held)] = 0
+        buses.append(Bus(bid, tuple(p for p, h in zip("abc", held) if h), 0))
+        lines.append(Line(0, bid, z))
+    return Network(buses, lines)
+
+
+def assert_matches_lca_gather(net: Network):
+    sens = build_sensitivity(net)
+    r, x = lca_gather(net)
+    assert sens.r.shape == sens.x.shape == (net.n_flat, net.n_flat)
+    assert sens.r.tobytes() == r.tobytes()
+    assert sens.x.tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize(
+    "net",
+    [*guard_networks(), star_feeder(40, seed=0), Network([Bus(0, ("a", "b", "c"), None)], [])],
+    ids=["fig", "0", "1", "2", "3", "phase_drop", "chain3000", "star", "substation"],
+)
+def test_dense_build_is_bitwise_the_lca_gather(net):
+    assert_matches_lca_gather(net)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n_buses", [5, 30, 120, 300, 700])
+def test_dense_build_is_bitwise_the_lca_gather_on_generated_feeders(n_buses, seed):
+    assert_matches_lca_gather(generate(FeederSpec(n_buses, seed=seed)).net)
+
+
 def test_dense_build_holds_no_full_size_temporaries():
     net = generate(FeederSpec(n_buses=2000, seed=0)).net
     tracemalloc.start()
@@ -298,7 +352,7 @@ def test_dense_build_holds_no_full_size_temporaries():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * (sens.r.nbytes + sens.x.nbytes)
+    assert peak <= 1.15 * (sens.r.nbytes + sens.x.nbytes)
 
 
 @pytest.mark.parametrize("seed", range(6))
