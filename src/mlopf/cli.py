@@ -26,7 +26,9 @@ from .coupling import (
 )
 from .bench import bench_csv, bench_sweep, bench_table
 from .feedergen import FeederSpec, feeder_documents, generate
-from .network import NetworkError, document_number, load_network, read_document, save_network
+from .network import (
+    NetworkError, document_keys, document_number, load_network, read_document, save_network,
+)
 from .opf import V_MAX, V_MIN, ProblemError, SolverConfig, load_problem
 from .partition import (
     auto_partition,
@@ -265,7 +267,9 @@ def cmd_compare(args) -> int:
     problem = load_problem(args.devices, net, sens)
     p, q = problem.p0.copy(), problem.q0.copy()
     if args.setpoints:
-        doc = read_document(args.setpoints, "setpoints")
+        doc = document_keys(
+            read_document(args.setpoints, "setpoints"), ("p", "q"), "setpoints document"
+        )
         index = {label: i for i, label in enumerate(_setpoint_labels(net))}
         for name, vec in (("p", p), ("q", q)):
             entries = doc.get(name)

@@ -10,7 +10,7 @@ which is R^T d and X^T d for d = mu_upper - mu_lower. The flat engine
 computes exactly that with dense products. The multilevel engine walks a
 tree of subtree scopes: the feeder, its areas and, at depth 2, each area's
 subareas. A scope's remainder is its members outside every child scope.
-Every scope, leaf or not, runs one kernel: a complex product with
+Every scope, leaf or not, runs one kernel: a product with
 [child aggregates; remainder duals], whose rows and columns are the three
 phase slots of each child root, then the remainder. Pairs across two
 children collapse to one root-to-root impedance times the other child's
@@ -18,16 +18,18 @@ per-phase dual aggregate, a remainder bus meets a child only through the
 child's root, and pairs inside the remainder are exact. Every scope lays
 the remainder and the child roots' parents out as one forest. While the
 remainder is small the kernel is a dense block gathered at that forest's
-LCA table. From SWEEP_MIN_REMAINDER flat indices on, where the block's
-m^2 work overtakes a sweep's fixed cost, the whole kernel is one
-sensitivity.adjoint_sweep over the same forest, with each child's
-aggregate at its root's parent: O(m + children) and without any block.
-A scope's own aggregate is its children's aggregates plus its
-remainder's per-phase sums, so the split repeats at every level: depth 1
-is the bi-level engine and depth 2 the tri-level one. The engines are
-algebraically equal; the multilevel one replaces almost all of the N^2
-pairwise work with aggregate exchanges, which is also what keeps per-bus
-duals and interior topology inside their scope.
+LCA table and stored as its real R and X rows, so the product is one
+real matrix-vector multiply. From SWEEP_MIN_REMAINDER flat indices on,
+where the block's m^2 work overtakes a sweep's fixed cost, the whole
+kernel is one sensitivity.adjoint_sweep over the same forest, with each
+child's aggregate at its root's parent: O(m + children) and without any
+block. A scope's own aggregate is the per-phase sum of its members'
+duals, all aggregates coming from one bincount before the products run,
+so the split repeats at every level: depth 1 is the bi-level engine and
+depth 2 the tri-level one. The engines are algebraically equal; the
+multilevel one replaces almost all of the N^2 pairwise work with
+aggregate exchanges, which is also what keeps per-bus duals and interior
+topology inside their scope.
 
 Operation counts follow a declared cost model (complex multiply-accumulate,
 rotation, and real/imaginary extraction each count one; the flat engine
@@ -38,6 +40,8 @@ is reproducible across machines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -62,10 +66,29 @@ class EngineError(ValueError):
 
 @dataclass
 class CouplingResult:
-    g_p: np.ndarray
-    g_q: np.ndarray
+    """One engine apply: g = [g_p; g_q], and its declared op count.
+
+    messages, the aggregates the scopes exchanged, is built on first access
+    by build_messages; a solve never reads it.
+    """
+
+    g: np.ndarray  # shape (2, n): rows g_p = R^T d and g_q = X^T d
     op_count: int
-    messages: tuple["AggregateMessage", ...] = ()
+    build_messages: Callable[[], tuple["AggregateMessage", ...]] = field(
+        default=tuple, repr=False
+    )
+
+    @property
+    def g_p(self) -> np.ndarray:
+        return self.g[0]
+
+    @property
+    def g_q(self) -> np.ndarray:
+        return self.g[1]
+
+    @cached_property
+    def messages(self) -> tuple["AggregateMessage", ...]:
+        return self.build_messages()
 
 
 @dataclass(frozen=True)
@@ -219,11 +242,10 @@ class FlatEngine:
 
     def compute(self, mu_upper: np.ndarray, mu_lower: np.ndarray) -> CouplingResult:
         d = _check_duals(mu_upper, mu_lower, self.n)
-        g_p = self.sens.r.T @ d
-        g_q = self.sens.x.T @ d
+        g = np.stack((self.sens.r.T @ d, self.sens.x.T @ d))
         if self.record is not None:
             self.record.apply()
-        return CouplingResult(g_p=g_p, g_q=g_q, op_count=self.op_count_per_apply)
+        return CouplingResult(g, self.op_count_per_apply)
 
 
 def _check_duals(mu_upper, mu_lower, n) -> np.ndarray:
@@ -246,8 +268,9 @@ class _Scope:
         [ remainder-to-root  remainder exact   ]
 
     and one product of it with [child aggregates; remainder duals] is the
-    scope's whole share of t. Each child's own 3x3 diagonal is zero, since
-    pairs inside a child are the child's work. gather picks the operand
+    scope's whole share of t, returned as [2 Re; -2 Im], its shares of
+    g_p and g_q. Each child's own 3x3 diagonal is zero, since pairs
+    inside a child are the child's work. gather picks the operand
     out of [d; aggregate rows], and t[out] adds the product's rows at take:
     a slot row to every member of its child with that phase, a remainder
     row to its own flat index. A child root meets every bus outside its
@@ -258,9 +281,10 @@ class _Scope:
     buses, closed upward inside the scope since children are whole
     subtrees; several tops are all the substation's children. A remainder
     of fewer than SWEEP_MIN_REMAINDER flat indices holds the kernel as one
-    dense block, gathered at the forest's LCA table, where two tops' pairs
-    read a zero row. A larger one holds no block: each child's aggregate
-    sits at its anchor's cells beside the remainder's duals, and one
+    dense real block, its 2 Re rows over its -2 Im rows, gathered at the
+    forest's LCA table, where two tops' pairs read a zero row. A larger
+    one holds no block: each child's aggregate sits at its anchor's cells
+    beside the remainder's duals, and one
     adjoint_sweep over the forest meets every pair at its common ancestor:
     two children at their anchors' LCA, a child and a remainder bus at the
     anchor's LCA with that bus, and two tops, or an anchor that is the
@@ -278,7 +302,6 @@ class _Scope:
         for ch in children:
             in_child[ch.idx] = True
         self.rem = self.idx[~in_child[self.idx]]
-        self.rem_phase = net.flat_phase[self.rem]
         c, m = len(children), len(self.rem)
         slots = 3 * np.array([ch.pos for ch in children], dtype=np.int64)[:, None] + np.arange(3)
         self.gather = np.concatenate([net.n_flat + slots.ravel(), self.rem])
@@ -292,22 +315,27 @@ class _Scope:
         # Kernel row r is at bus buses[of_bus[r]] and phase phase[r]: an
         # anchor stands for its child's three slots.
         of_bus = np.concatenate([np.repeat(np.arange(c), 3), c + np.arange(m)])
-        phase = np.concatenate([np.tile(np.arange(3, dtype=np.int64), c), self.rem_phase])
+        phase = np.concatenate([np.tile(np.arange(3, dtype=np.int64), c), net.flat_phase[self.rem]])
         child_sizes = [len(ch.idx) for ch in children]
         cols, forest = net.subforest(buses)
         cols = cols[of_bus]
         self.forest = None
         if m < SWEEP_MIN_REMAINDER:
-            # The forest's LCA table holds the block. w by forest column has
-            # a zero row last, which the -1 of two tops' pairs reads.
-            w_col = np.concatenate([w.reshape(-1, 9)[forest.buses], np.zeros((1, 9))])
+            # The forest's LCA table holds the block, stored as its R and X
+            # halves, 2 Re w over -2 Im w. w by forest column has a zero row
+            # last, which the -1 of two tops' pairs reads.
+            w_bus = w.reshape(-1, 9)[forest.buses]
+            w_col = np.zeros((2, forest.n + 1, 9))
+            w_col[0, :-1] = 2.0 * w_bus.real
+            w_col[1, :-1] = -2.0 * w_bus.imag
             table = forest.lca_table()
             table *= 9
             at = table[np.ix_(cols, cols)]
             at += 3 * phase + phase[:, None]
-            self.block = np.take(w_col, at)
+            block = np.take(w_col.reshape(2, -1), at, axis=1)
             for k in range(c):
-                self.block[3 * k: 3 * k + 3, 3 * k: 3 * k + 3] = 0.0
+                block[:, 3 * k: 3 * k + 3, 3 * k: 3 * k + 3] = 0.0
+            self.block = block.reshape(-1, len(at))
             self.ops = _level_op_count([ch.ops for ch in children], child_sizes, m)
         else:
             self.forest = forest
@@ -317,14 +345,14 @@ class _Scope:
             self.ops = _swept_op_count([ch.ops for ch in children], child_sizes, self.forest.n)
 
     def product(self, x: np.ndarray) -> np.ndarray:
-        """The kernel times its operand, gathered from x = [d; aggregate rows]."""
+        """[2 Re; -2 Im] of the kernel times its operand, gathered from x = [d; aggregates]."""
         x = x[self.gather]
         if self.forest is None:
             return self.block @ x
         t = adjoint_sweep(self.forest, self.cells, x)
         c = len(self.own)
         t[:3 * c] -= (self.own @ x[:3 * c].reshape(c, 3, 1)).ravel()
-        return t
+        return np.concatenate([2.0 * t.real, -2.0 * t.imag])
 
 
 class MultilevelEngine:
@@ -368,24 +396,21 @@ class MultilevelEngine:
         # work runs in that scope.
         self._tree = scope(("unclustered",), None, [b.id for b in net.buses if b.id != 0], areas)
         self.op_count_per_apply = self._tree.ops
-        # With the scopes' products laid end to end as y, t is the sum of
-        # y[_take] at _out.
-        start = np.cumsum([0] + [len(s.gather) for s in self._scopes])
-        self._take = np.concatenate([first + s.take for first, s in zip(start, self._scopes)])
-        self._out = np.concatenate([s.out for s in self._scopes])
-        # Every flat index is in one scope's remainder: its aggregate slot.
-        self._slot = np.empty(self.n, dtype=np.int64)
-        for s in self._scopes:
-            self._slot[s.rem] = 3 * s.pos + s.rem_phase
-        # Aggregates are summed one tree level at a time, deepest first. A
-        # level's child rows are padded with the zero row after the last scope's.
-        self._levels, level = [], [self._tree]
-        while any(s.children for s in level):
-            rows = np.full((len(level), max(len(s.children) for s in level)), len(self._scopes))
-            for i, s in enumerate(level):
-                rows[i, : len(s.children)] = [ch.pos for ch in s.children]
-            self._levels.insert(0, (np.array([s.pos for s in level]), rows))
-            level = [ch for s in level for ch in s.children]
+        # With the scopes' products laid end to end as y, g_p and g_q are the
+        # sums of y[_take] at _out and at _out - n: each product holds a
+        # scope's R rows, then its X rows.
+        start = np.cumsum([0] + [2 * len(s.gather) for s in self._scopes])
+        self._take = np.concatenate([
+            first + np.concatenate([s.take, len(s.gather) + s.take])
+            for first, s in zip(start, self._scopes)
+        ])
+        self._out = np.concatenate([np.concatenate([s.out, self.n + s.out]) for s in self._scopes])
+        # A child scope's aggregate row sums its members' duals by phase: one
+        # bincount over (flat index, slot) pairs. The feeder scope, last in
+        # post-order, is no child.
+        below, none = self._scopes[:-1], np.zeros(0, dtype=np.int64)
+        self._members = np.concatenate([none] + [s.idx for s in below])
+        self._slots = np.concatenate([none] + [3 * s.pos + net.flat_phase[s.idx] for s in below])
         # Every child scope sends its aggregate to its parent, in post-order.
         self._senders = [(ch.key, ch.root, ch.pos) for s in self._scopes for ch in s.children]
         if record is not None:
@@ -422,26 +447,20 @@ class MultilevelEngine:
 
     def compute(self, mu_upper: np.ndarray, mu_lower: np.ndarray) -> CouplingResult:
         d = _check_duals(mu_upper, mu_lower, self.n)
-        # Row k starts as scope k's remainder sums; each level then adds the
-        # rows of its children, which are final, summed in order.
-        agg = np.bincount(self._slot, weights=d, minlength=3 * len(self._scopes) + 3)
-        agg = agg.reshape(-1, 3)
-        for pos, rows in self._levels:
-            agg[pos] += agg[rows].sum(axis=1)
-        x = np.concatenate([d, agg.ravel()])
+        agg = np.bincount(self._slots, weights=d[self._members], minlength=3 * len(self._scopes))
+        x = np.concatenate([d, agg])
         y = np.concatenate([s.product(x) for s in self._scopes])[self._take]
-        sums = agg.tolist()
-        messages = tuple(
-            AggregateMessage(scope=key, root=root, sums=tuple(sums[k]))
-            for key, root, k in self._senders
-        )
+        g = np.bincount(self._out, weights=y, minlength=2 * self.n).reshape(2, self.n)
         if self.record is not None:
             self.record.apply()
-        return CouplingResult(
-            g_p=2.0 * np.bincount(self._out, weights=y.real, minlength=self.n),
-            g_q=-2.0 * np.bincount(self._out, weights=y.imag, minlength=self.n),
-            op_count=self.op_count_per_apply,
-            messages=messages,
+        return CouplingResult(g, self.op_count_per_apply, partial(self._messages, agg))
+
+    def _messages(self, agg: np.ndarray) -> tuple[AggregateMessage, ...]:
+        """The aggregate each child scope sends its parent, from compute's aggregates."""
+        sums = agg.reshape(-1, 3).tolist()
+        return tuple(
+            AggregateMessage(scope=key, root=root, sums=tuple(sums[k]))
+            for key, root, k in self._senders
         )
 
 

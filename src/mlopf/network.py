@@ -29,6 +29,25 @@ PHASES = ("a", "b", "c")
 PHASE_CODE = {"a": 0, "b": 1, "c": 2}
 PHASE_NAME = {0: "a", 1: "b", 2: "c"}
 
+# The 120-degree phasor of phase b relative to phase a.
+OMEGA = complex(np.exp(-2j * np.pi / 3))
+
+# Signed powers omega**k for k in -2..2, indexed by k + 2. Negative powers
+# are stored as conjugates so omega**-k == conj(omega**k) holds exactly.
+OMEGA_POW = np.array(
+    [
+        np.conj(OMEGA * OMEGA),
+        np.conj(OMEGA),
+        1.0 + 0.0j,
+        OMEGA,
+        OMEGA * OMEGA,
+    ],
+    dtype=np.complex128,
+)
+
+# omega**(phi - psi) at [phi, psi], the rotation of each phase pair.
+OMEGA_PAIR = OMEGA_POW[np.arange(3)[:, None] - np.arange(3)[None, :] + 2]
+
 
 class NetworkError(ValueError):
     """Malformed document or violated radial-network invariant."""
@@ -67,7 +86,9 @@ class Forest:
     a top, and its subtree is columns r up to exit[r]. A forest array has
     shape (3, n), phase by column. z_line[phi, psi, r] is the impedance of
     the line into column r; a top carries its whole root path there, as a
-    line from a virtual root.
+    line from a virtual root. The line layouts the linear sweeps read,
+    line_operator forward and z_line_conj in reverse, are built on first
+    use and kept.
     """
 
     def __init__(self, buses: np.ndarray, up: np.ndarray, exit_: np.ndarray, z_line: np.ndarray):
@@ -98,12 +119,30 @@ class Forest:
             (phase_rows * n + exits[first]).ravel(),
         )
 
-    def subtree_sums(self, x: np.ndarray) -> np.ndarray:
-        """Per-phase sums of a forest array over every column's subtree.
+    @cached_property
+    def line_operator(self) -> np.ndarray:
+        """The real line map of the linear voltage sweep, shape (3, 6, n).
 
+        With A[phi, psi] = omega**-phi z_line[phi, psi] omega**psi, row phi
+        holds [Re A[phi, :], Im A[phi, :]] per column: applied to a
+        column's subtree sums of [p; q] it gives Re(omega**-phi drop), the
+        line's share of the squared-voltage change at phase phi.
+        """
+        a = OMEGA_PAIR.T[:, :, None] * self.z_line
+        return np.concatenate([a.real, a.imag], axis=1)
+
+    @cached_property
+    def z_line_conj(self) -> np.ndarray:
+        """conj(z_line), the line layout of the adjoint sweep."""
+        return np.conj(self.z_line)
+
+    def subtree_sums(self, x: np.ndarray) -> np.ndarray:
+        """Row-wise sums of a forest array over every column's subtree.
+
+        x has shape (k, n): three phases, or any stack of per-column rows.
         A prefix sum over the columns, read at [r, exit[r]).
         """
-        prefix = np.zeros((3, self.n + 1), dtype=x.dtype)
+        prefix = np.zeros((len(x), self.n + 1), dtype=x.dtype)
         np.cumsum(x, axis=1, out=prefix[:, 1:])
         return np.take(prefix, self._exit, axis=1) - prefix[:, :-1]
 

@@ -147,7 +147,7 @@ class Problem:
 
     def objective(self, p: np.ndarray, q: np.ndarray) -> float:
         """Total deviation cost; fixed indices contribute exactly zero."""
-        return float(np.sum(self.w_p * (p - self.p0) ** 2 + self.w_q * (q - self.q0) ** 2))
+        return float((self.w_p * (p - self.p0) ** 2 + self.w_q * (q - self.q0) ** 2).sum())
 
     def cost_gradients(self, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return 2.0 * self.w_p * (p - self.p0), 2.0 * self.w_q * (q - self.q0)
@@ -288,8 +288,8 @@ def saddle_residual(
 
 def violation_extents(v: np.ndarray, bounds: VoltageBounds) -> tuple[float, float]:
     """Worst upper and lower squared-voltage bound violations (0 if none)."""
-    over = float(np.max(v - bounds.v_upper, initial=-np.inf))
-    under = float(np.max(bounds.v_lower - v, initial=-np.inf))
+    over = float((v - bounds.v_upper).max(initial=-np.inf))
+    under = float((bounds.v_lower - v).max(initial=-np.inf))
     return max(0.0, over), max(0.0, under)
 
 

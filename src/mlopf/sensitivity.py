@@ -21,25 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .network import Forest, Network, phase_code
-
-OMEGA = complex(np.exp(-2j * np.pi / 3))
-
-# Signed powers omega**k for k in -2..2, indexed by k + 2. Negative powers
-# are stored as conjugates so omega**-k == conj(omega**k) holds exactly.
-OMEGA_POW = np.array(
-    [
-        np.conj(OMEGA * OMEGA),
-        np.conj(OMEGA),
-        1.0 + 0.0j,
-        OMEGA,
-        OMEGA * OMEGA,
-    ],
-    dtype=np.complex128,
-)
-
-# omega**(phi - psi) at [phi, psi], the rotation of each phase pair.
-OMEGA_PAIR = OMEGA_POW[np.arange(3)[:, None] - np.arange(3)[None, :] + 2]
+from .network import OMEGA, OMEGA_PAIR, OMEGA_POW, Forest, Network, phase_code  # noqa: F401
 
 
 def omega_power(k: int) -> complex:
@@ -110,12 +92,12 @@ def build_sensitivity(net: Network) -> SensitivityMatrices:
     moving away from the substation; inside the subtree every column
     meets i at i and takes i's own pair value. Rows of depth-1 buses start
     from the substation's pair values. The rows are filled one depth
-    level at a time, each level one row copy plus one scatter over its
-    subtrees' columns, which are contiguous once the flat indices are
-    sorted into DFS order. Beside R and X the build holds only one
-    level's copied rows and O(N) index arrays per level. v_tilde is the
-    flat profile at the substation's squared magnitude: with losses
-    neglected, zero injections leave every bus at the reference voltage.
+    level at a time: each row of the level is copied on its own, then one
+    scatter covers the level's subtrees' columns, which are contiguous once
+    the flat indices are sorted into DFS order. Beside R and X the build
+    holds only O(N) index arrays per level. v_tilde is the flat profile at
+    the substation's squared magnitude: with losses neglected, zero
+    injections leave every bus at the reference voltage.
     """
     n = net.n_flat
     ph = net.flat_phase
@@ -138,14 +120,15 @@ def build_sensitivity(net: Network) -> SensitivityMatrices:
     up = net.index_of[net.parent_pos[net.flat_bus_pos], ph]
     r = np.empty((n, n), dtype=np.float64)
     x = np.empty((n, n), dtype=np.float64)
+    # Depth-1 rows copy their phase's row of the substation's pair values.
+    r_top = r_pairs[:9].reshape(3, 3)[:, ph]
+    x_top = x_pairs[:9].reshape(3, 3)[:, ph]
     for d in range(1, int(net.depth.max()) + 1):
         level = rows[bounds[d - 1]:bounds[d]]
-        if d == 1:
-            r[level] = r_pairs[:9].reshape(3, 3)[ph[level, None], ph]
-            x[level] = x_pairs[:9].reshape(3, 3)[ph[level, None], ph]
-        else:
-            r[level] = r[up[level]]
-            x[level] = x[up[level]]
+        r_from, x_from, src = (r_top, x_top, ph) if d == 1 else (r, x, up)
+        for a, b in zip(level.tolist(), src[level].tolist()):
+            r[a] = r_from[b]
+            x[a] = x_from[b]
         # Each row's subtree columns, concatenated row by row.
         counts = stop[level] - start[level]
         ends = np.cumsum(counts)
@@ -172,10 +155,13 @@ def voltage_linear(sens: SensitivityMatrices, p: np.ndarray, q: np.ndarray) -> n
 
     Equal to R p + X q + v_tilde, computed in O(N) by two tree sums and
     without reading R or X. Per line and phase psi, the conjugated subtree
-    sum of s = p + jq rotated by omega**psi is the current a sweep from the
-    flat profile would carry; z_line times it is the line's drop. With t
-    the ancestor-or-self sum of Re(omega**-phi drop), v = v_tilde + 2 t:
-    a pair (i, j) shares exactly the lines above both, which is the
+    sum P - jQ of s = p + jq, rotated by omega**psi, is the current a
+    sweep from the flat profile would carry, and z_line times it is the
+    line's drop. The forest's line_operator holds that map, with the
+    rotation by omega**-phi and the real part that follow, as one real
+    3 x 6 matrix per line acting on [P; Q], so the sweep runs in real
+    arithmetic. With t the ancestor-or-self sum of the result, v = v_tilde
+    + 2 t: a pair (i, j) shares exactly the lines above both, which is the
     common-path impedance of the dense entry.
     """
     p = np.asarray(p, dtype=np.float64)
@@ -185,11 +171,12 @@ def voltage_linear(sens: SensitivityMatrices, p: np.ndarray, q: np.ndarray) -> n
             f"injection vectors must have shape ({sens.n},), got {p.shape} and {q.shape}"
         )
     net = sens.net
-    s_conj = np.zeros((3, net.n_buses), dtype=np.complex128)
-    s_conj.reshape(-1)[net.flat_cell] = p - 1j * q
-    current = OMEGA_POW[2:, None] * net.forest.subtree_sums(s_conj)
-    drop = (net.forest.z_line * current[None]).sum(axis=1)
-    t = net.forest.ancestor_sums((OMEGA_POW[2::-1, None] * drop).real)
+    forest = net.forest
+    pq = np.zeros((6, net.n_buses))
+    pq[:3].reshape(-1)[net.flat_cell] = p
+    pq[3:].reshape(-1)[net.flat_cell] = q
+    drop = np.einsum("fkr,kr->fr", forest.line_operator, forest.subtree_sums(pq))
+    t = forest.ancestor_sums(drop)
     return sens.v_tilde + 2.0 * t.reshape(-1)[net.flat_cell]
 
 
@@ -210,6 +197,6 @@ def adjoint_sweep(forest: Forest, cells: np.ndarray, d: np.ndarray) -> np.ndarra
     """
     x = np.bincount(cells, weights=d, minlength=3 * forest.n).reshape(3, forest.n)
     current = OMEGA_POW[2:, None] * forest.subtree_sums(x)
-    drop = (np.conj(forest.z_line) * current[:, None]).sum(axis=0)
+    drop = (forest.z_line_conj * current[:, None]).sum(axis=0)
     t = OMEGA_POW[2::-1, None] * forest.ancestor_sums(drop)
     return t.reshape(-1)[cells]

@@ -6,10 +6,12 @@ uses the current voltages, and only then are voltages recomputed at the new
 setpoints (linearly, or through nonlinear power flow in feedback mode).
 `run` computes each update once: record k's residual is the size of the
 update computed at state k, and that update is taken only if the run goes
-on. In feedback mode the initial state's sweep starts from the flat
-profile and every later sweep is warm-started from the phasors behind the
-previous states' voltages (extrapolated linearly from the last two), since
-one primal step moves the injections only a little. Repeated runs of the
+on. It carries the setpoints as one stacked vector z = [p; q], whose
+halves are the states' p and q. In feedback mode the initial state's
+sweep starts from the flat profile and every later sweep is warm-started
+from the phasors behind the previous states' voltages (extrapolated
+linearly from the last two), since one primal step moves the injections
+only a little. Repeated runs of the
 same configuration produce bitwise identical traces.
 """
 
@@ -32,7 +34,6 @@ from .opf import (
     dual_update,
     lagrangian_value,  # noqa: F401  (perfbench's tracer rebinds this name)
     saddle_residual,
-    update_size,
     violation_extents,
 )
 from .powerflow import backward_forward_sweep
@@ -125,23 +126,48 @@ def initial_state(problem: Problem, vmodel) -> SolverState:
     ), v=v, iteration=0)
 
 
-def _update(
-    state: SolverState, problem: Problem, coupling: CouplingResult, cfg: SolverConfig
-) -> tuple[np.ndarray, np.ndarray, DualState]:
-    """The projected primal step and the dual ascent at state."""
-    cp, cq = problem.cost_gradients(state.p, state.q)
-    p_new, q_new = problem.project(
-        state.p - cfg.step_primal * (cp + coupling.g_p),
-        state.q - cfg.step_primal * (cq + coupling.g_q),
+def _primal_constants(problem: Problem) -> tuple[np.ndarray, ...]:
+    """Over z = [p; q]: the preferences, twice the cost weights, and the box."""
+    stack = np.concatenate
+    return (
+        stack([problem.p0, problem.q0]),
+        2.0 * stack([problem.w_p, problem.w_q]),
+        stack([problem.p_min, problem.q_min]),
+        stack([problem.p_max, problem.q_max]),
     )
-    return p_new, q_new, dual_update(state.duals, state.v, problem.bounds, cfg)
 
 
-def _advance(
-    state: SolverState, vmodel, p: np.ndarray, q: np.ndarray, duals: DualState
-) -> SolverState:
-    """The next state: the updated setpoints and duals, with voltages at the setpoints."""
+def _update(
+    z: np.ndarray, state: SolverState, problem: Problem, constants: tuple,
+    coupling: CouplingResult, cfg: SolverConfig,
+) -> tuple[np.ndarray, DualState, float]:
+    """The projected primal step and the dual ascent at state, and their size.
+
+    z is [state.p; state.q] and constants is _primal_constants(problem).
+    The size is the infinity norm of the update, each half over its step
+    size, which is saddle_residual at state.
+    """
+    z0, w2, lo, hi = constants
+    z_new = np.minimum(
+        np.maximum(z - cfg.step_primal * (w2 * (z - z0) + coupling.g.reshape(-1)), lo), hi
+    )
+    duals = dual_update(state.duals, state.v, problem.bounds, cfg)
+    # np.maximum propagates a NaN, where Python's max may drop it.
+    size = np.maximum(
+        np.abs(z - z_new).max(initial=0.0) / cfg.step_primal,
+        np.maximum(
+            np.abs(state.duals.mu_upper - duals.mu_upper).max(initial=0.0),
+            np.abs(state.duals.mu_lower - duals.mu_lower).max(initial=0.0),
+        ) / cfg.step_dual,
+    )
+    return z_new, duals, float(size)
+
+
+def _advance(state: SolverState, vmodel, z: np.ndarray, duals: DualState) -> SolverState:
+    """The next state: setpoints z = [p; q] and duals, with voltages at the setpoints."""
     k = state.iteration + 1
+    n = len(z) // 2
+    p, q = z[:n], z[n:]
     try:
         v = vmodel.voltages(p, q, prev=state.v)
     except Exception as exc:
@@ -162,7 +188,9 @@ def step(
             f"engine is sized for {engine.n} indices but the problem has {problem.n}"
         )
     coupling = engine.compute(state.duals.mu_upper, state.duals.mu_lower)
-    return _advance(state, vmodel, *_update(state, problem, coupling, cfg))
+    z = np.concatenate([state.p, state.q])
+    z, duals, _ = _update(z, state, problem, _primal_constants(problem), coupling, cfg)
+    return _advance(state, vmodel, z, duals)
 
 
 @dataclass(frozen=True)
@@ -254,13 +282,14 @@ def run(
     trace = Trace()
     total_coupling_ns = 0
     total_step_ns = 0
+    constants = _primal_constants(problem)
+    z = np.concatenate([state.p, state.q])
     t0 = time.perf_counter_ns()
     while True:
         t1 = time.perf_counter_ns()
         coupling = engine.compute(state.duals.mu_upper, state.duals.mu_lower)
         t2 = time.perf_counter_ns()
-        update = _update(state, problem, coupling, cfg)
-        res = update_size(state.p, state.q, state.duals, *update, cfg)
+        z_new, duals, res = _update(z, state, problem, constants, coupling, cfg)
         t3 = time.perf_counter_ns()
         # A NaN residual compares false against the tolerance and would end
         # the loop as if it had merely not converged.
@@ -274,7 +303,8 @@ def run(
         if state.iteration >= cfg.max_iters or res <= cfg.residual_tol:
             break
         t0 = time.perf_counter_ns()
-        state = _advance(state, vmodel, *update)
+        state = _advance(state, vmodel, z_new, duals)
+        z = z_new
 
     residual = saddle_residual(
         problem, state.p, state.q, state.duals, state.v, cfg, coupling.g_p, coupling.g_q

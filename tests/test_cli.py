@@ -292,6 +292,7 @@ def _with_first_line_aa(doc, aa):
      "malformed background entry"),
     ("network", lambda d: _with_entry(d, "buses", 1, {"phases": "abc"}), "malformed bus entry"),
     ("network", lambda d: _with_entry(d, "buses", 1, {"phases": [True]}), "malformed bus entry"),
+    ("setpoints", lambda d: {**d, "pp": {"1:a": 5.0}}, "setpoints document has unknown key 'pp'"),
 ], ids=[
     "vmin-null", "vmin-list", "vmax-null", "vmax-list", "vmin-negative",
     "base-v-list", "base-v-nan", "z-list", "z-nan", "z-inf", "z-neg-inf",
@@ -301,7 +302,7 @@ def _with_first_line_aa(doc, aa):
     "vmin-string", "device-p0-string", "device-q0-bool", "device-qmax-bool",
     "background-p-string", "z-bool", "setpoint-string",
     "device-phase-zero", "device-phase-bool", "device-phase-float", "device-phase-upper",
-    "background-phase-zero", "bus-phases-string", "bus-phases-bool",
+    "background-phase-zero", "bus-phases-string", "bus-phases-bool", "setpoints-unknown-key",
 ])
 def test_malformed_scalar_field_is_validation_error(
     workspace, tmp_path, capsys, document, edit, message

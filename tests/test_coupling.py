@@ -581,7 +581,8 @@ def test_audit_rejects_unknown_read_kinds(fig_net):
 def test_scope_blocks_match_scalar_common_path_entries(depth):
     # Each scope's block is gathered from one per-bus, per-phase-pair table;
     # every entry must equal the scalar common-path impedance, conjugated and
-    # rotated by numpy's complex multiply, bit for bit.
+    # rotated by numpy's complex multiply, bit for bit. The block holds it
+    # as real R and X rows: 2 Re over -2 Im.
     from mlopf.sensitivity import omega_power
 
     feeder = generate(FeederSpec(n_buses=60, seed=4, phase_drop=0.4),
@@ -599,7 +600,7 @@ def test_scope_blocks_match_scalar_common_path_entries(depth):
         want = (np.conj(z) * w).reshape(len(slots), len(slots))
         for k in range(len(scope.children)):
             want[3 * k: 3 * k + 3, 3 * k: 3 * k + 3] = 0.0
-        np.testing.assert_array_equal(scope.block, want)
+        np.testing.assert_array_equal(scope.block, np.concatenate([2 * want.real, -2 * want.imag]))
 
 
 # -- remainders run as tree sweeps ------------------------------------------
@@ -740,6 +741,62 @@ def test_sweep_remainders_send_the_dense_kernels_messages(monkeypatch):
             assert swept.messages == dense.messages
             for a, b in zip(swept.messages, dense.messages):
                 assert np.array(a.sums).tobytes() == np.array(b.sums).tobytes()
+
+
+def test_messages_are_built_only_when_read(monkeypatch):
+    net, part = uv300()
+    rng = np.random.default_rng(21)
+    first, second = random_duals(rng, net.n_flat), random_duals(rng, net.n_flat)
+    built = []
+    original = coupling.AggregateMessage
+
+    def counted(*args, **kwargs):
+        built.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(coupling, "AggregateMessage", counted)
+    engine = MultilevelEngine(net, part, 2)
+    res = engine.compute(*first)
+    engine.compute(*second)
+    assert built == []
+    # Read after a later compute, the messages still carry this call's sums.
+    messages = res.messages
+    assert len(built) == len(messages) > 0
+    assert res.messages is messages and len(built) == len(messages)
+    assert messages == MultilevelEngine(net, part, 2).compute(*first).messages
+
+
+def dense_agreement_cases(family):
+    """Feeders, partitions and duals on which the kernels meet R and X."""
+    if family == "criterion_1":
+        yield from criterion_1_family(100)
+        return
+    if family == "phase_drop":
+        feeder = generate(FeederSpec(n_buses=400, seed=1, phase_drop=0.4),
+                          target_area_size=60, target_subarea_size=15)
+        net, part = feeder.net, feeder.partition
+    else:
+        net, part = gen4k()
+    yield net, part, *random_duals(np.random.default_rng(23), net.n_flat)
+
+
+@pytest.mark.parametrize("family", ["criterion_1", "phase_drop", "gen4k"])
+def test_real_kernels_match_the_dense_products(family):
+    # The voltage map and both multilevel engines run in real arithmetic;
+    # each must stay within 1e-13 (relative) of the dense products.
+    from mlopf.sensitivity import voltage_linear
+
+    for net, part, mu_up, mu_lo in dense_agreement_cases(family):
+        sens = build_sensitivity(net)
+        p, q = np.random.default_rng(net.n_flat).normal(size=(2, net.n_flat))
+        want = sens.r @ p + sens.x @ q + sens.v_tilde
+        gap = np.max(np.abs(voltage_linear(sens, p, q) - want))
+        assert gap <= 1e-13 * (1.0 + np.max(np.abs(want)))
+        ref = FlatEngine(sens).compute(mu_up, mu_lo)
+        for depth in (1, 2):
+            res = MultilevelEngine(net, part, depth).compute(mu_up, mu_lo)
+            for got, want in ((res.g_p, ref.g_p), (res.g_q, ref.g_q)):
+                assert np.max(np.abs(got - want)) <= 1e-13 * (1.0 + np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("feeder", ["uv300", "gen4k", "two_level"])

@@ -344,15 +344,31 @@ def test_dense_build_is_bitwise_the_lca_gather_on_generated_feeders(n_buses, see
     assert_matches_lca_gather(generate(FeederSpec(n_buses, seed=seed)).net)
 
 
+def broom_feeder(n_leaves: int) -> Network:
+    """One three-phase bus below the substation with n_leaves single-phase leaves."""
+    rng = np.random.default_rng(7)
+    buses = [Bus(0, ("a", "b", "c"), None), Bus(1, ("a", "b", "c"), 0)]
+    lines = [Line(0, 1, np.diag(rng.uniform(1e-3, 1e-2, 3) * (1 + 2j)))]
+    for bid in range(2, n_leaves + 2):
+        ph = bid % 3
+        z = np.zeros((3, 3), dtype=np.complex128)
+        z[ph, ph] = complex(*rng.uniform(1e-3, 1e-2, 2))
+        buses.append(Bus(bid, ("abc"[ph],), 1))
+        lines.append(Line(1, bid, z))
+    return Network(buses, lines)
+
+
 def test_dense_build_holds_no_full_size_temporaries():
-    net = generate(FeederSpec(n_buses=2000, seed=0)).net
-    tracemalloc.start()
-    try:
-        sens = build_sensitivity(net)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.15 * (sens.r.nbytes + sens.x.nbytes)
+    # A broom's one wide level must not hold a level-sized copy of its rows.
+    for net in (generate(FeederSpec(n_buses=2000, seed=0)).net, broom_feeder(2198)):
+        tracemalloc.start()
+        try:
+            sens = build_sensitivity(net)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * (sens.r.nbytes + sens.x.nbytes)
+        del sens
 
 
 @pytest.mark.parametrize("seed", range(6))
