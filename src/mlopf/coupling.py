@@ -17,9 +17,10 @@ children collapse to one root-to-root impedance times the other child's
 per-phase dual aggregate, a remainder bus meets a child only through the
 child's root, and pairs inside the remainder are exact. Every scope lays
 the remainder and the child roots' parents out as one forest. While the
-remainder is small the kernel is a dense block gathered at that forest's
-LCA table and stored as its real R and X rows, so the product is one
-real matrix-vector multiply. From SWEEP_MIN_REMAINDER flat indices on,
+remainder is small the kernel is a dense block of real R and X rows,
+gathered at that forest's LCA table from network.rotated_pairs of its
+buses' root-path impedances, the formula R and X come from, so the
+product is one real multiply. From SWEEP_MIN_REMAINDER flat indices on,
 where the block's m^2 work overtakes a sweep's fixed cost, the whole
 kernel is one sensitivity.adjoint_sweep over the same forest, with each
 child's aggregate at its root's parent: O(m + children) and without any
@@ -45,9 +46,9 @@ from typing import Callable
 
 import numpy as np
 
-from .network import Network
+from .network import Network, rotated_pairs
 from .partition import PartitionHierarchy, subtree_ids, unclustered, validate_partition
-from .sensitivity import OMEGA_PAIR, SensitivityMatrices, adjoint_sweep, build_sensitivity
+from .sensitivity import SensitivityMatrices, adjoint_sweep, build_sensitivity
 
 
 # A scope whose remainder holds at least this many flat indices runs its
@@ -281,18 +282,19 @@ class _Scope:
     buses, closed upward inside the scope since children are whole
     subtrees; several tops are all the substation's children. A remainder
     of fewer than SWEEP_MIN_REMAINDER flat indices holds the kernel as one
-    dense real block, its 2 Re rows over its -2 Im rows, gathered at the
-    forest's LCA table, where two tops' pairs read a zero row. A larger
-    one holds no block: each child's aggregate sits at its anchor's cells
-    beside the remainder's duals, and one
-    adjoint_sweep over the forest meets every pair at its common ancestor:
-    two children at their anchors' LCA, a child and a remainder bus at the
-    anchor's LCA with that bus, and two tops, or an anchor that is the
-    substation, at zero impedance. The sweep also pairs each child with
-    itself; own[k] is that 3x3 term, subtracted from the child's slot rows.
+    dense real block, its R rows over its X rows, gathered from the
+    rotated pairs of its buses' z_prefix at the forest's LCA table, where
+    two tops' pairs read a zero row. A larger one holds no block: each
+    child's aggregate sits at its anchor's cells beside the remainder's
+    duals, and one adjoint_sweep over the forest meets every pair at its
+    common ancestor: two children at their anchors' LCA, a child and a
+    remainder bus at the anchor's LCA with that bus, and two tops, or an
+    anchor that is the substation, at zero impedance. The sweep also pairs each child with
+    itself; own[:, k] is that 3x3 term's R and X values, subtracted from
+    the child's slot rows once the sweep's result is real.
     """
 
-    def __init__(self, net, w, key, root, member_ids, children, pos):
+    def __init__(self, net, key, root, member_ids, children, pos):
         self.key = key
         self.root = root
         self.children = children
@@ -321,18 +323,17 @@ class _Scope:
         cols = cols[of_bus]
         self.forest = None
         if m < SWEEP_MIN_REMAINDER:
-            # The forest's LCA table holds the block, stored as its R and X
-            # halves, 2 Re w over -2 Im w. w by forest column has a zero row
-            # last, which the -1 of two tops' pairs reads.
-            w_bus = w.reshape(-1, 9)[forest.buses]
-            w_col = np.zeros((2, forest.n + 1, 9))
-            w_col[0, :-1] = 2.0 * w_bus.real
-            w_col[1, :-1] = -2.0 * w_bus.imag
+            # The forest's LCA table gathers the block from the rotated
+            # pairs, as its R and X halves. The pairs by forest column have
+            # a zero row last, which the -1 of two tops' pairs reads. Entry
+            # [(i, phi), (j, psi)] is the pair (psi, phi) at lca(i, j).
+            pairs = np.zeros((2, forest.n + 1, 9))
+            pairs[:, :-1] = rotated_pairs(net.z_prefix[forest.buses]).reshape(2, -1, 9)
             table = forest.lca_table()
             table *= 9
             at = table[np.ix_(cols, cols)]
             at += 3 * phase + phase[:, None]
-            block = np.take(w_col.reshape(2, -1), at, axis=1)
+            block = np.take(pairs.reshape(2, -1), at, axis=1)
             for k in range(c):
                 block[:, 3 * k: 3 * k + 3, 3 * k: 3 * k + 3] = 0.0
             self.block = block.reshape(-1, len(at))
@@ -340,8 +341,8 @@ class _Scope:
         else:
             self.forest = forest
             self.cells = phase * forest.n + cols
-            # own[k, phi, psi] is w at 9 anchor + 3 psi + phi.
-            self.own = w.reshape(-1, 3, 3)[anchors].transpose(0, 2, 1)
+            # own[:, k, phi, psi] is the pair (psi, phi) at child k's anchor.
+            self.own = rotated_pairs(net.z_prefix[anchors]).transpose(0, 1, 3, 2)
             self.ops = _swept_op_count([ch.ops for ch in children], child_sizes, self.forest.n)
 
     def product(self, x: np.ndarray) -> np.ndarray:
@@ -350,9 +351,10 @@ class _Scope:
         if self.forest is None:
             return self.block @ x
         t = adjoint_sweep(self.forest, self.cells, x)
-        c = len(self.own)
-        t[:3 * c] -= (self.own @ x[:3 * c].reshape(c, 3, 1)).ravel()
-        return np.concatenate([2.0 * t.real, -2.0 * t.imag])
+        y = np.concatenate([2.0 * t.real, -2.0 * t.imag])
+        c = self.own.shape[1]
+        y.reshape(2, -1)[:, :3 * c] -= (self.own @ x[:3 * c].reshape(c, 3, 1)).reshape(2, -1)
+        return y
 
 
 class MultilevelEngine:
@@ -376,12 +378,9 @@ class MultilevelEngine:
         self.n = net.n_flat
         self.record = record
         self._scopes: list[_Scope] = []  # post-order: children before parents
-        # conj(Z^(psi,phi)) omega^(psi-phi) of bus position b at 9 b + 3 psi + phi,
-        # so a block entry [(i,phi),(j,psi)] is a gather at lca(i, j).
-        w = (np.conj(net.z_prefix) * OMEGA_PAIR).ravel()
 
         def scope(key, root, member_ids, children):
-            s = _Scope(net, w, key, root, member_ids, children, len(self._scopes))
+            s = _Scope(net, key, root, member_ids, children, len(self._scopes))
             self._scopes.append(s)
             return s
 

@@ -49,6 +49,20 @@ OMEGA_POW = np.array(
 OMEGA_PAIR = OMEGA_POW[np.arange(3)[:, None] - np.arange(3)[None, :] + 2]
 
 
+def rotated_pairs(z: np.ndarray) -> np.ndarray:
+    """2 Re over -2 Im of conj(z) * OMEGA_PAIR, for z of shape (..., 3, 3).
+
+    Returns shape (2, ..., 3, 3). At a common-path impedance these are the
+    R and X entries of each phase pair (phi, psi); at a line impedance,
+    twice the real line map of the linear voltage sweep. Written as
+    separate float multiplies and adds, so that every table and every
+    scalar entry rounds alike; numpy's complex kernels may differ in the
+    last ulp.
+    """
+    re, im, w_re, w_im = z.real, z.imag, OMEGA_PAIR.real, OMEGA_PAIR.imag
+    return np.stack([2.0 * (re * w_re + im * w_im), -2.0 * (re * w_im - im * w_re)])
+
+
 class NetworkError(ValueError):
     """Malformed document or violated radial-network invariant."""
 
@@ -121,15 +135,16 @@ class Forest:
 
     @cached_property
     def line_operator(self) -> np.ndarray:
-        """The real line map of the linear voltage sweep, shape (3, 6, n).
+        """Twice the real line map of the linear voltage sweep, shape (3, 6, n).
 
         With A[phi, psi] = omega**-phi z_line[phi, psi] omega**psi, row phi
-        holds [Re A[phi, :], Im A[phi, :]] per column: applied to a
-        column's subtree sums of [p; q] it gives Re(omega**-phi drop), the
-        line's share of the squared-voltage change at phase phi.
+        holds rotated_pairs(z_line)[:, phi] = [2 Re A[phi, :], 2 Im A[phi, :]]
+        per column: applied to a column's subtree sums of [p; q] it gives
+        2 Re(omega**-phi drop), twice the line's share of the squared-voltage
+        change at phase phi.
         """
-        a = OMEGA_PAIR.T[:, :, None] * self.z_line
-        return np.concatenate([a.real, a.imag], axis=1)
+        pairs = rotated_pairs(self.z_line.transpose(2, 0, 1))
+        return pairs.transpose(2, 0, 3, 1).reshape(3, 6, self.n)
 
     @cached_property
     def z_line_conj(self) -> np.ndarray:

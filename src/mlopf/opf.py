@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -120,10 +121,23 @@ class SolverConfig:
             raise ProblemError("residual_tol must be nonnegative")
 
 
+def _half(stacked: str, k: int) -> cached_property:
+    """A read-only view of half k of the stacked array field named stacked."""
+    def get(self) -> np.ndarray:
+        z = getattr(self, stacked)
+        view = z[k * len(z) // 2:(k + 1) * len(z) // 2]
+        view.flags.writeable = False
+        return view
+    return cached_property(get)
+
+
 @dataclass(frozen=True)
 class Problem:
     """Vectorized problem data over the flat index space.
 
+    The primal data is held once, stacked over z = [p; q]: preferences z0,
+    deviation weights w and the box [z_min, z_max]. p0, q0, p_min, p_max,
+    q_min, q_max, w_p and w_q are read-only views of their halves.
     Indices without a device hold fixed background injections, modeled as
     singleton boxes so every flat index has well-defined decision variables.
     """
@@ -131,15 +145,16 @@ class Problem:
     net: Network
     devices: tuple[Device, ...]
     bounds: VoltageBounds
-    p0: np.ndarray = field(repr=False)       # preferences / fixed injections
-    q0: np.ndarray = field(repr=False)
-    p_min: np.ndarray = field(repr=False)
-    p_max: np.ndarray = field(repr=False)
-    q_min: np.ndarray = field(repr=False)
-    q_max: np.ndarray = field(repr=False)
-    w_p: np.ndarray = field(repr=False)
-    w_q: np.ndarray = field(repr=False)
+    z0: np.ndarray = field(repr=False)       # preferences / fixed injections
+    w: np.ndarray = field(repr=False)        # quadratic deviation weights
+    z_min: np.ndarray = field(repr=False)
+    z_max: np.ndarray = field(repr=False)
     device_index: np.ndarray = field(repr=False)  # flat indices carrying devices
+
+    p0, q0 = _half("z0", 0), _half("z0", 1)
+    p_min, q_min = _half("z_min", 0), _half("z_min", 1)
+    p_max, q_max = _half("z_max", 0), _half("z_max", 1)
+    w_p, w_q = _half("w", 0), _half("w", 1)
 
     @property
     def n(self) -> int:
@@ -148,12 +163,6 @@ class Problem:
     def objective(self, p: np.ndarray, q: np.ndarray) -> float:
         """Total deviation cost; fixed indices contribute exactly zero."""
         return float((self.w_p * (p - self.p0) ** 2 + self.w_q * (q - self.q0) ** 2).sum())
-
-    def cost_gradients(self, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return 2.0 * self.w_p * (p - self.p0), 2.0 * self.w_q * (q - self.q0)
-
-    def project(self, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return np.clip(p, self.p_min, self.p_max), np.clip(q, self.q_min, self.q_max)
 
 
 def make_problem(
@@ -170,42 +179,35 @@ def make_problem(
     for callers that still pass it.
     """
     n = net.n_flat
-    p0 = np.zeros(n)
-    q0 = np.zeros(n)
-    taken = np.zeros(n, dtype=bool)
+    z0 = np.zeros(2 * n)
+    held = np.zeros(n, dtype=np.int8)  # 1 at a background injection, 2 at a device
     for (bus, ph), (pv, qv) in (background or {}).items():
         idx = net.flat_index(bus, ph)
-        if taken[idx]:
+        if held[idx]:
             raise ProblemError(f"duplicate background injection at bus {bus} phase {ph}")
         if not (math.isfinite(pv) and math.isfinite(qv)):
             raise ProblemError(f"non-finite background injection at {bus}:{ph}")
-        taken[idx] = True
-        p0[idx], q0[idx] = pv, qv
-    p_min, p_max = p0.copy(), p0.copy()
-    q_min, q_max = q0.copy(), q0.copy()
-    w_p = np.ones(n)
-    w_q = np.ones(n)
-    dev_idx = []
-    seen = set()
+        held[idx] = 1
+        z0[idx], z0[n + idx] = pv, qv
+    z_min, z_max = z0.copy(), z0.copy()
+    w = np.ones(2 * n)
     for dev in devices:
         idx = net.flat_index(dev.bus, dev.phase)
-        if idx in seen:
+        if held[idx] == 2:
             raise ProblemError(f"two devices at bus {dev.bus} phase {dev.phase}")
-        if taken[idx]:
+        if held[idx]:
             raise ProblemError(
                 f"bus {dev.bus} phase {dev.phase} has both a device and a background load"
             )
-        seen.add(idx)
-        dev_idx.append(idx)
-        p0[idx], q0[idx] = dev.p0, dev.q0
-        p_min[idx], p_max[idx] = dev.p_min, dev.p_max
-        q_min[idx], q_max[idx] = dev.q_min, dev.q_max
-        w_p[idx], w_q[idx] = dev.w_p, dev.w_q
+        held[idx] = 2
+        z0[idx], z0[n + idx] = dev.p0, dev.q0
+        z_min[idx], z_min[n + idx] = dev.p_min, dev.q_min
+        z_max[idx], z_max[n + idx] = dev.p_max, dev.q_max
+        w[idx], w[n + idx] = dev.w_p, dev.w_q
     bounds = VoltageBounds.from_magnitudes(n, v_min, v_max)
     return Problem(
-        net=net, devices=tuple(devices), bounds=bounds,
-        p0=p0, q0=q0, p_min=p_min, p_max=p_max, q_min=q_min, q_max=q_max,
-        w_p=w_p, w_q=w_q, device_index=np.array(sorted(dev_idx), dtype=np.int64),
+        net=net, devices=tuple(devices), bounds=bounds, z0=z0, w=w, z_min=z_min, z_max=z_max,
+        device_index=np.flatnonzero(held == 2),
     )
 
 
@@ -247,32 +249,35 @@ def _lagrangian(problem: Problem, cost: float, mu_upper, mu_lower, v, eta: float
     return cost + lower_term + upper_term - reg
 
 
+def primal_step(problem: Problem, z: np.ndarray, g: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+    """The projected gradient step on the setpoints z = [p; q].
+
+    g is the coupling term [g_p; g_q] (anything that broadcasts to z); the
+    cost gradient is 2 w (z - z0), and the step is clamped to the box.
+    """
+    return np.minimum(
+        np.maximum(z - cfg.step_primal * (2.0 * (problem.w * (z - problem.z0)) + g), problem.z_min),
+        problem.z_max,
+    )
+
+
 def update_size(
-    p: np.ndarray, q: np.ndarray, duals: DualState,
-    p_new: np.ndarray, q_new: np.ndarray, duals_new: DualState, cfg: SolverConfig,
+    z: np.ndarray, z_new: np.ndarray, duals: DualState, duals_new: DualState, cfg: SolverConfig
 ) -> float:
     """Infinity norm of one primal-dual update, each half over its step size."""
     # np.maximum propagates a NaN, where Python's max may drop it.
-    r_primal = np.maximum(
-        np.max(np.abs(p - p_new), initial=0.0),
-        np.max(np.abs(q - q_new), initial=0.0),
-    ) / cfg.step_primal
-    r_dual = np.maximum(
-        np.max(np.abs(duals.mu_upper - duals_new.mu_upper), initial=0.0),
-        np.max(np.abs(duals.mu_lower - duals_new.mu_lower), initial=0.0),
-    ) / cfg.step_dual
-    return float(np.maximum(r_primal, r_dual))
+    return float(np.maximum(
+        np.abs(z - z_new).max(initial=0.0) / cfg.step_primal,
+        np.maximum(
+            np.abs(duals.mu_upper - duals_new.mu_upper).max(initial=0.0),
+            np.abs(duals.mu_lower - duals_new.mu_lower).max(initial=0.0),
+        ) / cfg.step_dual,
+    ))
 
 
 def saddle_residual(
-    problem: Problem,
-    p: np.ndarray,
-    q: np.ndarray,
-    duals: DualState,
-    v: np.ndarray,
-    cfg: SolverConfig,
-    g_p: np.ndarray,
-    g_q: np.ndarray,
+    problem: Problem, p: np.ndarray, q: np.ndarray, duals: DualState, v: np.ndarray,
+    cfg: SolverConfig, g_p: np.ndarray, g_q: np.ndarray,
 ) -> float:
     """Infinity norm of the projected-gradient fixed-point map.
 
@@ -280,10 +285,9 @@ def saddle_residual(
     coupling terms g_p = R^T d and g_q = X^T d, with d = mu_upper - mu_lower,
     may come from any engine.
     """
-    cp, cq = problem.cost_gradients(p, q)
-    pp, qq = problem.project(p - cfg.step_primal * (cp + g_p), q - cfg.step_primal * (cq + g_q))
-    nxt = dual_update(duals, v, problem.bounds, cfg)
-    return update_size(p, q, duals, pp, qq, nxt, cfg)
+    z = np.concatenate([p, q])
+    z_new = primal_step(problem, z, np.concatenate([g_p, g_q]), cfg)
+    return update_size(z, z_new, duals, dual_update(duals, v, problem.bounds, cfg), cfg)
 
 
 def violation_extents(v: np.ndarray, bounds: VoltageBounds) -> tuple[float, float]:

@@ -21,12 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .network import OMEGA, OMEGA_PAIR, OMEGA_POW, Forest, Network, phase_code  # noqa: F401
-
-
-def omega_power(k: int) -> complex:
-    """omega**k for a signed phase-code difference k in -2..2."""
-    return complex(OMEGA_POW[k + 2])
+from .network import OMEGA, OMEGA_POW, Forest, Network, phase_code, rotated_pairs  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -47,50 +42,35 @@ class SensitivityMatrices:
         return self.v_tilde.shape[0]
 
 
-def _rotated_parts(z_re, z_im, w_re, w_im):
-    """Real and imaginary parts of conj(z) * w, in plain float arithmetic.
-
-    Kept as separate float multiplies and adds (no complex type) so the
-    scalar entry functions and the vectorized dense build round identically;
-    numpy's fused complex kernels would differ in the last ulp.
-    """
-    re = z_re * w_re + z_im * w_im
-    im = z_re * w_im - z_im * w_re
-    return re, im
-
-
 def dv_dp_entry(net: Network, i: int, phi: str | int, j: int, psi: str | int) -> float:
     """Sensitivity of bus i phase phi squared voltage to bus j phase psi real power."""
-    re, _ = _entry_parts(net, i, phi, j, psi)
-    return 2.0 * re
+    return _entry(net, i, phi, j, psi, 0)
 
 
 def dv_dq_entry(net: Network, i: int, phi: str | int, j: int, psi: str | int) -> float:
     """Sensitivity of bus i phase phi squared voltage to bus j phase psi reactive power."""
-    _, im = _entry_parts(net, i, phi, j, psi)
-    return -2.0 * im
+    return _entry(net, i, phi, j, psi, 1)
 
 
-def _entry_parts(net, i, phi, j, psi) -> tuple[float, float]:
+def _entry(net, i, phi, j, psi, part: int) -> float:
+    """Part 0 (R) or 1 (X) of the rotated pairs of buses i and j, at (phi, psi)."""
     a, b = phase_code(phi), phase_code(psi)
     net.flat_index(i, a)  # raises if the phase is absent at the bus
     net.flat_index(j, b)
-    z = net.common_path_impedance(i, j, a, b)
-    w = omega_power(a - b)
-    re, im = _rotated_parts(z.real, z.imag, w.real, w.imag)
-    return float(re), float(im)
+    return float(rotated_pairs(net.common_path_matrix(i, j))[part, a, b])
 
 
 def build_sensitivity(net: Network) -> SensitivityMatrices:
     """Materialize the dense N x N sensitivity matrices and v_tilde.
 
     Entry (a, b) with a = (i, phi), b = (j, psi) is the rotated conjugate
-    common-path impedance of buses i, j at phase pair (phi, psi), a value
-    computed once per bus and phase pair. Row a is built from its parent
-    row: outside i's subtree, lca(i, j) = lca(parent(i), j), so the row
-    copies row (parent(i), phi), which exists because phases only drop
-    moving away from the substation; inside the subtree every column
-    meets i at i and takes i's own pair value. Rows of depth-1 buses start
+    common-path impedance of buses i, j at phase pair (phi, psi), from
+    rotated_pairs of Network.z_prefix, as the scope blocks are. Row a is
+    built from its parent row: outside i's subtree, lca(i, j) =
+    lca(parent(i), j), so the row copies row (parent(i), phi), which
+    exists because phases only drop moving away from the substation;
+    inside the subtree every column meets i at i and takes i's own pair
+    value. Rows of depth-1 buses start
     from the substation's pair values. The rows are filled one depth
     level at a time: each row of the level is copied on its own, then one
     scatter covers the level's subtrees' columns, which are contiguous once
@@ -101,10 +81,7 @@ def build_sensitivity(net: Network) -> SensitivityMatrices:
     """
     n = net.n_flat
     ph = net.flat_phase
-    z = net.z_prefix[net.order]
-    re, im = _rotated_parts(z.real, z.imag, OMEGA_PAIR.real, OMEGA_PAIR.imag)
-    r_pairs = (2.0 * re).ravel()
-    x_pairs = (-2.0 * im).ravel()
+    r_pairs, x_pairs = rotated_pairs(net.z_prefix[net.order]).reshape(2, -1)
     # Flat indices in DFS order; the subtree of DFS column t holds the
     # entries dfs[first[t] : first[t + size]].
     held = net.index_of[net.order]
@@ -157,11 +134,12 @@ def voltage_linear(sens: SensitivityMatrices, p: np.ndarray, q: np.ndarray) -> n
     without reading R or X. Per line and phase psi, the conjugated subtree
     sum P - jQ of s = p + jq, rotated by omega**psi, is the current a
     sweep from the flat profile would carry, and z_line times it is the
-    line's drop. The forest's line_operator holds that map, with the
+    line's drop. The forest's line_operator holds twice that map, with the
     rotation by omega**-phi and the real part that follow, as one real
     3 x 6 matrix per line acting on [P; Q], so the sweep runs in real
-    arithmetic. With t the ancestor-or-self sum of the result, v = v_tilde
-    + 2 t: a pair (i, j) shares exactly the lines above both, which is the
+    arithmetic; it comes from the same rotated_pairs formula as R and X.
+    With t the ancestor-or-self sum of the result, v = v_tilde + t: a
+    pair (i, j) shares exactly the lines above both, which is the
     common-path impedance of the dense entry.
     """
     p = np.asarray(p, dtype=np.float64)
@@ -177,7 +155,7 @@ def voltage_linear(sens: SensitivityMatrices, p: np.ndarray, q: np.ndarray) -> n
     pq[3:].reshape(-1)[net.flat_cell] = q
     drop = np.einsum("fkr,kr->fr", forest.line_operator, forest.subtree_sums(pq))
     t = forest.ancestor_sums(drop)
-    return sens.v_tilde + 2.0 * t.reshape(-1)[net.flat_cell]
+    return sens.v_tilde + t.reshape(-1)[net.flat_cell]
 
 
 def adjoint_sweep(forest: Forest, cells: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -6,8 +6,8 @@ uses the current voltages, and only then are voltages recomputed at the new
 setpoints (linearly, or through nonlinear power flow in feedback mode).
 `run` computes each update once: record k's residual is the size of the
 update computed at state k, and that update is taken only if the run goes
-on. It carries the setpoints as one stacked vector z = [p; q], whose
-halves are the states' p and q. In feedback mode the initial state's
+on. A state holds its setpoints as one stacked vector z = [p; q], whose
+halves are its p and q. In feedback mode the initial state's
 sweep starts from the flat profile and every later sweep is warm-started
 from the phasors behind the previous states' voltages (extrapolated
 linearly from the last two), since one primal step moves the injections
@@ -33,7 +33,9 @@ from .opf import (
     _lagrangian,
     dual_update,
     lagrangian_value,  # noqa: F401  (perfbench's tracer rebinds this name)
+    primal_step,
     saddle_residual,
+    update_size,
     violation_extents,
 )
 from .powerflow import backward_forward_sweep
@@ -94,11 +96,29 @@ class SweepVoltageModel:
 
 @dataclass(frozen=True)
 class SolverState:
+    """One iterate: the setpoints, the duals and the voltages at the setpoints.
+
+    p and q are copied into one read-only vector z = [p; q], and the
+    attributes p and q are rebound to views of its halves. A copy or pickle
+    goes back through the constructor, so its p and q are views of its z.
+    """
+
     p: np.ndarray
     q: np.ndarray
     duals: DualState
     v: np.ndarray
     iteration: int
+
+    def __post_init__(self):
+        z = np.concatenate((self.p, self.q))
+        z.flags.writeable = False
+        n = len(self.p)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "p", z[:n])
+        object.__setattr__(self, "q", z[n:])
+
+    def __reduce__(self):
+        return type(self), (self.p, self.q, self.duals, self.v, self.iteration)
 
 
 def initial_state(problem: Problem, vmodel) -> SolverState:
@@ -108,10 +128,8 @@ def initial_state(problem: Problem, vmodel) -> SolverState:
     model can represent, so no iteration from it is meaningful: that raises
     ProblemError naming the worst index.
     """
-    p = problem.p0.copy()
-    q = problem.q0.copy()
     try:
-        v = vmodel.voltages(p, q)
+        v = vmodel.voltages(problem.p0, problem.q0)
     except Exception as exc:
         raise SolverError(f"voltage model failed at the initial point: {exc}") from exc
     if len(v) and not v.min() > 0.0:
@@ -121,58 +139,42 @@ def initial_state(problem: Problem, vmodel) -> SolverState:
             f"non-positive squared voltage {v[worst]:.4g} at {bus}:{phase} at the"
             " preferred setpoints; the loading is too heavy for the voltage model"
         )
-    return SolverState(p=p, q=q, duals=DualState(
+    return SolverState(problem.p0, problem.q0, DualState(
         mu_upper=np.zeros(problem.n), mu_lower=np.zeros(problem.n)
-    ), v=v, iteration=0)
+    ), v, 0)
 
 
-def _primal_constants(problem: Problem) -> tuple[np.ndarray, ...]:
-    """Over z = [p; q]: the preferences, twice the cost weights, and the box."""
-    stack = np.concatenate
-    return (
-        stack([problem.p0, problem.q0]),
-        2.0 * stack([problem.w_p, problem.w_q]),
-        stack([problem.p_min, problem.q_min]),
-        stack([problem.p_max, problem.q_max]),
-    )
+def _coupling(state: SolverState, problem: Problem, engine) -> CouplingResult:
+    """The engine's coupling terms at state's duals, from an engine of the problem's size."""
+    if engine.n != problem.n:
+        raise SolverError(
+            f"engine is sized for {engine.n} indices but the problem has {problem.n}"
+        )
+    return engine.compute(state.duals.mu_upper, state.duals.mu_lower)
 
 
 def _update(
-    z: np.ndarray, state: SolverState, problem: Problem, constants: tuple,
-    coupling: CouplingResult, cfg: SolverConfig,
+    state: SolverState, problem: Problem, coupling: CouplingResult, cfg: SolverConfig
 ) -> tuple[np.ndarray, DualState, float]:
     """The projected primal step and the dual ascent at state, and their size.
 
-    z is [state.p; state.q] and constants is _primal_constants(problem).
     The size is the infinity norm of the update, each half over its step
-    size, which is saddle_residual at state.
+    size: saddle_residual at state, from the same three calls.
     """
-    z0, w2, lo, hi = constants
-    z_new = np.minimum(
-        np.maximum(z - cfg.step_primal * (w2 * (z - z0) + coupling.g.reshape(-1)), lo), hi
-    )
+    z = primal_step(problem, state.z, coupling.g.reshape(-1), cfg)
     duals = dual_update(state.duals, state.v, problem.bounds, cfg)
-    # np.maximum propagates a NaN, where Python's max may drop it.
-    size = np.maximum(
-        np.abs(z - z_new).max(initial=0.0) / cfg.step_primal,
-        np.maximum(
-            np.abs(state.duals.mu_upper - duals.mu_upper).max(initial=0.0),
-            np.abs(state.duals.mu_lower - duals.mu_lower).max(initial=0.0),
-        ) / cfg.step_dual,
-    )
-    return z_new, duals, float(size)
+    return z, duals, update_size(state.z, z, state.duals, duals, cfg)
 
 
 def _advance(state: SolverState, vmodel, z: np.ndarray, duals: DualState) -> SolverState:
     """The next state: setpoints z = [p; q] and duals, with voltages at the setpoints."""
     k = state.iteration + 1
     n = len(z) // 2
-    p, q = z[:n], z[n:]
     try:
-        v = vmodel.voltages(p, q, prev=state.v)
+        v = vmodel.voltages(z[:n], z[n:], prev=state.v)
     except Exception as exc:
         raise SolverError(f"voltage model failed at iteration {k}: {exc}") from exc
-    return SolverState(p=p, q=q, duals=duals, v=v, iteration=k)
+    return SolverState(z[:n], z[n:], duals, v, k)
 
 
 def step(
@@ -183,13 +185,7 @@ def step(
     cfg: SolverConfig,
 ) -> SolverState:
     """One simultaneous primal-dual update."""
-    if engine.n != problem.n:
-        raise SolverError(
-            f"engine is sized for {engine.n} indices but the problem has {problem.n}"
-        )
-    coupling = engine.compute(state.duals.mu_upper, state.duals.mu_lower)
-    z = np.concatenate([state.p, state.q])
-    z, duals, _ = _update(z, state, problem, _primal_constants(problem), coupling, cfg)
+    z, duals, _ = _update(state, problem, _coupling(state, problem, engine), cfg)
     return _advance(state, vmodel, z, duals)
 
 
@@ -282,14 +278,12 @@ def run(
     trace = Trace()
     total_coupling_ns = 0
     total_step_ns = 0
-    constants = _primal_constants(problem)
-    z = np.concatenate([state.p, state.q])
     t0 = time.perf_counter_ns()
     while True:
         t1 = time.perf_counter_ns()
-        coupling = engine.compute(state.duals.mu_upper, state.duals.mu_lower)
+        coupling = _coupling(state, problem, engine)
         t2 = time.perf_counter_ns()
-        z_new, duals, res = _update(z, state, problem, constants, coupling, cfg)
+        z, duals, res = _update(state, problem, coupling, cfg)
         t3 = time.perf_counter_ns()
         # A NaN residual compares false against the tolerance and would end
         # the loop as if it had merely not converged.
@@ -303,9 +297,10 @@ def run(
         if state.iteration >= cfg.max_iters or res <= cfg.residual_tol:
             break
         t0 = time.perf_counter_ns()
-        state = _advance(state, vmodel, z_new, duals)
-        z = z_new
+        state = _advance(state, vmodel, z, duals)
 
+    # The last record's residual, computed again: perfbench times this call
+    # as opf.residual_ms.
     residual = saddle_residual(
         problem, state.p, state.q, state.duals, state.v, cfg, coupling.g_p, coupling.g_q
     )

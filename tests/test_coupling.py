@@ -21,7 +21,7 @@ from mlopf.coupling import (
     privacy_audit,
 )
 from mlopf.feedergen import FeederSpec, generate
-from mlopf.network import load_network, network_to_document
+from mlopf.network import load_network, network_to_document, rotated_pairs
 from mlopf.partition import (
     Area,
     PartitionHierarchy,
@@ -579,28 +579,62 @@ def test_audit_rejects_unknown_read_kinds(fig_net):
 
 @pytest.mark.parametrize("depth", [1, 2])
 def test_scope_blocks_match_scalar_common_path_entries(depth):
-    # Each scope's block is gathered from one per-bus, per-phase-pair table;
-    # every entry must equal the scalar common-path impedance, conjugated and
-    # rotated by numpy's complex multiply, bit for bit. The block holds it
-    # as real R and X rows: 2 Re over -2 Im.
-    from mlopf.sensitivity import omega_power
+    # Each scope's block is gathered from the rotated pairs of the
+    # network's root-path impedances; every entry must equal the scalar
+    # sensitivity entry of its pair, bit for bit. The block holds R^T over
+    # X^T: row (i, phi), column (j, psi) reads dv(j, psi)/dp(i, phi), then
+    # dv(j, psi)/dq(i, phi). A slot at a phase its child root lacks has no
+    # scalar entry (dv_dp_entry rejects the phase), so its entries are
+    # checked against the rotated pairs of the scalar common-path matrix
+    # instead; a child's own 3 x 3 block is 0. The 60-bus feeder's child
+    # roots hold all three phases; uv300's lack some.
+    from mlopf.sensitivity import dv_dp_entry, dv_dq_entry
 
     feeder = generate(FeederSpec(n_buses=60, seed=4, phase_drop=0.4),
                       target_area_size=15, target_subarea_size=5)
-    net = feeder.net
-    engine = MultilevelEngine(net, feeder.partition, depth)
-    labels = [(bus, "abc".index(ph)) for bus, ph in net.flat_labels()]
-    for scope in engine._scopes:
-        slots = [(ch.root, ph) for ch in scope.children for ph in range(3)]
-        slots += [labels[i] for i in scope.rem]
-        z = np.array([[net.common_path_impedance(j, i, psi, phi) for j, psi in slots]
-                      for i, phi in slots], dtype=np.complex128)
-        w = np.array([[omega_power(psi - phi) for _, psi in slots]
-                      for _, phi in slots], dtype=np.complex128)
-        want = (np.conj(z) * w).reshape(len(slots), len(slots))
-        for k in range(len(scope.children)):
-            want[3 * k: 3 * k + 3, 3 * k: 3 * k + 3] = 0.0
-        np.testing.assert_array_equal(scope.block, np.concatenate([2 * want.real, -2 * want.imag]))
+    absent = 0
+    for net, partition in [(feeder.net, feeder.partition), uv300()]:
+        labels = [(bus, "abc".index(ph)) for bus, ph in net.flat_labels()]
+
+        def held(slot):
+            bus, ph = slot
+            return net.index_of[net.bus_pos(bus), ph] >= 0
+
+        def entry(part, row, col):
+            (i, phi), (j, psi) = row, col
+            if held(row) and held(col):
+                return (dv_dp_entry, dv_dq_entry)[part](net, j, psi, i, phi)
+            return rotated_pairs(net.common_path_matrix(j, i))[part, psi, phi]
+
+        for scope in MultilevelEngine(net, partition, depth)._scopes:
+            slots = [(ch.root, ph) for ch in scope.children for ph in range(3)]
+            slots += [labels[i] for i in scope.rem]
+            want = np.array([[[entry(part, r, c) for c in slots] for r in slots]
+                             for part in (0, 1)])
+            for k in range(len(scope.children)):
+                want[:, 3 * k: 3 * k + 3, 3 * k: 3 * k + 3] = 0.0
+            np.testing.assert_array_equal(scope.block.reshape(want.shape), want)
+            absent += sum(not held(slot) for slot in slots)
+    assert absent > 0
+
+
+def test_dense_scope_remainders_are_the_dense_transposes():
+    # The remainder quadrant of every dense scope is bitwise the matching
+    # submatrix of R^T over X^T: the scopes and the dense build use one
+    # rotation formula, rotated_pairs.
+    uv300_net, uv300_part = uv300()
+    cases = [(uv300_net, uv300_part)]
+    cases += [(net, part) for net, part, _, _ in criterion_1_family(20)]
+    for net, part in cases:
+        sens = build_sensitivity(net)
+        for depth in (1, 2):
+            for scope in MultilevelEngine(net, part, depth)._scopes:
+                if scope.forest is not None:
+                    continue
+                m, rem = len(scope.rem), scope.rem
+                block = scope.block.reshape(2, len(scope.gather), -1)[:, -m:, -m:]
+                np.testing.assert_array_equal(block[0], sens.r.T[np.ix_(rem, rem)])
+                np.testing.assert_array_equal(block[1], sens.x.T[np.ix_(rem, rem)])
 
 
 # -- remainders run as tree sweeps ------------------------------------------
@@ -882,4 +916,4 @@ def test_swept_scope_never_builds_its_dense_block():
     c = len(swept.children)
     for name, value in vars(swept).items():
         if isinstance(value, np.ndarray) and value.ndim != 1:
-            assert (name, value.shape) == ("own", (c, 3, 3))
+            assert (name, value.shape) == ("own", (2, c, 3, 3))

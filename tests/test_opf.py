@@ -16,6 +16,7 @@ from mlopf.opf import (
     lagrangian_value,
     load_problem,
     make_problem,
+    primal_step,
     saddle_residual,
 )
 from mlopf.sensitivity import build_sensitivity
@@ -42,12 +43,32 @@ ONE_INDEX_NET = load_network({
 })
 
 
+# A power of two, so the gradient read back from one primal step loses
+# only the step's own rounding.
+GRADIENT_PROBE = SolverConfig(step_primal=2.0 ** -20)
+
+
 def device_cost(dev: Device, p: float, q: float) -> tuple[float, float, float]:
-    """Deviation cost and its gradient for a single device, through a Problem holding only it."""
+    """Deviation cost and its gradient for a single device, through a Problem holding only it.
+
+    The gradient is read from primal_step without coupling terms: strictly
+    inside the box, one step moves z by step_primal times the gradient.
+    """
     prob = make_problem(ONE_INDEX_NET, None, [dev])
-    pv, qv = np.array([p]), np.array([q])
-    g_p, g_q = prob.cost_gradients(pv, qv)
-    return prob.objective(pv, qv), float(g_p[0]), float(g_q[0])
+    z = np.array([p, q])
+    dp, dq = (z - primal_step(prob, z, 0.0, GRADIENT_PROBE)) / GRADIENT_PROBE.step_primal
+    return prob.objective(z[:1], z[1:]), float(dp), float(dq)
+
+
+def clamp(prob, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The box projection, through primal_step.
+
+    g = -2 w (z - z0) cancels the cost gradient exactly, so the step leaves
+    z where it is and only the clamp acts.
+    """
+    z = np.concatenate([p, q])
+    out = primal_step(prob, z, -2.0 * prob.w * (z - prob.z0), SolverConfig())
+    return out[:prob.n], out[prob.n:]
 
 
 def test_cost_zero_at_preference():
@@ -98,13 +119,13 @@ def test_projection_clamps_and_is_idempotent():
         "lines": [{"from": 0, "to": 1, "z": {ph + ph: [0.01, 0.02] for ph in "abc"}}],
     })
     prob = make_problem(net, build_sensitivity(net), [make_dev(phase=ph) for ph in "abc"])
-    p, q = prob.project(np.array([0.5, 2.0, 0.0]), np.array([-0.5, 0.0, -5.0]))
+    p, q = clamp(prob, np.array([0.5, 2.0, 0.0]), np.array([-0.5, 0.0, -5.0]))
     assert p.tolist() == [0.5, 1.0, 0.0]
     assert q.tolist() == [-0.5, 0.0, -1.0]
     rng = np.random.default_rng(1)
     for _ in range(50):
-        once = prob.project(rng.uniform(-3, 3, size=3), rng.uniform(-3, 3, size=3))
-        twice = prob.project(*once)
+        once = clamp(prob, rng.uniform(-3, 3, size=3), rng.uniform(-3, 3, size=3))
+        twice = clamp(prob, *once)
         np.testing.assert_array_equal(twice[0], once[0])
         np.testing.assert_array_equal(twice[1], once[1])
 
@@ -308,6 +329,23 @@ def test_residual_is_pure():
     assert first > 0
 
 
+def test_residual_clamps_a_state_outside_the_box_on_both_halves():
+    # Box [-10, 10] on both halves; p is 1 above it and q 2 below it. With
+    # zero duals and v inside its bounds only the primal half moves: each
+    # half is clamped back to its bound, and the larger distance, q's, is
+    # the residual.
+    prob, _, _, _, v, eta = constructed_fixed_point()
+    cfg = SolverConfig(step_primal=1e-3, step_dual=1e-2, eta=eta)
+    duals = DualState(mu_upper=np.zeros(1), mu_lower=np.zeros(1))
+    p, q = np.array([11.0]), np.array([-12.0])
+    g_p, g_q = coupling_terms(prob, duals)
+    np.testing.assert_array_equal(
+        primal_step(prob, np.concatenate([p, q]), np.concatenate([g_p, g_q]), cfg), [10.0, -10.0]
+    )
+    v = np.minimum(v, prob.bounds.v_upper)
+    assert saddle_residual(prob, p, q, duals, v, cfg, g_p, g_q) == 2.0 / cfg.step_primal
+
+
 def test_dual_cap_at_fixed_points():
     # At any dual fixed point, mu_upper is the violation over eta, so the
     # infinity norms obey the cap exactly.
@@ -363,5 +401,5 @@ def test_background_fills_fixed_indices():
     assert prob.p0[1] == -0.3
     assert prob.p_min[1] == prob.p_max[1] == -0.3
     # Fixed indices stay pinned under projection.
-    p, q = prob.project(np.array([9.0, 9.0]), np.array([-9.0, -9.0]))
+    p, q = clamp(prob, np.array([9.0, 9.0]), np.array([-9.0, -9.0]))
     assert p[1] == -0.3 and q[1] == -0.1

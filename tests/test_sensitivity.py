@@ -9,17 +9,15 @@ import numpy as np
 import pytest
 
 from mlopf.feedergen import FeederSpec, generate
-from mlopf.network import Bus, Line, Network, NetworkError, load_network
+from mlopf.network import Bus, Line, Network, NetworkError, load_network, rotated_pairs
 from mlopf.sensitivity import (
     OMEGA,
-    OMEGA_PAIR,
-    _rotated_parts,
+    OMEGA_POW,
     adjoint_sweep,
     build_sensitivity,
     matrix_free_sensitivity,
     dv_dp_entry,
     dv_dq_entry,
-    omega_power,
     voltage_linear,
 )
 from mlopf.solver import LinearVoltageModel
@@ -37,7 +35,7 @@ def test_rotation_constant_properties():
     assert abs(OMEGA**3 - 1.0) < 1e-15
     assert abs(OMEGA.real + 0.5) < 1e-15
     for k in range(-2, 3):
-        assert omega_power(-k) == np.conj(omega_power(k))
+        assert OMEGA_POW[2 - k] == np.conj(OMEGA_POW[2 + k])
 
 
 def test_dv_dp_entry_chain_values():
@@ -257,7 +255,7 @@ def test_matrix_entries_match_brute_force_paths(seed):
         a, b = (int(v) for v in rng.integers(0, net.n_flat, size=2))
         (bi, phi), (bj, psi) = labels[a], labels[b]
         z = brute_force_common_path_impedance(net, bi, bj, phi, psi)
-        rot = omega_power("abc".index(phi) - "abc".index(psi))
+        rot = OMEGA_POW["abc".index(phi) - "abc".index(psi) + 2]
         assert sens.r[a, b] == 2.0 * (np.conj(z) * rot).real
         assert sens.x[a, b] == -2.0 * (np.conj(z) * rot).imag
         assert sens.r[a, b] == dv_dp_entry(net, bi, phi, bj, psi)
@@ -298,12 +296,11 @@ def lca_gather(net: Network) -> tuple[np.ndarray, np.ndarray]:
     Each entry reads the rotated pair value of the pair's LCA column in
     Network.forest's all-pairs table, the way the dense build once did.
     """
-    z = net.z_prefix[net.order]
-    re, im = _rotated_parts(z.real, z.imag, OMEGA_PAIR.real, OMEGA_PAIR.imag)
+    r_pairs, x_pairs = rotated_pairs(net.z_prefix[net.order]).reshape(2, -1)
     cols = net.tin[net.flat_bus_pos]
     ph = net.flat_phase
     k = 9 * net.forest.lca_table()[np.ix_(cols, cols)] + 3 * ph[:, None] + ph
-    return (2.0 * re).ravel()[k], (-2.0 * im).ravel()[k]
+    return r_pairs[k], x_pairs[k]
 
 
 def star_feeder(n_buses: int, seed: int) -> Network:
