@@ -11,26 +11,27 @@ computes exactly that with dense products. The multilevel engine walks a
 tree of subtree scopes: the feeder, its areas and, at depth 2, each area's
 subareas. A scope's remainder is its members outside every child scope.
 Every scope, leaf or not, runs one kernel: a product with
-[child aggregates; remainder duals], whose rows and columns are the three
-phase slots of each child root, then the remainder. Pairs across two
-children collapse to one root-to-root impedance times the other child's
-per-phase dual aggregate, a remainder bus meets a child only through the
-child's root, and pairs inside the remainder are exact. Every scope lays
-the remainder and the child roots' parents out as one forest. While the
-remainder is small the kernel is a dense block of real R and X rows,
-gathered at that forest's LCA table from network.rotated_pairs of its
-buses' root-path impedances, the formula R and X come from, so the
-product is one real multiply. From SWEEP_MIN_REMAINDER flat indices on,
-where the block's m^2 work overtakes a sweep's fixed cost, the whole
-kernel is one sensitivity.adjoint_sweep over the same forest, with each
-child's aggregate at its root's parent: O(m + children) and without any
-block. A scope's own aggregate is the per-phase sum of its members'
-duals, all aggregates coming from one bincount before the products run,
-so the split repeats at every level: depth 1 is the bi-level engine and
-depth 2 the tri-level one. The engines are algebraically equal; the
-multilevel one replaces almost all of the N^2 pairwise work with
-aggregate exchanges, which is also what keeps per-bus duals and interior
-topology inside their scope.
+[child aggregates; remainder duals], whose rows and columns are flat
+indices: each child's slots, its anchor (the child root's parent) at the
+phases the child root carries, then the remainder. Pairs across two
+children collapse to one anchor-to-anchor impedance times the other
+child's per-phase dual aggregate, a remainder bus meets a child only
+through the child's anchor, and pairs inside the remainder are exact. A
+child anchored at the substation meets everything else at zero impedance
+and has no slot. While the remainder is small the kernel is a dense real
+block, sensitivity.sensitivity_block at its rows transposed: the R^T and
+X^T submatrix at those flat indices, the same entries the flat engine
+multiplies, with each child's own slot block zero. From
+SWEEP_MIN_REMAINDER flat indices on, where the block's m^2 work overtakes
+a sweep's fixed cost, the whole kernel is one sensitivity.adjoint_sweep
+over the forest its rows' buses span, with each child's aggregate at its
+anchor: O(m + children) and without any block. A scope's own aggregate
+is the per-phase sum of its members' duals, all aggregates coming from
+one bincount before the products run, so the split repeats at every
+level: depth 1 is the bi-level engine and depth 2 the tri-level one.
+The engines are algebraically equal; the multilevel one replaces almost
+all of the N^2 pairwise work with aggregate exchanges, which is also what
+keeps per-bus duals and interior topology inside their scope.
 
 Operation counts follow a declared cost model (complex multiply-accumulate,
 rotation, and real/imaginary extraction each count one; the flat engine
@@ -46,9 +47,11 @@ from typing import Callable
 
 import numpy as np
 
-from .network import Network, rotated_pairs
-from .partition import PartitionHierarchy, subtree_ids, unclustered, validate_partition
-from .sensitivity import SensitivityMatrices, adjoint_sweep, build_sensitivity
+from .network import Network
+from .partition import (
+    PartitionHierarchy, _subtree_slice, subtree_ids, unclustered, validate_partition,
+)
+from .sensitivity import SensitivityMatrices, adjoint_sweep, build_sensitivity, sensitivity_block
 
 
 # A scope whose remainder holds at least this many flat indices runs its
@@ -260,89 +263,75 @@ def _check_duals(mu_upper, mu_lower, n) -> np.ndarray:
 class _Scope:
     """One node of the scope tree and the kernel that computes its share of t.
 
-    The remainder is every member outside all child scopes; a scope without
-    children is a leaf, whose remainder is all of it. The kernel's rows and
-    columns are the three phase slots of each child root followed by the
-    remainder's flat indices, so its quadrants are
+    The remainder is every member outside all child scopes; a leaf's is all
+    of it. The kernel's rows and columns are flat indices: each child's
+    slots, then the remainder. A child root meets every bus outside its
+    subtree where its parent, the child's anchor, does, so a child's slots
+    are its anchor's flat indices at the phases the child root carries. A
+    child anchored at the substation meets every other bus at zero
+    impedance: it has no slot, and its members get nothing from this scope.
+    One product of the kernel with [child aggregates; remainder duals] is
+    the scope's whole share of t, returned as [2 Re; -2 Im], its shares of
+    g_p and g_q. Each child's own slot block is zero, since pairs inside a
+    child are the child's work. gather picks the operand out of
+    [d; aggregate rows], and t[out] adds the product's rows at take: a slot
+    row to every member of its child with that phase, a remainder row to
+    its own flat index.
 
-        [ root-to-root       root-to-remainder ]
-        [ remainder-to-root  remainder exact   ]
-
-    and one product of it with [child aggregates; remainder duals] is the
-    scope's whole share of t, returned as [2 Re; -2 Im], its shares of
-    g_p and g_q. Each child's own 3x3 diagonal is zero, since pairs
-    inside a child are the child's work. gather picks the operand
-    out of [d; aggregate rows], and t[out] adds the product's rows at take:
-    a slot row to every member of its child with that phase, a remainder
-    row to its own flat index. A child root meets every bus outside its
-    subtree where its parent, the child's anchor, does, so a slot stands
-    at its anchor.
-
-    The scope's forest is the subforest of the anchors and the remainder
-    buses, closed upward inside the scope since children are whole
-    subtrees; several tops are all the substation's children. A remainder
-    of fewer than SWEEP_MIN_REMAINDER flat indices holds the kernel as one
-    dense real block, its R rows over its X rows, gathered from the
-    rotated pairs of its buses' z_prefix at the forest's LCA table, where
-    two tops' pairs read a zero row. A larger one holds no block: each
-    child's aggregate sits at its anchor's cells beside the remainder's
-    duals, and one adjoint_sweep over the forest meets every pair at its
-    common ancestor: two children at their anchors' LCA, a child and a
-    remainder bus at the anchor's LCA with that bus, and two tops, or an
-    anchor that is the substation, at zero impedance. The sweep also pairs each child with
-    itself; own[:, k] is that 3x3 term's R and X values, subtracted from
-    the child's slot rows once the sweep's result is real.
+    A remainder of fewer than SWEEP_MIN_REMAINDER flat indices holds the
+    kernel as one dense real block, R^T over X^T: sensitivity_block at the
+    rows, transposed. A larger one holds no block. The rows' buses span a
+    forest, closed upward inside the scope since children are whole
+    subtrees, whose tops, if several, are the substation's children; each
+    child's aggregate sits at its anchor's cells, and one adjoint_sweep
+    over the forest meets every pair at its common ancestor. The sweep also
+    pairs each child with itself. own, R^T over X^T at the slot rows kept
+    only inside each child (every such pair is an anchor with itself), is
+    subtracted from the slot rows once the sweep's result is real.
     """
 
-    def __init__(self, net, key, root, member_ids, children, pos):
+    def __init__(self, net, key, root, children, pos):
         self.key = key
         self.root = root
         self.children = children
         self.pos = pos
-        self.idx = _flat_indices(net, member_ids)
+        if root is None:
+            self.idx = np.arange(net.n_flat)
+        else:
+            held = net.index_of[_subtree_slice(net, net.bus_pos(root))]
+            self.idx = np.sort(held[held >= 0])
         in_child = np.zeros(net.n_flat, dtype=bool)
         for ch in children:
             in_child[ch.idx] = True
         self.rem = self.idx[~in_child[self.idx]]
-        c, m = len(children), len(self.rem)
-        slots = 3 * np.array([ch.pos for ch in children], dtype=np.int64)[:, None] + np.arange(3)
-        self.gather = np.concatenate([net.n_flat + slots.ravel(), self.rem])
-        self.out = np.concatenate([ch.idx for ch in children] + [self.rem])
+        roots = [net.bus_pos(ch.root) for ch in children]
+        anchors = net.parent_pos[roots]
+        # present[k, phi]: child k has a slot at phase phi, numbered slot[k, phi].
+        present = (net.index_of[roots] >= 0) & (anchors > 0)[:, None]
+        slot = np.cumsum(present).reshape(-1, 3) - 1
+        s, m = int(present.sum()), len(self.rem)
+        self.rows = rows = np.concatenate([net.index_of[anchors][present], self.rem])
+        positions = np.array([ch.pos for ch in children], dtype=np.int64)
+        aggregates = net.n_flat + 3 * positions[:, None] + np.arange(3)
+        self.gather = np.concatenate([aggregates[present], self.rem])
+        slotted = [(ch, slot[k]) for k, ch in enumerate(children) if anchors[k] > 0]
+        self.out = np.concatenate([ch.idx for ch, _ in slotted] + [self.rem])
         self.take = np.concatenate(
-            [3 * k + net.flat_phase[ch.idx] for k, ch in enumerate(children)]
-            + [3 * c + np.arange(m)]
+            [at[net.flat_phase[ch.idx]] for ch, at in slotted] + [s + np.arange(m)]
         )
-        anchors = net.parent_pos[[net.bus_pos(ch.root) for ch in children]]
-        buses = np.concatenate([anchors, net.flat_bus_pos[self.rem]])
-        # Kernel row r is at bus buses[of_bus[r]] and phase phase[r]: an
-        # anchor stands for its child's three slots.
-        of_bus = np.concatenate([np.repeat(np.arange(c), 3), c + np.arange(m)])
-        phase = np.concatenate([np.tile(np.arange(3, dtype=np.int64), c), net.flat_phase[self.rem]])
+        owner = np.nonzero(present)[0]
+        own = owner[:, None] == owner  # slot pairs inside one child
         child_sizes = [len(ch.idx) for ch in children]
-        cols, forest = net.subforest(buses)
-        cols = cols[of_bus]
         self.forest = None
         if m < SWEEP_MIN_REMAINDER:
-            # The forest's LCA table gathers the block from the rotated
-            # pairs, as its R and X halves. The pairs by forest column have
-            # a zero row last, which the -1 of two tops' pairs reads. Entry
-            # [(i, phi), (j, psi)] is the pair (psi, phi) at lca(i, j).
-            pairs = np.zeros((2, forest.n + 1, 9))
-            pairs[:, :-1] = rotated_pairs(net.z_prefix[forest.buses]).reshape(2, -1, 9)
-            table = forest.lca_table()
-            table *= 9
-            at = table[np.ix_(cols, cols)]
-            at += 3 * phase + phase[:, None]
-            block = np.take(pairs.reshape(2, -1), at, axis=1)
-            for k in range(c):
-                block[:, 3 * k: 3 * k + 3, 3 * k: 3 * k + 3] = 0.0
-            self.block = block.reshape(-1, len(at))
+            block = np.ascontiguousarray(sensitivity_block(net, rows).transpose(0, 2, 1))
+            block[:, :s, :s][:, own] = 0.0
+            self.block = block.reshape(2 * len(rows), len(rows))
             self.ops = _level_op_count([ch.ops for ch in children], child_sizes, m)
         else:
-            self.forest = forest
-            self.cells = phase * forest.n + cols
-            # own[:, k, phi, psi] is the pair (psi, phi) at child k's anchor.
-            self.own = rotated_pairs(net.z_prefix[anchors]).transpose(0, 1, 3, 2)
+            cols, self.forest = net.subforest(net.flat_bus_pos[rows])
+            self.cells = net.flat_phase[rows] * self.forest.n + cols
+            self.own = np.where(own, sensitivity_block(net, rows[:s]).transpose(0, 2, 1), 0.0)
             self.ops = _swept_op_count([ch.ops for ch in children], child_sizes, self.forest.n)
 
     def product(self, x: np.ndarray) -> np.ndarray:
@@ -352,8 +341,8 @@ class _Scope:
             return self.block @ x
         t = adjoint_sweep(self.forest, self.cells, x)
         y = np.concatenate([2.0 * t.real, -2.0 * t.imag])
-        c = self.own.shape[1]
-        y.reshape(2, -1)[:, :3 * c] -= (self.own @ x[:3 * c].reshape(c, 3, 1)).reshape(2, -1)
+        s = self.own.shape[1]
+        y.reshape(2, -1)[:, :s] -= self.own @ x[:s]
         return y
 
 
@@ -379,21 +368,21 @@ class MultilevelEngine:
         self.record = record
         self._scopes: list[_Scope] = []  # post-order: children before parents
 
-        def scope(key, root, member_ids, children):
-            s = _Scope(net, key, root, member_ids, children, len(self._scopes))
+        def scope(key, root, children):
+            s = _Scope(net, key, root, children, len(self._scopes))
             self._scopes.append(s)
             return s
 
         areas = [
-            scope(("area", a.index), a.root, subtree_ids(net, a.root), [
-                scope(("subarea", a.index, s.index), s.root, subtree_ids(net, s.root), [])
+            scope(("area", a.index), a.root, [
+                scope(("subarea", a.index, s.index), s.root, [])
                 for s in sorted(a.subareas, key=lambda s: s.index) if depth == 2
             ])
             for a in sorted(part.areas, key=lambda a: a.index)
         ]
         # The feeder's remainder is the public unclustered set, so its own
         # work runs in that scope.
-        self._tree = scope(("unclustered",), None, [b.id for b in net.buses if b.id != 0], areas)
+        self._tree = scope(("unclustered",), None, areas)
         self.op_count_per_apply = self._tree.ops
         # With the scopes' products laid end to end as y, g_p and g_q are the
         # sums of y[_take] at _out and at _out - n: each product holds a

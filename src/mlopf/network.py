@@ -8,10 +8,9 @@ buses' lowest common ancestor, so this module owns the topology, the
 per-unit impedance data and the flat (bus, phase) index space. One DFS
 preorder lays every subtree out as a contiguous range; single LCA queries
 read those ranges. A Forest is that layout restricted to a bus set
-closed upward: the whole tree, or a multilevel scope's remainder together
+closed upward: the whole tree, or a swept multilevel scope's remainder
 with its children's anchors. It runs the two O(N) tree sums, over
-subtrees and over root paths, that both voltage models run on, and fills
-all-pairs LCA tables over its columns.
+subtrees and over root paths, that both voltage models run on.
 
 Networks are immutable after construction and safe for concurrent reads.
 """
@@ -94,22 +93,20 @@ class Line:
 
 
 class Forest:
-    """Buses laid out in DFS preorder: the two O(n) tree sums and the LCA table.
+    """Buses laid out in DFS preorder, and the two O(n) tree sums over them.
 
-    Column r is bus position buses[r], its parent column is up[r], -1 for
-    a top, and its subtree is columns r up to exit[r]. A forest array has
-    shape (3, n), phase by column. z_line[phi, psi, r] is the impedance of
-    the line into column r; a top carries its whole root path there, as a
-    line from a virtual root. The line layouts the linear sweeps read,
-    line_operator forward and z_line_conj in reverse, are built on first
-    use and kept.
+    Column r is bus position buses[r], and its subtree is columns r up to
+    exit[r]. A forest array has shape (3, n), phase by column.
+    z_line[phi, psi, r] is the impedance of the line into column r; a top,
+    a column whose parent bus lies outside the forest, carries its whole
+    root path there, as a line from a virtual root. The line layouts the
+    linear sweeps read, line_operator forward and z_line_conj in reverse,
+    are built on first use and kept.
     """
 
-    def __init__(self, buses: np.ndarray, up: np.ndarray, exit_: np.ndarray, z_line: np.ndarray):
-        n = len(buses)
+    def __init__(self, buses: np.ndarray, exit_: np.ndarray, z_line: np.ndarray):
         self.buses = buses
-        self.n = n
-        self.up = up
+        self.n = len(buses)
         self.z_line = np.ascontiguousarray(z_line.transpose(1, 2, 0))
         self._exit = exit_
 
@@ -118,8 +115,7 @@ class Forest:
         """Columns that share an exit, grouped so that ancestor_sums can
         subtract each group's sum with one reduceat: the raveled cells to
         sum, each group's first entry among them, and the group's exit cell.
-        Built on first use, since a forest read only for its LCA table never
-        needs them.
+        Built on first use.
         """
         n, exit_ = self.n, self._exit
         inner = np.flatnonzero(exit_ < n)
@@ -173,20 +169,6 @@ class Forest:
         cells = d.reshape(-1)
         cells[exits] -= np.add.reduceat(cells[sources], groups)
         return np.cumsum(d, axis=1)
-
-    def lca_table(self) -> np.ndarray:
-        """All-pairs lowest common ancestors: table[r, s] is a column, as int32.
-
-        Row r copies its parent's row, or is -1 throughout for a top, and
-        then writes r over its subtree's range, since a column is its own
-        LCA with any descendant and meets every other column where its
-        parent does. Two columns under different tops stay at -1.
-        """
-        table = np.empty((self.n, self.n), dtype=np.int32)
-        for r, (up, end) in enumerate(zip(self.up.tolist(), self._exit.tolist())):
-            table[r] = table[up] if up >= 0 else -1
-            table[r, r:end] = r
-        return table
 
 
 class Network:
@@ -385,20 +367,17 @@ class Network:
         forest's tops. A top's column carries its whole root path, so the
         forest's ancestor sums add up to common-path impedances; two buses
         under different tops meet at zero impedance, which holds when the
-        tops' parents are the substation or a top is the substation itself,
-        and where the forest's lca_table reads -1. The set may repeat buses.
+        tops' parents are the substation or a top is the substation itself.
+        The set may repeat buses.
         Returns (cols, forest): cols[a] is the column of buses[a].
         """
         t, cols = np.unique(self.tin[np.asarray(buses, dtype=np.int64)], return_inverse=True)
         nodes = self.order[t]
         exit_ = np.searchsorted(t, t + self.size[nodes])
-        col = np.full(self.n_buses + 1, -1, dtype=np.int64)  # parent -1 reads the pad
-        col[nodes] = np.arange(len(nodes))
-        up = col[self.parent_pos[nodes]]
         z = self.z_line[nodes]
-        top = up < 0
+        top = ~np.isin(self.parent_pos[nodes], nodes)
         z[top] = self.z_prefix[nodes[top]]
-        return cols, Forest(nodes, up, exit_, z)
+        return cols, Forest(nodes, exit_, z)
 
     # -- path and impedance queries ---------------------------------------
 

@@ -67,8 +67,8 @@ class VoltageBounds:
     def __post_init__(self):
         if self.v_lower.shape != self.v_upper.shape:
             raise ProblemError("bound vectors must have matching shapes")
-        if np.any(self.v_lower <= 0) or np.any(self.v_lower >= self.v_upper):
-            raise ProblemError("need 0 < v_lower < v_upper componentwise")
+        if not np.all((0 < self.v_lower) & (self.v_lower < self.v_upper) & (self.v_upper < np.inf)):
+            raise ProblemError("need 0 < v_lower < v_upper < inf componentwise")
 
     @staticmethod
     def from_magnitudes(n: int, v_min: float, v_max: float) -> "VoltageBounds":
@@ -89,8 +89,8 @@ class DualState:
     mu_lower: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.mu_upper < 0) or np.any(self.mu_lower < 0):
-            raise ProblemError("dual variables must be nonnegative")
+        if not all(np.all((0 <= mu) & (mu < np.inf)) for mu in (self.mu_upper, self.mu_lower)):
+            raise ProblemError("dual variables must be nonnegative and finite")
 
     @classmethod
     def _projected(cls, mu_upper: np.ndarray, mu_lower: np.ndarray) -> "DualState":

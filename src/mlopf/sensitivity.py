@@ -8,11 +8,13 @@ voltage_linear takes subtree sums of the injections, rotates them through
 each line's impedance and takes ancestor sums of the result, in O(N) over
 the DFS columns of Network and without the matrices. adjoint_sweep runs
 the same sums in reverse for R^T d and X^T d; a multilevel scope with a
-large remainder computes its whole share of the product with it. The
-dense R and X that build_sensitivity materializes, each row a copy of
-its parent bus's row with the bus's own pair values over its subtree,
-stay as the oracle the sweeps are tested against and as the operands of
-the flat coupling engine.
+large remainder computes its whole share of the product with it. Every
+dense entry comes from sensitivity_block, which fills R and X at a set
+of flat indices, each row a copy of its parent bus's row with the bus's
+own pair values over its subtree: over every index it is
+build_sensitivity, whose R and X stay as the oracle the sweeps are
+tested against and as the operands of the flat coupling engine, and at a
+multilevel scope's kernel rows it is that scope's dense block.
 """
 
 from __future__ import annotations
@@ -60,60 +62,84 @@ def _entry(net, i, phi, j, psi, part: int) -> float:
     return float(rotated_pairs(net.common_path_matrix(i, j))[part, a, b])
 
 
-def build_sensitivity(net: Network) -> SensitivityMatrices:
-    """Materialize the dense N x N sensitivity matrices and v_tilde.
+def sensitivity_block(net: Network, idx) -> np.ndarray:
+    """R over X at the flat indices idx: shape (2, m, m), [0][a, b] = R[idx[a], idx[b]].
 
     Entry (a, b) with a = (i, phi), b = (j, psi) is the rotated conjugate
     common-path impedance of buses i, j at phase pair (phi, psi), from
-    rotated_pairs of Network.z_prefix, as the scope blocks are. Row a is
-    built from its parent row: outside i's subtree, lca(i, j) =
-    lca(parent(i), j), so the row copies row (parent(i), phi), which
-    exists because phases only drop moving away from the substation;
-    inside the subtree every column meets i at i and takes i's own pair
-    value. Rows of depth-1 buses start
-    from the substation's pair values. The rows are filled one depth
-    level at a time: each row of the level is copied on its own, then one
-    scatter covers the level's subtrees' columns, which are contiguous once
-    the flat indices are sorted into DFS order. Beside R and X the build
-    holds only O(N) index arrays per level. v_tilde is the flat profile at
-    the substation's squared magnitude: with losses neglected, zero
-    injections leave every bus at the reference voltage.
+    rotated_pairs of Network.z_prefix. Row a copies its parent row, the row
+    of idx at (parent(i), phi), since lca(i, j) = lca(parent(i), j) outside
+    i's subtree; inside it every column meets i at i and takes i's own pair
+    value. A row whose parent holds no row starts from the substation's
+    pair values, so every column outside its subtree must meet it there:
+    the flat indices of a bus set closed upward below one top, or below
+    tops that hang off the substation, qualify. Indices may repeat.
+
+    The rows are filled one depth level at a time: each row of a level is
+    copied on its own, then one scatter covers the level's subtrees'
+    columns, contiguous once sorted into DFS order. The scatters' cells and
+    pairs are listed for several levels at once: at most m^2 / 32 entries,
+    or 16 per row where that is more, unless one level holds more. So the
+    lists of a block over 512 indices stay under a tenth of its bytes.
     """
-    n = net.n_flat
-    ph = net.flat_phase
-    r_pairs, x_pairs = rotated_pairs(net.z_prefix[net.order]).reshape(2, -1)
-    # Flat indices in DFS order; the subtree of DFS column t holds the
-    # entries dfs[first[t] : first[t + size]].
-    held = net.index_of[net.order]
-    dfs = held[held >= 0]
-    first = np.zeros(net.n_buses + 1, dtype=np.int64)
-    np.cumsum((held >= 0).sum(axis=1), out=first[1:])
-    col = net.tin[net.flat_bus_pos]
-    start = first[col]
-    stop = first[col + net.size[net.flat_bus_pos]]
-    depth = net.depth[net.flat_bus_pos]
-    rows = np.argsort(depth, kind="stable")
-    bounds = np.cumsum(np.bincount(depth))
-    up = net.index_of[net.parent_pos[net.flat_bus_pos], ph]
-    r = np.empty((n, n), dtype=np.float64)
-    x = np.empty((n, n), dtype=np.float64)
-    # Depth-1 rows copy their phase's row of the substation's pair values.
-    r_top = r_pairs[:9].reshape(3, 3)[:, ph]
-    x_top = x_pairs[:9].reshape(3, 3)[:, ph]
-    for d in range(1, int(net.depth.max()) + 1):
-        level = rows[bounds[d - 1]:bounds[d]]
-        r_from, x_from, src = (r_top, x_top, ph) if d == 1 else (r, x, up)
-        for a, b in zip(level.tolist(), src[level].tolist()):
-            r[a] = r_from[b]
-            x[a] = x_from[b]
-        # Each row's subtree columns, concatenated row by row.
-        counts = stop[level] - start[level]
-        ends = np.cumsum(counts)
-        cols = dfs[np.arange(ends[-1]) + np.repeat(start[level] + counts - ends, counts)]
-        at = np.repeat(level, counts)
-        pair = np.repeat(9 * col[level] + 3 * ph[level], counts) + ph[cols]
-        r[at, cols] = r_pairs[pair]
-        x[at, cols] = x_pairs[pair]
+    idx = np.asarray(idx, dtype=np.int64)
+    m = len(idx)
+    bus, ph = net.flat_bus_pos[idx], net.flat_phase[idx]
+    # Pair (phi, psi) of row a's bus sits at 9 a + 3 phi + psi, the
+    # substation's after the last row's.
+    r_pairs, x_pairs = rotated_pairs(net.z_prefix[np.append(bus, 0)]).reshape(2, -1)
+    # Rows m, m + 1 and m + 2 hold the substation's pair values at phases
+    # a, b and c; a row whose parent holds no row copies the one at its phase.
+    block = np.empty((2, m + 3, m), dtype=np.float64)
+    top = 9 * m + 3 * np.arange(3)[:, None] + ph
+    block[0, m:], block[1, m:] = r_pairs[top], x_pairs[top]
+    where = np.full(net.n_flat + 1, -1, dtype=np.int64)  # index -1 reads the pad
+    where[idx] = np.arange(m)
+    up = where[net.index_of[net.parent_pos[bus], ph]]
+    up = np.where(up >= 0, up, m + ph)
+    # Rows in depth order; the one at k scatters its subtree's columns
+    # dfs[start[k]:stop[k]] as entries total[k] to total[k + 1].
+    rows = np.argsort(net.depth[bus], kind="stable")
+    dfs = np.argsort(net.tin[bus], kind="stable")
+    tin = net.tin[bus[rows]]
+    start, stop = np.searchsorted(net.tin[bus[dfs]], [tin, tin + net.size[bus[rows]]])
+    ends = np.cumsum(stop - start)
+    depth = net.depth[bus[rows]]
+    levels = [0, *(np.flatnonzero(depth[1:] != depth[:-1]) + 1).tolist(), m]
+    total = [0, *ends.tolist()]  # entries before the row at k
+    copies = list(zip(rows.tolist(), up[rows].tolist()))
+    r, x = block
+    r_flat, x_flat = block.reshape(2, -1)
+    lo = 0
+    while lo < len(levels) - 1:
+        # Levels lo to hi - 1 share one list of entries.
+        first, hi = total[levels[lo]], lo + 1
+        while hi < len(levels) - 1 and total[levels[hi + 1]] - first <= max(m * m // 32, 16 * m):
+            hi += 1
+        a, b = levels[lo], levels[hi]
+        count = stop[a:b] - start[a:b]
+        cols = dfs[np.repeat(start[a:b] + count - ends[a:b], count) + np.arange(first, total[b])]
+        at = np.repeat(m * rows[a:b], count) + cols
+        pair = np.repeat(9 * rows[a:b] + 3 * ph[rows[a:b]], count) + ph[cols]
+        for k in range(lo, hi):
+            for i, j in copies[levels[k]:levels[k + 1]]:
+                r[i] = r[j]
+                x[i] = x[j]
+            s = slice(total[levels[k]] - first, total[levels[k + 1]] - first)
+            r_flat[at[s]] = r_pairs[pair[s]]
+            x_flat[at[s]] = x_pairs[pair[s]]
+        lo = hi
+    return block[:, :m]
+
+
+def build_sensitivity(net: Network) -> SensitivityMatrices:
+    """Materialize the dense N x N sensitivity matrices and v_tilde.
+
+    R and X are sensitivity_block over every flat index. v_tilde is the
+    flat profile at the substation's squared magnitude: with losses
+    neglected, zero injections leave every bus at the reference voltage.
+    """
+    r, x = sensitivity_block(net, np.arange(net.n_flat))
     return replace(matrix_free_sensitivity(net), r=r, x=x)
 
 

@@ -21,7 +21,7 @@ from mlopf.coupling import (
     privacy_audit,
 )
 from mlopf.feedergen import FeederSpec, generate
-from mlopf.network import load_network, network_to_document, rotated_pairs
+from mlopf.network import load_network, network_to_document
 from mlopf.partition import (
     Area,
     PartitionHierarchy,
@@ -425,22 +425,20 @@ def test_audit_catches_foreign_topology_access(fig_net):
 @pytest.mark.parametrize("depth", [1, 2])
 def test_audit_catches_engine_reading_a_foreign_index(fig_net, monkeypatch, depth):
     # The record must come from the index arrays the engine gathers from:
-    # widen one area's flat indices by a foreign one at construction and
-    # the audit has to report it.
+    # widen one area's DFS slice by a foreign bus at construction and the
+    # audit has to report it.
     part = auto_partition(fig_net, 4, 2)
-    target = subtree_ids(fig_net, part.areas[0].root)
-    foreign = int(coupling._flat_indices(fig_net, subtree_ids(fig_net, part.areas[1].root))[0])
-    real = coupling._flat_indices
+    target = fig_net.bus_pos(part.areas[0].root)
+    foreign = fig_net.bus_pos(part.areas[1].root)
+    real = coupling._subtree_slice
 
-    def widened(net, bus_ids):
-        idx = real(net, bus_ids)
-        if frozenset(bus_ids) == target:
-            idx = np.sort(np.append(idx, foreign))
-        return idx
+    def widened(net, k):
+        positions = real(net, k)
+        return np.append(positions, foreign) if k == target else positions
 
     record = FlowRecord()
     with monkeypatch.context() as patch:
-        patch.setattr(coupling, "_flat_indices", widened)
+        patch.setattr(coupling, "_subtree_slice", widened)
         MultilevelEngine(fig_net, part, depth, record=record)
     report = privacy_audit(record, fig_net, part)
     assert any("foreign flat indices" in v for v in report.violations)
@@ -577,64 +575,78 @@ def test_audit_rejects_unknown_read_kinds(fig_net):
     assert report.events_checked == 3
 
 
+def kernel_slots(net, scope):
+    """(child, anchor id, phase) of each slot row: every phase of each child root
+    whose anchor is not the substation, child by child."""
+    return [
+        (k, net.bus(ch.root).parent, ph)
+        for k, ch in enumerate(scope.children) if net.bus(ch.root).parent != 0
+        for ph in net.bus(ch.root).phases
+    ]
+
+
+def own_blocks_zeroed(net, scope, want):
+    """want, an (2, rows, rows) block, with each child's own slot block set to 0."""
+    owner = [k for k, _, _ in kernel_slots(net, scope)]
+    s = len(owner)
+    want[:, :s, :s][:, np.equal.outer(owner, owner)] = 0.0
+    return want
+
+
 @pytest.mark.parametrize("depth", [1, 2])
 def test_scope_blocks_match_scalar_common_path_entries(depth):
-    # Each scope's block is gathered from the rotated pairs of the
-    # network's root-path impedances; every entry must equal the scalar
-    # sensitivity entry of its pair, bit for bit. The block holds R^T over
-    # X^T: row (i, phi), column (j, psi) reads dv(j, psi)/dp(i, phi), then
-    # dv(j, psi)/dq(i, phi). A slot at a phase its child root lacks has no
-    # scalar entry (dv_dp_entry rejects the phase), so its entries are
-    # checked against the rotated pairs of the scalar common-path matrix
-    # instead; a child's own 3 x 3 block is 0. The 60-bus feeder's child
-    # roots hold all three phases; uv300's lack some.
+    # Each scope's block holds R^T over X^T at its kernel's rows: row
+    # (i, phi), column (j, psi) reads dv(j, psi)/dp(i, phi), then
+    # dv(j, psi)/dq(i, phi), bit for bit the scalar entry, and a child's
+    # own slot block is 0. The rows are one slot per phase of each child
+    # root not anchored at the substation, at the anchor, then the
+    # remainder. The 60-bus feeder's child roots hold all three phases;
+    # uv300's lack some, which therefore have no slot.
     from mlopf.sensitivity import dv_dp_entry, dv_dq_entry
 
     feeder = generate(FeederSpec(n_buses=60, seed=4, phase_drop=0.4),
                       target_area_size=15, target_subarea_size=5)
     absent = 0
     for net, partition in [(feeder.net, feeder.partition), uv300()]:
-        labels = [(bus, "abc".index(ph)) for bus, ph in net.flat_labels()]
-
-        def held(slot):
-            bus, ph = slot
-            return net.index_of[net.bus_pos(bus), ph] >= 0
-
-        def entry(part, row, col):
-            (i, phi), (j, psi) = row, col
-            if held(row) and held(col):
-                return (dv_dp_entry, dv_dq_entry)[part](net, j, psi, i, phi)
-            return rotated_pairs(net.common_path_matrix(j, i))[part, psi, phi]
-
+        labels = net.flat_labels()
         for scope in MultilevelEngine(net, partition, depth)._scopes:
-            slots = [(ch.root, ph) for ch in scope.children for ph in range(3)]
-            slots += [labels[i] for i in scope.rem]
-            want = np.array([[[entry(part, r, c) for c in slots] for r in slots]
+            kernel = [labels[i] for i in scope.rows]
+            slots = kernel_slots(net, scope)
+            assert kernel == [(bus, ph) for _, bus, ph in slots] + [labels[i] for i in scope.rem]
+            want = np.array([[[(dv_dp_entry, dv_dq_entry)[part](net, j, psi, i, phi)
+                               for j, psi in kernel] for i, phi in kernel]
                              for part in (0, 1)])
-            for k in range(len(scope.children)):
-                want[:, 3 * k: 3 * k + 3, 3 * k: 3 * k + 3] = 0.0
-            np.testing.assert_array_equal(scope.block.reshape(want.shape), want)
-            absent += sum(not held(slot) for slot in slots)
+            own_blocks_zeroed(net, scope, want)
+            assert scope.block.tobytes() == want.tobytes()
+            absent += sum(3 - len(net.bus(ch.root).phases) for ch in scope.children)
     assert absent > 0
 
 
 def test_dense_scope_remainders_are_the_dense_transposes():
-    # The remainder quadrant of every dense scope is bitwise the matching
-    # submatrix of R^T over X^T: the scopes and the dense build use one
-    # rotation formula, rotated_pairs.
+    # Every dense scope's block, all four quadrants, is bitwise the R^T over
+    # X^T submatrix at the kernel's rows with each child's own slot block
+    # zero: the scopes and the dense build share sensitivity_block. The
+    # hand partitions add a substation anchor, an empty remainder, shared
+    # anchors and a subarea equal to its area.
     uv300_net, uv300_part = uv300()
     cases = [(uv300_net, uv300_part)]
     cases += [(net, part) for net, part, _, _ in criterion_1_family(20)]
+    cases += [(net, part) for net, part, _, _ in hand_partitions()]
+    seen = set()
     for net, part in cases:
         sens = build_sensitivity(net)
         for depth in (1, 2):
             for scope in MultilevelEngine(net, part, depth)._scopes:
-                if scope.forest is not None:
-                    continue
-                m, rem = len(scope.rem), scope.rem
-                block = scope.block.reshape(2, len(scope.gather), -1)[:, -m:, -m:]
-                np.testing.assert_array_equal(block[0], sens.r.T[np.ix_(rem, rem)])
-                np.testing.assert_array_equal(block[1], sens.x.T[np.ix_(rem, rem)])
+                assert scope.forest is None
+                rows = scope.rows
+                want = np.stack([sens.r.T[np.ix_(rows, rows)], sens.x.T[np.ix_(rows, rows)]])
+                own_blocks_zeroed(net, scope, want)
+                assert scope.block.tobytes() == want.tobytes()
+                seen |= anchor_cases(net, scope, np.zeros(net.n_flat))
+                if any(ch.root == scope.root for ch in scope.children):
+                    seen.add("subarea equal to its area")
+    assert seen == {"shared anchor", "substation anchor", "empty remainder",
+                    "subarea equal to its area"}
 
 
 # -- remainders run as tree sweeps ------------------------------------------
@@ -704,6 +716,9 @@ def hand_partitions():
         # No area hangs off the substation: the feeder's forest has two tops,
         # buses 1 and 30, whose pairs meet at zero impedance.
         (heads, PartitionHierarchy((Area(0, 32, ()), Area(1, 21, (Subarea(0, 27),))))),
+        # One area holds every bus below the substation and its subarea all
+        # of the area, so neither the feeder nor the area has a kernel row.
+        (fig, PartitionHierarchy((Area(0, 1, (Subarea(0, 1),)),))),
     ):
         assert validate_partition(net, part) == []
         yield net, part, *random_duals(np.random.default_rng(9), net.n_flat)
@@ -757,7 +772,7 @@ def test_dense_kernels_match_flat_at_both_depths():
             anchors = [net.parent_pos[net.bus_pos(ch.root)] for ch in top.children]
             _, forest = net.subforest([*anchors, *net.flat_bus_pos[top.rem]])
             if net.bus_pos(0) not in forest.buses:
-                tops.add(int(np.sum(forest.up < 0)))
+                tops.add(int(np.sum(~np.isin(net.parent_pos[forest.buses], forest.buses))))
             res = engine.compute(mu_up, mu_lo)
             for got, want in ((res.g_p, ref.g_p), (res.g_q, ref.g_q)):
                 assert np.max(np.abs(got - want)) < 1e-12 * (1.0 + np.max(np.abs(want)))
@@ -913,7 +928,7 @@ def test_swept_scope_never_builds_its_dense_block():
     # slot rows beside its sweep.
     assert peak <= 8.7e6
     swept = engine._tree
-    c = len(swept.children)
+    s = len(swept.rows) - len(swept.rem)
     for name, value in vars(swept).items():
         if isinstance(value, np.ndarray) and value.ndim != 1:
-            assert (name, value.shape) == ("own", (2, c, 3, 3))
+            assert (name, value.shape) == ("own", (2, s, s))

@@ -13,6 +13,7 @@ from mlopf.network import (
     load_network,
     network_to_document,
 )
+from mlopf.sensitivity import build_sensitivity, sensitivity_block
 
 from conftest import (
     brute_force_common_path_impedance,
@@ -420,7 +421,6 @@ def brute_force_lca(net, a, b):
 @pytest.mark.parametrize("net", lca_networks(), ids=LCA_NETWORK_IDS)
 def test_lca_table_matches_scalar_queries(net):
     ids = [b.id for b in net.buses]
-    table = net.forest.lca_table()
     rng = np.random.default_rng(7)
     for _ in range(50):
         i, j = (int(v) for v in rng.choice(ids, size=2))
@@ -429,8 +429,7 @@ def test_lca_table_matches_scalar_queries(net):
         pj = [0] + [child for (_, child) in net.path_to_root(j)]
         common = [a for a, b in zip(pi, pj) if a == b]
         assert lca == common[-1]
-        a, b = net.tin[net.bus_pos(i)], net.tin[net.bus_pos(j)]
-        assert net.buses[net.forest.buses[table[a, b]]].id == lca
+        assert net.bus_pos(lca) == brute_force_lca(net, net.bus_pos(i), net.bus_pos(j))
 
 
 def subtree_positions(net, k):
@@ -467,26 +466,22 @@ def forest_cases(net, rng):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_lca_table_matches_brute_force_on_subsets(seed):
-    # The branches case is every bus but the substation, so its tops are the
-    # substation's children, and columns under two of them meet at -1.
+def test_sensitivity_block_is_the_dense_submatrix_on_subsets(seed):
+    # Each case's flat indices, shuffled and with some repeated: the block
+    # must be byte-equal to R and X there. The branches case is every bus
+    # but the substation, so its tops are the substation's children, whose
+    # rows start from the substation's pair values.
     rng = np.random.default_rng(600 + seed)
     net = substation_branches(random_network(rng, int(rng.integers(8, 70))))
-    root = net.bus_pos(0)
+    sens = build_sensitivity(net)
     for name, buses in forest_cases(net, rng).items():
-        cols, forest = net.subforest(buses)
-        table = forest.lca_table()
-        assert table.dtype == np.int32, name
-        got = table[np.ix_(cols, cols)]
-        col = {int(b): r for r, b in enumerate(forest.buses)}
-        want = [[col.get(brute_force_lca(net, a, b), -1) for b in buses] for a in buses]
-        np.testing.assert_array_equal(got, want, err_msg=name)
-        if name == "branches":
-            assert set(forest.buses[forest.up < 0]) == set(net.children_pos[root])
-            branch = [ancestors(net, int(b))[-2] for b in buses]
-            np.testing.assert_array_equal(got == -1, np.not_equal.outer(branch, branch))
-        else:
-            assert (got >= 0).all(), name
+        held = net.index_of[buses]
+        idx = held[held >= 0]
+        idx = rng.permutation(np.append(idx, rng.choice(idx, size=len(idx) // 3 + 1)))
+        block = sensitivity_block(net, idx)
+        assert block.shape == (2, len(idx), len(idx)), name
+        assert block[0].tobytes() == sens.r[np.ix_(idx, idx)].tobytes(), name
+        assert block[1].tobytes() == sens.x[np.ix_(idx, idx)].tobytes(), name
 
 
 def subset_cases(net, rng):
@@ -557,10 +552,11 @@ def test_subforest_sums_match_parent_walk_inside_the_set(seed):
     assert_forest_sums_match_parent_walk(net, forest, rng)
 
 
-def test_lca_table_of_no_buses_is_empty(fig_net):
-    cols, forest = fig_net.subforest(np.zeros(0, dtype=np.int64))
-    assert cols.shape == (0,)
-    assert forest.lca_table().shape == (0, 0)
+def test_sensitivity_block_of_no_indices_is_empty(fig_net):
+    none = np.zeros(0, dtype=np.int64)
+    assert sensitivity_block(fig_net, none).shape == (2, 0, 0)
+    cols, forest = fig_net.subforest(none)
+    assert cols.shape == (0,) and forest.n == 0
 
 
 @pytest.mark.parametrize("net", lca_networks(), ids=LCA_NETWORK_IDS)

@@ -152,6 +152,17 @@ def test_bounds_invariants():
     np.testing.assert_allclose(vb.v_upper, 1.05**2)
 
 
+@pytest.mark.parametrize("lower, upper", [
+    (np.nan, 1.1), (0.9, np.nan), (0.9, np.inf), (-np.inf, 1.1), (np.inf, np.inf),
+])
+def test_bounds_reject_non_finite_entries(lower, upper):
+    # Every comparison with a NaN is False, so the checks must ask for what
+    # holds, not for what fails; an infinite upper bound once let a solve
+    # record a NaN Lagrangian (0 * -inf) and stop as converged.
+    with pytest.raises(ProblemError, match="< inf"):
+        VoltageBounds(v_lower=np.array([0.9, lower]), v_upper=np.array([1.1, upper]))
+
+
 def test_dual_update_zero_drift_at_lower_bound():
     # v exactly at the lower bound with eta 0 would leave the dual fixed;
     # eta must be positive, so emulate with a tiny eta and a zero dual.
@@ -200,6 +211,15 @@ def test_dual_state_built_by_hand_rejects_a_negative_entry(which):
     duals = {"mu_upper": np.zeros(3), "mu_lower": np.zeros(3)}
     duals[which] = np.array([0.0, -1e-300, 2.0])
     with pytest.raises(ProblemError, match="nonnegative"):
+        DualState(**duals)
+
+
+@pytest.mark.parametrize("which", ["mu_upper", "mu_lower"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dual_state_built_by_hand_rejects_a_non_finite_entry(which, bad):
+    duals = {"mu_upper": np.zeros(3), "mu_lower": np.zeros(3)}
+    duals[which] = np.array([0.0, bad, 2.0])
+    with pytest.raises(ProblemError, match="finite"):
         DualState(**duals)
 
 

@@ -290,16 +290,36 @@ def test_linear_voltage_model_reads_no_dense_entry(net):
         model.voltages(np.zeros(n + 1), np.zeros(n + 1))
 
 
+def lca_columns(net: Network) -> np.ndarray:
+    """The LCA of every pair of DFS columns, from the subtree intervals alone.
+
+    The ancestors of column t, shallowest first, are the columns c <= t
+    whose interval [c, c + size) holds t: their starts increase and their
+    ends do not. So column u lies in the intervals of the first min(a, b)
+    of them, a the number that start at or before u and b the number that
+    end after it, and the last of those is the LCA.
+    """
+    n = net.n_buses
+    end = np.arange(n) + net.size[net.order]
+    u = np.arange(n)
+    table = np.empty((n, n), dtype=np.int32)
+    for t in range(n):
+        anc = np.flatnonzero(end[:t + 1] > t)
+        inside = np.minimum(np.searchsorted(anc, u, side="right"), np.searchsorted(-end[anc], -u))
+        table[t] = anc[inside - 1]
+    return table
+
+
 def lca_gather(net: Network) -> tuple[np.ndarray, np.ndarray]:
     """R and X gathered at every pair's lowest common ancestor: the oracle.
 
     Each entry reads the rotated pair value of the pair's LCA column in
-    Network.forest's all-pairs table, the way the dense build once did.
+    lca_columns, with no row copied from another.
     """
     r_pairs, x_pairs = rotated_pairs(net.z_prefix[net.order]).reshape(2, -1)
     cols = net.tin[net.flat_bus_pos]
     ph = net.flat_phase
-    k = 9 * net.forest.lca_table()[np.ix_(cols, cols)] + 3 * ph[:, None] + ph
+    k = 9 * lca_columns(net)[np.ix_(cols, cols)] + 3 * ph[:, None] + ph
     return r_pairs[k], x_pairs[k]
 
 
@@ -356,8 +376,12 @@ def broom_feeder(n_leaves: int) -> Network:
 
 
 def test_dense_build_holds_no_full_size_temporaries():
-    # A broom's one wide level must not hold a level-sized copy of its rows.
-    for net in (generate(FeederSpec(n_buses=2000, seed=0)).net, broom_feeder(2198)):
+    # A broom's one wide level must not hold a level-sized copy of its rows,
+    # and a chain's entry lists, half of R's size in all, are built a few
+    # levels at a time.
+    for net in (
+        generate(FeederSpec(n_buses=2000, seed=0)).net, broom_feeder(2198), long_chain(2000)
+    ):
         tracemalloc.start()
         try:
             sens = build_sensitivity(net)
