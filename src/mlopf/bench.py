@@ -160,7 +160,7 @@ def bench_sweep(
             ]
             counts = {(r.state.iteration, r.trace.total_coupling_ops()) for r in results}
             assert len(counts) == 1, f"{kind} solves at n={n} differ: {sorted(counts)}"
-            (iters, ops), = counts
+            (ran, ops), = counts
             coupling_ns = min(r.total_coupling_ns for r in results)
             if kind == "flat":
                 flat_coupling_ns = coupling_ns
@@ -174,7 +174,7 @@ def bench_sweep(
                     n=n,
                     areas=n_areas,
                     engine=kind,
-                    iters=iters,
+                    iters=ran,
                     coupling_ops=ops,
                     coupling_ns=coupling_ns,
                     step_ns=min(r.total_step_ns for r in results),

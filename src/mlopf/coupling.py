@@ -178,9 +178,13 @@ def _exact_block_ops(size: int) -> int:
 def _sweep_ops(columns: int) -> int:
     """Declared cost of adjoint_sweep over a forest of this many columns.
 
-    Per column and phase, one add each for the subtree and ancestor sums and
-    one rotation each on the way in and out; per column, nine
-    multiply-accumulates through the line.
+    A declared model that counts the sweep as complex work: per column
+    and phase, one add each for the subtree and ancestor sums and one
+    rotation each on the way in and out; per column, nine
+    multiply-accumulates through the line. It is not a count of the real
+    sweep's float operations, and it stays fixed so that declared counts
+    stay comparable across versions: a gen4k trilevel apply declares
+    381,628.
     """
     return 21 * columns
 
@@ -215,8 +219,9 @@ def _swept_op_count(intra_ops: list[int], cluster_sizes: list[int], columns: int
 
     Its clusters' own costs, one add per member for their aggregates and
     two per member to broadcast the slot rows back, as in the dense model;
-    the sweep, which carries every pair; and nine multiply-accumulates per
-    cluster to take its own 3x3 term back out.
+    the sweep, which carries every pair, at _sweep_ops' declared rate; and
+    nine multiply-accumulates per cluster to take its own 3x3 term back
+    out. Like _sweep_ops, a declared model.
     """
     return (
         sum(intra_ops) + 3 * sum(cluster_sizes) + _sweep_ops(columns) + 9 * len(cluster_sizes)
@@ -261,7 +266,7 @@ def _check_duals(mu_upper, mu_lower, n) -> np.ndarray:
 
 
 class _Scope:
-    """One node of the scope tree and the kernel that computes its share of t.
+    """One node of the scope tree and the kernel that computes its share of g.
 
     The remainder is every member outside all child scopes; a leaf's is all
     of it. The kernel's rows and columns are flat indices: each child's
@@ -271,10 +276,10 @@ class _Scope:
     child anchored at the substation meets every other bus at zero
     impedance: it has no slot, and its members get nothing from this scope.
     One product of the kernel with [child aggregates; remainder duals] is
-    the scope's whole share of t, returned as [2 Re; -2 Im], its shares of
-    g_p and g_q. Each child's own slot block is zero, since pairs inside a
-    child are the child's work. gather picks the operand out of
-    [d; aggregate rows], and t[out] adds the product's rows at take: a slot
+    the scope's whole share of g: its R^T rows, then its X^T rows, its
+    shares of g_p and g_q. Each child's own slot block is zero, since pairs
+    inside a child are the child's work. gather picks the operand out of
+    [d; aggregate rows], and g[out] adds the product's rows at take: a slot
     row to every member of its child with that phase, a remainder row to
     its own flat index.
 
@@ -284,10 +289,10 @@ class _Scope:
     forest, closed upward inside the scope since children are whole
     subtrees, whose tops, if several, are the substation's children; each
     child's aggregate sits at its anchor's cells, and one adjoint_sweep
-    over the forest meets every pair at its common ancestor. The sweep also
-    pairs each child with itself. own, R^T over X^T at the slot rows kept
-    only inside each child (every such pair is an anchor with itself), is
-    subtracted from the slot rows once the sweep's result is real.
+    over the forest meets every pair at its common ancestor, returning the
+    same real rows. The sweep also pairs each child with itself. own, R^T
+    over X^T at the slot rows kept only inside each child (every such pair
+    is an anchor with itself), is subtracted from the sweep's slot rows.
     """
 
     def __init__(self, net, key, root, children, pos):
@@ -335,15 +340,14 @@ class _Scope:
             self.ops = _swept_op_count([ch.ops for ch in children], child_sizes, self.forest.n)
 
     def product(self, x: np.ndarray) -> np.ndarray:
-        """[2 Re; -2 Im] of the kernel times its operand, gathered from x = [d; aggregates]."""
+        """The kernel's R^T rows, then X^T rows, times its operand x[gather]; x = [d; aggregates]."""
         x = x[self.gather]
         if self.forest is None:
             return self.block @ x
-        t = adjoint_sweep(self.forest, self.cells, x)
-        y = np.concatenate([2.0 * t.real, -2.0 * t.imag])
+        y = adjoint_sweep(self.forest, self.cells, x)
         s = self.own.shape[1]
-        y.reshape(2, -1)[:, :s] -= self.own @ x[:s]
-        return y
+        y[:, :s] -= self.own @ x[:s]
+        return y.reshape(-1)
 
 
 class MultilevelEngine:

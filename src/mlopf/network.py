@@ -96,12 +96,14 @@ class Forest:
     """Buses laid out in DFS preorder, and the two O(n) tree sums over them.
 
     Column r is bus position buses[r], and its subtree is columns r up to
-    exit[r]. A forest array has shape (3, n), phase by column.
+    exit[r]. A forest array has shape (k, n), rows by column: three
+    phases, or any stack of per-column rows, real or complex.
     z_line[phi, psi, r] is the impedance of the line into column r; a top,
     a column whose parent bus lies outside the forest, carries its whole
-    root path there, as a line from a virtual root. The line layouts the
-    linear sweeps read, line_operator forward and z_line_conj in reverse,
-    are built on first use and kept.
+    root path there, as a line from a virtual root. line_operator, the
+    real line map that both linear sweeps read, voltage_linear as it
+    stands and adjoint_sweep transposed, is built on first use and kept,
+    as are ancestor_sums' exit cells for each shape it is called on.
     """
 
     def __init__(self, buses: np.ndarray, exit_: np.ndarray, z_line: np.ndarray):
@@ -109,25 +111,7 @@ class Forest:
         self.n = len(buses)
         self.z_line = np.ascontiguousarray(z_line.transpose(1, 2, 0))
         self._exit = exit_
-
-    @cached_property
-    def _exit_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Columns that share an exit, grouped so that ancestor_sums can
-        subtract each group's sum with one reduceat: the raveled cells to
-        sum, each group's first entry among them, and the group's exit cell.
-        Built on first use.
-        """
-        n, exit_ = self.n, self._exit
-        inner = np.flatnonzero(exit_ < n)
-        inner = inner[np.argsort(exit_[inner], kind="stable")]
-        exits = exit_[inner]
-        first = np.flatnonzero(np.diff(exits, prepend=-1))
-        phase_rows = np.arange(3)[:, None]
-        return (
-            (phase_rows * n + inner).ravel(),
-            (phase_rows * len(inner) + first).ravel(),
-            (phase_rows * n + exits[first]).ravel(),
-        )
+        self._exit_cells: dict[tuple[int, int], np.ndarray] = {}
 
     @cached_property
     def line_operator(self) -> np.ndarray:
@@ -142,15 +126,9 @@ class Forest:
         pairs = rotated_pairs(self.z_line.transpose(2, 0, 1))
         return pairs.transpose(2, 0, 3, 1).reshape(3, 6, self.n)
 
-    @cached_property
-    def z_line_conj(self) -> np.ndarray:
-        """conj(z_line), the line layout of the adjoint sweep."""
-        return np.conj(self.z_line)
-
     def subtree_sums(self, x: np.ndarray) -> np.ndarray:
         """Row-wise sums of a forest array over every column's subtree.
 
-        x has shape (k, n): three phases, or any stack of per-column rows.
         A prefix sum over the columns, read at [r, exit[r]).
         """
         prefix = np.zeros((len(x), self.n + 1), dtype=x.dtype)
@@ -158,17 +136,27 @@ class Forest:
         return np.take(prefix, self._exit, axis=1) - prefix[:, :-1]
 
     def ancestor_sums(self, x: np.ndarray) -> np.ndarray:
-        """Per-phase sums of a forest array over every column and its ancestors.
+        """Row-wise sums of a forest array over every column and its ancestors.
 
         A prefix sum over the columns in which each column's value is
         subtracted again at its subtree's exit column, so the running sum at
-        a column holds exactly the columns whose subtrees contain it.
+        a column holds exactly the columns whose subtrees contain it. The
+        subtraction is one bincount over the array's float parts, a complex
+        entry being two of them; a column whose subtree runs to the end
+        sends its parts to one extra cell past the array, which is dropped.
         """
-        sources, groups, exits = self._exit_groups
-        d = np.array(x, order="C")
-        cells = d.reshape(-1)
-        cells[exits] -= np.add.reduceat(cells[sources], groups)
-        return np.cumsum(d, axis=1)
+        x = np.ascontiguousarray(x, dtype=np.result_type(x, np.float64))
+        parts = x.view(np.float64)
+        cells = self._exit_cells.get(parts.shape)
+        if cells is None:
+            per = x.itemsize // 8
+            at = (self._exit[:, None] * per + np.arange(per)).ravel()
+            cells = np.arange(len(parts))[:, None] * at.size + at
+            cells[:, at >= at.size] = parts.size
+            cells = self._exit_cells[parts.shape] = cells.ravel()
+        exits = np.bincount(cells, weights=parts.ravel(), minlength=parts.size + 1)
+        d = parts - exits[:-1].reshape(parts.shape)
+        return np.cumsum(d.view(x.dtype), axis=1)
 
 
 class Network:

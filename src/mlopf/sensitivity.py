@@ -6,12 +6,13 @@ signed power of the 120-degree phasor omega and projected to its real or
 imaginary part. On a radial feeder that product is a tree sweep:
 voltage_linear takes subtree sums of the injections, rotates them through
 each line's impedance and takes ancestor sums of the result, in O(N) over
-the DFS columns of Network and without the matrices. adjoint_sweep runs
-the same sums in reverse for R^T d and X^T d; a multilevel scope with a
-large remainder computes its whole share of the product with it. Every
-dense entry comes from sensitivity_block, which fills R and X at a set
-of flat indices, each row a copy of its parent bus's row with the bus's
-own pair values over its subtree: over every index it is
+the DFS columns of Network and without the matrices. adjoint_sweep is
+its transpose, the same sums and the same real line operator in reverse
+order, for R^T d and X^T d; a multilevel scope with a large remainder
+computes its whole share of the product with it. Every dense entry comes
+from sensitivity_block, which fills R and X at a set of flat indices,
+each row a copy of its parent bus's row with the bus's own pair values
+over its subtree: over every index it is
 build_sensitivity, whose R and X stay as the oracle the sweeps are
 tested against and as the operands of the flat coupling engine, and at a
 multilevel scope's kernel rows it is that scope's dense block.
@@ -185,22 +186,19 @@ def voltage_linear(sens: SensitivityMatrices, p: np.ndarray, q: np.ndarray) -> n
 
 
 def adjoint_sweep(forest: Forest, cells: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """The adjoint of voltage_linear's sweep: R^T d and X^T d in O(n).
+    """The transpose of voltage_linear's sweep: [R^T d; X^T d] in O(n).
 
-    d holds one value per entry of cells, a cell of a raveled forest
-    array; values at a repeated cell add up. The result is t at the same
-    cells, with t(i, phi) the sum over (j, psi) of
-    conj(Z(lca(i, j))[psi, phi]) omega**(psi - phi) d(j, psi). Then
-    R^T d = 2 Re t and X^T d = -2 Im t. The steps run voltage_linear's in
-    reverse order: subtree sums of d rotated by omega**psi, a rotation
-    through each line by conj(z_line), and ancestor sums rotated by
-    omega**-phi. Over Network.forest at flat_cell it is the whole flat
-    product; over a subforest, the product restricted to its buses, where
-    a multilevel scope also places each child's per-phase aggregate at
-    its anchor's cells.
+    d holds one value per entry of cells, a cell of a raveled (3, n)
+    forest array; values at a repeated cell add up. The result has shape
+    (2, len(cells)): R^T d, then X^T d, at the same cells. The steps are
+    voltage_linear's, transposed and in reverse order: subtree sums of d,
+    the transposed line_operator, which maps each column's three phase
+    sums to six rows [p; q], and ancestor sums of those rows. Over
+    Network.forest at flat_cell it is the whole flat product; over a
+    subforest, the product restricted to its buses, where a multilevel
+    scope also places each child's per-phase aggregate at its anchor's
+    cells.
     """
     x = np.bincount(cells, weights=d, minlength=3 * forest.n).reshape(3, forest.n)
-    current = OMEGA_POW[2:, None] * forest.subtree_sums(x)
-    drop = (forest.z_line_conj * current[:, None]).sum(axis=0)
-    t = OMEGA_POW[2::-1, None] * forest.ancestor_sums(drop)
-    return t.reshape(-1)[cells]
+    pq = np.einsum("fkr,fr->kr", forest.line_operator, forest.subtree_sums(x))
+    return forest.ancestor_sums(pq).reshape(2, -1)[:, cells]

@@ -502,19 +502,37 @@ def subset_cases(net, rng):
     }
 
 
+# Row counts and dtypes of forest arrays, in an order that mixes both, so
+# that anything a forest keeps for one shape is read again at another.
+FOREST_SHAPES = [
+    (6, np.complex128), (1, np.float64), (3, np.complex128),
+    (6, np.float64), (1, np.complex128), (3, np.float64),
+]
+
+
+def forest_array(rng, rows, n, dtype):
+    x = rng.normal(size=(rows, n)).astype(dtype)
+    if dtype is np.complex128:
+        x += 1j * rng.normal(size=(rows, n))
+    return x
+
+
 def assert_forest_sums_match_parent_walk(net, forest, rng):
-    """A forest's sums see exactly the ancestors and descendants it holds."""
-    x = rng.normal(size=(3, forest.n))
+    """A forest's sums see exactly the ancestors and descendants it holds,
+    at every shape in FOREST_SHAPES, called in turn on the same forest."""
     col = {int(b): r for r, b in enumerate(forest.buses)}
-    subtree = np.zeros_like(x)
-    ancestor = np.zeros_like(x)
-    for r, b in enumerate(forest.buses.tolist()):
-        for a in ancestors(net, b):
-            if a in col:
-                subtree[:, col[a]] += x[:, r]
-                ancestor[:, r] += x[:, col[a]]
-    np.testing.assert_allclose(forest.subtree_sums(x), subtree, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(forest.ancestor_sums(x), ancestor, rtol=0, atol=1e-12)
+    for rows, dtype in FOREST_SHAPES:
+        x = forest_array(rng, rows, forest.n, dtype)
+        subtree = np.zeros_like(x)
+        ancestor = np.zeros_like(x)
+        for r, b in enumerate(forest.buses.tolist()):
+            for a in ancestors(net, b):
+                if a in col:
+                    subtree[:, col[a]] += x[:, r]
+                    ancestor[:, r] += x[:, col[a]]
+        for got, want in ((forest.subtree_sums(x), subtree), (forest.ancestor_sums(x), ancestor)):
+            assert got.shape == x.shape and got.dtype == dtype
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -557,6 +575,7 @@ def test_sensitivity_block_of_no_indices_is_empty(fig_net):
     assert sensitivity_block(fig_net, none).shape == (2, 0, 0)
     cols, forest = fig_net.subforest(none)
     assert cols.shape == (0,) and forest.n == 0
+    assert_forest_sums_match_parent_walk(fig_net, forest, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("net", lca_networks(), ids=LCA_NETWORK_IDS)
@@ -578,28 +597,27 @@ def test_dfs_interval_is_the_subtree(net):
 def test_tree_sums_match_parent_walk(net, dtype):
     n = net.n_buses
     rng = np.random.default_rng(13)
-    x = rng.normal(size=(3, n)).astype(dtype)
-    if dtype is np.complex128:
-        x += 1j * rng.normal(size=(3, n))
-    kept = x.copy()
-    # Brute force over bus positions: children into parents deepest first,
-    # then parents into children from the substation down.
     parent = net.parent_pos.tolist()
     by_depth = np.argsort(net.depth, kind="stable").tolist()
-    subtree = x[:, net.tin].copy()
-    for k in reversed(by_depth):
-        if parent[k] >= 0:
-            subtree[:, parent[k]] += subtree[:, k]
-    ancestor = x[:, net.tin].copy()
-    for k in by_depth:
-        if parent[k] >= 0:
-            ancestor[:, k] += ancestor[:, parent[k]]
+    for rows in (6, 1, 3):
+        x = forest_array(rng, rows, n, dtype)
+        kept = x.copy()
+        # Brute force over bus positions: children into parents deepest
+        # first, then parents into children from the substation down.
+        subtree = x[:, net.tin].copy()
+        for k in reversed(by_depth):
+            if parent[k] >= 0:
+                subtree[:, parent[k]] += subtree[:, k]
+        ancestor = x[:, net.tin].copy()
+        for k in by_depth:
+            if parent[k] >= 0:
+                ancestor[:, k] += ancestor[:, parent[k]]
 
-    got_subtree = net.forest.subtree_sums(x)
-    got_ancestor = net.forest.ancestor_sums(x)
-    assert got_subtree.dtype == dtype and got_ancestor.dtype == dtype
-    np.testing.assert_array_equal(x, kept)
-    for got, want in ((got_subtree, subtree), (got_ancestor, ancestor)):
-        got = got[:, net.tin]  # DFS columns back to bus positions
-        tol = 1e-12 * (1.0 + np.max(np.abs(want)))
-        assert np.max(np.abs(got - want)) <= tol
+        got_subtree = net.forest.subtree_sums(x)
+        got_ancestor = net.forest.ancestor_sums(x)
+        assert got_subtree.dtype == dtype and got_ancestor.dtype == dtype
+        np.testing.assert_array_equal(x, kept)
+        for got, want in ((got_subtree, subtree), (got_ancestor, ancestor)):
+            got = got[:, net.tin]  # DFS columns back to bus positions
+            tol = 1e-12 * (1.0 + np.max(np.abs(want)))
+            assert np.max(np.abs(got - want)) <= tol
