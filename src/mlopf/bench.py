@@ -89,7 +89,7 @@ def bench_problem(net: Network, seed: int) -> Problem:
     devices = []
     background = {}
     for k, c in zip(net.flat_bus_pos, net.flat_phase):
-        bid = net.buses[int(k)].id
+        bid = int(net.ids[k])
         ph = "abc"[int(c)]
         if rng.random() < 0.33:
             devices.append(Device(

@@ -413,7 +413,7 @@ class MultilevelEngine:
         """Record what scope and its descendants read, from the kernels' index arrays."""
         rec = self.record
         top = scope is self._tree
-        rem_ids = [self.net.buses[k].id for k in self.net.flat_bus_pos[scope.rem]]
+        rem_ids = self.net.ids[self.net.flat_bus_pos[scope.rem]].tolist()
         roots = [ch.root for ch in scope.children]
         for ch in scope.children:
             self._record_flows(ch)

@@ -137,7 +137,7 @@ def generate(
     devices = []
     background: dict[tuple[int, str], tuple[float, float]] = {}
     for k, c in zip(net.flat_bus_pos, net.flat_phase):
-        bid = net.buses[int(k)].id
+        bid = int(net.ids[k])
         ph = PHASE_NAME[int(c)]
         if rng.random() < spec.device_density:
             devices.append(

@@ -20,11 +20,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-PHASES = ("a", "b", "c")
 PHASE_CODE = {"a": 0, "b": 1, "c": 2}
 PHASE_NAME = {0: "a", 1: "b", 2: "c"}
 
@@ -159,6 +160,68 @@ class Forest:
         return np.cumsum(d.view(x.dtype), axis=1)
 
 
+def first_offender(checks) -> tuple[int, str | Exception] | None:
+    """The first entry that fails a check, and the message of its first failed check.
+
+    checks are (failed, message) pairs in the order one entry's checks run:
+    failed is a bool array over the entries, or one bool for a single
+    entry, and message a string or a function of the entry's index. None
+    when every entry passes.
+    """
+    hit = checks[0][0]
+    for failed, _ in checks[1:]:
+        hit = hit | failed
+    if not np.any(hit):
+        return None
+    i = int(np.argmax(hit))
+    message = next(message for failed, message in checks if np.atleast_1d(failed)[i])
+    return i, message(i) if callable(message) else message
+
+
+def raise_first(checks, error=NetworkError) -> None:
+    """Raise for first_offender's entry: its message if an exception, else error(message)."""
+    found = first_offender(checks)
+    if found is not None:
+        raise found[1] if isinstance(found[1], Exception) else error(found[1])
+
+
+def _id_array(ids: list) -> np.ndarray:
+    """Record ids as int64; an id outside int64 raises NetworkError."""
+    try:
+        return np.array(ids, dtype=np.int64)
+    except OverflowError:
+        raise NetworkError("bus ids must lie in [0, 2**63 - 1]") from None
+
+
+def _tour(parent_pos: np.ndarray) -> np.ndarray:
+    """The DFS tour from position 0, children in id order, as list-ranked steps.
+
+    Step k enters bus position k and step n + k leaves it. Returns each
+    step's distance to the tour's last step, which leaves position 0, or
+    -1 for the steps of a bus whose parent chain never reaches position 0.
+    Every round doubles how far each step has looked ahead, so ranking
+    takes log2(2n) rounds whatever the tree's depth.
+    """
+    n = len(parent_pos)
+    kids = np.argsort(parent_pos[1:], kind="stable") + 1
+    up = parent_pos[kids]
+    head = np.ones(len(kids), dtype=bool)
+    head[1:] = up[1:] != up[:-1]
+    # Entering a bus leads into its first child, or out of it if it has
+    # none; leaving a bus leads into its next sibling, or out of its parent.
+    ahead = np.concatenate((np.arange(n, 2 * n), n + parent_pos))
+    ahead[up[head]] = kids[head]
+    ahead[n + kids[:-1][~head[1:]]] = kids[1:][~head[1:]]
+    ahead[n] = n
+    dist = np.ones(2 * n, dtype=np.int64)
+    dist[n] = 0
+    for _ in range((2 * n).bit_length()):
+        dist += dist[ahead]
+        ahead = ahead[ahead]
+    dist[ahead != n] = -1
+    return dist
+
+
 class Network:
     """Radial multi-phase network with a flat (bus, phase) index space.
 
@@ -166,101 +229,124 @@ class Network:
     bus-id-major with phases a < b < c within a bus. The substation carries
     no flat indices; its voltage is the reference. Each line is kept once,
     as the z_line row of the bus it feeds, and is named (parent, bus).
+    Bus positions follow ids: ids[k] is the id of position k. The Bus
+    records in buses are derived from the arrays on first read.
     """
 
     def __init__(self, buses: list[Bus], lines: list[Line], base_v_squared: float = 1.0):
+        """A network from records, read into the columns that _build validates."""
+        self._build(
+            _id_array([b.id for b in buses]),
+            _id_array([-1 if b.parent is None else b.parent for b in buses]),
+            np.array([PHASE_CODE.get(ph, -1) for b in buses for ph in b.phases], dtype=np.int64),
+            np.array([len(b.phases) for b in buses], dtype=np.int64),
+            _id_array([(ln.from_bus, ln.to_bus) for ln in lines]).reshape(-1, 2),
+            np.array([ln.z for ln in lines], dtype=np.complex128).reshape(-1, 3, 3),
+            base_v_squared,
+        )
+
+    @classmethod
+    def _from_columns(cls, *columns) -> "Network":
+        net = cls.__new__(cls)
+        net._build(*columns)
+        return net
+
+    def _build(self, ids, parents, codes, counts, ends, z, base_v_squared) -> None:
+        """Validate the columns of a network and lay it out; the one check of every network.
+
+        Bus k, in the order given, has id ids[k], parent id parents[k] (-1
+        for none) and phase codes counts[k] entries of codes (-1 for an
+        unknown phase); line j runs ends[j] = (from, to) with impedance z[j].
+        A rule that several buses, or several lines' impedances, break names
+        the lowest offending bus id (for a line, its child bus); a rule on
+        line ends names the first offending line in the order given.
+        """
         if not 0 < base_v_squared < np.inf:
             raise NetworkError("base_v_squared must be positive and finite")
         self.base_v_squared = float(base_v_squared)
-        self.buses = sorted(buses, key=lambda b: b.id)
-        n = len(self.buses)
-        ids = [b.id for b in self.buses]
-        self._pos = dict(zip(ids, range(n)))
-        if len(self._pos) != n:
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise NetworkError(f"duplicate bus ids: {dupes}")
-        if ids and ids[0] < 0:
+        n = len(ids)
+        by_id = np.argsort(ids, kind="stable")
+        self.ids = ids = ids[by_id]
+        again = ids[1:] == ids[:-1]
+        if again.any():
+            raise NetworkError(f"duplicate bus ids: {np.unique(ids[1:][again]).tolist()}")
+        if n and ids[0] < 0:
             raise NetworkError("bus ids must be nonnegative")
-        if 0 not in self._pos:
+        if not n or ids[0] != 0:
             raise NetworkError("substation bus 0 is missing")
-        # Positions follow ids, so the substation is position 0 and every
-        # children list below fills in ascending bus-id order.
-        if self.buses[0].parent is not None:
+        # Positions follow ids, so the substation is position 0.
+        parents = parents[by_id]
+        pos = np.empty(n, dtype=np.int64)
+        pos[by_id] = np.arange(n)
+        owner = pos[np.repeat(np.arange(n), counts)]
+        in_pos = np.argsort(owner, kind="stable")
+        codes, owner, counts = codes[in_pos], owner[in_pos], counts[by_id]
+        if parents[0] != -1:
             raise NetworkError("substation bus 0 must not have a parent")
-        if self.buses[0].phases != PHASES:
+        if codes[:counts[0]].tolist() != [0, 1, 2]:
             raise NetworkError("substation bus 0 must carry phases a, b, c")
 
-        cells = []
-        parent = [-1] * n
-        self.children_pos: list[list[int]] = [[] for _ in range(n)]
-        for k, b in enumerate(self.buses):
-            if not b.phases:
-                raise NetworkError(f"bus {b.id} has no phases")
-            codes = [PHASE_CODE.get(ph) for ph in b.phases]
-            if None in codes:
-                raise NetworkError(f"bus {b.id} has an unknown phase")
-            if codes != sorted(set(codes)):
-                raise NetworkError(f"bus {b.id} phases must be distinct and sorted a<b<c")
-            cells += [3 * k + c for c in codes]
-            if k == 0:
-                continue
-            if b.parent is None:
-                raise NetworkError(f"bus {b.id} has no parent")
-            if b.parent not in self._pos:
-                raise NetworkError(f"bus {b.id} references unknown parent {b.parent}")
-            if b.parent == b.id:
-                raise NetworkError(f"not a tree: bus {b.id} is its own parent")
-            parent[k] = self._pos[b.parent]
-            self.children_pos[parent[k]].append(k)
-        self.parent_pos = np.array(parent, dtype=np.int64)
+        self.parent_pos = self.bus_positions(parents)
+        unsorted = (owner[1:] == owner[:-1]) & (codes[1:] <= codes[:-1])
+        child = np.arange(n) > 0
+        bus = lambda i: f"bus {ids[i]}"
+        raise_first([
+            (counts == 0, lambda i: f"{bus(i)} has no phases"),
+            (np.bincount(owner[codes < 0], minlength=n) > 0,
+             lambda i: f"{bus(i)} has an unknown phase"),
+            (np.bincount(owner[1:][unsorted], minlength=n) > 0,
+             lambda i: f"{bus(i)} phases must be distinct and sorted a<b<c"),
+            (child & (parents == -1), lambda i: f"{bus(i)} has no parent"),
+            (child & (parents != -1) & (self.parent_pos < 0),
+             lambda i: f"{bus(i)} references unknown parent {parents[i]}"),
+            (child & (parents == ids), lambda i: f"not a tree: {bus(i)} is its own parent"),
+        ])
         self.phase_mask = np.zeros((n, 3), dtype=bool)
-        self.phase_mask.reshape(-1)[cells] = True
+        self.phase_mask.reshape(-1)[3 * owner + codes] = True
 
         # Exactly one line per non-root bus, endpoints agreeing with parents.
-        if len(lines) != n - 1:
-            raise NetworkError(
-                f"not a tree: {len(lines)} lines for {n} buses (need {n - 1})"
-            )
-        fed = [False] * n
+        if len(ends) != n - 1:
+            raise NetworkError(f"not a tree: {len(ends)} lines for {n} buses (need {n - 1})")
+        frm, to = ends.T
+        fed = self.bus_positions(to)
+        known = (fed >= 0) & (self.bus_positions(frm) >= 0)
+        again = np.ones(len(fed), dtype=bool)
+        again[np.unique(fed, return_index=True)[1]] = False
+        line = lambda j: f"line ({frm[j]},{to[j]})"
+        raise_first([
+            (~known, lambda j: f"{line(j)} references unknown bus"),
+            (again, lambda j: f"not a tree: bus {to[j]} has two incoming lines"),
+            (parents[fed] != frm, lambda j: (
+                f"{line(j)} disagrees with bus {to[j]}'s parent "
+                f"{None if parents[fed[j]] < 0 else parents[fed[j]]}")),
+        ])
         self.z_line = np.zeros((n, 3, 3), dtype=np.complex128)
-        for ln in lines:
-            if ln.to_bus not in self._pos or ln.from_bus not in self._pos:
-                raise NetworkError(f"line ({ln.from_bus},{ln.to_bus}) references unknown bus")
-            k = self._pos[ln.to_bus]
-            if fed[k]:
-                raise NetworkError(f"not a tree: bus {ln.to_bus} has two incoming lines")
-            if self.buses[k].parent != ln.from_bus:
-                raise NetworkError(
-                    f"line ({ln.from_bus},{ln.to_bus}) disagrees with bus {ln.to_bus}'s "
-                    f"parent {self.buses[k].parent}"
-                )
-            fed[k] = True
-            self.z_line[k] = ln.z
+        self.z_line[fed] = z
 
-        # One DFS preorder, children in ascending bus-id order: bus k's
+        # The DFS preorder, children in ascending bus-id order: bus k's
         # subtree is order[tin[k] : tin[k] + size[k]]. Parent pointers all
-        # resolve, so anything the DFS leaves unreached sits on a cycle.
-        depth = [-1] * n
-        depth[0] = 0
-        order = []
-        stack = [0]
-        while stack:
-            k = stack.pop()
-            order.append(k)
-            for c in reversed(self.children_pos[k]):
-                depth[c] = depth[k] + 1
-                stack.append(c)
-        if len(order) != n:
-            missing = sorted(self.buses[k].id for k in range(n) if depth[k] < 0)
-            raise NetworkError(f"not a tree: buses {missing} are not reachable from bus 0")
-        self.depth = np.array(depth, dtype=np.int64)
-        self.order = np.array(order, dtype=np.int64)
-        self.tin = np.empty(n, dtype=np.int64)
-        self.tin[self.order] = np.arange(n)
-        size = [1] * n
-        for k in order[:0:-1]:
-            size[parent[k]] += size[k]
-        self.size = np.array(size, dtype=np.int64)
+        # resolve, so any bus the tour misses sits on a cycle.
+        dist = _tour(self.parent_pos)
+        if (dist < 0).any():
+            raise NetworkError(
+                f"not a tree: buses {ids[dist[:n] < 0].tolist()} are not reachable from bus 0"
+            )
+        enter, leave = np.split(2 * n - 1 - dist, 2)
+        entered = np.zeros(2 * n, dtype=np.int64)
+        entered[enter] = 1
+        self.tin = np.cumsum(entered)[enter] - 1
+        self.order = np.empty(n, dtype=np.int64)
+        self.order[self.tin] = np.arange(n)
+        self.size = (leave - enter + 1) // 2
+        self.depth = 2 * self.tin - enter
+
+        # Root-path prefix sums of the zero-padded per-child line impedances:
+        # one addition per bus, a level at a time from the substation down.
+        self.z_prefix = np.zeros((n, 3, 3), dtype=np.complex128)
+        by_depth = np.argsort(self.depth, kind="stable")
+        levels = np.split(by_depth, np.cumsum(np.bincount(self.depth))[:-1])
+        for level in levels[1:]:
+            self.z_prefix[level] = self.z_prefix[self.parent_pos[level]] + self.z_line[level]
 
         # Phases may only drop moving away from the substation, and a line's
         # phase set must equal its child's. Rows follow bus ids, so the first
@@ -268,31 +354,25 @@ class Network:
         drop = self.phase_mask[1:] & ~self.phase_mask[self.parent_pos[1:]]
         if drop.any():
             k, c = np.argwhere(drop)[0].tolist()
-            b = self.buses[k + 1]
             raise NetworkError(
-                f"bus {b.id}: phase {PHASE_NAME[c]} not present on parent bus {b.parent}"
+                f"bus {ids[k + 1]}: phase {PHASE_NAME[c]} not present on parent bus "
+                f"{parents[k + 1]}"
             )
         nonzero = self.z_line != 0
         stray = (nonzero.any(axis=2) | nonzero.any(axis=1)) & ~self.phase_mask
         if stray.any():
             k, c = np.argwhere(stray)[0].tolist()
-            b = self.buses[k]
             raise NetworkError(
-                f"line ({b.parent},{b.id}) has impedance on phase "
-                f"{PHASE_NAME[c]} absent from bus {b.id}"
+                f"line ({parents[k]},{ids[k]}) has impedance on phase "
+                f"{PHASE_NAME[c]} absent from bus {ids[k]}"
             )
         non_finite = ~np.isfinite(self.z_line).all(axis=(1, 2))
         negative = (self.z_line.diagonal(axis1=1, axis2=2).real < 0).any(axis=1)
         for bad, what in ((non_finite, "a non-finite impedance"),
                           (negative, "negative series resistance")):
             if bad.any():
-                b = self.buses[int(np.argmax(bad))]
-                raise NetworkError(f"line ({b.parent},{b.id}) has {what}")
-
-        # Root-path prefix sums of the zero-padded per-child line impedances.
-        self.z_prefix = np.zeros((n, 3, 3), dtype=np.complex128)
-        for k in order[1:]:
-            self.z_prefix[k] = self.z_prefix[parent[k]] + self.z_line[k]
+                k = int(np.argmax(bad))
+                raise NetworkError(f"line ({parents[k]},{ids[k]}) has {what}")
 
         # Flat (bus, phase) index space, bus-id-major, phase-minor: the cells
         # of phase_mask that are set, after the substation's three.
@@ -311,13 +391,31 @@ class Network:
 
     @property
     def n_buses(self) -> int:
-        return len(self.buses)
+        return len(self.ids)
+
+    @cached_property
+    def buses(self) -> list[Bus]:
+        """Every bus as a Bus record, in id order."""
+        parents = self.ids[self.parent_pos].tolist()
+        parents[0] = None
+        names = [tuple(PHASE_NAME[c] for c in range(3) if bits >> c & 1) for bits in range(8)]
+        bits = (self.phase_mask @ np.array([1, 2, 4])).tolist()
+        return [Bus(i, names[b], p) for i, b, p in zip(self.ids.tolist(), bits, parents)]
+
+    @cached_property
+    def _pos(self) -> dict[int, int]:
+        return dict(zip(self.ids.tolist(), range(self.n_buses)))
 
     def bus_pos(self, bus_id: int) -> int:
         try:
             return self._pos[bus_id]
         except KeyError:
             raise NetworkError(f"unknown bus id {bus_id}") from None
+
+    def bus_positions(self, bus_ids: np.ndarray) -> np.ndarray:
+        """The position of each of an array of bus ids; -1 for an id no bus has."""
+        k = np.minimum(np.searchsorted(self.ids, bus_ids), len(self.ids) - 1)
+        return np.where(self.ids[k] == bus_ids, k, -1)
 
     def bus(self, bus_id: int) -> Bus:
         return self.buses[self.bus_pos(bus_id)]
@@ -331,7 +429,7 @@ class Network:
         k = self.bus_pos(bus_id)
         if k == 0:
             raise NetworkError(f"bus {bus_id} has no incoming line")
-        return Line(self.buses[k].parent, bus_id, self.z_line[k])
+        return Line(int(self.ids[self.parent_pos[k]]), bus_id, self.z_line[k])
 
     def flat_index(self, bus_id: int, phase: str | int) -> int:
         idx = self.index_of[self.bus_pos(bus_id), phase_code(phase)]
@@ -341,10 +439,9 @@ class Network:
 
     def flat_labels(self) -> list[tuple[int, str]]:
         """(bus id, phase) per flat index, in index order."""
-        return [
-            (self.buses[k].id, PHASE_NAME[c])
-            for k, c in zip(self.flat_bus_pos, self.flat_phase)
-        ]
+        return list(zip(
+            self.ids[self.flat_bus_pos].tolist(), [PHASE_NAME[c] for c in self.flat_phase.tolist()]
+        ))
 
     # -- forests over the DFS columns ---------------------------------------
 
@@ -375,7 +472,7 @@ class Network:
         rev = []
         while self.parent_pos[k] >= 0:
             p = self.parent_pos[k]
-            rev.append((self.buses[p].id, self.buses[k].id))
+            rev.append((int(self.ids[p]), int(self.ids[k])))
             k = p
         rev.reverse()
         return rev
@@ -389,7 +486,7 @@ class Network:
 
     def lca(self, i: int, j: int) -> int:
         """Lowest common ancestor bus id of two buses."""
-        return self.buses[self._lca_walk(self.bus_pos(i), self.bus_pos(j))].id
+        return int(self.ids[self._lca_walk(self.bus_pos(i), self.bus_pos(j))])
 
     def common_path_impedance(
         self, i: int, j: int, phi: str | int, psi: str | int
@@ -421,23 +518,6 @@ def read_document(document: dict | str | Path, what: str) -> dict:
     return document
 
 
-def document_entries(document: dict, key: str, what: str, entry: str, parse, error=NetworkError):
-    """Each entry of the JSON array under key, read by parse; [] when absent.
-
-    A non-array raises NetworkError; an entry that parse rejects raises error.
-    """
-    values = document.get(key, [])
-    if not isinstance(values, list):
-        raise NetworkError(f"{what} document field {key!r} must be a JSON array")
-    parsed = []
-    for value in values:
-        try:
-            parsed.append(parse(value))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise error(f"malformed {entry} entry {value!r}: {exc}") from exc
-    return parsed
-
-
 def document_keys(value, keys: tuple[str, ...], what: str) -> dict:
     """value, a JSON object holding no key outside keys; else NetworkError naming what."""
     if not isinstance(value, dict):
@@ -449,27 +529,37 @@ def document_keys(value, keys: tuple[str, ...], what: str) -> dict:
 
 
 def json_number(value) -> float:
-    """A JSON number as a float; a string, a bool or anything else raises TypeError."""
+    """A JSON number as a float; a string, a bool or anything else raises TypeError.
+
+    An integer beyond the float range raises ValueError.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{value!r} is not a JSON number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{value!r} is beyond the float range") from None
 
 
 def document_number(document: dict, key: str, default: float | None, what: str) -> float:
     """The number under key, or default when absent; anything else raises NetworkError."""
     try:
         return json_number(document.get(key, default))
-    except TypeError:
+    except (TypeError, ValueError):
         raise NetworkError(f"{what} document field {key!r} must be a number") from None
 
 
 def document_id(value) -> int:
     """A bus id as written in a document: an integer, or an integral float such as 3.0.
 
-    A string or a bool raises TypeError, a fraction ValueError.
+    Ids lie in [0, 2**63 - 1], the range of the int64 arrays that hold
+    them. A string or a bool raises TypeError; a fraction or an id out of
+    range ValueError.
     """
     if not json_number(value).is_integer():
         raise ValueError(f"bus id {value!r} is not an integer")
+    if not 0 <= value < 2**63:
+        raise ValueError(f"bus id {value!r} is outside [0, 2**63 - 1]")
     return int(value)
 
 
@@ -480,37 +570,206 @@ def document_phase(value) -> str:
     return value
 
 
-def _read_bus(entry: dict) -> Bus:
-    document_keys(entry, ("id", "phases", "parent"), "entry")
-    phases, parent = entry["phases"], entry.get("parent")
-    if not isinstance(phases, list):
-        raise TypeError(f"phases {phases!r} is not a JSON array")
-    phases = tuple(sorted(map(document_phase, phases)))
-    return Bus(document_id(entry["id"]), phases, None if parent is None else document_id(parent))
+# -- document columns -----------------------------------------------------
+#
+# A column reader takes the values of one key, entry by entry, and the
+# columns read before it. It returns (array, fault): fault is None, or
+# (index, exception) for the first value it rejects, the array then
+# covering the values before it. Each reader first tries the whole column
+# at once and takes it only when every value is of the plain JSON type its
+# fast path converts; otherwise it reads value by value, so a rejected
+# value gets the message its scalar reader gives.
+
+def scan_column(values: list, read) -> tuple[list, tuple | None]:
+    """A column read value by value, up to the first value that read rejects."""
+    out = []
+    for value in values:
+        try:
+            out.append(read(value))
+        except (KeyError, TypeError, ValueError) as exc:
+            return out, (len(out), exc)
+    return out, None
 
 
-def _read_line(entry: dict) -> Line:
-    document_keys(entry, ("from", "to", "z"), "entry")
-    frm, to = document_id(entry["from"]), document_id(entry["to"])
-    pairs = entry.get("z", {})
+def id_column(values: list, columns=None):
+    """Ids as int64, read by document_id."""
+    if set(map(type, values)) <= {int}:
+        try:
+            ids = np.fromiter(values, np.int64, len(values))
+        except OverflowError:
+            pass
+        else:
+            if not (ids < 0).any():
+                return ids, None
+    ids, fault = scan_column(values, document_id)
+    return np.array(ids, dtype=np.int64), fault
+
+
+def number_column(values: list, columns=None):
+    """Numbers as float64, read by json_number."""
+    if set(map(type, values)) <= {float, int}:
+        try:
+            return np.fromiter(values, np.float64, len(values)), None
+        except OverflowError:
+            pass
+    numbers, fault = scan_column(values, json_number)
+    return np.array(numbers, dtype=np.float64), fault
+
+
+def phase_column(values: list, columns=None):
+    """Phase codes as int64, read by document_phase."""
+    try:
+        plain = set(values) <= set(PHASE_CODE)
+    except TypeError:  # an unhashable value
+        plain = False
+    if plain:
+        return np.frombuffer("".join(values).encode(), np.uint8).astype(np.int64) - ord("a"), None
+    codes, fault = scan_column(values, lambda value: PHASE_CODE[document_phase(value)])
+    return np.array(codes, dtype=np.int64), fault
+
+
+def _parent_column(values: list, columns=None):
+    """Parent ids as int64, -1 for null."""
+    roots = [i for i, value in enumerate(values) if value is None]
+    ids, fault = id_column([0 if value is None else value for value in values])
+    ids[[i for i in roots if i < len(ids)]] = -1
+    return ids, fault
+
+
+def _read_bus_phases(value) -> list[int]:
+    if not isinstance(value, list):
+        raise TypeError(f"phases {value!r} is not a JSON array")
+    return sorted(PHASE_CODE[document_phase(ph)] for ph in value)
+
+
+def _bus_phases_column(values: list, columns=None):
+    """(codes, counts): every bus's phase codes in turn, each bus's sorted, and their counts."""
+    if set(map(type, values)) <= {list}:
+        codes, fault = phase_column(list(chain.from_iterable(values)))
+        if fault is None:
+            counts = np.fromiter(map(len, values), np.int64, len(values))
+            key = codes + 3 * np.repeat(np.arange(len(values)), counts)
+            if (key[1:] < key[:-1]).any():
+                codes = np.sort(key) % 3
+            return (codes, counts), None
+    sets, fault = scan_column(values, _read_bus_phases)
+    codes = np.array(list(chain.from_iterable(sets)), dtype=np.int64)
+    return (codes, np.array(list(map(len, sets)), dtype=np.int64)), fault
+
+
+def _read_impedance(pairs, line: str) -> np.ndarray:
     if not isinstance(pairs, dict):
-        raise NetworkError(f"line ({frm},{to}): field 'z' must be a JSON object")
+        raise NetworkError(f"{line}: field 'z' must be a JSON object")
     z = np.zeros((3, 3), dtype=np.complex128)
     for key, val in pairs.items():
         if len(key) != 2 or key[0] not in PHASE_CODE or key[1] not in PHASE_CODE:
-            raise NetworkError(f"line ({frm},{to}): bad impedance key {key!r}")
+            raise NetworkError(f"{line}: bad impedance key {key!r}")
         if not (isinstance(val, (list, tuple)) and len(val) == 2):
-            raise NetworkError(f"line ({frm},{to}): impedance {key!r} must be [re, im]")
+            raise NetworkError(f"{line}: impedance {key!r} must be [re, im]")
         real, imag = json_number(val[0]), json_number(val[1])
         z[PHASE_CODE[key[0]], PHASE_CODE[key[1]]] = complex(real, imag)
-    return Line(from_bus=frm, to_bus=to, z=z)
+    return z
+
+
+def _impedance_column(values: list, columns):
+    """Line impedances, shape (m, 3, 3), from objects of phase-pair keys and [re, im] values."""
+    m = len(values)
+    z = np.zeros((m, 9, 2))
+    if set(map(type, values)) <= {dict}:
+        cell = {a + b: 3 * i + j for a, i in PHASE_CODE.items() for b, j in PHASE_CODE.items()}
+        cells = list(map(cell.get, chain.from_iterable(values)))
+        parts = list(chain.from_iterable(map(dict.values, values)))
+        if None not in cells and set(map(type, parts)) <= {list} and set(map(len, parts)) <= {2}:
+            numbers, fault = number_column(list(chain.from_iterable(parts)))
+            if fault is None:
+                line = np.repeat(np.arange(m), np.fromiter(map(len, values), np.int64, m))
+                z[line, cells] = numbers.reshape(-1, 2)
+                return z.view(np.complex128).reshape(m, 3, 3), None
+    z = z.view(np.complex128).reshape(m, 3, 3)
+    frm, to = columns["from"], columns["to"]
+    for i, pairs in enumerate(values):
+        try:
+            z[i] = _read_impedance(pairs, f"line ({frm[i]},{to[i]})")
+        except (TypeError, ValueError) as exc:
+            return z, (i, exc)
+    return z, None
+
+
+def document_columns(
+    document: dict, key: str, what: str, entry: str, fields: dict, error=NetworkError, checks=None
+) -> dict:
+    """The entries of the JSON array under key, read into one column per field.
+
+    fields maps each key an entry may hold to its column reader, or to
+    (reader, default) for a key an entry may leave out, in the order one
+    entry's checks run; an absent array reads as no entries. checks, given
+    the columns, returns first_offender's checks that follow an entry's
+    fields. The first entry that fails any check raises error naming the
+    entry and its first failed check, as document_keys or the reader words
+    it; a field that is not an array raises NetworkError.
+    """
+    values = document.get(key, [])
+    if not isinstance(values, list):
+        raise NetworkError(f"{what} document field {key!r} must be a JSON array")
+    names = tuple(fields)
+    limit, fault = len(values), None
+
+    def reject(i: int, exc: Exception) -> None:
+        nonlocal limit, fault
+        if i < limit:
+            limit, fault = i, exc
+
+    def key_fault(i: int) -> None:
+        try:
+            document_keys(values[i], names, "entry")
+        except NetworkError as exc:
+            reject(i, exc)
+
+    rows = values
+    if not set(map(type, values)) <= {dict}:
+        stray = next((i for i, row in enumerate(values) if not isinstance(row, dict)), None)
+        if stray is not None:
+            key_fault(stray)
+            rows = values[:stray]
+    missing = object()
+    columns, gaps = {}, {}
+    for name in names:
+        try:
+            columns[name] = list(map(itemgetter(name), rows))
+        except KeyError:
+            columns[name] = [row.get(name, missing) for row in rows]
+            gaps[name] = [i for i, value in enumerate(columns[name]) if value is missing]
+    if sum(map(len, rows)) != len(rows) * len(names) - sum(map(len, gaps.values())):
+        key_fault(next(i for i, row in enumerate(rows) if not row.keys() <= set(names)))
+
+    read = {}
+    for name, reader in fields.items():
+        reader, default = reader if isinstance(reader, tuple) else (reader, missing)
+        values_in = columns[name][:limit]
+        for i in gaps.get(name, ()):
+            if default is missing:
+                reject(i, KeyError(name))
+                values_in = values_in[:i]
+                break
+            if i < len(values_in):
+                values_in[i] = default
+        read[name], bad = reader(values_in, read)
+        if bad is not None:
+            reject(*bad)
+    if checks is not None:
+        found = first_offender(checks({name: column[:limit] for name, column in read.items()}))
+        if found is not None:
+            reject(found[0], error(found[1]))
+    if fault is not None:
+        raise error(f"malformed {entry} entry {values[limit]!r}: {fault}") from fault
+    return read
 
 
 def load_network(document: dict | str | Path) -> Network:
     """Build a validated Network from a JSON document, path, or parsed dict.
 
-    Entries are read by document_entries, phases by document_phase; a key
-    outside the schema is rejected by document_keys.
+    Entries are read by document_columns straight into the columns that
+    Network validates; a key outside the schema is rejected by document_keys.
     """
     document = document_keys(
         read_document(document, "network"), ("base_v_squared", "buses", "lines"),
@@ -519,10 +778,17 @@ def load_network(document: dict | str | Path) -> Network:
     for key in ("buses", "lines"):
         if key not in document:
             raise NetworkError(f"network document lacks key {key!r}")
-    buses = document_entries(document, "buses", "network", "bus", _read_bus)
-    lines = document_entries(document, "lines", "network", "line", _read_line)
-    base_v_squared = document_number(document, "base_v_squared", 1.0, "network")
-    return Network(buses, lines, base_v_squared=base_v_squared)
+    buses = document_columns(document, "buses", "network", "bus", {
+        "phases": _bus_phases_column, "id": id_column, "parent": (_parent_column, None),
+    })
+    lines = document_columns(document, "lines", "network", "line", {
+        "from": id_column, "to": id_column, "z": (_impedance_column, {}),
+    })
+    return Network._from_columns(
+        buses["id"], buses["parent"], *buses["phases"],
+        np.stack([lines["from"], lines["to"]], axis=1), lines["z"],
+        document_number(document, "base_v_squared", 1.0, "network"),
+    )
 
 
 def network_to_document(net: Network) -> dict:

@@ -17,8 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .network import (
-    Network, document_entries, document_id, document_keys, document_number, document_phase,
-    json_number, read_document,
+    PHASE_NAME, Network, NetworkError, document_columns, document_keys, document_number,
+    id_column, number_column, phase_code, phase_column, raise_first,
+    read_document,
 )
 from .sensitivity import SensitivityMatrices
 
@@ -46,15 +47,32 @@ class Device:
     w_q: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.p_min) and np.isfinite(self.p_max)
-                and np.isfinite(self.q_min) and np.isfinite(self.q_max)):
-            raise ProblemError(f"device at bus {self.bus}: box must be bounded")
-        if self.p_min > self.p_max or self.q_min > self.q_max:
-            raise ProblemError(f"device at bus {self.bus}: empty box")
-        if not (self.p_min <= self.p0 <= self.p_max and self.q_min <= self.q0 <= self.q_max):
-            raise ProblemError(f"device at bus {self.bus}: preference outside its box")
-        if not (0 < self.w_p < np.inf and 0 < self.w_q < np.inf):
-            raise ProblemError(f"device at bus {self.bus}: weights must be positive and finite")
+        raise_first(device_checks(
+            [self.bus], self.p0, self.q0, self.p_min, self.p_max, self.q_min, self.q_max,
+            self.w_p, self.w_q,
+        ), ProblemError)
+
+
+def device_checks(bus, p0, q0, p_min, p_max, q_min, q_max, w_p, w_q) -> list:
+    """first_offender's checks of device boxes, over arrays or one device's numbers.
+
+    The box is bounded and nonempty and holds the preference, and both
+    weights are positive and finite. Written with comparisons alone, so
+    one device's check costs no array.
+    """
+    at = lambda i: f"device at bus {bus[i]}"
+    unbounded = lambda x: (x != x) | (abs(x) == np.inf)
+    outside = lambda x, lo, hi: (x != x) | (x < lo) | (x > hi)
+    unweighted = lambda x: (x != x) | (x <= 0) | (x == np.inf)
+    return [
+        (unbounded(p_min) | unbounded(p_max) | unbounded(q_min) | unbounded(q_max),
+         lambda i: f"{at(i)}: box must be bounded"),
+        ((p_min > p_max) | (q_min > q_max), lambda i: f"{at(i)}: empty box"),
+        (outside(p0, p_min, p_max) | outside(q0, q_min, q_max),
+         lambda i: f"{at(i)}: preference outside its box"),
+        (unweighted(w_p) | unweighted(w_q),
+         lambda i: f"{at(i)}: weights must be positive and finite"),
+    ]
 
 
 @dataclass(frozen=True)
@@ -143,7 +161,6 @@ class Problem:
     """
 
     net: Network
-    devices: tuple[Device, ...]
     bounds: VoltageBounds
     z0: np.ndarray = field(repr=False)       # preferences / fixed injections
     w: np.ndarray = field(repr=False)        # quadratic deviation weights
@@ -160,6 +177,22 @@ class Problem:
     def n(self) -> int:
         return self.net.n_flat
 
+    @cached_property
+    def devices(self) -> tuple[Device, ...]:
+        """Every device as a Device record, in flat index order."""
+        i, n, net = self.device_index, self.n, self.net
+        values = (
+            self.z0[i], self.z0[n + i], self.z_min[i], self.z_max[i],
+            self.z_min[n + i], self.z_max[n + i], self.w[i], self.w[n + i],
+        )
+        return tuple(
+            Device(*fields) for fields in zip(
+                net.ids[net.flat_bus_pos[i]].tolist(),
+                [PHASE_NAME[c] for c in net.flat_phase[i].tolist()],
+                *(v.tolist() for v in values),
+            )
+        )
+
     def objective(self, p: np.ndarray, q: np.ndarray) -> float:
         """Total deviation cost; fixed indices contribute exactly zero."""
         return float((self.w_p * (p - self.p0) ** 2 + self.w_q * (q - self.q0) ** 2).sum())
@@ -175,39 +208,75 @@ def make_problem(
 ) -> Problem:
     """Assemble a Problem; background maps (bus, phase) to fixed (p, q).
 
-    sens is not used; a Problem holds no sensitivities. The parameter stays
-    for callers that still pass it.
+    The records are read into the columns that _problem checks. sens is
+    not used; a Problem holds no sensitivities. The parameter stays for
+    callers that still pass it.
+    """
+    background = background or {}
+    values = np.array([
+        (d.p0, d.q0, d.p_min, d.q_min, d.p_max, d.q_max, d.w_p, d.w_q) for d in devices
+    ], dtype=np.float64)
+    return _problem(
+        net,
+        (np.array([d.bus for d in devices], dtype=np.int64),
+         np.array([phase_code(d.phase) for d in devices], dtype=np.int64),
+         values.reshape(-1, 4, 2).transpose(1, 2, 0)),
+        (np.array([bus for bus, _ in background], dtype=np.int64),
+         np.array([phase_code(ph) for _, ph in background], dtype=np.int64),
+         np.array(list(background.values()), dtype=np.float64).reshape(-1, 2).T),
+        v_min, v_max,
+    )
+
+
+def _problem(net: Network, devices, background, v_min: float, v_max: float) -> Problem:
+    """Check and assemble a Problem from columns; the one check of every Problem.
+
+    devices is (bus ids, phase codes, values): values stacks z0, z_min,
+    z_max and w, each a (2, m) array over [p; q], whose boxes Device and
+    the device document reader have checked by device_checks. background
+    is (bus ids, phase codes, injections), injections a (2, k) array. Each
+    background entry, then each device, must name a bus and phase of net
+    and hold its flat index alone; a background injection is finite.
     """
     n = net.n_flat
-    z0 = np.zeros(2 * n)
-    held = np.zeros(n, dtype=np.int8)  # 1 at a background injection, 2 at a device
-    for (bus, ph), (pv, qv) in (background or {}).items():
-        idx = net.flat_index(bus, ph)
-        if held[idx]:
-            raise ProblemError(f"duplicate background injection at bus {bus} phase {ph}")
-        if not (math.isfinite(pv) and math.isfinite(qv)):
-            raise ProblemError(f"non-finite background injection at {bus}:{ph}")
-        held[idx] = 1
-        z0[idx], z0[n + idx] = pv, qv
-    z_min, z_max = z0.copy(), z0.copy()
-    w = np.ones(2 * n)
-    for dev in devices:
-        idx = net.flat_index(dev.bus, dev.phase)
-        if held[idx] == 2:
-            raise ProblemError(f"two devices at bus {dev.bus} phase {dev.phase}")
-        if held[idx]:
-            raise ProblemError(
-                f"bus {dev.bus} phase {dev.phase} has both a device and a background load"
-            )
-        held[idx] = 2
-        z0[idx], z0[n + idx] = dev.p0, dev.q0
-        z_min[idx], z_min[n + idx] = dev.p_min, dev.q_min
-        z_max[idx], z_max[n + idx] = dev.p_max, dev.q_max
-        w[idx], w[n + idx] = dev.w_p, dev.w_q
+
+    def lookup(bus, phase):
+        pos = net.bus_positions(bus)
+        idx = np.where(pos < 0, -1, net.index_of[pos, phase])
+        again = np.ones(len(idx), dtype=bool)
+        again[np.unique(idx, return_index=True)[1]] = False
+        at = lambda i: f"bus {bus[i]} phase {PHASE_NAME[phase[i]]}"
+        return idx, again, at, [
+            (pos < 0, lambda i: NetworkError(f"unknown bus id {bus[i]}")),
+            ((pos >= 0) & (idx < 0), lambda i: NetworkError(
+                f"bus {bus[i]} does not carry phase {PHASE_NAME[phase[i]]}")),
+        ]
+
+    bus, phase, injections = background
+    fixed, again, at, checks = lookup(bus, phase)
+    raise_first(checks + [
+        (again, lambda i: f"duplicate background injection at {at(i)}"),
+        (~np.isfinite(injections).all(axis=0),
+         lambda i: f"non-finite background injection at {bus[i]}:{PHASE_NAME[phase[i]]}"),
+    ], ProblemError)
+    bus, phase, values = devices
+    idx, again, at, checks = lookup(bus, phase)
+    raise_first(checks + [
+        (again, lambda i: f"two devices at {at(i)}"),
+        (np.isin(idx, fixed), lambda i: f"{at(i)} has both a device and a background load"),
+    ], ProblemError)
     bounds = VoltageBounds.from_magnitudes(n, v_min, v_max)
+
+    z0 = np.zeros(2 * n)
+    z0[np.concatenate([fixed, n + fixed])] = injections.ravel()
+    z_min, z_max, w = z0.copy(), z0.copy(), np.ones(2 * n)
+    for array, value in zip((z0, z_min, z_max, w), values):
+        array[np.concatenate([idx, n + idx])] = value.ravel()
+    held = np.zeros(n, dtype=bool)
+    held[idx] = True
     return Problem(
-        net=net, devices=tuple(devices), bounds=bounds, z0=z0, w=w, z_min=z_min, z_max=z_max,
-        device_index=np.flatnonzero(held == 2),
+        net=net, bounds=bounds, z0=z0, w=w, z_min=z_min, z_max=z_max,
+        device_index=np.flatnonzero(held),
     )
 
 
@@ -299,52 +368,50 @@ def violation_extents(v: np.ndarray, bounds: VoltageBounds) -> tuple[float, floa
 
 # -- document I/O ---------------------------------------------------------
 
-def _read_device(entry: dict) -> Device:
-    document_keys(entry, ("bus", "phase", "p0", "q0", "pmin", "pmax", "qmin", "qmax", "wp", "wq"),
-                  "entry")
-    return Device(
-        bus=document_id(entry["bus"]),
-        phase=document_phase(entry["phase"]),
-        p0=json_number(entry["p0"]),
-        q0=json_number(entry["q0"]),
-        p_min=json_number(entry["pmin"]),
-        p_max=json_number(entry["pmax"]),
-        q_min=json_number(entry["qmin"]),
-        q_max=json_number(entry["qmax"]),
-        w_p=json_number(entry.get("wp", Device.w_p)),
-        w_q=json_number(entry.get("wq", Device.w_q)),
-    )
-
-
-def _read_background(entry: dict) -> tuple[tuple[int, str], tuple[float, float]]:
-    document_keys(entry, ("bus", "phase", "p", "q"), "entry")
-    key = (document_id(entry["bus"]), document_phase(entry["phase"]))
-    return key, (json_number(entry["p"]), json_number(entry["q"]))
-
-
 def load_problem(
     document: dict | str | Path, net: Network, sens: SensitivityMatrices | None
 ) -> Problem:
     """Build a Problem from the device document schema.
 
-    Phases are read by document_phase; sens is not used, as in make_problem, and may be None.
-    A key outside the schema, or a second background entry at one bus and
-    phase, is rejected.
+    Entries are read by document_columns straight into the columns that
+    _problem checks, each device's box by device_checks; sens is not used,
+    as in make_problem, and may be None. A key outside the schema, or a
+    second background entry at one bus and phase, is rejected.
     """
     document = document_keys(
         read_document(document, "device"), ("devices", "background", "vmin", "vmax"),
         "device document",
     )
-    devices = document_entries(document, "devices", "device", "device", _read_device, ProblemError)
-    background = {}
-    for key, injection in document_entries(
-        document, "background", "device", "background", _read_background, ProblemError
-    ):
-        if key in background:
-            raise ProblemError("duplicate background entry at %d:%s" % key)
-        background[key] = injection
-    return make_problem(
-        net, sens, devices, background,
-        v_min=document_number(document, "vmin", V_MIN, "device"),
-        v_max=document_number(document, "vmax", V_MAX, "device"),
+    devices = document_columns(document, "devices", "device", "device", {
+        "bus": id_column, "phase": phase_column, "p0": number_column, "q0": number_column,
+        "pmin": number_column, "pmax": number_column, "qmin": number_column,
+        "qmax": number_column, "wp": (number_column, Device.w_p),
+        "wq": (number_column, Device.w_q),
+    }, ProblemError, checks=lambda c: device_checks(c["bus"], *(
+        c[key] for key in ("p0", "q0", "pmin", "pmax", "qmin", "qmax", "wp", "wq")
+    )))
+    background = document_columns(document, "background", "device", "background", {
+        "bus": id_column, "phase": phase_column, "p": number_column, "q": number_column,
+    }, ProblemError)
+    bus, phase = background["bus"], background["phase"]
+    by_key = np.lexsort((phase, bus))
+    later, first = by_key[1:], by_key[:-1]
+    again = np.zeros(len(bus), dtype=bool)
+    again[later] = (bus[later] == bus[first]) & (phase[later] == phase[first])
+    raise_first([
+        (again, lambda i: f"duplicate background entry at {bus[i]}:{PHASE_NAME[phase[i]]}"),
+    ], ProblemError)
+    v_min = document_number(document, "vmin", V_MIN, "device")
+    v_max = document_number(document, "vmax", V_MAX, "device")
+    return _problem(
+        net, (devices["bus"], devices["phase"], _device_values(devices)),
+        (bus, phase, np.stack([background["p"], background["q"]])), v_min, v_max,
     )
+
+
+def _device_values(columns: dict) -> np.ndarray:
+    """z0, z_min, z_max and w of device document columns, each (2, m) over [p; q]."""
+    return np.array([
+        [columns["p0"], columns["q0"]], [columns["pmin"], columns["qmin"]],
+        [columns["pmax"], columns["qmax"]], [columns["wp"], columns["wq"]],
+    ])

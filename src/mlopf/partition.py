@@ -17,7 +17,9 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .network import Network, document_entries, document_id, document_keys, read_document
+from .network import (
+    Network, document_columns, document_id, document_keys, id_column, read_document, scan_column,
+)
 
 
 @dataclass(frozen=True)
@@ -50,13 +52,13 @@ def _subtree_slice(net: Network, k: int):
 def subtree_ids(net: Network, root: int) -> frozenset[int]:
     """Bus ids of root's subtree, root included."""
     subtree = _subtree_slice(net, net.bus_pos(root))
-    return frozenset(net.buses[k].id for k in subtree.tolist())
+    return frozenset(net.ids[subtree].tolist())
 
 
 def unclustered(net: Network, part: PartitionHierarchy) -> frozenset[int]:
     """Bus ids outside every area, the substation excluded."""
     clustered = frozenset().union(*(subtree_ids(net, a.root) for a in part.areas))
-    return frozenset(b.id for b in net.buses if b.id != 0) - clustered
+    return frozenset(net.ids[1:].tolist()) - clustered
 
 
 def validate_partition(net: Network, part: PartitionHierarchy) -> list[str]:
@@ -72,7 +74,7 @@ def validate_partition(net: Network, part: PartitionHierarchy) -> list[str]:
     valid for every coupling engine.
     """
     problems: list[str] = []
-    all_ids = {b.id for b in net.buses if b.id != 0}
+    all_ids = set(net.ids[1:].tolist())
 
     def check_scope(tag, root, parent_ids, claimed):
         """The root's subtree once its buses are claimed; None for an invalid root."""
@@ -133,8 +135,8 @@ def auto_partition(
             _greedy_cuts(net, rp, target_subarea_size, forbid=set())
             if target_subarea_size >= 1 else []
         )
-        subareas = tuple(Subarea(m, net.buses[srp].id) for m, srp in enumerate(sub_roots))
-        areas.append(Area(k, net.buses[rp].id, subareas))
+        subareas = tuple(Subarea(m, int(net.ids[srp])) for m, srp in enumerate(sub_roots))
+        areas.append(Area(k, int(net.ids[rp]), subareas))
     return PartitionHierarchy(tuple(areas))
 
 
@@ -155,7 +157,7 @@ def _greedy_cuts(net: Network, scope_root_pos: int, target: int, forbid: set[int
         elif k not in forbid and target <= net.size[k] <= 2 * target:
             cuts.append(k)
             blocked.add(int(net.parent_pos[k]))
-    cuts.sort(key=lambda k: net.buses[k].id)
+    cuts.sort()
     return cuts
 
 
@@ -169,16 +171,20 @@ def load_partition(document: dict | str | Path, net: Network) -> PartitionHierar
     """
     document = document_keys(read_document(document, "partition"), ("areas",),
                               "partition document")
-    areas = document_entries(document, "areas", "partition", "area", _read_area)
-    return PartitionHierarchy(tuple(Area(k, *area) for k, area in enumerate(areas)))
+    areas = document_columns(document, "areas", "partition", "area", {
+        "root": id_column, "subareas": (_subarea_column, []),
+    })
+    return PartitionHierarchy(tuple(
+        Area(k, root, tuple(Subarea(m, sub) for m, sub in enumerate(subareas)))
+        for k, (root, subareas) in enumerate(zip(areas["root"].tolist(), areas["subareas"]))
+    ))
 
 
-def _read_area(entry: dict) -> tuple[int, tuple[Subarea, ...]]:
-    document_keys(entry, ("root", "subareas"), "entry")
-    return document_id(entry["root"]), tuple(
-        Subarea(m, document_id(document_keys(sub, ("root",), "subarea")["root"]))
-        for m, sub in enumerate(entry.get("subareas", []))
-    )
+def _subarea_column(values: list, columns=None):
+    """Each area's subarea roots, as a list of ids per area."""
+    return scan_column(values, lambda subareas: [
+        document_id(document_keys(sub, ("root",), "subarea")["root"]) for sub in subareas
+    ])
 
 
 def partition_to_document(part: PartitionHierarchy) -> dict:

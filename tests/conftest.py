@@ -186,6 +186,20 @@ def long_chain(n_buses: int) -> Network:
     return Network(buses, lines)
 
 
+def broom_feeder(n_leaves: int) -> Network:
+    """One three-phase bus below the substation with n_leaves single-phase leaves."""
+    rng = np.random.default_rng(7)
+    buses = [Bus(0, ("a", "b", "c"), None), Bus(1, ("a", "b", "c"), 0)]
+    lines = [Line(0, 1, np.diag(rng.uniform(1e-3, 1e-2, 3) * (1 + 2j)))]
+    for bid in range(2, n_leaves + 2):
+        ph = bid % 3
+        z = np.zeros((3, 3), dtype=np.complex128)
+        z[ph, ph] = complex(*rng.uniform(1e-3, 1e-2, 2))
+        buses.append(Bus(bid, ("abc"[ph],), 1))
+        lines.append(Line(1, bid, z))
+    return Network(buses, lines)
+
+
 def brute_force_path(net: Network, bus_id: int) -> list[tuple[int, int]]:
     """Root path by plain parent walking on the Bus records."""
     path = []

@@ -237,6 +237,18 @@ def _with_entry(doc, key, k, fields):
     return {**doc, key: entries}
 
 
+def _with_entry_list(doc, key, entry):
+    """doc with entry appended to its array under key."""
+    return {**doc, key: [*doc[key], entry]}
+
+
+def _without(doc, key, k, field):
+    """doc with field left out of entry k of its array under key."""
+    entries = list(doc[key])
+    entries[k] = {name: value for name, value in entries[k].items() if name != field}
+    return {**doc, key: entries}
+
+
 def _with_first_line_aa(doc, aa):
     return _with_entry(doc, "lines", 0, {"z": {**doc["lines"][0]["z"], "aa": aa}})
 
@@ -293,6 +305,44 @@ def _with_first_line_aa(doc, aa):
     ("network", lambda d: _with_entry(d, "buses", 1, {"phases": "abc"}), "malformed bus entry"),
     ("network", lambda d: _with_entry(d, "buses", 1, {"phases": [True]}), "malformed bus entry"),
     ("setpoints", lambda d: {**d, "pp": {"1:a": 5.0}}, "setpoints document has unknown key 'pp'"),
+    ("network", lambda d: _with_entry_list(d, "buses", 5),
+     "malformed bus entry 5: entry must be a JSON object"),
+    ("network", lambda d: _with_entry_list(d, "lines", 5),
+     "malformed line entry 5: entry must be a JSON object"),
+    ("devices", lambda d: _with_entry_list(d, "devices", 5),
+     "malformed device entry 5: entry must be a JSON object"),
+    ("devices", lambda d: _with_entry_list(d, "background", 5),
+     "malformed background entry 5: entry must be a JSON object"),
+    ("network", lambda d: _with_first_line_aa(d, [0.01]), "impedance 'aa' must be [re, im]"),
+    ("network", lambda d: _with_first_line_aa(d, 0.01), "impedance 'aa' must be [re, im]"),
+    ("network", lambda d: _without(d, "buses", 1, "id"), "}: 'id'"),
+    ("network", lambda d: _without(d, "buses", 1, "phases"), "}: 'phases'"),
+    ("network", lambda d: _without(d, "lines", 0, "to"), "}: 'to'"),
+    ("devices", lambda d: _without(d, "devices", 0, "p0"), "}: 'p0'"),
+    ("devices", lambda d: _without(d, "background", 0, "p"), "}: 'p'"),
+    ("devices", lambda d: _with_entry(d, "devices", 0, {"p0": float("nan")}),
+     "preference outside its box"),
+    ("devices", lambda d: _with_entry(d, "devices", 0, {"wp": float("nan")}),
+     "weights must be positive and finite"),
+    ("devices", lambda d: _with_entry(d, "devices", 0, {"bus": 8, "phase": "c"}),
+     "bus 8 does not carry phase c"),
+    ("devices", lambda d: _with_entry(d, "devices", 0, {"bus": 99}), "unknown bus id 99"),
+    ("network", lambda d: _with_entry(d, "buses", 1, {"id": 2**63}),
+     "bus id 9223372036854775808 is outside [0, 2**63 - 1]"),
+    ("network", lambda d: _with_entry(d, "buses", 1, {"id": 1e20}),
+     "bus id 1e+20 is outside [0, 2**63 - 1]"),
+    ("network", lambda d: _with_entry(d, "buses", 1, {"parent": 2**63}),
+     "bus id 9223372036854775808 is outside [0, 2**63 - 1]"),
+    ("network", lambda d: _with_entry(d, "lines", 0, {"from": 1e20}),
+     "bus id 1e+20 is outside [0, 2**63 - 1]"),
+    ("network", lambda d: _with_entry(d, "lines", 0, {"to": 2**63}),
+     "bus id 9223372036854775808 is outside [0, 2**63 - 1]"),
+    ("devices", lambda d: _with_entry(d, "devices", 0, {"bus": 1e20}),
+     "bus id 1e+20 is outside [0, 2**63 - 1]"),
+    ("devices", lambda d: _with_entry(d, "background", 0, {"bus": 2**63}),
+     "bus id 9223372036854775808 is outside [0, 2**63 - 1]"),
+    ("devices", lambda d: _with_entry(d, "devices", 0, {"qmax": 10**400}),
+     "is beyond the float range"),
 ], ids=[
     "vmin-null", "vmin-list", "vmax-null", "vmax-list", "vmin-negative",
     "base-v-list", "base-v-nan", "z-list", "z-nan", "z-inf", "z-neg-inf",
@@ -303,6 +353,12 @@ def _with_first_line_aa(doc, aa):
     "background-p-string", "z-bool", "setpoint-string",
     "device-phase-zero", "device-phase-bool", "device-phase-float", "device-phase-upper",
     "background-phase-zero", "bus-phases-string", "bus-phases-bool", "setpoints-unknown-key",
+    "bus-not-object", "line-not-object", "device-not-object", "background-not-object",
+    "z-one-part", "z-number", "bus-without-id", "bus-without-phases", "line-without-to",
+    "device-without-p0", "background-without-p", "device-p0-nan", "device-wp-nan",
+    "device-absent-phase", "device-unknown-bus", "bus-id-2**63", "bus-id-1e20",
+    "parent-2**63", "line-from-1e20", "line-to-2**63", "device-bus-1e20",
+    "background-bus-2**63", "device-qmax-beyond-float",
 ])
 def test_malformed_scalar_field_is_validation_error(
     workspace, tmp_path, capsys, document, edit, message

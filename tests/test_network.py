@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from mlopf import network, opf
+from mlopf.feedergen import FeederSpec, feeder_documents, generate
 from mlopf.network import (
     Bus,
     Line,
@@ -13,9 +17,11 @@ from mlopf.network import (
     load_network,
     network_to_document,
 )
+from mlopf.opf import load_problem, make_problem
 from mlopf.sensitivity import build_sensitivity, sensitivity_block
 
 from conftest import (
+    broom_feeder,
     brute_force_common_path_impedance,
     brute_force_path,
     chain_doc,
@@ -621,3 +627,95 @@ def test_tree_sums_match_parent_walk(net, dtype):
             got = got[:, net.tin]  # DFS columns back to bus positions
             tol = 1e-12 * (1.0 + np.max(np.abs(want)))
             assert np.max(np.abs(got - want)) <= tol
+
+
+# -- documents and records -------------------------------------------------
+
+NETWORK_ARRAYS = (
+    "parent_pos", "order", "tin", "size", "depth", "phase_mask", "z_line", "z_prefix",
+    "index_of", "flat_bus_pos", "flat_phase", "flat_cell",
+)
+PROBLEM_ARRAYS = ("z0", "w", "z_min", "z_max", "device_index")
+
+
+def assert_bitwise(got, want, names):
+    for name in names:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def json_round_trip(document):
+    return json.loads(json.dumps(document))
+
+
+def criterion_1_feeders():
+    """The 100 feeders of acceptance criterion 1, drawn as its test draws them."""
+    rng = np.random.default_rng(2024)
+    for _ in range(100):
+        n_buses = int(rng.integers(15, 121))
+        feeder = generate(
+            FeederSpec(
+                n_buses=n_buses,
+                seed=int(rng.integers(0, 10_000)),
+                phase_drop=float(rng.uniform(0.0, 0.4)),
+            ),
+            target_area_size=max(3, n_buses // int(rng.integers(3, 7))),
+            target_subarea_size=max(2, n_buses // 12),
+        )
+        rng.uniform(0, 2, (2, feeder.net.n_flat))  # the test's two dual draws
+        yield feeder
+
+
+FEEDER_FAMILIES = {
+    "criterion-1": criterion_1_feeders,
+    "spec-400-drop": lambda: [generate(FeederSpec(400, seed=1, phase_drop=0.4))],
+    "gen4k": lambda: [generate(FeederSpec(4000, seed=0, load_scale=0.05), 400, 100)],
+}
+
+
+@pytest.mark.parametrize("family", list(FEEDER_FAMILIES))
+def test_document_and_record_paths_agree_bitwise(family):
+    for feeder in FEEDER_FAMILIES[family]():
+        net_doc, device_doc, _ = map(json_round_trip, feeder_documents(feeder))
+        net = load_network(net_doc)
+        assert_bitwise(net, feeder.net, NETWORK_ARRAYS)
+        got = load_problem(device_doc, net, None)
+        want = make_problem(
+            feeder.net, None, list(feeder.devices), feeder.background, feeder.v_min, feeder.v_max
+        )
+        assert_bitwise(got, want, PROBLEM_ARRAYS)
+        assert_bitwise(got.bounds, want.bounds, ("v_lower", "v_upper"))
+        assert got.devices == want.devices == feeder.devices
+
+
+@pytest.mark.parametrize("net", [long_chain(3000), broom_feeder(500)], ids=["chain", "broom"])
+def test_document_and_record_networks_agree_bitwise(net):
+    assert_bitwise(load_network(json_round_trip(network_to_document(net))), net, NETWORK_ARRAYS)
+
+
+def test_loading_documents_builds_no_records(monkeypatch):
+    feeder = generate(FeederSpec(200, seed=4))
+    net_doc, device_doc, _ = map(json_round_trip, feeder_documents(feeder))
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"a {type(self).__name__} record was built")
+
+    for module, name in ((network, "Bus"), (network, "Line"), (opf, "Device")):
+        record = getattr(module, name)
+        monkeypatch.setattr(module, name, type(name, (record,), {"__init__": refuse}))
+    net = load_network(net_doc)
+    assert load_problem(device_doc, net, None).n == feeder.net.n_flat
+
+
+def test_largest_int64_bus_id_loads():
+    top = 2**63 - 1
+    net = load_network(json_round_trip({
+        "buses": [
+            {"id": 0, "phases": ["a", "b", "c"], "parent": None},
+            {"id": top, "phases": ["a"], "parent": 0},
+        ],
+        "lines": [{"from": 0, "to": top, "z": {"aa": [0.01, 0.02]}}],
+    }))
+    assert net.flat_labels() == [(top, "a")]
+    assert net.path_to_root(top) == [(0, top)]

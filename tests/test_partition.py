@@ -127,10 +127,7 @@ def test_target_one_makes_leaf_singletons():
     net = fig_feeder()
     part = auto_partition(net, 1)
     assert validate_partition(net, part) == []
-    leaves = {
-        b.id for b in net.buses
-        if b.id != 0 and not net.children_pos[net.bus_pos(b.id)]
-    }
+    leaves = {b.id for b in net.buses} - {b.parent for b in net.buses} - {0}
     assert {a.root for a in part.areas} == leaves
     assert all(len(subtree_ids(net, a.root)) == 1 for a in part.areas)
 

@@ -23,6 +23,7 @@ from mlopf.sensitivity import (
 from mlopf.solver import LinearVoltageModel
 
 from conftest import (
+    broom_feeder,
     brute_force_common_path_impedance,
     chain_doc,
     fig_feeder,
@@ -359,20 +360,6 @@ def test_dense_build_is_bitwise_the_lca_gather(net):
 @pytest.mark.parametrize("n_buses", [5, 30, 120, 300, 700])
 def test_dense_build_is_bitwise_the_lca_gather_on_generated_feeders(n_buses, seed):
     assert_matches_lca_gather(generate(FeederSpec(n_buses, seed=seed)).net)
-
-
-def broom_feeder(n_leaves: int) -> Network:
-    """One three-phase bus below the substation with n_leaves single-phase leaves."""
-    rng = np.random.default_rng(7)
-    buses = [Bus(0, ("a", "b", "c"), None), Bus(1, ("a", "b", "c"), 0)]
-    lines = [Line(0, 1, np.diag(rng.uniform(1e-3, 1e-2, 3) * (1 + 2j)))]
-    for bid in range(2, n_leaves + 2):
-        ph = bid % 3
-        z = np.zeros((3, 3), dtype=np.complex128)
-        z[ph, ph] = complex(*rng.uniform(1e-3, 1e-2, 2))
-        buses.append(Bus(bid, ("abc"[ph],), 1))
-        lines.append(Line(1, bid, z))
-    return Network(buses, lines)
 
 
 def test_dense_build_holds_no_full_size_temporaries():
