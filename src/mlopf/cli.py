@@ -26,9 +26,8 @@ from .coupling import (
 )
 from .bench import bench_csv, bench_sweep, bench_table
 from .feedergen import FeederSpec, feeder_documents, generate
-from .network import (
-    NetworkError, document_keys, document_number, load_network, read_document, save_network,
-)
+from .documents import NetworkError, document_keys, document_number, read_document
+from .network import load_network, save_network
 from .opf import V_MAX, V_MIN, ProblemError, SolverConfig, load_problem
 from .partition import (
     auto_partition,

@@ -16,11 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import (
-    PHASE_NAME, Network, NetworkError, document_columns, document_keys, document_number,
-    id_column, number_column, phase_code, phase_column, raise_first,
-    read_document,
+from .documents import (
+    PHASE_NAME, NetworkError, document_columns, document_keys, document_number, id_column,
+    number_column, phase_column, raise_first, read_document,
 )
+from .network import Network, phase_code
 from .sensitivity import SensitivityMatrices
 
 

@@ -17,9 +17,10 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .network import (
-    Network, document_columns, document_id, document_keys, id_column, read_document, scan_column,
+from .documents import (
+    document_columns, document_id, document_keys, id_column, read_document, scan_column,
 )
+from .network import Network
 
 
 @dataclass(frozen=True)
