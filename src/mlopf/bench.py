@@ -20,7 +20,7 @@ from .feedergen import R_RANGE, X_RANGE
 from .network import Bus, Line, Network
 from .opf import Device, Problem, SolverConfig, make_problem
 from .partition import Area, PartitionHierarchy, Subarea
-from .sensitivity import matrix_free_sensitivity
+from .sensitivity import build_sensitivity
 from .solver import LinearVoltageModel, initial_state, run
 
 
@@ -137,7 +137,7 @@ def bench_sweep(
 ) -> list[BenchRow]:
     """Run the same solve per engine over a range of feeder sizes.
 
-    Only the flat engine builds the dense R and X, in its constructor.
+    Only the flat engine reads the dense R and X, so only it builds them.
     Each engine's solve runs three times and its row reports the fastest
     coupling and step times, so that one stall of a shared machine does
     not decide a ratio; the solves are deterministic, so iterations and
@@ -148,7 +148,7 @@ def bench_sweep(
         n_areas = max(1, round(np.sqrt(n)))
         net, part = two_level_feeder(n, n_areas, subareas_per_area, seed=seed)
         problem = bench_problem(net, seed)
-        sens = matrix_free_sensitivity(net)
+        sens = build_sensitivity(net)
         cfg = SolverConfig(max_iters=iters, residual_tol=0.0)
         vmodel = LinearVoltageModel(sens)
         flat_coupling_ns = None

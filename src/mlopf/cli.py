@@ -39,7 +39,7 @@ from .partition import (
     validate_partition,
 )
 from .powerflow import SweepError, compare_models
-from .sensitivity import matrix_free_sensitivity
+from .sensitivity import build_sensitivity
 from .solver import (
     LinearVoltageModel,
     SolverError,
@@ -181,7 +181,7 @@ def cmd_solve(args) -> int:
         residual_tol=args.tol,
     )
     net = load_network(args.network)
-    sens = matrix_free_sensitivity(net)
+    sens = build_sensitivity(net)
     problem = load_problem(args.devices, net, sens)
     part = None
     if args.partition:
@@ -262,7 +262,7 @@ def cmd_bench(args) -> int:
 
 def cmd_compare(args) -> int:
     net = load_network(args.network)
-    sens = matrix_free_sensitivity(net)
+    sens = build_sensitivity(net)
     problem = load_problem(args.devices, net, sens)
     p, q = problem.p0.copy(), problem.q0.copy()
     if args.setpoints:

@@ -51,7 +51,7 @@ from .network import Network
 from .partition import (
     PartitionHierarchy, _subtree_slice, subtree_ids, unclustered, validate_partition,
 )
-from .sensitivity import SensitivityMatrices, adjoint_sweep, build_sensitivity, sensitivity_block
+from .sensitivity import SensitivityMatrices, adjoint_sweep, sensitivity_block
 
 
 # A scope whose remainder holds at least this many flat indices runs its
@@ -229,17 +229,12 @@ def _swept_op_count(intra_ops: list[int], cluster_sizes: list[int], columns: int
 
 
 class FlatEngine:
-    """Direct dense products R^T d and X^T d.
-
-    Given a matrix-free sens, the engine builds R and X from sens.net.
-    """
+    """Direct dense products R^T d and X^T d; building it builds R and X."""
 
     name = "flat"
 
     def __init__(self, sens: SensitivityMatrices, record: FlowRecord | None = None):
-        if sens.r is None or sens.x is None:
-            sens = build_sensitivity(sens.net)
-        self.sens = sens
+        self.r, self.x = sens.r, sens.x
         self.n = sens.n
         self.record = record
         self.op_count_per_apply = 4 * self.n * self.n  # 2 N^2 per output vector
@@ -251,7 +246,7 @@ class FlatEngine:
 
     def compute(self, mu_upper: np.ndarray, mu_lower: np.ndarray) -> CouplingResult:
         d = _check_duals(mu_upper, mu_lower, self.n)
-        g = np.stack((self.sens.r.T @ d, self.sens.x.T @ d))
+        g = np.stack((self.r.T @ d, self.x.T @ d))
         if self.record is not None:
             self.record.apply()
         return CouplingResult(g, self.op_count_per_apply)

@@ -12,15 +12,16 @@ order, for R^T d and X^T d; a multilevel scope with a large remainder
 computes its whole share of the product with it. Every dense entry comes
 from sensitivity_block, which fills R and X at a set of flat indices,
 each row a copy of its parent bus's row with the bus's own pair values
-over its subtree: over every index it is
-build_sensitivity, whose R and X stay as the oracle the sweeps are
-tested against and as the operands of the flat coupling engine, and at a
-multilevel scope's kernel rows it is that scope's dense block.
+over its subtree: over every index it is dense_sensitivity, run on the
+first read of SensitivityMatrices.r or .x, which only the flat coupling
+engine and the tests make, and at a multilevel scope's kernel rows it is
+that scope's dense block. So a multilevel solve holds no N x N array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,20 +30,25 @@ from .network import OMEGA, OMEGA_POW, Forest, Network, phase_code, rotated_pair
 
 @dataclass(frozen=True)
 class SensitivityMatrices:
-    """Dense sensitivities of squared voltage magnitudes to injections.
+    """Sensitivities of squared voltage magnitudes to injections.
 
-    Carries the network as well, which is all voltage_linear reads. A
-    matrix-free instance (see matrix_free_sensitivity) has r = x = None.
+    Holds the network, which is all voltage_linear reads, and v_tilde. The
+    dense r and x are built together on the first read of either and kept.
     """
 
-    r: np.ndarray | None  # N x N, d v / d p; None when matrix-free
-    x: np.ndarray | None  # N x N, d v / d q; None when matrix-free
     v_tilde: np.ndarray  # length N, zero-injection squared magnitudes
     net: Network = field(repr=False)  # the feeder voltage_linear sweeps
 
     @property
     def n(self) -> int:
         return self.v_tilde.shape[0]
+
+    @cached_property
+    def _dense(self) -> np.ndarray:
+        return dense_sensitivity(self.net)
+
+    r = property(lambda self: self._dense[0])  # N x N, d v / d p
+    x = property(lambda self: self._dense[1])  # N x N, d v / d q
 
 
 def dv_dp_entry(net: Network, i: int, phi: str | int, j: int, psi: str | int) -> float:
@@ -134,24 +140,19 @@ def sensitivity_block(net: Network, idx) -> np.ndarray:
 
 
 def build_sensitivity(net: Network) -> SensitivityMatrices:
-    """Materialize the dense N x N sensitivity matrices and v_tilde.
+    """The linearized model of net, in O(N): R and X are built when first read.
 
-    R and X are sensitivity_block over every flat index. v_tilde is the
-    flat profile at the substation's squared magnitude: with losses
-    neglected, zero injections leave every bus at the reference voltage.
-    """
-    r, x = sensitivity_block(net, np.arange(net.n_flat))
-    return replace(matrix_free_sensitivity(net), r=r, x=x)
-
-
-def matrix_free_sensitivity(net: Network) -> SensitivityMatrices:
-    """The linearized model without its dense matrices: net and v_tilde only.
-
-    Enough for voltage_linear, compare_models and the multilevel engines;
-    the flat coupling engine builds R and X itself when handed this.
+    v_tilde is the flat profile at the substation's squared magnitude: with
+    losses neglected, zero injections leave every bus at the reference
+    voltage.
     """
     v_tilde = np.full(net.n_flat, net.base_v_squared, dtype=np.float64)
-    return SensitivityMatrices(r=None, x=None, v_tilde=v_tilde, net=net)
+    return SensitivityMatrices(v_tilde=v_tilde, net=net)
+
+
+def dense_sensitivity(net: Network) -> np.ndarray:
+    """R over X, shape (2, N, N): sensitivity_block over every flat index."""
+    return sensitivity_block(net, np.arange(net.n_flat))
 
 
 def voltage_linear(sens: SensitivityMatrices, p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from mlopf import sensitivity
 from mlopf.network import Bus, Line, Network, load_network
 
 
@@ -40,6 +41,27 @@ def two_bus_net():
             "lines": [{"from": 0, "to": 1, "z": {"aa": [0.01, 0.02]}}],
         }
     )
+
+
+@pytest.fixture
+def dense_builds(monkeypatch):
+    """The networks whose dense R and X are built during the test, in order."""
+    build, builds = sensitivity.dense_sensitivity, []
+
+    def counted(net):
+        builds.append(net)
+        return build(net)
+
+    monkeypatch.setattr(sensitivity, "dense_sensitivity", counted)
+    return builds
+
+
+def refuse_dense_build(monkeypatch):
+    """Make the dense R and X build raise while monkeypatch's patches hold."""
+    def refuse(net):
+        raise AssertionError("the dense sensitivities were built")
+
+    monkeypatch.setattr(sensitivity, "dense_sensitivity", refuse)
 
 
 def fig_feeder() -> Network:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ast
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,8 @@ from mlopf import (
 )
 from mlopf import solver
 from mlopf.solver import LinearVoltageModel, SweepVoltageModel, initial_state
+
+from conftest import refuse_dense_build
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -99,3 +102,53 @@ def test_benchmark_child_calls(inputs, kind, voltage_model):
     assert got.op_count > 0
     for a, b in ((got.g_p, ref.g_p), (got.g_q, ref.g_q)):
         assert np.max(np.abs(a - b)) <= 1e-9 * (1.0 + np.max(np.abs(b)))
+
+
+def test_multilevel_solve_builds_no_dense_matrices(monkeypatch):
+    # perfbench's set-up and solve on a trilevel workload: the dense R and X
+    # are never built, so the whole run stays far below one N x N array,
+    # and the gate's flat engine builds them afterwards to check the result.
+    feeder = generate(
+        FeederSpec(n_buses=2000, load_scale=0.5, seed=0),
+        target_area_size=200, target_subarea_size=50,
+    )
+    network_doc, devices_doc, _ = feeder_documents(feeder)
+    net = load_network(network_doc)
+    part = auto_partition(net, 200, 50)
+    n = net.n_flat
+    cfg = SolverConfig(step_primal=1e-4, step_dual=1e-3, eta=1e-4, max_iters=20,
+                       residual_tol=0.0)
+
+    with monkeypatch.context() as patch:
+        refuse_dense_build(patch)
+        tracemalloc.start()
+        try:
+            sens = build_sensitivity(net)
+            problem = load_problem(devices_doc, net, sens)
+            engine = make_engine("trilevel", sens=sens, net=net, part=part, threads=1)
+            vmodel = LinearVoltageModel(sens)
+            result = solver.run(initial_state(problem, vmodel), problem, engine, vmodel, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert result.state.iteration == 20
+    assert peak < 0.1 * 16 * n * n
+
+    duals = result.state.duals
+    assert np.count_nonzero(duals.mu_upper - duals.mu_lower) > 0
+    ref = FlatEngine(sens).compute(duals.mu_upper, duals.mu_lower)
+    got = engine.compute(duals.mu_upper, duals.mu_lower)
+    for a, b in ((got.g_p, ref.g_p), (got.g_q, ref.g_q)):
+        assert np.max(np.abs(a - b)) <= 1e-9 * (1.0 + np.max(np.abs(b)))
+
+
+def test_flat_engines_on_one_model_build_the_dense_matrices_once(inputs, dense_builds):
+    net = load_network(inputs / "network.json")
+    sens = build_sensitivity(net)
+    assert dense_builds == []
+    first, second = FlatEngine(sens), FlatEngine(sens)
+    assert dense_builds == [net]
+    d = np.random.default_rng(0).normal(size=net.n_flat)
+    zero = np.zeros(net.n_flat)
+    assert first.compute(d, zero).g_p.tobytes() == second.compute(d, zero).g_p.tobytes()
+    assert dense_builds == [net]

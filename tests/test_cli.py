@@ -11,8 +11,9 @@ from mlopf.cli import build_parser, main
 from mlopf.feedergen import FeederSpec, feeder_documents, generate
 from mlopf.network import save_network
 from mlopf.opf import SolverConfig
+from mlopf.sensitivity import build_sensitivity
 
-from conftest import fig_feeder
+from conftest import fig_feeder, refuse_dense_build
 
 
 @pytest.fixture
@@ -79,10 +80,7 @@ def test_validate_accepts_generated_documents(workspace):
 
 
 def test_validate_devices_builds_no_dense_matrices(workspace, tmp_path, monkeypatch):
-    def refuse(net):
-        raise AssertionError("validate built the dense sensitivities")
-
-    monkeypatch.setattr("mlopf.coupling.build_sensitivity", refuse)
+    refuse_dense_build(monkeypatch)
     network = str(workspace / "network.json")
     assert main(["validate", "--network", network,
                  "--devices", str(workspace / "devices.json")]) == 0
@@ -603,11 +601,7 @@ def test_bench_without_flat_never_builds_the_dense_matrices(monkeypatch):
         return [(r.n, r.engine, r.iters, r.coupling_ops) for r in rows if r.engine != "flat"]
 
     dense = bench_sweep([64, 128], ["flat", "bilevel", "trilevel"], 5, 4, seed=0)
-
-    def refuse(net):
-        raise AssertionError("bench built the dense sensitivities")
-
-    monkeypatch.setattr("mlopf.coupling.build_sensitivity", refuse)
+    refuse_dense_build(monkeypatch)
     light = bench_sweep([64, 128], ["bilevel", "trilevel"], 5, 4, seed=0)
     assert counts(light) == counts(dense)
     assert len(light) == 4
@@ -687,14 +681,17 @@ def without_timing(outdir):
     return files
 
 
+def prebuilt_sensitivity(net):
+    """build_sensitivity with R and X built before the caller reads them."""
+    sens = build_sensitivity(net)
+    assert sens.r.shape == sens.x.shape == (net.n_flat, net.n_flat)
+    return sens
+
+
 def test_trilevel_solve_and_compare_build_no_dense_matrices(workspace, tmp_path, monkeypatch):
-    # The reference runs build the dense R and X as both commands once did;
-    # the checked runs may not build them and must write the same outputs.
-    from mlopf.sensitivity import build_sensitivity
-
-    def refuse(net):
-        raise AssertionError("the dense sensitivities were built")
-
+    # The reference runs build the dense R and X before either command
+    # reads the model; the checked runs may not build them and must write
+    # the same outputs.
     for command, extra in (
         ("solve", ["--partition", str(workspace / "partition.json"), "--engine", "trilevel",
                    "--iters", "50", "--audit"]),
@@ -704,27 +701,30 @@ def test_trilevel_solve_and_compare_build_no_dense_matrices(workspace, tmp_path,
         args = [command, "--network", str(workspace / "network.json"),
                 "--devices", str(workspace / "devices.json"), *extra, "--out", str(out)]
         with monkeypatch.context() as patch:
-            patch.setattr("mlopf.cli.matrix_free_sensitivity", build_sensitivity)
+            patch.setattr("mlopf.cli.build_sensitivity", prebuilt_sensitivity)
             assert main(args) == 0
         dense = without_timing(out)
         with monkeypatch.context() as patch:
-            patch.setattr("mlopf.coupling.build_sensitivity", refuse)
+            refuse_dense_build(patch)
             assert main(args) == 0
         assert without_timing(out) == dense
 
 
-def test_flat_solve_writes_what_it_wrote_with_built_matrices(workspace, tmp_path, monkeypatch):
-    # solve hands every engine the matrix-free model; the flat engine builds
-    # R and X itself, and the outputs match a run that built them first.
-    from mlopf.sensitivity import build_sensitivity
-
+def test_flat_solve_writes_what_it_wrote_with_built_matrices(
+    workspace, tmp_path, monkeypatch, dense_builds
+):
+    # solve hands every engine a model whose R and X are not built yet; the
+    # flat engine's constructor builds them, once, and the outputs match a
+    # run that built them before solve read the model.
     out = tmp_path / "flat"
     args = ["solve", "--network", str(workspace / "network.json"),
             "--devices", str(workspace / "devices.json"), "--engine", "flat",
             "--iters", "50", "--audit", "--out", str(out)]
     with monkeypatch.context() as patch:
-        patch.setattr("mlopf.cli.matrix_free_sensitivity", build_sensitivity)
+        patch.setattr("mlopf.cli.build_sensitivity", prebuilt_sensitivity)
         assert main(args) == 0
+    assert len(dense_builds) == 1
     dense = without_timing(out)
     assert main(args) == 0
+    assert len(dense_builds) == 2
     assert without_timing(out) == dense

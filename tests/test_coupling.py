@@ -33,7 +33,7 @@ from mlopf.partition import (
 )
 from mlopf.sensitivity import build_sensitivity
 
-from conftest import fig_feeder, random_duals, random_network
+from conftest import fig_feeder, random_duals, random_network, refuse_dense_build
 
 
 def equivalence_tol(g_flat: np.ndarray) -> float:
@@ -903,16 +903,22 @@ def test_acceptance_feeders_keep_their_dense_blocks():
     assert swept == [("unclustered",)]
 
 
-def test_flat_engine_builds_the_dense_matrices_it_lacks():
-    from mlopf.sensitivity import matrix_free_sensitivity
-
+def test_flat_engine_builds_the_dense_matrices_it_lacks(monkeypatch):
+    # The engine's constructor builds R and X, so its products match an
+    # engine handed them built and run with the dense builder refusing.
     net, _ = uv300()
     mu_up, mu_lo = random_duals(np.random.default_rng(12), net.n_flat)
-    built = FlatEngine(build_sensitivity(net)).compute(mu_up, mu_lo)
-    light = FlatEngine(matrix_free_sensitivity(net)).compute(mu_up, mu_lo)
+    sens = build_sensitivity(net)
+    assert sens.r.shape == (net.n_flat, net.n_flat)
+    built = FlatEngine(sens).compute(mu_up, mu_lo)
+    engine = FlatEngine(build_sensitivity(net))
+    refuse_dense_build(monkeypatch)
+    light = engine.compute(mu_up, mu_lo)
     assert light.g_p.tobytes() == built.g_p.tobytes()
     assert light.g_q.tobytes() == built.g_q.tobytes()
     assert light.op_count == built.op_count
+    with pytest.raises(AssertionError, match="dense sensitivities"):
+        FlatEngine(build_sensitivity(net))
 
 
 def test_swept_scope_never_builds_its_dense_block():

@@ -13,9 +13,9 @@ from mlopf.network import Bus, Line, Network, NetworkError, load_network, rotate
 from mlopf.sensitivity import (
     OMEGA,
     OMEGA_POW,
+    SensitivityMatrices,
     adjoint_sweep,
     build_sensitivity,
-    matrix_free_sensitivity,
     dv_dp_entry,
     dv_dq_entry,
     voltage_linear,
@@ -29,6 +29,7 @@ from conftest import (
     fig_feeder,
     long_chain,
     random_network,
+    refuse_dense_build,
 )
 
 
@@ -275,17 +276,19 @@ def guard_networks():
 @pytest.mark.parametrize(
     "net", guard_networks(), ids=["fig", "0", "1", "2", "3", "phase_drop", "chain3000"]
 )
-def test_linear_voltage_model_reads_no_dense_entry(net):
-    sens = build_sensitivity(net)
-    nan = np.broadcast_to(np.nan, sens.r.shape)  # every entry NaN, no N x N copy
-    model = LinearVoltageModel(dataclasses.replace(sens, r=nan, x=nan))
+def test_linear_voltage_model_reads_no_dense_entry(net, monkeypatch):
+    dense = build_sensitivity(net)
     rng = np.random.default_rng(3)
-    n = sens.n
+    n = dense.n
     p, q = rng.normal(size=n), rng.normal(size=n)
+    want = dense.r @ p + dense.x @ q + dense.v_tilde
+    refuse_dense_build(monkeypatch)
+    sens = build_sensitivity(net)
+    model = LinearVoltageModel(sens)
     v = model.voltages(p, q)
-    want = sens.r @ p + sens.x @ q + sens.v_tilde
     tol = 1e-12 * (1.0 + np.max(np.abs(v - sens.v_tilde)))
     assert np.max(np.abs(v - want)) <= tol
+    np.testing.assert_array_equal(voltage_linear(sens, p, q), v)
     np.testing.assert_array_equal(model.voltages(np.zeros(n), np.zeros(n)), sens.v_tilde)
     with pytest.raises(ValueError, match="shape"):
         model.voltages(np.zeros(n + 1), np.zeros(n + 1))
@@ -369,14 +372,15 @@ def test_dense_build_holds_no_full_size_temporaries():
     for net in (
         generate(FeederSpec(n_buses=2000, seed=0)).net, broom_feeder(2198), long_chain(2000)
     ):
+        sens = build_sensitivity(net)
         tracemalloc.start()
         try:
-            sens = build_sensitivity(net)
+            r = sens.r  # the first read builds R and X
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.15 * (sens.r.nbytes + sens.x.nbytes)
-        del sens
+        assert peak <= 1.15 * (r.nbytes + sens.x.nbytes)
+        del sens, r
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -414,10 +418,27 @@ def test_adjoint_sweep_adds_the_values_at_a_repeated_cell():
     np.testing.assert_array_equal(t[:, net.n_flat:], t[:, again])
 
 
-def test_matrix_free_sensitivity_holds_only_the_network_and_v_tilde():
+def test_sensitivity_holds_only_the_network_and_v_tilde(monkeypatch, dense_builds):
+    # R and X are no fields: they are built together on the first read of
+    # either, once, and cannot be replaced.
     net = generate(FeederSpec(n_buses=50, seed=1, phase_drop=0.3)).net
-    light, dense = matrix_free_sensitivity(net), build_sensitivity(net)
-    assert light.r is None and light.x is None and light.net is net
-    np.testing.assert_array_equal(light.v_tilde, dense.v_tilde)
+    assert [f.name for f in dataclasses.fields(SensitivityMatrices)] == ["v_tilde", "net"]
+    dense = build_sensitivity(net)
+    want = dense.r.copy(), dense.x.copy()
     p, q = np.random.default_rng(2).normal(size=(2, net.n_flat))
-    np.testing.assert_array_equal(voltage_linear(light, p, q), voltage_linear(dense, p, q))
+    with monkeypatch.context() as patch:
+        refuse_dense_build(patch)
+        sens = build_sensitivity(net)
+        assert sens.net is net
+        np.testing.assert_array_equal(sens.v_tilde, np.full(net.n_flat, net.base_v_squared))
+        np.testing.assert_array_equal(voltage_linear(sens, p, q), voltage_linear(dense, p, q))
+        with pytest.raises(AssertionError, match="dense sensitivities"):
+            sens.x
+    assert dense_builds == [net]
+    r, x = sens.r, sens.x
+    assert dense_builds == [net, net]
+    assert r.tobytes() == want[0].tobytes() and x.tobytes() == want[1].tobytes()
+    assert np.shares_memory(r, sens.r) and np.shares_memory(x, sens.x)
+    assert dense_builds == [net, net]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sens.r = want[0]
