@@ -55,9 +55,9 @@ from .sensitivity import SensitivityMatrices, adjoint_sweep, sensitivity_block
 
 
 # A scope whose remainder holds at least this many flat indices runs its
-# kernel as a tree sweep instead of a dense block. With
-# BLAS on one thread the two cost the same at roughly 360-450 indices, and
-# the sweep is twice as fast by 550. The constant sits above that
+# kernel as a tree sweep instead of a dense block. With BLAS on one
+# thread the two cost the same at roughly 300 indices of a gen4k subtree,
+# and the sweep is three times as fast by 430. The constant sits above that
 # crossover so that every remainder of the acceptance feeders (at most
 # 285) and of uv300 (at most 164) keeps its dense block, and with it the
 # declared op counts that the acceptance gates pin.
@@ -175,18 +175,18 @@ def _exact_block_ops(size: int) -> int:
     return size * size + 5 * size
 
 
-def _sweep_ops(columns: int) -> int:
-    """Declared cost of adjoint_sweep over a forest of this many columns.
+def _sweep_ops(buses: int) -> int:
+    """Declared cost of adjoint_sweep over a forest that spans this many buses.
 
-    A declared model that counts the sweep as complex work: per column
-    and phase, one add each for the subtree and ancestor sums and one
-    rotation each on the way in and out; per column, nine
-    multiply-accumulates through the line. It is not a count of the real
-    sweep's float operations, and it stays fixed so that declared counts
-    stay comparable across versions: a gen4k trilevel apply declares
-    381,628.
+    A declared model that counts the sweep as complex work: per bus and
+    phase, one add each for the subtree and ancestor sums and one
+    rotation each on the way in and out; per bus, nine multiply-accumulates
+    through the line. It counts neither the forest's columns, one per flat
+    index, nor the real sweep's float operations, and it stays fixed so
+    that declared counts stay comparable across versions: a gen4k trilevel
+    apply declares 381,628.
     """
-    return 21 * columns
+    return 21 * buses
 
 
 def _level_op_count(intra_ops: list[int], cluster_sizes: list[int], rem: int) -> int:
@@ -214,8 +214,8 @@ def _level_op_count(intra_ops: list[int], cluster_sizes: list[int], rem: int) ->
     return ops
 
 
-def _swept_op_count(intra_ops: list[int], cluster_sizes: list[int], columns: int) -> int:
-    """Declared per-apply cost of a swept scope over a forest of this many columns.
+def _swept_op_count(intra_ops: list[int], cluster_sizes: list[int], buses: int) -> int:
+    """Declared per-apply cost of a swept scope whose forest spans this many buses.
 
     Its clusters' own costs, one add per member for their aggregates and
     two per member to broadcast the slot rows back, as in the dense model;
@@ -224,7 +224,7 @@ def _swept_op_count(intra_ops: list[int], cluster_sizes: list[int], columns: int
     out. Like _sweep_ops, a declared model.
     """
     return (
-        sum(intra_ops) + 3 * sum(cluster_sizes) + _sweep_ops(columns) + 9 * len(cluster_sizes)
+        sum(intra_ops) + 3 * sum(cluster_sizes) + _sweep_ops(buses) + 9 * len(cluster_sizes)
     )
 
 
@@ -278,16 +278,16 @@ class _Scope:
     row to every member of its child with that phase, a remainder row to
     its own flat index.
 
-    A remainder of fewer than SWEEP_MIN_REMAINDER flat indices holds the
-    kernel as one dense real block, R^T over X^T: sensitivity_block at the
-    rows, transposed. A larger one holds no block. The rows' buses span a
-    forest, closed upward inside the scope since children are whole
+    A remainder of fewer than SWEEP_MIN_REMAINDER flat indices holds the kernel
+    as one dense real block, R^T over X^T: sensitivity_block at the rows,
+    transposed. A larger one holds no block. The rows span a forest, a column
+    per distinct index, closed upward inside the scope since children are whole
     subtrees, whose tops, if several, are the substation's children; each
-    child's aggregate sits at its anchor's cells, and one adjoint_sweep
-    over the forest meets every pair at its common ancestor, returning the
-    same real rows. The sweep also pairs each child with itself. own, R^T
-    over X^T at the slot rows kept only inside each child (every such pair
-    is an anchor with itself), is subtracted from the sweep's slot rows.
+    child's aggregate sits at its anchor's columns, and one adjoint_sweep over
+    the forest meets every pair at its common ancestor, returning the same real
+    rows. The sweep also pairs each child with itself. own, R^T over X^T at the
+    slot rows kept only inside each child (every such pair is an anchor with
+    itself), is subtracted from the sweep's slot rows.
     """
 
     def __init__(self, net, key, root, children, pos):
@@ -329,17 +329,17 @@ class _Scope:
             self.block = block.reshape(2 * len(rows), len(rows))
             self.ops = _level_op_count([ch.ops for ch in children], child_sizes, m)
         else:
-            cols, self.forest = net.subforest(net.flat_bus_pos[rows])
-            self.cells = net.flat_phase[rows] * self.forest.n + cols
+            self.cols, self.forest = net.subforest(rows)
             self.own = np.where(own, sensitivity_block(net, rows[:s]).transpose(0, 2, 1), 0.0)
-            self.ops = _swept_op_count([ch.ops for ch in children], child_sizes, self.forest.n)
+            buses = int(np.count_nonzero(np.bincount(net.flat_bus_pos[rows])))
+            self.ops = _swept_op_count([ch.ops for ch in children], child_sizes, buses)
 
     def product(self, x: np.ndarray) -> np.ndarray:
         """The kernel's R^T rows, then X^T rows, times its operand x[gather]; x = [d; aggregates]."""
         x = x[self.gather]
         if self.forest is None:
             return self.block @ x
-        y = adjoint_sweep(self.forest, self.cells, x)
+        y = adjoint_sweep(self.forest, self.cols, x)
         s = self.own.shape[1]
         y[:, :s] -= self.own @ x[:s]
         return y.reshape(-1)

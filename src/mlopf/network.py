@@ -7,10 +7,11 @@ paths back to the substation. That shared portion is the root path of the
 buses' lowest common ancestor, so this module owns the topology, the
 per-unit impedance data and the flat (bus, phase) index space. One DFS
 preorder lays every subtree out as a contiguous range; single LCA queries
-read those ranges. A Forest is that layout restricted to a bus set
-closed upward: the whole tree, or a swept multilevel scope's remainder
-with its children's anchors. It runs the two O(N) tree sums, over
-subtrees and over root paths, that both voltage models run on.
+read those ranges. A Forest is that layout over a set of flat indices,
+phase by phase, as phases only drop away from the substation: the whole
+index space, or a swept multilevel scope's rows. It runs the two O(N)
+tree sums, over subtrees and over root paths, that both voltage models
+run on.
 
 Networks are immutable after construction and safe for concurrent reads.
 """
@@ -92,38 +93,57 @@ class Line:
 
 
 class Forest:
-    """Buses laid out in DFS preorder, and the two O(n) tree sums over them.
+    """Flat indices laid out phase by phase in DFS order, and the two O(n) tree sums over them.
 
-    Column r is bus position buses[r], and its subtree is columns r up to
-    exit[r]. A forest array has shape (k, n), rows by column: three
-    phases, or any stack of per-column rows, real or complex.
-    z_line[phi, psi, r] is the impedance of the line into column r; a top,
-    a column whose parent bus lies outside the forest, carries its whole
-    root path there, as a line from a virtual root. line_operator, the
-    real line map that both linear sweeps read, voltage_linear as it
-    stands and adjoint_sweep transposed, is built on first use and kept,
-    as are ancestor_sums' exit cells for each shape it is called on.
+    Column r holds flat index idx[r]: phase a's columns, then b's, then
+    c's, each in DFS order, so column r's subtree, its phase at the buses
+    below its bus, is columns r up to exit[r]. A forest array has shape
+    (k, n), rows by column, real or complex. z_line[r] is the impedance at
+    column r's phase of the line into its bus; a top, a bus whose parent
+    holds no column, carries its whole root path there, as a line from a
+    virtual root. Cross-phase terms are a short list: column pairs[0][j]
+    meets column pairs[1][j] of its bus through z_pair[j]. line applies a
+    map given at the columns and at the pairs; line_operator, the one both
+    linear sweeps read, and ancestor_sums' exit cells are built once.
     """
 
-    def __init__(self, buses: np.ndarray, exit_: np.ndarray, z_line: np.ndarray):
-        self.buses = buses
-        self.n = len(buses)
-        self.z_line = np.ascontiguousarray(z_line.transpose(1, 2, 0))
+    def __init__(self, idx: np.ndarray, exit_: np.ndarray, phase, bus, z: np.ndarray):
+        """Columns idx with their exits; column r sits at phase[r] of bus bus[r] of z's lines."""
+        self.idx, self.n = idx, len(idx)
         self._exit = exit_
         self._exit_cells: dict[tuple[int, int], np.ndarray] = {}
+        # Columns at one bus lie one or two apart once sorted by bus.
+        by_bus = np.argsort(bus, kind="stable")
+        near = np.concatenate([np.stack((by_bus[:-k], by_bus[k:])) for k in (1, 2)], axis=1)
+        near = near[:, bus[near[0]] == bus[near[1]]]
+        self.pairs = to, frm = np.concatenate((near, near[::-1]), axis=1)
+        self._at = (bus, phase, phase), (bus[to], phase[to], phase[frm])
+        self._z, self.z_line, self.z_pair = z, z[self._at[0]], z[self._at[1]]
 
     @cached_property
-    def line_operator(self) -> np.ndarray:
-        """Twice the real line map of the linear voltage sweep, shape (3, 6, n).
+    def line_operator(self) -> tuple[np.ndarray, np.ndarray]:
+        """line's (same, cross) for twice the real line map of the linear voltage sweep.
 
-        With A[phi, psi] = omega**-phi z_line[phi, psi] omega**psi, row phi
-        holds rotated_pairs(z_line)[:, phi] = [2 Re A[phi, :], 2 Im A[phi, :]]
-        per column: applied to a column's subtree sums of [p; q] it gives
-        2 Re(omega**-phi drop), twice the line's share of the squared-voltage
-        change at phase phi.
+        At phase phi, rotated_pairs(z)[:, phi, psi] = [2 Re A, 2 Im A], A = omega**-phi z[phi, psi]
+        omega**psi; on subtree sums of [p; q] they give 2 Re(omega**-phi drop), shape (2, n).
         """
-        pairs = rotated_pairs(self.z_line.transpose(2, 0, 1))
-        return pairs.transpose(2, 0, 3, 1).reshape(3, 6, self.n)
+        rotated = rotated_pairs(self._z)
+        return rotated[(slice(None), *self._at[0])], rotated[(slice(None), *self._at[1])]
+
+    def line(self, same: np.ndarray, cross: np.ndarray, s: np.ndarray, transpose=False):
+        """Rows s, (k, n), into one row: column r adds same * s at r and cross * s at each
+        pair (r, c), with same (k, n) and cross (k, m). Transposed, one row gives k rows."""
+        to, frm = self.pairs
+        if transpose:
+            out, x = same * s, s[to]
+            for row, c in zip(out, cross):
+                np.add.at(row, frm, c * x)
+            return out
+        out, at = same[0] * s[0], cross[0] * s[0][frm]
+        for k in range(1, len(s)):
+            out, at = out + same[k] * s[k], at + cross[k] * s[k][frm]
+        np.add.at(out, to, at)
+        return out
 
     def subtree_sums(self, x: np.ndarray) -> np.ndarray:
         """Row-wise sums of a forest array over every column's subtree.
@@ -131,8 +151,8 @@ class Forest:
         A prefix sum over the columns, read at [r, exit[r]).
         """
         prefix = np.zeros((len(x), self.n + 1), dtype=x.dtype)
-        np.cumsum(x, axis=1, out=prefix[:, 1:])
-        return np.take(prefix, self._exit, axis=1) - prefix[:, :-1]
+        np.add.accumulate(x, axis=1, out=prefix[:, 1:])
+        return prefix.take(self._exit, axis=1) - prefix[:, :-1]
 
     def ancestor_sums(self, x: np.ndarray) -> np.ndarray:
         """Row-wise sums of a forest array over every column and its ancestors.
@@ -155,7 +175,7 @@ class Forest:
             cells = self._exit_cells[parts.shape] = cells.ravel()
         exits = np.bincount(cells, weights=parts.ravel(), minlength=parts.size + 1)
         d = parts - exits[:-1].reshape(parts.shape)
-        return np.cumsum(d.view(x.dtype), axis=1)
+        return np.add.accumulate(d.view(x.dtype), axis=1)
 
 
 def _id_array(ids: list) -> np.ndarray:
@@ -354,11 +374,8 @@ class Network:
         self.index_of = np.full((n, 3), -1, dtype=np.int64)
         self.index_of[self.flat_bus_pos, self.flat_phase] = np.arange(self.n_flat)
 
-        # The whole tree as one Forest: a tree array has shape (3, n_buses),
-        # phase by DFS column, where column r is bus order[r]. flat_cell is
-        # each flat index's cell in a raveled tree array.
-        self.flat_cell = self.flat_phase * n + self.tin[self.flat_bus_pos]
-        _, self.forest = self.subforest(self.order)
+        # The whole index space as one Forest.
+        _, self.forest = self.subforest(np.arange(self.n_flat))
 
     # -- basic lookups ---------------------------------------------------
 
@@ -418,24 +435,29 @@ class Network:
 
     # -- forests over the DFS columns ---------------------------------------
 
-    def subforest(self, buses) -> tuple[np.ndarray, "Forest"]:
-        """The forest that a set of bus positions spans, in DFS order.
+    def subforest(self, idx) -> tuple[np.ndarray, "Forest"]:
+        """The forest that a set of flat indices spans, phase by phase in DFS order.
 
-        Every bus's parent must be in the set unless the bus is one of the
-        forest's tops. A top's column carries its whole root path, so the
-        forest's ancestor sums add up to common-path impedances; two buses
-        under different tops meet at zero impedance, which holds when the
-        tops' parents are the substation or a top is the substation itself.
-        The set may repeat buses.
-        Returns (cols, forest): cols[a] is the column of buses[a].
+        Each index's parent, its phase at the parent bus, must be in the set
+        unless its bus is a top, one whose parent holds no index of the set;
+        a bus with indices below it must hold all their phases. A top's
+        columns carry its whole root path, so ancestor sums add up to
+        common-path impedances; buses under different tops meet at zero
+        impedance, which holds when the tops hang off the substation or
+        there is one top. The set may repeat indices.
+        Returns (cols, forest): cols[a] is the column of idx[a].
         """
-        t, cols = np.unique(self.tin[np.asarray(buses, dtype=np.int64)], return_inverse=True)
-        nodes = self.order[t]
-        exit_ = np.searchsorted(t, t + self.size[nodes])
+        idx = np.asarray(idx, dtype=np.int64)
+        n, bus = self.n_buses, self.flat_bus_pos[idx]
+        cells, cols = np.unique(self.flat_phase[idx] * n + self.tin[bus], return_inverse=True)
+        phase, t = np.divmod(cells, n)
+        t_bus, bus = np.unique(t, return_inverse=True)
+        nodes = self.order[t_bus]
         z = self.z_line[nodes]
         top = ~np.isin(self.parent_pos[nodes], nodes)
         z[top] = self.z_prefix[nodes[top]]
-        return cols, Forest(nodes, exit_, z)
+        exit_ = np.searchsorted(cells, cells + self.size[self.order[t]])
+        return cols, Forest(self.index_of[self.order[t], phase], exit_, phase, bus, z)
 
     # -- path and impedance queries ---------------------------------------
 

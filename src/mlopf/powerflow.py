@@ -5,11 +5,11 @@ aggregate branch currents from the leaves toward the substation, forward
 passes propagate voltage drops across the line impedance matrices from the
 substation outward, and the loop runs until the complex power implied by
 the final phasors matches the specified injections everywhere. Both passes
-are O(N) tree sums over the network's DFS columns. The loop starts from the
-flat profile, or from given phasors such as the solution at nearby
-injections; the stopping test is the same either way. Acts as the
-nonlinear counterpart of the linear voltage update in feedback mode and as
-the yardstick for linearization error.
+are O(N) tree sums over Network.forest, one column per flat index. The
+loop starts from the flat profile, or from given phasors such as the
+solution at nearby injections; the stopping test is the same either way.
+Acts as the nonlinear counterpart of the linear voltage update in feedback
+mode and as the yardstick for linearization error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import Network
-from .sensitivity import OMEGA, SensitivityMatrices, voltage_linear
+from .sensitivity import OMEGA_POW, SensitivityMatrices, voltage_linear
 
 
 class SweepError(RuntimeError):
@@ -48,12 +48,13 @@ def backward_forward_sweep(
     """Solve nonlinear power flow for the given injections.
 
     p and q are real/reactive injections over the flat index space
-    (negative values are loads). Each sweep is two tree sums over the DFS
-    columns of the network: the backward pass takes subtree sums of the
-    injected currents, which gives every line's current, and the forward
-    pass takes ancestor sums of the line drops, which gives every bus's
-    voltage below the substation. Sums run in a fixed order, so identical
-    inputs give bitwise identical solutions.
+    (negative values are loads). Each sweep is two tree sums over the
+    columns of Network.forest: the backward pass takes subtree sums of the
+    injected currents, which gives every line's current at each phase, and
+    the forward pass takes ancestor sums of the line drops, each line's
+    same-phase term and its cross-phase pairs' terms, which gives every
+    index's voltage below the substation. Sums run in a fixed order, so
+    identical inputs give bitwise identical solutions.
 
     tol bounds the power mismatch |V conj(I_old) - s| at every flat index,
     where I_old is the current the last sweep drew; it does not bound the
@@ -77,19 +78,20 @@ def backward_forward_sweep(
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
         raise ValueError("injections must be finite")
 
-    s = p + 1j * q
-    cells = net.flat_cell
+    # Sweeps run over the forest's columns; phasors return to flat order at the end.
+    forest = net.forest
+    s = (p + 1j * q)[forest.idx]
     # Flat start: substation magnitude with 0 / -120 / +120 degree angles.
-    ref = np.sqrt(net.base_v_squared) * np.array([[1.0], [OMEGA], [OMEGA * OMEGA]])
+    ref = np.sqrt(net.base_v_squared) * OMEGA_POW[2 + net.flat_phase[forest.idx]]
     if start is None:
-        volt = ref[net.flat_phase, 0]
+        volt = ref
     else:
         volt = np.asarray(start, dtype=np.complex128)
         if volt.shape != (net.n_flat,):
             raise ValueError(f"start phasors must have shape ({net.n_flat},)")
         if not np.all(np.isfinite(volt)):
             raise ValueError("start phasors must be finite")
-    inj = np.zeros((3, net.n_buses), dtype=np.complex128)
+        volt = volt[forest.idx]
 
     mismatch = np.inf
     for sweep in range(1, MAX_SWEEPS + 1):
@@ -97,18 +99,19 @@ def backward_forward_sweep(
             raise SweepError("zero voltage encountered; operating point is singular")
         # Backward: each line carries minus the current its subtree injects.
         drawn = np.conj(s / volt)
-        inj.reshape(-1)[cells] = drawn
-        injected = net.forest.subtree_sums(inj)
+        injected = forest.subtree_sums(drawn[None])
         # Forward: each bus sits below the substation by the drops across
         # the line impedance matrices on its root path.
-        rise = (net.forest.z_line * injected[None]).sum(axis=1)
-        volt = (ref + net.forest.ancestor_sums(rise)).reshape(-1)[cells]
+        rise = forest.line(forest.z_line[None], forest.z_pair[None], injected)
+        volt = ref + forest.ancestor_sums(rise[None])[0]
         # Power implied by the new phasors and the currents just used.
         mismatch = float(np.max(np.abs(volt * np.conj(drawn) - s), initial=0.0))
         if mismatch < tol:
+            phasors = np.empty_like(volt)
+            phasors[forest.idx] = volt
             return VoltageSolution(
-                phasors=volt,
-                v=np.abs(volt) ** 2,
+                phasors=phasors,
+                v=np.abs(phasors) ** 2,
                 iterations=sweep,
                 max_mismatch=mismatch,
             )

@@ -6,16 +6,16 @@ signed power of the 120-degree phasor omega and projected to its real or
 imaginary part. On a radial feeder that product is a tree sweep:
 voltage_linear takes subtree sums of the injections, rotates them through
 each line's impedance and takes ancestor sums of the result, in O(N) over
-the DFS columns of Network and without the matrices. adjoint_sweep is
-its transpose, the same sums and the same real line operator in reverse
-order, for R^T d and X^T d; a multilevel scope with a large remainder
-computes its whole share of the product with it. Every dense entry comes
-from sensitivity_block, which fills R and X at a set of flat indices,
-each row a copy of its parent bus's row with the bus's own pair values
-over its subtree: over every index it is dense_sensitivity, run on the
-first read of SensitivityMatrices.r or .x, which only the flat coupling
-engine and the tests make, and at a multilevel scope's kernel rows it is
-that scope's dense block. So a multilevel solve holds no N x N array.
+Network.forest's columns and without the matrices. adjoint_sweep is its
+transpose, the same sums and the same real line operator in reverse order,
+for R^T d and X^T d; a multilevel scope with a large remainder computes its
+whole share of the product with it. Every dense entry comes from
+sensitivity_block, which fills R and X at a set of flat indices, each row a
+copy of its parent bus's row with the bus's own pair values over its
+subtree: over every index it is dense_sensitivity, run on the first read of
+SensitivityMatrices.r or .x, which only the flat coupling engine and the
+tests make, and at a multilevel scope's kernel rows it is that scope's
+dense block. So a multilevel solve holds no N x N array.
 """
 
 from __future__ import annotations
@@ -158,17 +158,17 @@ def dense_sensitivity(net: Network) -> np.ndarray:
 def voltage_linear(sens: SensitivityMatrices, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Squared voltage magnitudes under the linearized model.
 
-    Equal to R p + X q + v_tilde, computed in O(N) by two tree sums and
-    without reading R or X. Per line and phase psi, the conjugated subtree
-    sum P - jQ of s = p + jq, rotated by omega**psi, is the current a
-    sweep from the flat profile would carry, and z_line times it is the
-    line's drop. The forest's line_operator holds twice that map, with the
-    rotation by omega**-phi and the real part that follow, as one real
-    3 x 6 matrix per line acting on [P; Q], so the sweep runs in real
-    arithmetic; it comes from the same rotated_pairs formula as R and X.
-    With t the ancestor-or-self sum of the result, v = v_tilde + t: a
-    pair (i, j) shares exactly the lines above both, which is the
-    common-path impedance of the dense entry.
+    Equal to R p + X q + v_tilde, computed in O(N) by two tree sums over
+    Network.forest's columns and without reading R or X. Per line and
+    phase psi, the conjugated subtree sum P - jQ of s = p + jq, rotated by
+    omega**psi, is the current a sweep from the flat profile would carry,
+    and z_line times it is the line's drop. The forest's line_operator
+    holds twice that map, with the rotation by omega**-phi and the real
+    part that follow, as real coefficients on [P; Q] that Forest.line
+    applies at each column's own phase and at a short list of cross-phase
+    pairs; it comes from the same rotated_pairs formula as R and X. With t
+    the ancestor-or-self sum of the result, v = v_tilde + t: a pair (i, j)
+    shares exactly the lines above both, the dense entry's common path.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -176,30 +176,25 @@ def voltage_linear(sens: SensitivityMatrices, p: np.ndarray, q: np.ndarray) -> n
         raise ValueError(
             f"injection vectors must have shape ({sens.n},), got {p.shape} and {q.shape}"
         )
-    net = sens.net
-    forest = net.forest
-    pq = np.zeros((6, net.n_buses))
-    pq[:3].reshape(-1)[net.flat_cell] = p
-    pq[3:].reshape(-1)[net.flat_cell] = q
-    drop = np.einsum("fkr,kr->fr", forest.line_operator, forest.subtree_sums(pq))
-    t = forest.ancestor_sums(drop)
-    return sens.v_tilde + t.reshape(-1)[net.flat_cell]
+    forest = sens.net.forest
+    s = forest.subtree_sums(np.stack((p[forest.idx], q[forest.idx])))
+    v = np.empty(sens.n)
+    v[forest.idx] = forest.ancestor_sums(forest.line(*forest.line_operator, s)[None])[0]
+    return sens.v_tilde + v
 
 
-def adjoint_sweep(forest: Forest, cells: np.ndarray, d: np.ndarray) -> np.ndarray:
+def adjoint_sweep(forest: Forest, cols: np.ndarray, d: np.ndarray) -> np.ndarray:
     """The transpose of voltage_linear's sweep: [R^T d; X^T d] in O(n).
 
-    d holds one value per entry of cells, a cell of a raveled (3, n)
-    forest array; values at a repeated cell add up. The result has shape
-    (2, len(cells)): R^T d, then X^T d, at the same cells. The steps are
-    voltage_linear's, transposed and in reverse order: subtree sums of d,
-    the transposed line_operator, which maps each column's three phase
-    sums to six rows [p; q], and ancestor sums of those rows. Over
-    Network.forest at flat_cell it is the whole flat product; over a
-    subforest, the product restricted to its buses, where a multilevel
-    scope also places each child's per-phase aggregate at its anchor's
-    cells.
+    d holds one value per entry of cols, a column of the forest; values at
+    a repeated column add up. The result, shape (2, len(cols)), is R^T d
+    over X^T d at the same columns. The steps are voltage_linear's,
+    transposed and in reverse order: subtree sums of d, Forest.line's
+    transpose of line_operator, which gives each column rows [p; q], and
+    ancestor sums of those rows. Over Network.forest, with cols each flat
+    index's column, it is the whole flat product; over a subforest, the
+    product restricted to its indices, where a multilevel scope also
+    places each child's per-phase aggregate at its anchor's columns.
     """
-    x = np.bincount(cells, weights=d, minlength=3 * forest.n).reshape(3, forest.n)
-    pq = np.einsum("fkr,fr->kr", forest.line_operator, forest.subtree_sums(x))
-    return forest.ancestor_sums(pq).reshape(2, -1)[:, cells]
+    s = forest.subtree_sums(np.bincount(cols, weights=d, minlength=forest.n)[None])[0]
+    return forest.ancestor_sums(forest.line(*forest.line_operator, s, transpose=True))[:, cols]

@@ -152,3 +152,45 @@ def test_flat_engines_on_one_model_build_the_dense_matrices_once(inputs, dense_b
     zero = np.zeros(net.n_flat)
     assert first.compute(d, zero).g_p.tobytes() == second.compute(d, zero).g_p.tobytes()
     assert dense_builds == [net]
+
+
+@pytest.mark.parametrize("kind,voltage_model", [("trilevel", "linear"), ("flat", "sweep")])
+def test_benchmark_calls_on_a_swept_scope_with_dropped_phases(kind, voltage_model):
+    # perfbench's calls on a feeder whose unclustered scope runs as one
+    # tree sweep over a forest of single-, two- and three-phase buses, then
+    # the gate: the trilevel engine against the flat one at the final duals.
+    feeder = generate(
+        FeederSpec(n_buses=2000, load_scale=0.1, seed=0, phase_drop=0.4),
+        target_area_size=200, target_subarea_size=50,
+    )
+    network_doc, devices_doc, partition_doc = feeder_documents(feeder)
+    net = load_network(network_doc)
+    part = None if kind == "flat" else auto_partition(net, 200, 50)
+    sens = build_sensitivity(net)
+    problem = load_problem(devices_doc, net, sens)
+    engine = make_engine(kind, sens=sens, net=net, part=part, threads=1)
+    if voltage_model == "sweep":
+        vmodel = SweepVoltageModel(net, sens)
+    else:
+        vmodel = LinearVoltageModel(sens)
+    cfg = SolverConfig(step_primal=1e-4, step_dual=1e-3, eta=1e-4, max_iters=5,
+                       residual_tol=0.0)
+    result = solver.run(initial_state(problem, vmodel), problem, engine, vmodel, cfg)
+    assert result.state.iteration == 5
+
+    if kind == "flat":
+        part = load_partition(partition_doc, net)
+        engine = make_engine("trilevel", sens=sens, net=net, part=part, threads=1)
+    swept = [s for s in engine._scopes if s.forest is not None]
+    assert [s.key for s in swept] == [("unclustered",)]
+    rows = swept[0].rows
+    assert len(swept[0].rem) >= 512
+    assert swept[0].forest.n < 3 * len(np.unique(net.flat_bus_pos[rows]))
+    duals = result.state.duals
+    assert np.count_nonzero(duals.mu_upper - duals.mu_lower) > 0
+    ref = FlatEngine(sens).compute(duals.mu_upper, duals.mu_lower)
+    got = engine.compute(duals.mu_upper, duals.mu_lower)
+    for a, b in ((got.g_p, ref.g_p), (got.g_q, ref.g_q)):
+        assert np.max(np.abs(a - b)) <= 1e-9 * (1.0 + np.max(np.abs(b)))
+    # The declared count goes into summary.json as it is.
+    assert type(got.op_count) is int and type(result.trace.total_coupling_ops()) is int

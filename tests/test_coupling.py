@@ -770,9 +770,10 @@ def test_dense_kernels_match_flat_at_both_depths():
             assert all(s.forest is None for s in engine._scopes)
             top = engine._tree
             anchors = [net.parent_pos[net.bus_pos(ch.root)] for ch in top.children]
-            _, forest = net.subforest([*anchors, *net.flat_bus_pos[top.rem]])
-            if net.bus_pos(0) not in forest.buses:
-                tops.add(int(np.sum(~np.isin(net.parent_pos[forest.buses], forest.buses))))
+            _, forest = net.subforest(top.rows)
+            buses = np.union1d(anchors, net.flat_bus_pos[forest.idx])
+            if net.bus_pos(0) not in buses:
+                tops.add(int(np.sum(~np.isin(net.parent_pos[buses], buses))))
             res = engine.compute(mu_up, mu_lo)
             for got, want in ((res.g_p, ref.g_p), (res.g_q, ref.g_q)):
                 assert np.max(np.abs(got - want)) < 1e-12 * (1.0 + np.max(np.abs(want)))
@@ -866,9 +867,10 @@ def test_sweep_remainders_record_the_dense_kernels_flows(monkeypatch, feeder):
 
 
 def test_sweep_op_formula_is_pinned(all_sweeps):
-    # 21 declared ops per column of the swept forest: per phase, the
-    # subtree and ancestor sums and the two rotations; per column, the nine
-    # multiply-accumulates through the line.
+    # 21 declared ops per bus the swept forest spans: per phase, the
+    # subtree and ancestor sums and the two rotations; per bus, the nine
+    # multiply-accumulates through the line. The forest itself has one
+    # column per distinct flat index of the kernel's rows.
     assert coupling._sweep_ops(1) == 21
     net = fig_feeder()
     # Without areas the feeder is one scope, its forest every bus but 0.
@@ -879,14 +881,15 @@ def test_sweep_op_formula_is_pinned(all_sweeps):
     for s in engine._scopes:
         sizes = [len(ch.idx) for ch in s.children]
         anchors = {int(net.parent_pos[net.bus_pos(ch.root)]) for ch in s.children}
-        assert s.forest.n == len(anchors | set(net.flat_bus_pos[s.rem].tolist()))
-        assert s.ops == coupling._swept_op_count([ch.ops for ch in s.children], sizes, s.forest.n)
+        buses = len(anchors | set(net.flat_bus_pos[s.rem].tolist()))
+        assert s.forest.n == len(np.unique(s.rows))
+        assert s.ops == coupling._swept_op_count([ch.ops for ch in s.children], sizes, buses)
     # The feeder's remainder, buses 1-12 (26 indices on 12 buses), holds
     # both areas' anchors, 12 and 3. Beside areas of 14 and 9 indices it
     # costs three ops per area member to aggregate and broadcast, the
     # sweep, and nine per area for the area's own 3x3 term.
     top = engine._tree
-    assert (len(top.rem), top.forest.n, sizes) == (26, 12, [14, 9])
+    assert (len(top.rem), top.forest.n, buses, sizes) == (26, 26, 12, [14, 9])
     inner = sum(ch.ops for ch in top.children)
     assert top.ops == inner + 3 * (14 + 9) + 21 * 12 + 9 * 2
 

@@ -406,9 +406,10 @@ def test_flat_index_space_is_bus_major_and_addressed_in_the_forest(net):
     labels = net.flat_labels()
     assert labels == sorted(labels)
     assert set(labels) == {(b.id, ph) for b in net.buses if b.id != 0 for ph in b.phases}
-    phases, cols = np.divmod(net.flat_cell, net.n_buses)
-    np.testing.assert_array_equal(phases, net.flat_phase)
-    np.testing.assert_array_equal(net.forest.buses[cols], net.flat_bus_pos)
+    # The whole forest has one column per flat index, phase-major in DFS order.
+    assert net.forest.n == net.n_flat
+    np.testing.assert_array_equal(np.sort(net.forest.idx), np.arange(net.n_flat))
+    assert_phase_major_dfs(net, net.forest)
 
 
 def ancestors(net, k):
@@ -508,11 +509,18 @@ def subset_cases(net, rng):
     }
 
 
+def flat_indices_at(net, buses):
+    """The flat indices of bus positions, bus by bus, repeats kept."""
+    held = net.index_of[np.asarray(buses, dtype=np.int64)]
+    return held[held >= 0]
+
+
 # Row counts and dtypes of forest arrays, in an order that mixes both, so
-# that anything a forest keeps for one shape is read again at another.
+# that anything a forest keeps for one shape is read again at another:
+# the voltage map's two real rows and its one real row, the adjoint's one
+# real row and two real rows, the power flow's one complex row.
 FOREST_SHAPES = [
-    (6, np.complex128), (1, np.float64), (3, np.complex128),
-    (6, np.float64), (1, np.complex128), (3, np.float64),
+    (2, np.float64), (1, np.complex128), (1, np.float64), (2, np.complex128),
 ]
 
 
@@ -523,22 +531,59 @@ def forest_array(rng, rows, n, dtype):
     return x
 
 
+def assert_phase_major_dfs(net, forest):
+    """Columns run phase by phase, each phase's block in DFS order."""
+    key = net.flat_phase[forest.idx] * net.n_buses + net.tin[net.flat_bus_pos[forest.idx]]
+    assert (np.diff(key) > 0).all()
+
+
+def parent_walk_sums(net, idx, x):
+    """Subtree and ancestor sums of x, a column per flat index of idx, by parent walks.
+
+    An index's parent is the same phase at its parent bus; each column
+    meets the nearest of its ancestors that idx holds, one depth level at
+    a time from the substation down.
+    """
+    up = net.index_of[net.parent_pos[net.flat_bus_pos], net.flat_phase]
+    col = np.full(net.n_flat, -1)
+    col[idx] = np.arange(len(idx))
+    above = np.full(net.n_flat, -1)  # the column of the nearest held strict ancestor
+    by_depth = np.argsort(net.depth[net.flat_bus_pos], kind="stable").tolist()
+    for k in by_depth:
+        if up[k] >= 0:
+            above[k] = col[up[k]] if col[up[k]] >= 0 else above[up[k]]
+    held = [(int(col[k]), int(above[k])) for k in by_depth if col[k] >= 0]
+    subtree, ancestor = x.copy(), x.copy()
+    for c, a in reversed(held):
+        if a >= 0:
+            subtree[:, a] += subtree[:, c]
+    for c, a in held:
+        if a >= 0:
+            ancestor[:, c] += ancestor[:, a]
+    return subtree, ancestor
+
+
 def assert_forest_sums_match_parent_walk(net, forest, rng):
     """A forest's sums see exactly the ancestors and descendants it holds,
     at every shape in FOREST_SHAPES, called in turn on the same forest."""
-    col = {int(b): r for r, b in enumerate(forest.buses)}
     for rows, dtype in FOREST_SHAPES:
         x = forest_array(rng, rows, forest.n, dtype)
-        subtree = np.zeros_like(x)
-        ancestor = np.zeros_like(x)
-        for r, b in enumerate(forest.buses.tolist()):
-            for a in ancestors(net, b):
-                if a in col:
-                    subtree[:, col[a]] += x[:, r]
-                    ancestor[:, r] += x[:, col[a]]
-        for got, want in ((forest.subtree_sums(x), subtree), (forest.ancestor_sums(x), ancestor)):
-            assert got.shape == x.shape and got.dtype == dtype
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        kept = x.copy()
+        want = parent_walk_sums(net, forest.idx, x)
+        got = forest.subtree_sums(x), forest.ancestor_sums(x)
+        np.testing.assert_array_equal(x, kept)
+        for g, w in zip(got, want):
+            assert g.shape == x.shape and g.dtype == dtype
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
+def assert_subforest_holds(net, idx, cols, forest):
+    """Exactly the distinct indices given, one column each, cols mapping idx to them."""
+    distinct = np.unique(idx)
+    assert forest.n == len(distinct)
+    np.testing.assert_array_equal(np.sort(forest.idx), distinct)
+    np.testing.assert_array_equal(forest.idx[cols], idx)
+    assert_phase_major_dfs(net, forest)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -546,33 +591,36 @@ def test_subforest_columns_match_brute_force_on_subsets(seed):
     rng = np.random.default_rng(650 + seed)
     net = random_network(rng, int(rng.integers(8, 70)))
     for name, buses in subset_cases(net, rng).items():
-        cols, forest = net.subforest(buses)
-        np.testing.assert_array_equal(forest.buses[cols], buses, err_msg=name)
-        assert sorted(forest.buses.tolist()) == sorted(set(buses.tolist())), name
-        assert list(net.tin[forest.buses]) == sorted(net.tin[forest.buses]), name
+        idx = flat_indices_at(net, buses)
+        cols, forest = net.subforest(idx)
+        assert_subforest_holds(net, idx, cols, forest)
         assert_forest_sums_match_parent_walk(net, forest, rng)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_subforest_sums_match_parent_walk_inside_the_set(seed):
     # A subtree with some of its own subtrees cut away is closed upward,
-    # as a scope's remainder is; its sums see only the buses it keeps, and
-    # its ancestor sums of line impedances are the root-path impedances.
+    # as a scope's remainder is; its sums see only the indices it keeps,
+    # and its ancestor sums of line impedances are the root-path
+    # impedances, at each column's own phase.
     rng = np.random.default_rng(680 + seed)
     net = random_network(rng, int(rng.integers(20, 70)))
     top = int(rng.integers(1, net.n_buses))
     keep = set(net.order[net.tin[top]: net.tin[top] + net.size[top]].tolist())
     for cut in rng.choice(sorted(keep - {top}), size=min(2, len(keep) - 1), replace=False):
         keep -= set(net.order[net.tin[cut]: net.tin[cut] + net.size[cut]].tolist())
-    cols, forest = net.subforest(sorted(keep))
-    np.testing.assert_array_equal(forest.buses[cols], sorted(keep))
-    z_top = forest.z_line[:, :, 0]
-    np.testing.assert_array_equal(z_top, net.z_prefix[top])
-    for phi in range(3):
-        np.testing.assert_allclose(
-            forest.ancestor_sums(forest.z_line[phi]), net.z_prefix[forest.buses, phi].T,
-            rtol=0, atol=1e-12,
-        )
+    idx = flat_indices_at(net, sorted(keep))
+    cols, forest = net.subforest(idx)
+    assert_subforest_holds(net, idx, cols, forest)
+    bus, phase = net.flat_bus_pos[forest.idx], net.flat_phase[forest.idx]
+    at_top = bus == top
+    np.testing.assert_array_equal(
+        forest.z_line[at_top], net.z_prefix[top, phase[at_top], phase[at_top]]
+    )
+    np.testing.assert_allclose(
+        forest.ancestor_sums(forest.z_line[None])[0], net.z_prefix[bus, phase, phase],
+        rtol=0, atol=1e-12,
+    )
     assert_forest_sums_match_parent_walk(net, forest, rng)
 
 
@@ -582,6 +630,44 @@ def test_sensitivity_block_of_no_indices_is_empty(fig_net):
     cols, forest = fig_net.subforest(none)
     assert cols.shape == (0,) and forest.n == 0
     assert_forest_sums_match_parent_walk(fig_net, forest, np.random.default_rng(0))
+
+
+def several_tops(net, rng):
+    """Flat indices under four random buses, with cuts, and a third of them again."""
+    keep = set()
+    for top in rng.choice(np.arange(1, net.n_buses), size=min(4, net.n_buses - 1),
+                          replace=False):
+        below = subtree_positions(net, top)
+        cut = below[int(rng.integers(len(below)))]
+        keep |= set(below.tolist()) - set(subtree_positions(net, cut).tolist())
+    idx = flat_indices_at(net, sorted(keep))
+    return np.concatenate([idx, rng.choice(idx, size=len(idx) // 3)]) if len(idx) else idx
+
+
+TREE_SUM_NETWORKS = {
+    "fig": fig_feeder,
+    "drop400": lambda: generate(FeederSpec(400, seed=1, phase_drop=0.4)).net,
+    "chain3000": lambda: long_chain(3000),
+    **{f"random{seed}": (lambda seed=seed: random_network(
+        np.random.default_rng(700 + seed), 60, multi_phase=seed != 3)) for seed in range(4)},
+}
+
+
+@pytest.mark.parametrize("name", list(TREE_SUM_NETWORKS))
+def test_flat_forests_match_parent_walks(name):
+    # The whole forest and subforests with several tops and repeated
+    # indices, at one and two real rows and one complex row.
+    net = TREE_SUM_NETWORKS[name]()
+    rng = np.random.default_rng(31)
+    cols, forest = net.subforest(np.arange(net.n_flat))
+    assert_subforest_holds(net, np.arange(net.n_flat), cols, forest)
+    np.testing.assert_array_equal(forest.idx, net.forest.idx)
+    assert_forest_sums_match_parent_walk(net, net.forest, rng)
+    for _ in range(3):
+        idx = several_tops(net, rng)
+        cols, forest = net.subforest(idx)
+        assert_subforest_holds(net, idx, cols, forest)
+        assert_forest_sums_match_parent_walk(net, forest, rng)
 
 
 @pytest.mark.parametrize("net", lca_networks(), ids=LCA_NETWORK_IDS)
@@ -601,39 +687,24 @@ def test_dfs_interval_is_the_subtree(net):
 )
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_tree_sums_match_parent_walk(net, dtype):
-    n = net.n_buses
     rng = np.random.default_rng(13)
-    parent = net.parent_pos.tolist()
-    by_depth = np.argsort(net.depth, kind="stable").tolist()
-    for rows in (6, 1, 3):
-        x = forest_array(rng, rows, n, dtype)
+    forest = net.forest
+    for rows in (2, 1):
+        x = forest_array(rng, rows, forest.n, dtype)
         kept = x.copy()
-        # Brute force over bus positions: children into parents deepest
-        # first, then parents into children from the substation down.
-        subtree = x[:, net.tin].copy()
-        for k in reversed(by_depth):
-            if parent[k] >= 0:
-                subtree[:, parent[k]] += subtree[:, k]
-        ancestor = x[:, net.tin].copy()
-        for k in by_depth:
-            if parent[k] >= 0:
-                ancestor[:, k] += ancestor[:, parent[k]]
-
-        got_subtree = net.forest.subtree_sums(x)
-        got_ancestor = net.forest.ancestor_sums(x)
-        assert got_subtree.dtype == dtype and got_ancestor.dtype == dtype
+        got = forest.subtree_sums(x), forest.ancestor_sums(x)
+        assert got[0].dtype == dtype and got[1].dtype == dtype
         np.testing.assert_array_equal(x, kept)
-        for got, want in ((got_subtree, subtree), (got_ancestor, ancestor)):
-            got = got[:, net.tin]  # DFS columns back to bus positions
+        for g, want in zip(got, parent_walk_sums(net, forest.idx, x)):
             tol = 1e-12 * (1.0 + np.max(np.abs(want)))
-            assert np.max(np.abs(got - want)) <= tol
+            assert np.max(np.abs(g - want)) <= tol
 
 
 # -- documents and records -------------------------------------------------
 
 NETWORK_ARRAYS = (
     "parent_pos", "order", "tin", "size", "depth", "phase_mask", "z_line", "z_prefix",
-    "index_of", "flat_bus_pos", "flat_phase", "flat_cell",
+    "index_of", "flat_bus_pos", "flat_phase",
 )
 PROBLEM_ARRAYS = ("z0", "w", "z_min", "z_max", "device_index")
 

@@ -390,7 +390,8 @@ def test_adjoint_sweep_is_the_transpose_of_the_voltage_map(seed):
     sens = build_sensitivity(net)
     rng = np.random.default_rng(seed)
     d, p, q = rng.normal(size=(3, net.n_flat))
-    g = adjoint_sweep(net.forest, net.flat_cell, d)
+    cols, forest = net.subforest(np.arange(net.n_flat))
+    g = adjoint_sweep(forest, cols, d)
     assert g.shape == (2, net.n_flat) and g.dtype == np.float64
     g_p, g_q = g
     scale = 1.0 + np.max(np.abs(sens.r.T @ d)) + np.max(np.abs(sens.x.T @ d))
@@ -402,16 +403,16 @@ def test_adjoint_sweep_is_the_transpose_of_the_voltage_map(seed):
 
 
 def test_adjoint_sweep_adds_the_values_at_a_repeated_cell():
-    # A swept scope places child aggregates at anchor cells that other
+    # A swept scope places child aggregates at anchor columns that other
     # children or remainder duals may also hold.
     net = generate(FeederSpec(n_buses=60, seed=2, phase_drop=0.3)).net
     rng = np.random.default_rng(5)
     again = rng.choice(net.n_flat, size=30)
-    cells = np.concatenate([net.flat_cell, net.flat_cell[again]])
+    cols, forest = net.subforest(np.arange(net.n_flat))
     d, extra = rng.normal(size=net.n_flat), rng.normal(size=len(again))
-    t = adjoint_sweep(net.forest, cells, np.concatenate([d, extra]))
-    separate = adjoint_sweep(net.forest, net.flat_cell, d) + adjoint_sweep(
-        net.forest, net.flat_cell, np.bincount(again, weights=extra, minlength=net.n_flat)
+    t = adjoint_sweep(forest, np.concatenate([cols, cols[again]]), np.concatenate([d, extra]))
+    separate = adjoint_sweep(forest, cols, d) + adjoint_sweep(
+        forest, cols, np.bincount(again, weights=extra, minlength=net.n_flat)
     )
     tol = 1e-12 * (1.0 + np.max(np.abs(separate)))
     assert np.max(np.abs(t[:, : net.n_flat] - separate)) <= tol

@@ -23,6 +23,7 @@ from mlopf.sensitivity import build_sensitivity
 from mlopf.solver import (
     LinearVoltageModel,
     SolverError,
+    SolverState,
     SweepVoltageModel,
     TRACE_COLUMNS,
     Trace,
@@ -481,3 +482,13 @@ def test_state_halves_stay_views_of_its_setpoints_through_copies():
         with pytest.raises(ValueError):
             s.p[0] = 1.0
     assert copies[1].iteration == 7 and copies[1].duals is state.duals
+
+
+def test_a_hand_built_state_copies_its_inputs():
+    net, sens, prob = tiny_problem()
+    p, q = prob.p0.copy(), prob.q0.copy()
+    state = SolverState(p, q, DualState(np.zeros(prob.n), np.zeros(prob.n)), np.ones(prob.n), 0)
+    for given in (p, q):
+        assert not np.shares_memory(state.z, given) and given.flags.writeable
+    p[0] += 1.0
+    assert state.p[0] == prob.p0[0]
