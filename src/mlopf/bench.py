@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coupling import make_engine
+from .coupling import check_engine_kind, make_engine
 from .feedergen import R_RANGE, X_RANGE
 from .network import Bus, Line, Network
 from .opf import Device, Problem, SolverConfig, make_problem
@@ -141,8 +141,12 @@ def bench_sweep(
     Each engine's solve runs three times and its row reports the fastest
     coupling and step times, so that one stall of a shared machine does
     not decide a ratio; the solves are deterministic, so iterations and
-    op counts must agree across the three.
+    op counts must agree across the three. An unknown engine name raises
+    before any solve, and a size's ratios are taken once all its engines
+    have run: a ratio is nan only where flat was not run.
     """
+    for kind in engines:
+        check_engine_kind(kind)
     rows: list[BenchRow] = []
     for n in sizes:
         n_areas = max(1, round(np.sqrt(n)))
@@ -151,7 +155,7 @@ def bench_sweep(
         sens = build_sensitivity(net)
         cfg = SolverConfig(max_iters=iters, residual_tol=0.0)
         vmodel = LinearVoltageModel(sens)
-        flat_coupling_ns = None
+        runs = []
         for kind in engines:
             engine = make_engine(kind, sens=sens, net=net, part=part)
             results = [
@@ -162,25 +166,22 @@ def bench_sweep(
             assert len(counts) == 1, f"{kind} solves at n={n} differ: {sorted(counts)}"
             (ran, ops), = counts
             coupling_ns = min(r.total_coupling_ns for r in results)
-            if kind == "flat":
-                flat_coupling_ns = coupling_ns
-            ratio = (
-                flat_coupling_ns / coupling_ns
-                if flat_coupling_ns and coupling_ns
-                else float("nan")
+            step_ns = min(r.total_step_ns for r in results)
+            runs.append((kind, ran, ops, coupling_ns, step_ns))
+        flat_ns = next((c for kind, _, _, c, _ in runs if kind == "flat"), 0)
+        rows += [
+            BenchRow(
+                n=n,
+                areas=n_areas,
+                engine=kind,
+                iters=ran,
+                coupling_ops=ops,
+                coupling_ns=coupling_ns,
+                step_ns=step_ns,
+                ratio_vs_flat=flat_ns / coupling_ns if flat_ns and coupling_ns else float("nan"),
             )
-            rows.append(
-                BenchRow(
-                    n=n,
-                    areas=n_areas,
-                    engine=kind,
-                    iters=ran,
-                    coupling_ops=ops,
-                    coupling_ns=coupling_ns,
-                    step_ns=min(r.total_step_ns for r in results),
-                    ratio_vs_flat=ratio,
-                )
-            )
+            for kind, ran, ops, coupling_ns, step_ns in runs
+        ]
     return rows
 
 

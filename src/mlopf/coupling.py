@@ -1,4 +1,4 @@
-"""Dual-weighted sensitivity sums by a flat and a multilevel engine.
+"""Dual-weighted sensitivity sums by one engine over a tree of scopes.
 
 The primal gradient of the voltage-regulation Lagrangian needs, at every
 flat index (i, phi),
@@ -6,11 +6,10 @@ flat index (i, phi),
     g_p(i, phi) = sum over (j, psi) of dv(j,psi)/dp(i,phi) * (mu_up - mu_lo)(j, psi)
     g_q(i, phi) = likewise with dv/dq,
 
-which is R^T d and X^T d for d = mu_upper - mu_lower. The flat engine
-computes exactly that with dense products. The multilevel engine walks a
-tree of subtree scopes: the feeder, its areas and, at depth 2, each area's
-subareas. A scope's remainder is its members outside every child scope.
-Every scope, leaf or not, runs one kernel: a product with
+which is R^T d and X^T d for d = mu_upper - mu_lower. Every engine walks a
+tree of subtree scopes: the feeder and, below it, 0, 1 or 2 levels of
+areas and subareas. A scope's remainder is its members outside every
+child scope. Every scope, leaf or not, runs one kernel: a product with
 [child aggregates; remainder duals], whose rows and columns are flat
 indices: each child's slots, its anchor (the child root's parent) at the
 phases the child root carries, then the remainder. Pairs across two
@@ -19,19 +18,20 @@ child's per-phase dual aggregate, a remainder bus meets a child only
 through the child's anchor, and pairs inside the remainder are exact. A
 child anchored at the substation meets everything else at zero impedance
 and has no slot. While the remainder is small the kernel is a dense real
-block, sensitivity.sensitivity_block at its rows transposed: the R^T and
-X^T submatrix at those flat indices, the same entries the flat engine
-multiplies, with each child's own slot block zero. From
-SWEEP_MIN_REMAINDER flat indices on, where the block's m^2 work overtakes
-a sweep's fixed cost, the whole kernel is one sensitivity.adjoint_sweep
-over the forest its rows' buses span, with each child's aggregate at its
-anchor: O(m + children) and without any block. A scope's own aggregate
-is the per-phase sum of its members' duals, all aggregates coming from
-one bincount before the products run, so the split repeats at every
-level: depth 1 is the bi-level engine and depth 2 the tri-level one.
-The engines are algebraically equal; the multilevel one replaces almost
-all of the N^2 pairwise work with aggregate exchanges, which is also what
-keeps per-bus duals and interior topology inside their scope.
+block, sensitivity.sensitivity_block at its rows: the R over X submatrix
+at those flat indices, with each child's own slot block zero, which the
+operand multiplies from the left. From SWEEP_MIN_REMAINDER flat indices
+on, where the block's m^2 work overtakes a sweep's fixed cost, the whole
+kernel is one sensitivity.adjoint_sweep over the forest its rows' buses
+span, with each child's aggregate at its anchor: O(m + children) and
+without any block. A scope's own aggregate is the per-phase sum of its
+members' duals, all aggregates coming from one bincount before the
+products run, so the split repeats at every level. The flat engine is the
+feeder scope alone, whose block is the dense R over X itself; depth 1 is
+the bi-level engine and depth 2 the tri-level one. The depths are
+algebraically equal; the deeper ones replace almost all of the N^2
+pairwise work with aggregate exchanges, which is also what keeps per-bus
+duals and interior topology inside their scope.
 
 Operation counts follow a declared cost model (complex multiply-accumulate,
 rotation, and real/imaginary extraction each count one; the flat engine
@@ -78,9 +78,7 @@ class CouplingResult:
 
     g: np.ndarray  # shape (2, n): rows g_p = R^T d and g_q = X^T d
     op_count: int
-    build_messages: Callable[[], tuple["AggregateMessage", ...]] = field(
-        default=tuple, repr=False
-    )
+    build_messages: Callable[[], tuple["AggregateMessage", ...]] = field(repr=False)
 
     @property
     def g_p(self) -> np.ndarray:
@@ -228,38 +226,6 @@ def _swept_op_count(intra_ops: list[int], cluster_sizes: list[int], buses: int) 
     )
 
 
-class FlatEngine:
-    """Direct dense products R^T d and X^T d; building it builds R and X."""
-
-    name = "flat"
-
-    def __init__(self, sens: SensitivityMatrices, record: FlowRecord | None = None):
-        self.r, self.x = sens.r, sens.x
-        self.n = sens.n
-        self.record = record
-        self.op_count_per_apply = 4 * self.n * self.n  # 2 N^2 per output vector
-        if record is not None:
-            record.engine = self.name
-            record.global_access(
-                "dense engine reads every dual and every sensitivity entry"
-            )
-
-    def compute(self, mu_upper: np.ndarray, mu_lower: np.ndarray) -> CouplingResult:
-        d = _check_duals(mu_upper, mu_lower, self.n)
-        g = np.stack((self.r.T @ d, self.x.T @ d))
-        if self.record is not None:
-            self.record.apply()
-        return CouplingResult(g, self.op_count_per_apply)
-
-
-def _check_duals(mu_upper, mu_lower, n) -> np.ndarray:
-    mu_upper = np.asarray(mu_upper, dtype=np.float64)
-    mu_lower = np.asarray(mu_lower, dtype=np.float64)
-    if mu_upper.shape != (n,) or mu_lower.shape != (n,):
-        raise EngineError(f"dual vectors must have shape ({n},)")
-    return mu_upper - mu_lower
-
-
 class _Scope:
     """One node of the scope tree and the kernel that computes its share of g.
 
@@ -270,7 +236,7 @@ class _Scope:
     are its anchor's flat indices at the phases the child root carries. A
     child anchored at the substation meets every other bus at zero
     impedance: it has no slot, and its members get nothing from this scope.
-    One product of the kernel with [child aggregates; remainder duals] is
+    One product of [child aggregates; remainder duals] with the kernel is
     the scope's whole share of g: its R^T rows, then its X^T rows, its
     shares of g_p and g_q. Each child's own slot block is zero, since pairs
     inside a child are the child's work. gather picks the operand out of
@@ -278,19 +244,21 @@ class _Scope:
     row to every member of its child with that phase, a remainder row to
     its own flat index.
 
-    A remainder of fewer than SWEEP_MIN_REMAINDER flat indices holds the kernel
-    as one dense real block, R^T over X^T: sensitivity_block at the rows,
-    transposed. A larger one holds no block. The rows span a forest, a column
-    per distinct index, closed upward inside the scope since children are whole
-    subtrees, whose tops, if several, are the substation's children; each
-    child's aggregate sits at its anchor's columns, and one adjoint_sweep over
-    the forest meets every pair at its common ancestor, returning the same real
-    rows. The sweep also pairs each child with itself. own, R^T over X^T at the
-    slot rows kept only inside each child (every such pair is an anchor with
-    itself), is subtracted from the sweep's slot rows.
+    A remainder of fewer than SWEEP_MIN_REMAINDER flat indices holds the
+    kernel as one dense real block, R over X at the rows, shape (2, m, m),
+    as sensitivity_block returns it or as handed in: the flat engine's lone
+    scope holds SensitivityMatrices' own. A larger one holds no block. The
+    rows span a forest, a column per distinct index, closed upward inside
+    the scope since children are whole subtrees, whose tops, if several, are
+    the substation's children; each child's aggregate sits at its anchor's
+    columns, and one adjoint_sweep over the forest meets every pair at its
+    common ancestor, returning the same real rows. The sweep also pairs each
+    child with itself. own, R over X at the slot rows kept only inside each
+    child (every such pair is an anchor with itself), is subtracted from the
+    sweep's slot rows.
     """
 
-    def __init__(self, net, key, root, children, pos):
+    def __init__(self, net, key, root, children, pos, block=None):
         self.key = key
         self.root = root
         self.children = children
@@ -322,30 +290,95 @@ class _Scope:
         owner = np.nonzero(present)[0]
         own = owner[:, None] == owner  # slot pairs inside one child
         child_sizes = [len(ch.idx) for ch in children]
-        self.forest = None
-        if m < SWEEP_MIN_REMAINDER:
-            block = np.ascontiguousarray(sensitivity_block(net, rows).transpose(0, 2, 1))
-            block[:, :s, :s][:, own] = 0.0
-            self.block = block.reshape(2 * len(rows), len(rows))
+        self.block, self.forest = block, None
+        if block is None and m < SWEEP_MIN_REMAINDER:
+            self.block = sensitivity_block(net, rows)
+            self.block[:, :s, :s][:, own] = 0.0
+        if self.block is not None:
             self.ops = _level_op_count([ch.ops for ch in children], child_sizes, m)
         else:
             self.cols, self.forest = net.subforest(rows)
-            self.own = np.where(own, sensitivity_block(net, rows[:s]).transpose(0, 2, 1), 0.0)
+            self.own = np.where(own, sensitivity_block(net, rows[:s]), 0.0)
             buses = int(np.count_nonzero(np.bincount(net.flat_bus_pos[rows])))
             self.ops = _swept_op_count([ch.ops for ch in children], child_sizes, buses)
 
     def product(self, x: np.ndarray) -> np.ndarray:
-        """The kernel's R^T rows, then X^T rows, times its operand x[gather]; x = [d; aggregates]."""
+        """x[gather] times the kernel: its R^T rows, then X^T rows; x = [d; aggregates]."""
         x = x[self.gather]
         if self.forest is None:
-            return self.block @ x
+            return (x @ self.block).reshape(-1)
         y = adjoint_sweep(self.forest, self.cols, x)
         s = self.own.shape[1]
-        y[:, :s] -= self.own @ x[:s]
+        y[:, :s] -= x[:s] @ self.own
         return y.reshape(-1)
 
 
-class MultilevelEngine:
+class _ScopeEngine:
+    """Every engine's one compute over scopes, the tree in post-order (the feeder last)."""
+
+    def __init__(self, net: Network, scopes: list[_Scope], record: FlowRecord | None):
+        self.n = net.n_flat
+        self.record = record
+        self._scopes = scopes
+        self._tree = scopes[-1]
+        self.op_count_per_apply = self._tree.ops
+        # With the scopes' products laid end to end as y, g_p and g_q are the
+        # sums of y[_take] at _out and at _out - n: each product holds a
+        # scope's R rows, then its X rows.
+        start = np.cumsum([0] + [2 * len(s.gather) for s in scopes])
+        self._take = np.concatenate([
+            first + np.concatenate([s.take, len(s.gather) + s.take])
+            for first, s in zip(start, scopes)
+        ])
+        self._out = np.concatenate([np.concatenate([s.out, self.n + s.out]) for s in scopes])
+        # A child scope's aggregate row sums its members' duals by phase: one
+        # bincount over (flat index, slot) pairs. The feeder scope, last in
+        # post-order, is no child.
+        below, none = scopes[:-1], np.zeros(0, dtype=np.int64)
+        self._members = np.concatenate([none] + [s.idx for s in below])
+        self._slots = np.concatenate([none] + [3 * s.pos + net.flat_phase[s.idx] for s in below])
+        # Every child scope sends its aggregate to its parent, in post-order.
+        self._senders = [(ch.key, ch.root, ch.pos) for s in scopes for ch in s.children]
+        if record is not None:
+            record.engine = self.name
+
+    def compute(self, mu_upper: np.ndarray, mu_lower: np.ndarray) -> CouplingResult:
+        mu_upper = np.asarray(mu_upper, dtype=np.float64)
+        mu_lower = np.asarray(mu_lower, dtype=np.float64)
+        if mu_upper.shape != (self.n,) or mu_lower.shape != (self.n,):
+            raise EngineError(f"dual vectors must have shape ({self.n},)")
+        d = mu_upper - mu_lower
+        agg = np.bincount(self._slots, weights=d[self._members], minlength=3 * len(self._scopes))
+        x = np.concatenate([d, agg])
+        y = np.concatenate([s.product(x) for s in self._scopes])[self._take]
+        g = np.bincount(self._out, weights=y, minlength=2 * self.n).reshape(2, self.n)
+        if self.record is not None:
+            self.record.apply()
+        return CouplingResult(g, self.op_count_per_apply, partial(self._messages, agg))
+
+    def _messages(self, agg: np.ndarray) -> tuple[AggregateMessage, ...]:
+        """The aggregate each child scope sends its parent, from compute's aggregates."""
+        sums = agg.reshape(-1, 3).tolist()
+        return tuple(
+            AggregateMessage(scope=key, root=root, sums=tuple(sums[k]))
+            for key, root, k in self._senders
+        )
+
+
+class FlatEngine(_ScopeEngine):
+    """The feeder scope alone; building it builds R over X, its block, which sens.r and .x view."""
+
+    name = "flat"
+
+    def __init__(self, sens: SensitivityMatrices, record: FlowRecord | None = None):
+        scope = _Scope(sens.net, ("unclustered",), None, [], 0, block=sens._dense)
+        super().__init__(sens.net, [scope], record)
+        self.op_count_per_apply = 4 * self.n * self.n  # 2 N^2 per output vector
+        if record is not None:
+            record.global_access("dense engine reads every dual and every sensitivity entry")
+
+
+class MultilevelEngine(_ScopeEngine):
     """Exact inside each innermost scope, aggregated across the scopes above.
 
     Depth 1 splits the feeder into its areas (the bi-level engine); depth 2
@@ -357,19 +390,15 @@ class MultilevelEngine:
     ):
         if depth not in (1, 2):
             raise EngineError(f"multilevel depth must be 1 or 2, got {depth!r}")
-        problems = validate_partition(net, part)
-        if problems:
+        if problems := validate_partition(net, part):
             raise EngineError("invalid partition: " + "; ".join(problems[:3]))
         self.name = "bilevel" if depth == 1 else "trilevel"
         self.net = net
-        self.part = part
-        self.n = net.n_flat
-        self.record = record
-        self._scopes: list[_Scope] = []  # post-order: children before parents
+        scopes: list[_Scope] = []  # post-order: children before parents
 
         def scope(key, root, children):
-            s = _Scope(net, key, root, children, len(self._scopes))
-            self._scopes.append(s)
+            s = _Scope(net, key, root, children, len(scopes))
+            scopes.append(s)
             return s
 
         areas = [
@@ -381,27 +410,9 @@ class MultilevelEngine:
         ]
         # The feeder's remainder is the public unclustered set, so its own
         # work runs in that scope.
-        self._tree = scope(("unclustered",), None, areas)
-        self.op_count_per_apply = self._tree.ops
-        # With the scopes' products laid end to end as y, g_p and g_q are the
-        # sums of y[_take] at _out and at _out - n: each product holds a
-        # scope's R rows, then its X rows.
-        start = np.cumsum([0] + [2 * len(s.gather) for s in self._scopes])
-        self._take = np.concatenate([
-            first + np.concatenate([s.take, len(s.gather) + s.take])
-            for first, s in zip(start, self._scopes)
-        ])
-        self._out = np.concatenate([np.concatenate([s.out, self.n + s.out]) for s in self._scopes])
-        # A child scope's aggregate row sums its members' duals by phase: one
-        # bincount over (flat index, slot) pairs. The feeder scope, last in
-        # post-order, is no child.
-        below, none = self._scopes[:-1], np.zeros(0, dtype=np.int64)
-        self._members = np.concatenate([none] + [s.idx for s in below])
-        self._slots = np.concatenate([none] + [3 * s.pos + net.flat_phase[s.idx] for s in below])
-        # Every child scope sends its aggregate to its parent, in post-order.
-        self._senders = [(ch.key, ch.root, ch.pos) for s in self._scopes for ch in s.children]
+        scope(("unclustered",), None, areas)
+        super().__init__(net, scopes, record)
         if record is not None:
-            record.engine = self.name
             self._record_flows(self._tree)
 
     def _record_flows(self, scope):
@@ -432,23 +443,11 @@ class MultilevelEngine:
                     for ch in scope.children:
                         rec.exchange(ch.key, scope.key)
 
-    def compute(self, mu_upper: np.ndarray, mu_lower: np.ndarray) -> CouplingResult:
-        d = _check_duals(mu_upper, mu_lower, self.n)
-        agg = np.bincount(self._slots, weights=d[self._members], minlength=3 * len(self._scopes))
-        x = np.concatenate([d, agg])
-        y = np.concatenate([s.product(x) for s in self._scopes])[self._take]
-        g = np.bincount(self._out, weights=y, minlength=2 * self.n).reshape(2, self.n)
-        if self.record is not None:
-            self.record.apply()
-        return CouplingResult(g, self.op_count_per_apply, partial(self._messages, agg))
 
-    def _messages(self, agg: np.ndarray) -> tuple[AggregateMessage, ...]:
-        """The aggregate each child scope sends its parent, from compute's aggregates."""
-        sums = agg.reshape(-1, 3).tolist()
-        return tuple(
-            AggregateMessage(scope=key, root=root, sums=tuple(sums[k]))
-            for key, root, k in self._senders
-        )
+def check_engine_kind(kind: str) -> None:
+    """Raise EngineError unless kind is one of make_engine's selectors."""
+    if kind not in ("flat", "bilevel", "trilevel"):
+        raise EngineError(f"unknown engine {kind!r}")
 
 
 def make_engine(
@@ -464,16 +463,14 @@ def make_engine(
     threads is not used; every engine runs on one thread. The parameter
     stays for callers that still pass it.
     """
+    check_engine_kind(kind)
     if kind == "flat":
         if sens is None:
             raise EngineError("flat engine needs sensitivity matrices")
         return FlatEngine(sens, record=record)
-    depth = {"bilevel": 1, "trilevel": 2}.get(kind)
-    if depth is None:
-        raise EngineError(f"unknown engine {kind!r}")
     if net is None or part is None:
         raise EngineError(f"{kind} engine needs a network and partition")
-    return MultilevelEngine(net, part, depth, record=record)
+    return MultilevelEngine(net, part, 1 if kind == "bilevel" else 2, record=record)
 
 
 # -- privacy audit ----------------------------------------------------------

@@ -10,12 +10,13 @@ Network.forest's columns and without the matrices. adjoint_sweep is its
 transpose, the same sums and the same real line operator in reverse order,
 for R^T d and X^T d; a multilevel scope with a large remainder computes its
 whole share of the product with it. Every dense entry comes from
-sensitivity_block, which fills R and X at a set of flat indices, each row a
+sensitivity_block, which fills R over X at a set of flat indices, each row a
 copy of its parent bus's row with the bus's own pair values over its
-subtree: over every index it is dense_sensitivity, run on the first read of
-SensitivityMatrices.r or .x, which only the flat coupling engine and the
-tests make, and at a multilevel scope's kernel rows it is that scope's
-dense block. So a multilevel solve holds no N x N array.
+subtree; a coupling scope multiplies it as returned, from the left. Over
+every index it is dense_sensitivity, run on the first read of
+SensitivityMatrices.r or .x, which only the flat coupling engine, whose one
+scope's block it is, and the tests make. At a multilevel scope's kernel rows
+it is that scope's block, so a multilevel solve holds no N x N array.
 """
 
 from __future__ import annotations

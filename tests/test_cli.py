@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from mlopf import bench
 from mlopf.bench import bench_sweep
 from mlopf.cli import build_parser, main
 from mlopf.feedergen import FeederSpec, feeder_documents, generate
@@ -605,6 +606,26 @@ def test_bench_without_flat_never_builds_the_dense_matrices(monkeypatch):
     light = bench_sweep([64, 128], ["bilevel", "trilevel"], 5, 4, seed=0)
     assert counts(light) == counts(dense)
     assert len(light) == 4
+
+
+def test_bench_ratios_cover_engines_listed_before_flat():
+    rows = bench_sweep([64], ["bilevel", "flat"], 5, 4, seed=0)
+    bi, flat = rows
+    assert (bi.engine, flat.engine) == ("bilevel", "flat")
+    assert bi.ratio_vs_flat == flat.coupling_ns / bi.coupling_ns
+    assert flat.ratio_vs_flat == 1.0
+
+
+def test_bench_rejects_an_unknown_engine_before_any_solve(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bench solve ran")
+
+    monkeypatch.setattr(bench, "run", refuse)
+    rc = main(["bench", "--sizes", "2048,64", "--engines", "flat,foo", "--iters", "5"])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "validation", "message": "unknown engine 'foo'",
+    }
 
 
 def test_compare_emits_csv(workspace, tmp_path):

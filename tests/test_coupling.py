@@ -98,14 +98,23 @@ def test_flat_op_count_is_four_n_squared(fig_net):
 
 
 def test_degenerate_partition_reduces_bilevel_to_flat(fig_net):
-    sens = build_sensitivity(fig_net)
+    # With no areas, the multilevel engine at either depth is the feeder
+    # scope alone, the flat engine's tree: dense below SWEEP_MIN_REMAINDER
+    # indices (fig_net, uv300's 349) and swept from there (the 700-bus
+    # feeder's 751).
+    swept = generate(FeederSpec(700, seed=1, phase_drop=0.4)).net
     part = PartitionHierarchy(areas=())
-    mu_up, mu_lo = random_duals(np.random.default_rng(1), sens.n)
-    ref = FlatEngine(sens).compute(mu_up, mu_lo)
-    res = MultilevelEngine(fig_net, part, 1).compute(mu_up, mu_lo)
-    scale = 1.0 + np.max(np.abs(ref.g_p))
-    assert np.max(np.abs(res.g_p - ref.g_p)) / scale < 1e-12
-    assert np.max(np.abs(res.g_q - ref.g_q)) / scale < 1e-12
+    for net, lone_sweep in [(fig_net, False), (uv300()[0], False), (swept, True)]:
+        sens = build_sensitivity(net)
+        mu_up, mu_lo = random_duals(np.random.default_rng(1), sens.n)
+        ref = FlatEngine(sens).compute(mu_up, mu_lo)
+        scale = 1.0 + np.max(np.abs(ref.g_p))
+        for depth in (1, 2):
+            engine = MultilevelEngine(net, part, depth)
+            assert [s.forest is not None for s in engine._scopes] == [lone_sweep]
+            res = engine.compute(mu_up, mu_lo)
+            assert np.max(np.abs(res.g_p - ref.g_p)) / scale < 1e-12
+            assert np.max(np.abs(res.g_q - ref.g_q)) / scale < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -595,9 +604,9 @@ def own_blocks_zeroed(net, scope, want):
 
 @pytest.mark.parametrize("depth", [1, 2])
 def test_scope_blocks_match_scalar_common_path_entries(depth):
-    # Each scope's block holds R^T over X^T at its kernel's rows: row
-    # (i, phi), column (j, psi) reads dv(j, psi)/dp(i, phi), then
-    # dv(j, psi)/dq(i, phi), bit for bit the scalar entry, and a child's
+    # Each scope's block holds R over X at its kernel's rows: row
+    # (i, phi), column (j, psi) reads dv(i, phi)/dp(j, psi), then
+    # dv(i, phi)/dq(j, psi), bit for bit the scalar entry, and a child's
     # own slot block is 0. The rows are one slot per phase of each child
     # root not anchored at the substation, at the anchor, then the
     # remainder. The 60-bus feeder's child roots hold all three phases;
@@ -613,7 +622,7 @@ def test_scope_blocks_match_scalar_common_path_entries(depth):
             kernel = [labels[i] for i in scope.rows]
             slots = kernel_slots(net, scope)
             assert kernel == [(bus, ph) for _, bus, ph in slots] + [labels[i] for i in scope.rem]
-            want = np.array([[[(dv_dp_entry, dv_dq_entry)[part](net, j, psi, i, phi)
+            want = np.array([[[(dv_dp_entry, dv_dq_entry)[part](net, i, phi, j, psi)
                                for j, psi in kernel] for i, phi in kernel]
                              for part in (0, 1)])
             own_blocks_zeroed(net, scope, want)
@@ -622,9 +631,9 @@ def test_scope_blocks_match_scalar_common_path_entries(depth):
     assert absent > 0
 
 
-def test_dense_scope_remainders_are_the_dense_transposes():
-    # Every dense scope's block, all four quadrants, is bitwise the R^T over
-    # X^T submatrix at the kernel's rows with each child's own slot block
+def test_dense_scope_blocks_are_the_dense_submatrices():
+    # Every dense scope's block, all four quadrants, is bitwise the R over
+    # X submatrix at the kernel's rows with each child's own slot block
     # zero: the scopes and the dense build share sensitivity_block. The
     # hand partitions add a substation anchor, an empty remainder, shared
     # anchors and a subarea equal to its area.
@@ -639,7 +648,7 @@ def test_dense_scope_remainders_are_the_dense_transposes():
             for scope in MultilevelEngine(net, part, depth)._scopes:
                 assert scope.forest is None
                 rows = scope.rows
-                want = np.stack([sens.r.T[np.ix_(rows, rows)], sens.x.T[np.ix_(rows, rows)]])
+                want = np.stack([sens.r[np.ix_(rows, rows)], sens.x[np.ix_(rows, rows)]])
                 own_blocks_zeroed(net, scope, want)
                 assert scope.block.tobytes() == want.tobytes()
                 seen |= anchor_cases(net, scope, np.zeros(net.n_flat))
@@ -922,6 +931,26 @@ def test_flat_engine_builds_the_dense_matrices_it_lacks(monkeypatch):
     assert light.op_count == built.op_count
     with pytest.raises(AssertionError, match="dense sensitivities"):
         FlatEngine(build_sensitivity(net))
+
+
+def test_flat_engine_holds_the_dense_matrices_without_a_copy():
+    # The flat engine's one scope multiplies the R over X array that
+    # sens.r and sens.x view, so once they are built the engine and an
+    # apply allocate only O(N): here 0.65% of their 25 MB.
+    net = generate(FeederSpec(1200, seed=1, phase_drop=0.4)).net
+    sens = build_sensitivity(net)
+    dense = sens.r.nbytes + sens.x.nbytes
+    mu_up, mu_lo = random_duals(np.random.default_rng(3), sens.n)
+    tracemalloc.start()
+    try:
+        engine = FlatEngine(sens)
+        engine.compute(mu_up, mu_lo)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.01 * dense
+    (scope,) = engine._scopes
+    assert np.shares_memory(scope.block, sens.r) and np.shares_memory(scope.block, sens.x)
 
 
 def test_swept_scope_never_builds_its_dense_block():
