@@ -1,14 +1,14 @@
-"""JSON documents read into columns, and the checks that name a first offender.
+"""JSON documents read into columns, and the check that names a first offender.
 
 Every document the package reads is a JSON object whose arrays hold
-entries. document_columns reads such an array one column per key,
-converting a column whole when its values are plain JSON values and
-value by value otherwise, so that the first offending entry is named
-with the message its scalar reader gives. The rules for ids, numbers and
-phases are written here once; the network, device and partition readers
-name their fields and column readers. first_offender finds the first
-entry that fails any of a list of array checks, for documents and for
-the checks Network and Problem run on their arrays.
+entries. document_columns reads such an array one column per key, each
+column whole; only when the list fails does it read its entries again,
+a block and then one entry at a time, so that the first offending entry
+is named with the message of the first rule it breaks. The rules for
+ids, numbers and phases are written here once; the network, device and
+partition readers name their fields and column readers. raise_first
+names the first entry that fails any of a list of array checks, for
+documents and for the checks Network and Problem run on their arrays.
 """
 
 from __future__ import annotations
@@ -28,29 +28,23 @@ class NetworkError(ValueError):
     """Malformed document or violated radial-network invariant."""
 
 
-def first_offender(checks) -> tuple[int, str | Exception] | None:
-    """The first entry that fails a check, and the message of its first failed check.
+def raise_first(checks, error=NetworkError) -> None:
+    """Raise for the first entry that fails a check, with its first failed check's message.
 
     checks are (failed, message) pairs in the order one entry's checks run:
     failed is a bool array over the entries, or one bool for a single
-    entry, and message a string or a function of the entry's index. None
-    when every entry passes.
+    entry, and message a string or a function of the entry's index. A
+    message that is an exception is raised as it is, any other as
+    error(message). Returns when every entry passes.
     """
     hit = checks[0][0]
     for failed, _ in checks[1:]:
         hit = hit | failed
-    if not np.any(hit):
-        return None
-    i = int(np.argmax(hit))
-    message = next(message for failed, message in checks if np.atleast_1d(failed)[i])
-    return i, message(i) if callable(message) else message
-
-
-def raise_first(checks, error=NetworkError) -> None:
-    """Raise for first_offender's entry: its message if an exception, else error(message)."""
-    found = first_offender(checks)
-    if found is not None:
-        raise found[1] if isinstance(found[1], Exception) else error(found[1])
+    if np.any(hit):
+        i = int(np.argmax(hit))
+        message = next(message for failed, message in checks if np.atleast_1d(failed)[i])
+        message = message(i) if callable(message) else message
+        raise message if isinstance(message, Exception) else error(message)
 
 
 def read_document(document: dict | str | Path, what: str) -> dict:
@@ -120,25 +114,12 @@ def document_phase(value) -> str:
 # -- document columns -----------------------------------------------------
 #
 # A column reader takes the values of one key, entry by entry, and the
-# columns read before it. It returns (array, fault): fault is None, or
-# (index, exception) for the first value it rejects, the array then
-# covering the values before it. Each reader first tries the whole column
-# at once and takes it only when every value is of the plain JSON type its
-# fast path converts; otherwise it reads value by value, so a rejected
-# value gets the message its scalar reader gives.
+# columns read before it, and returns the column. It converts the whole
+# column at once when every value is of the plain JSON type its fast path
+# takes, and otherwise reads value by value through its scalar reader, so
+# that a rejected value raises the message that reader gives.
 
-def scan_column(values: list, read) -> tuple[list, tuple | None]:
-    """A column read value by value, up to the first value that read rejects."""
-    out = []
-    for value in values:
-        try:
-            out.append(read(value))
-        except (KeyError, TypeError, ValueError) as exc:
-            return out, (len(out), exc)
-    return out, None
-
-
-def id_column(values: list, columns=None):
+def id_column(values: list, columns=None) -> np.ndarray:
     """Ids as int64, read by document_id."""
     if set(map(type, values)) <= {int}:
         try:
@@ -147,32 +128,33 @@ def id_column(values: list, columns=None):
             pass
         else:
             if not (ids < 0).any():
-                return ids, None
-    ids, fault = scan_column(values, document_id)
-    return np.array(ids, dtype=np.int64), fault
+                return ids
+    return np.array([document_id(value) for value in values], dtype=np.int64)
 
 
-def number_column(values: list, columns=None):
+def number_column(values: list, columns=None) -> np.ndarray:
     """Numbers as float64, read by json_number."""
     if set(map(type, values)) <= {float, int}:
         try:
-            return np.fromiter(values, np.float64, len(values)), None
+            return np.fromiter(values, np.float64, len(values))
         except OverflowError:
             pass
-    numbers, fault = scan_column(values, json_number)
-    return np.array(numbers, dtype=np.float64), fault
+    return np.array([json_number(value) for value in values], dtype=np.float64)
 
 
-def phase_column(values: list, columns=None):
+def phase_column(values: list, columns=None) -> np.ndarray:
     """Phase codes as int64, read by document_phase."""
     try:
         plain = set(values) <= set(PHASE_CODE)
     except TypeError:  # an unhashable value
         plain = False
     if plain:
-        return np.frombuffer("".join(values).encode(), np.uint8).astype(np.int64) - ord("a"), None
-    codes, fault = scan_column(values, lambda value: PHASE_CODE[document_phase(value)])
-    return np.array(codes, dtype=np.int64), fault
+        return np.frombuffer("".join(values).encode(), np.uint8).astype(np.int64) - ord("a")
+    return np.array([PHASE_CODE[document_phase(value)] for value in values], dtype=np.int64)
+
+
+# Entries read at once while a failed list is read again for its first offender.
+_REREAD_BLOCK = 1024
 
 
 def document_columns(
@@ -182,64 +164,52 @@ def document_columns(
 
     fields maps each key an entry may hold to its column reader, or to
     (reader, default) for a key an entry may leave out, in the order one
-    entry's checks run; an absent array reads as no entries. checks, given
-    the columns, returns first_offender's checks that follow an entry's
-    fields. The first entry that fails any check raises error naming the
-    entry and its first failed check, as document_keys or the reader words
-    it; a field that is not an array raises NetworkError.
+    entry's fields are read; an absent array reads as no entries. checks,
+    given the columns, returns raise_first's checks that follow an entry's
+    fields. The first entry that fails any rule raises error naming the
+    entry and the first rule it fails, as document_keys, the reader or the
+    check words it; a field that is not an array raises NetworkError.
     """
     values = document.get(key, [])
     if not isinstance(values, list):
         raise NetworkError(f"{what} document field {key!r} must be a JSON array")
-    names = tuple(fields)
-    limit, fault = len(values), None
-
-    def reject(i: int, exc: Exception) -> None:
-        nonlocal limit, fault
-        if i < limit:
-            limit, fault = i, exc
-
-    def key_fault(i: int) -> None:
-        try:
-            document_keys(values[i], names, "entry")
-        except NetworkError as exc:
-            reject(i, exc)
-
-    rows = values
-    if not set(map(type, values)) <= {dict}:
-        stray = next((i for i, row in enumerate(values) if not isinstance(row, dict)), None)
-        if stray is not None:
-            key_fault(stray)
-            rows = values[:stray]
-    missing = object()
-    columns, gaps = {}, {}
-    for name in names:
-        try:
-            columns[name] = list(map(itemgetter(name), rows))
-        except KeyError:
-            columns[name] = [row.get(name, missing) for row in rows]
-            gaps[name] = [i for i, value in enumerate(columns[name]) if value is missing]
-    if sum(map(len, rows)) != len(rows) * len(names) - sum(map(len, gaps.values())):
-        key_fault(next(i for i, row in enumerate(rows) if not row.keys() <= set(names)))
-
-    read = {}
-    for name, reader in fields.items():
-        reader, default = reader if isinstance(reader, tuple) else (reader, missing)
-        values_in = columns[name][:limit]
-        for i in gaps.get(name, ()):
-            if default is missing:
-                reject(i, KeyError(name))
-                values_in = values_in[:i]
+    try:
+        return _read_entries(values, fields, error, checks)
+    except (KeyError, TypeError, ValueError) as exc:
+        fault = exc
+    # No rule looks across entries, so the first offender is the first entry
+    # that fails on its own, and it lies in the first block that fails.
+    for size in (_REREAD_BLOCK, 1):
+        for lo in range(0, len(values), size):
+            try:
+                _read_entries(values[lo:lo + size], fields, error, checks)
+            except (KeyError, TypeError, ValueError) as exc:
+                values, fault = values[lo:lo + size], exc
                 break
-            if i < len(values_in):
-                values_in[i] = default
-        read[name], bad = reader(values_in, read)
-        if bad is not None:
-            reject(*bad)
+    raise error(f"malformed {entry} entry {values[0]!r}: {fault}") from fault
+
+
+def _read_entries(entries: list, fields: dict, error, checks) -> dict:
+    """document_columns' columns of entries; raises at the first rule an entry fails.
+
+    Within one entry the rules run in order: its type and keys
+    (document_keys), its fields in the order of fields, a missing key
+    without a default raising KeyError at its own field, then checks.
+    """
+    names = tuple(fields)
+    if not (set(map(type, entries)) <= {dict} and set().union(*entries) <= set(names)):
+        for value in entries:
+            document_keys(value, names, "entry")
+    columns = {}
+    for name, reader in fields.items():
+        reader, *default = reader if isinstance(reader, tuple) else (reader,)
+        try:
+            column = list(map(itemgetter(name), entries))
+        except KeyError:
+            if not default:
+                raise
+            column = [value.get(name, *default) for value in entries]
+        columns[name] = reader(column, columns)
     if checks is not None:
-        found = first_offender(checks({name: column[:limit] for name, column in read.items()}))
-        if found is not None:
-            reject(found[0], error(found[1]))
-    if fault is not None:
-        raise error(f"malformed {entry} entry {values[limit]!r}: {fault}") from fault
-    return read
+        raise_first(checks(columns), error)
+    return columns

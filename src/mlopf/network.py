@@ -28,8 +28,7 @@ import numpy as np
 
 from .documents import (
     PHASE_CODE, PHASE_NAME, NetworkError, document_columns, document_keys, document_number,
-    document_phase, id_column, json_number, number_column, phase_column, raise_first,
-    read_document, scan_column,
+    id_column, json_number, number_column, phase_column, raise_first, read_document,
 )
 
 # The 120-degree phasor of phase b relative to phase a.
@@ -501,33 +500,24 @@ class Network:
 
 # -- document I/O ---------------------------------------------------------
 
-def _parent_column(values: list, columns=None):
+def _parent_column(values: list, columns=None) -> np.ndarray:
     """Parent ids as int64, -1 for null."""
-    roots = [i for i, value in enumerate(values) if value is None]
-    ids, fault = id_column([0 if value is None else value for value in values])
-    ids[[i for i in roots if i < len(ids)]] = -1
-    return ids, fault
+    ids = id_column([0 if value is None else value for value in values])
+    ids[[i for i, value in enumerate(values) if value is None]] = -1
+    return ids
 
 
-def _read_bus_phases(value) -> list[int]:
-    if not isinstance(value, list):
-        raise TypeError(f"phases {value!r} is not a JSON array")
-    return sorted(PHASE_CODE[document_phase(ph)] for ph in value)
-
-
-def _bus_phases_column(values: list, columns=None):
+def _bus_phases_column(values: list, columns=None) -> tuple[np.ndarray, np.ndarray]:
     """(codes, counts): every bus's phase codes in turn, each bus's sorted, and their counts."""
-    if set(map(type, values)) <= {list}:
-        codes, fault = phase_column(list(chain.from_iterable(values)))
-        if fault is None:
-            counts = np.fromiter(map(len, values), np.int64, len(values))
-            key = codes + 3 * np.repeat(np.arange(len(values)), counts)
-            if (key[1:] < key[:-1]).any():
-                codes = np.sort(key) % 3
-            return (codes, counts), None
-    sets, fault = scan_column(values, _read_bus_phases)
-    codes = np.array(list(chain.from_iterable(sets)), dtype=np.int64)
-    return (codes, np.array(list(map(len, sets)), dtype=np.int64)), fault
+    if not set(map(type, values)) <= {list}:
+        value = next(value for value in values if not isinstance(value, list))
+        raise TypeError(f"phases {value!r} is not a JSON array")
+    codes = phase_column(list(chain.from_iterable(values)))
+    counts = np.fromiter(map(len, values), np.int64, len(values))
+    key = codes + 3 * np.repeat(np.arange(len(values)), counts)
+    if (key[1:] < key[:-1]).any():
+        codes = np.sort(key) % 3
+    return codes, counts
 
 
 def _read_impedance(pairs, line: str) -> np.ndarray:
@@ -544,28 +534,22 @@ def _read_impedance(pairs, line: str) -> np.ndarray:
     return z
 
 
-def _impedance_column(values: list, columns):
+def _impedance_column(values: list, columns) -> np.ndarray:
     """Line impedances, shape (m, 3, 3), from objects of phase-pair keys and [re, im] values."""
     m = len(values)
-    z = np.zeros((m, 9, 2))
     if set(map(type, values)) <= {dict}:
         cell = {a + b: 3 * i + j for a, i in PHASE_CODE.items() for b, j in PHASE_CODE.items()}
         cells = list(map(cell.get, chain.from_iterable(values)))
         parts = list(chain.from_iterable(map(dict.values, values)))
         if None not in cells and set(map(type, parts)) <= {list} and set(map(len, parts)) <= {2}:
-            numbers, fault = number_column(list(chain.from_iterable(parts)))
-            if fault is None:
-                line = np.repeat(np.arange(m), np.fromiter(map(len, values), np.int64, m))
-                z[line, cells] = numbers.reshape(-1, 2)
-                return z.view(np.complex128).reshape(m, 3, 3), None
-    z = z.view(np.complex128).reshape(m, 3, 3)
+            z = np.zeros((m, 9, 2))
+            line = np.repeat(np.arange(m), np.fromiter(map(len, values), np.int64, m))
+            z[line, cells] = number_column(list(chain.from_iterable(parts))).reshape(-1, 2)
+            return z.view(np.complex128).reshape(m, 3, 3)
     frm, to = columns["from"], columns["to"]
-    for i, pairs in enumerate(values):
-        try:
-            z[i] = _read_impedance(pairs, f"line ({frm[i]},{to[i]})")
-        except (TypeError, ValueError) as exc:
-            return z, (i, exc)
-    return z, None
+    return np.array([
+        _read_impedance(pairs, f"line ({frm[i]},{to[i]})") for i, pairs in enumerate(values)
+    ], dtype=np.complex128).reshape(m, 3, 3)
 
 
 def load_network(document: dict | str | Path) -> Network:

@@ -54,7 +54,7 @@ class Device:
 
 
 def device_checks(bus, p0, q0, p_min, p_max, q_min, q_max, w_p, w_q) -> list:
-    """first_offender's checks of device boxes, over arrays or one device's numbers.
+    """raise_first's checks of device boxes, over arrays or one device's numbers.
 
     The box is bounded and nonempty and holds the preference, and both
     weights are positive and finite. Written with comparisons alone, so

@@ -17,9 +17,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .documents import (
-    document_columns, document_id, document_keys, id_column, read_document, scan_column,
-)
+from .documents import document_columns, document_id, document_keys, id_column, read_document
 from .network import Network
 
 
@@ -181,11 +179,12 @@ def load_partition(document: dict | str | Path, net: Network) -> PartitionHierar
     ))
 
 
-def _subarea_column(values: list, columns=None):
+def _subarea_column(values: list, columns=None) -> list:
     """Each area's subarea roots, as a list of ids per area."""
-    return scan_column(values, lambda subareas: [
-        document_id(document_keys(sub, ("root",), "subarea")["root"]) for sub in subareas
-    ])
+    return [
+        [document_id(document_keys(sub, ("root",), "subarea")["root"]) for sub in subareas]
+        for subareas in values
+    ]
 
 
 def partition_to_document(part: PartitionHierarchy) -> dict:

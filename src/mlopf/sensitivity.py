@@ -81,7 +81,8 @@ def sensitivity_block(net: Network, idx) -> np.ndarray:
     value. A row whose parent holds no row starts from the substation's
     pair values, so every column outside its subtree must meet it there:
     the flat indices of a bus set closed upward below one top, or below
-    tops that hang off the substation, qualify. Indices may repeat.
+    tops that hang off the substation, qualify. Indices may repeat. The
+    block owns its memory; the substation's rows are held apart.
 
     The rows are filled one depth level at a time: each row of a level is
     copied on its own, then one scatter covers the level's subtrees'
@@ -96,15 +97,16 @@ def sensitivity_block(net: Network, idx) -> np.ndarray:
     # Pair (phi, psi) of row a's bus sits at 9 a + 3 phi + psi, the
     # substation's after the last row's.
     r_pairs, x_pairs = rotated_pairs(net.z_prefix[np.append(bus, 0)]).reshape(2, -1)
-    # Rows m, m + 1 and m + 2 hold the substation's pair values at phases
-    # a, b and c; a row whose parent holds no row copies the one at its phase.
-    block = np.empty((2, m + 3, m), dtype=np.float64)
+    # The substation's pair rows at phases a, b and c, as rotated_pairs
+    # gives them (signed zeros included): a row whose parent holds no row
+    # copies the one at its phase, numbered ph - 3.
     top = 9 * m + 3 * np.arange(3)[:, None] + ph
-    block[0, m:], block[1, m:] = r_pairs[top], x_pairs[top]
-    where = np.full(net.n_flat + 1, -1, dtype=np.int64)  # index -1 reads the pad
+    pad_r, pad_x = r_pairs[top], x_pairs[top]
+    block = np.empty((2, m, m), dtype=np.float64)
+    where = np.full(net.n_flat + 1, -1, dtype=np.int64)  # index -1 has no row
     where[idx] = np.arange(m)
     up = where[net.index_of[net.parent_pos[bus], ph]]
-    up = np.where(up >= 0, up, m + ph)
+    up = np.where(up >= 0, up, ph - 3)
     # Rows in depth order; the one at k scatters its subtree's columns
     # dfs[start[k]:stop[k]] as entries total[k] to total[k + 1].
     rows = np.argsort(net.depth[bus], kind="stable")
@@ -131,13 +133,15 @@ def sensitivity_block(net: Network, idx) -> np.ndarray:
         pair = np.repeat(9 * rows[a:b] + 3 * ph[rows[a:b]], count) + ph[cols]
         for k in range(lo, hi):
             for i, j in copies[levels[k]:levels[k + 1]]:
-                r[i] = r[j]
-                x[i] = x[j]
+                if j >= 0:
+                    r[i], x[i] = r[j], x[j]
+                else:
+                    r[i], x[i] = pad_r[j], pad_x[j]
             s = slice(total[levels[k]] - first, total[levels[k + 1]] - first)
             r_flat[at[s]] = r_pairs[pair[s]]
             x_flat[at[s]] = x_pairs[pair[s]]
         lo = hi
-    return block[:, :m]
+    return block
 
 
 def build_sensitivity(net: Network) -> SensitivityMatrices:

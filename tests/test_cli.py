@@ -514,6 +514,21 @@ def test_solve_audit_report(workspace, tmp_path):
     assert flat_summary["audit_global_access"] is True
 
 
+def test_solve_audit_without_a_partition_uses_the_auto_partition(workspace, tmp_path):
+    out = tmp_path / "auto"
+    args = [
+        "solve", "--network", str(workspace / "network.json"),
+        "--devices", str(workspace / "devices.json"),
+        "--engine", "trilevel", "--audit", "--iters", "20", "--out", str(out),
+    ]
+    assert main(args) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["audit_violations"] == []
+    assert summary["audit_global_access"] is False
+    events = [json.loads(line) for line in (out / "audit.jsonl").read_text().splitlines()]
+    assert any(e["event"] == "aggregate" for e in events)
+
+
 def test_solve_nonconvergence_exit_code(workspace, tmp_path):
     args = [
         "solve",

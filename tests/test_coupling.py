@@ -18,6 +18,7 @@ from mlopf.coupling import (
     FlowRecord,
     MultilevelEngine,
     ZAccess,
+    make_engine,
     privacy_audit,
 )
 from mlopf.feedergen import FeederSpec, generate
@@ -362,6 +363,15 @@ def test_invalid_partition_rejected(fig_net):
         MultilevelEngine(fig_net, bad, 1)
 
 
+@pytest.mark.parametrize("kind, given, message", [
+    ("flat", {}, "flat engine needs sensitivity matrices"),
+    ("bilevel", {"part": None}, "bilevel engine needs a network and partition"),
+])
+def test_make_engine_without_its_inputs_is_rejected(fig_net, kind, given, message):
+    with pytest.raises(EngineError, match=message):
+        make_engine(kind, net=fig_net, **given)
+
+
 # -- privacy ---------------------------------------------------------------
 
 def test_flat_engine_reports_global_access(fig_net):
@@ -429,6 +439,15 @@ def test_audit_catches_foreign_topology_access(fig_net):
     )
     report = privacy_audit(record, fig_net, part)
     assert any("interior lines" in v for v in report.violations)
+
+
+def test_audit_reports_an_event_of_unknown_type(fig_net):
+    part = auto_partition(fig_net, 4, 2)
+    record = FlowRecord(engine="bilevel")
+    record.events.append(object())
+    report = privacy_audit(record, fig_net, part)
+    assert len(report.violations) == 1
+    assert report.violations[0].startswith("unknown event <object object")
 
 
 @pytest.mark.parametrize("depth", [1, 2])
@@ -951,6 +970,20 @@ def test_flat_engine_holds_the_dense_matrices_without_a_copy():
     assert peak < 0.01 * dense
     (scope,) = engine._scopes
     assert np.shares_memory(scope.block, sens.r) and np.shares_memory(scope.block, sens.x)
+
+
+def test_dense_scope_blocks_own_their_memory():
+    # Each dense block is its own (2, m, m) array, no view of a larger one
+    # that would keep the substation's pair rows alive beside it.
+    net, part = gen4k()
+    dense = [scope for scope in MultilevelEngine(net, part, 2)._scopes if scope.forest is None]
+    assert dense
+    for scope in dense:
+        assert scope.block.base is None
+        assert scope.block.shape == (2, len(scope.rows), len(scope.rows))
+    sens = build_sensitivity(net)
+    assert sens.r.base is sens.x.base is not None
+    assert sens.r.base.nbytes == sens.r.nbytes + sens.x.nbytes
 
 
 def test_swept_scope_never_builds_its_dense_block():

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from mlopf import network, opf
+from mlopf import documents, network, opf
 from mlopf.feedergen import FeederSpec, feeder_documents, generate
 from mlopf.network import (
     Bus,
@@ -18,6 +18,7 @@ from mlopf.network import (
     network_to_document,
 )
 from mlopf.opf import load_problem, make_problem
+from mlopf.partition import load_partition
 from mlopf.sensitivity import build_sensitivity, sensitivity_block
 
 from conftest import (
@@ -790,3 +791,159 @@ def test_largest_int64_bus_id_loads():
     }))
     assert net.flat_labels() == [(top, "a")]
     assert net.path_to_root(top) == [(0, top)]
+
+
+# -- naming the first malformed entry ----------------------------------------
+
+def small_documents():
+    """The network and device documents of a 30-bus feeder, as parsed JSON."""
+    net_doc, device_doc, _ = feeder_documents(generate(FeederSpec(30, seed=3)))
+    return json_round_trip(net_doc), json_round_trip(device_doc)
+
+
+def _edit(entries, k, **fields):
+    entries[k] = {**entries[k], **fields}
+
+
+def empty_box_before_bad_field(net_doc, device_doc):
+    devices = device_doc["devices"]
+    _edit(devices, 1, pmin=devices[1]["pmax"] + 1.0)
+    _edit(devices, 2, p0="x")
+    return "devices", 1, f"device at bus {devices[1]['bus']}: empty box"
+
+
+def bad_phases_before_bad_id(net_doc, device_doc):
+    _edit(net_doc["buses"], 2, phases=["d"])
+    _edit(net_doc["buses"], 3, id=1.5)
+    return "buses", 2, "unknown phase 'd'"
+
+
+def unknown_key_before_bad_id(net_doc, device_doc):
+    _edit(net_doc["buses"], 2, foo=1, id=1.5)
+    return "buses", 2, "entry has unknown key 'foo'"
+
+
+def phases_before_id_in_one_entry(net_doc, device_doc):
+    _edit(net_doc["buses"], 2, phases=["d"], id=1.5)
+    return "buses", 2, "unknown phase 'd'"
+
+
+def bad_parent_before_missing_id(net_doc, device_doc):
+    buses = net_doc["buses"]
+    _edit(buses, 2, parent=0.5)
+    buses[3] = {key: value for key, value in buses[3].items() if key != "id"}
+    return "buses", 2, "bus id 0.5 is not an integer"
+
+
+def bad_id_before_non_object(net_doc, device_doc):
+    _edit(net_doc["buses"], 2, id=1.5)
+    net_doc["buses"].insert(3, 5)
+    return "buses", 2, "bus id 1.5 is not an integer"
+
+
+@pytest.mark.parametrize("case", [
+    empty_box_before_bad_field, bad_phases_before_bad_id, unknown_key_before_bad_id,
+    phases_before_id_in_one_entry, bad_parent_before_missing_id, bad_id_before_non_object,
+], ids=lambda case: case.__name__)
+def test_first_offender_is_the_earliest_entry_at_its_first_failed_rule(case):
+    # The earliest entry in list order that fails anything is named; within
+    # it, its type and keys go first, then its fields in order, then checks.
+    net_doc, device_doc = small_documents()
+    key, k, failure = case(net_doc, device_doc)
+    if key == "devices":
+        net = load_network(net_doc)
+        with pytest.raises(opf.ProblemError) as caught:
+            load_problem(device_doc, net, None)
+        entry = f"device entry {device_doc['devices'][k]!r}"
+    else:
+        with pytest.raises(NetworkError) as caught:
+            load_network(net_doc)
+        entry = f"bus entry {net_doc['buses'][k]!r}"
+    assert str(caught.value) == f"malformed {entry}: {failure}"
+
+
+def test_unhashable_device_phase_is_named():
+    net_doc, device_doc = small_documents()
+    _edit(device_doc["devices"], 0, phase=[])
+    with pytest.raises(opf.ProblemError) as caught:
+        load_problem(device_doc, load_network(net_doc), None)
+    assert str(caught.value) == (
+        f"malformed device entry {device_doc['devices'][0]!r}: unknown phase []"
+    )
+
+
+def test_loading_reads_each_document_list_once(monkeypatch):
+    # Valid documents take the whole-list read alone: one read per list,
+    # never an entry-by-entry re-read.
+    feeder = generate(FeederSpec(4000, seed=0, load_scale=0.05), 400, 100)
+    net_doc, device_doc, part_doc = map(json_round_trip, feeder_documents(feeder))
+    reads, read = [], documents._read_entries
+
+    def counted(entries, *args):
+        reads.append(len(entries))
+        return read(entries, *args)
+
+    monkeypatch.setattr(documents, "_read_entries", counted)
+    net = load_network(net_doc)
+    load_problem(device_doc, net, None)
+    load_partition(part_doc, net)
+    assert reads == [
+        len(net_doc["buses"]), len(net_doc["lines"]), len(device_doc["devices"]),
+        len(device_doc["background"]), len(part_doc["areas"]),
+    ]
+
+
+# -- document and record rules no other test reaches -------------------------
+
+def test_invalid_json_document_is_rejected(tmp_path):
+    path = tmp_path / "network.json"
+    path.write_text('{"buses": [')
+    with pytest.raises(NetworkError, match="network document is not valid JSON"):
+        load_network(path)
+
+
+@pytest.mark.parametrize("key", ["buses", "lines"])
+def test_network_document_needs_buses_and_lines(key):
+    doc = chain_doc()
+    del doc[key]
+    with pytest.raises(NetworkError, match=f"network document lacks key '{key}'"):
+        load_network(doc)
+
+
+def test_bus_phases_load_sorted():
+    net = load_network(one_line_doc(["c", "a"]))
+    assert net.buses[1].phases == ("a", "c")
+    assert net.flat_labels() == [(1, "a"), (1, "c")]
+
+
+def _substation_without_bus_0(doc):
+    doc["buses"] = [bus for bus in doc["buses"] if bus["id"] != 0]
+    doc["buses"][0]["parent"] = None
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_substation_without_bus_0, "substation bus 0 is missing"),
+    (lambda doc: doc["buses"][0].update(parent=1), "substation bus 0 must not have a parent"),
+    (lambda doc: doc["buses"][0].update(phases=["a"]),
+     "substation bus 0 must carry phases a, b, c"),
+    (lambda doc: doc["lines"][1].update({"from": 0}),
+     "line (0,2) disagrees with bus 2's parent 1"),
+], ids=["missing", "with-parent", "one-phase", "line-disagrees"])
+def test_substation_and_line_rules_of_a_document(edit, message):
+    doc = chain_doc()
+    edit(doc)
+    with pytest.raises(NetworkError) as caught:
+        load_network(doc)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("bus_id, message", [
+    (-1, "bus ids must be nonnegative"),
+    (2**63, "bus ids must lie in [0, 2**63 - 1]"),
+])
+def test_record_bus_ids_outside_int64_or_negative_are_rejected(bus_id, message):
+    z = np.zeros((3, 3), dtype=np.complex128)
+    z[0, 0] = 0.01 + 0.02j
+    with pytest.raises(NetworkError) as caught:
+        Network([Bus(0, ("a", "b", "c"), None), Bus(bus_id, ("a",), 0)], [Line(0, bus_id, z)])
+    assert str(caught.value) == message
