@@ -17,7 +17,7 @@ import numpy as np
 
 from .coupling import check_engine_kind, make_engine
 from .feedergen import R_RANGE, X_RANGE
-from .network import Bus, Line, Network
+from .network import PHASE_NAME, Bus, Line, Network
 from .opf import Device, Problem, SolverConfig, make_problem
 from .partition import Area, PartitionHierarchy, Subarea
 from .sensitivity import build_sensitivity
@@ -90,7 +90,7 @@ def bench_problem(net: Network, seed: int) -> Problem:
     background = {}
     for k, c in zip(net.flat_bus_pos, net.flat_phase):
         bid = int(net.ids[k])
-        ph = "abc"[int(c)]
+        ph = PHASE_NAME[int(c)]
         if rng.random() < 0.33:
             devices.append(Device(
                 bus=bid, phase=ph, p0=0.0, q0=0.0,

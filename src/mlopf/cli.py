@@ -15,15 +15,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .coupling import (
-    AggregateExchange,
-    DualRead,
-    FlowRecord,
-    GlobalAccess,
-    ZAccess,
-    make_engine,
-    privacy_audit,
-)
+from .coupling import ENGINE_KINDS, FlowRecord, make_engine, privacy_audit
 from .bench import bench_csv, bench_sweep, bench_table
 from .feedergen import FeederSpec, feeder_documents, generate
 from .documents import NetworkError, document_keys, document_number, read_document
@@ -139,31 +131,9 @@ def cmd_gen(args) -> int:
 
 
 def _audit_lines(record: FlowRecord) -> str:
-    lines = []
-    for ev in record.events:
-        if isinstance(ev, DualRead):
-            payload = {
-                "event": "dual_read", "scope": list(ev.scope), "basis": ev.basis,
-                "count": len(ev.indices),
-                "flat_indices": list(ev.indices),
-            }
-        elif isinstance(ev, ZAccess):
-            payload = {
-                "event": "z_access", "scope": list(ev.scope), "kind": ev.kind,
-                "row_buses": list(ev.row_buses), "col_buses": list(ev.col_buses),
-            }
-        elif isinstance(ev, AggregateExchange):
-            payload = {
-                "event": "aggregate", "producer": list(ev.producer),
-                "consumer": list(ev.consumer),
-            }
-        elif isinstance(ev, GlobalAccess):
-            payload = {"event": "global_access", "note": ev.note}
-        else:
-            payload = {"event": "unknown", "repr": repr(ev)}
-        lines.append(json.dumps(payload))
-    lines.append(json.dumps({"event": "applies", "count": record.applies}))
-    return "\n".join(lines) + "\n"
+    """audit.jsonl: every recorded event, then the apply count."""
+    events = [*record.events, {"event": "applies", "count": record.applies}]
+    return "".join(json.dumps(ev) + "\n" for ev in events)
 
 
 def _setpoint_labels(net) -> list[str]:
@@ -190,7 +160,7 @@ def cmd_solve(args) -> int:
         if report:
             _error_record(out, "validation", "; ".join(report))
             return EXIT_VALIDATION
-    elif args.engine in ("bilevel", "trilevel"):
+    elif args.engine in ENGINE_KINDS[1:]:  # a multilevel engine needs a partition
         part = auto_partition(net, *size_targets(net.n_buses - 1))
     record = FlowRecord() if args.audit else None
     engine = make_engine(args.engine, sens=sens, net=net, part=part, record=record)
@@ -341,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--network", required=True)
     ps.add_argument("--devices", required=True)
     ps.add_argument("--partition")
-    ps.add_argument("--engine", choices=("flat", "bilevel", "trilevel"), default="flat")
+    ps.add_argument("--engine", choices=ENGINE_KINDS, default="flat")
     ps.add_argument("--voltage-model", choices=("linear", "sweep"), default="linear")
     ps.add_argument("--iters", type=int, default=SolverConfig.max_iters)
     ps.add_argument("--step-primal", type=float, default=SolverConfig.step_primal)
@@ -355,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("bench", help="engine timing/op-count sweep")
     pb.add_argument("--sizes", default="256,512,1024")
-    pb.add_argument("--engines", default="flat,bilevel,trilevel")
+    pb.add_argument("--engines", default=",".join(ENGINE_KINDS))
     pb.add_argument("--iters", type=int, default=30)
     pb.add_argument("--subareas", type=int, default=4)
     pb.add_argument("--seed", type=int, default=0)

@@ -31,7 +31,9 @@ feeder scope alone, whose block is the dense R over X itself; depth 1 is
 the bi-level engine and depth 2 the tri-level one. The depths are
 algebraically equal; the deeper ones replace almost all of the N^2
 pairwise work with aggregate exchanges, which is also what keeps per-bus
-duals and interior topology inside their scope.
+duals and interior topology inside their scope. An engine given a
+FlowRecord records once what each scope reads, as the JSON objects that
+audit.jsonl holds, and privacy_audit checks those same objects.
 
 Operation counts follow a declared cost model (complex multiply-accumulate,
 rotation, and real/imaginary extraction each count one; the flat engine
@@ -104,58 +106,43 @@ class AggregateMessage:
 
 # -- information-flow recording ---------------------------------------------
 
-@dataclass(frozen=True)
-class DualRead:
-    scope: tuple
-    basis: str            # "members" (own per-bus duals) | "exterior" (public set)
-    indices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ZAccess:
-    scope: tuple
-    kind: str             # "intra" | "root_root" | "exterior_root"
-    row_buses: tuple[int, ...]
-    col_buses: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class AggregateExchange:
-    producer: tuple
-    consumer: tuple
-
-
-@dataclass(frozen=True)
-class GlobalAccess:
-    note: str
-
-
 @dataclass
 class FlowRecord:
-    """Structural record of what data each scope consumed.
+    """Structural record of what data each scope consumed, recorded once at construction.
 
-    Engines touch the same index sets on every apply, so access patterns are
-    recorded once at construction; applies only bump a counter.
+    Each event is the JSON object that audit.jsonl holds, of plain ints and
+    strings, and privacy_audit reads the same objects: dual_read (scope,
+    basis, count, flat_indices), z_access (scope, kind, row_buses, col_buses,
+    each sorted and distinct), aggregate (producer, consumer) and
+    global_access (note); a scope is an array such as ["area", 2]. Engines
+    touch the same index sets on every apply, so applies only bump a counter.
     """
 
     engine: str = ""
-    events: list = field(default_factory=list)
+    events: list[dict] = field(default_factory=list)
     applies: int = 0
 
     def dual_read(self, scope, basis, indices):
-        self.events.append(DualRead(scope, basis, tuple(int(i) for i in indices)))
+        indices = [int(i) for i in indices]
+        self.events.append({
+            "event": "dual_read", "scope": list(scope), "basis": basis,
+            "count": len(indices), "flat_indices": indices,
+        })
 
     def z_access(self, scope, kind, row_buses, col_buses):
-        self.events.append(
-            ZAccess(scope, kind, tuple(sorted(set(map(int, row_buses)))),
-                    tuple(sorted(set(map(int, col_buses)))))
-        )
+        self.events.append({
+            "event": "z_access", "scope": list(scope), "kind": kind,
+            "row_buses": sorted(set(map(int, row_buses))),
+            "col_buses": sorted(set(map(int, col_buses))),
+        })
 
     def exchange(self, producer, consumer):
-        self.events.append(AggregateExchange(producer, consumer))
+        self.events.append(
+            {"event": "aggregate", "producer": list(producer), "consumer": list(consumer)}
+        )
 
     def global_access(self, note):
-        self.events.append(GlobalAccess(note))
+        self.events.append({"event": "global_access", "note": note})
 
     def apply(self):
         self.applies += 1
@@ -444,9 +431,12 @@ class MultilevelEngine(_ScopeEngine):
                         rec.exchange(ch.key, scope.key)
 
 
+ENGINE_KINDS = ("flat", "bilevel", "trilevel")  # make_engine's selectors
+
+
 def check_engine_kind(kind: str) -> None:
-    """Raise EngineError unless kind is one of make_engine's selectors."""
-    if kind not in ("flat", "bilevel", "trilevel"):
+    """Raise EngineError unless kind is one of ENGINE_KINDS."""
+    if kind not in ENGINE_KINDS:
         raise EngineError(f"unknown engine {kind!r}")
 
 
@@ -531,7 +521,7 @@ def _audit_rules(net: Network, part: PartitionHierarchy) -> dict:
 
 
 def privacy_audit(record: FlowRecord, net: Network, part: PartitionHierarchy) -> PrivacyReport:
-    """Check a flow record against one table of per-scope read rules.
+    """Check a flow record's events, the objects audit.jsonl holds, against per-scope read rules.
 
     Each scope, ("unclustered",), every area and every subarea, may read
     its own per-bus duals ("members") and impedances between its own buses
@@ -542,35 +532,38 @@ def privacy_audit(record: FlowRecord, net: Network, part: PartitionHierarchy) ->
     buses, which for an area include its own members (its remainder to
     subarea root coefficients live there) and for the unclustered scope
     are its own buses. Any other item is a violation, and so is an event
-    from a scope the partition lacks or of an unknown kind. Aggregate
+    from a scope the partition lacks, of an unknown kind or of no kind
+    FlowRecord records. Aggregate
     exchanges never are: they are the mechanism that keeps everything
     else inside its scope. A partition that fails validate_partition has
     no scopes to check against: its problems are the report's violations.
     """
-    global_access = any(isinstance(ev, GlobalAccess) for ev in record.events)
+    names = [ev.get("event") if isinstance(ev, dict) else None for ev in record.events]
+    global_access = "global_access" in names
     if problems := validate_partition(net, part):
         return PrivacyReport(record.engine, global_access, problems, events_checked=0)
     allowed = _audit_rules(net, part)
     violations: list[str] = []
-    for ev in record.events:
-        if isinstance(ev, (GlobalAccess, AggregateExchange)):
+    for name, ev in zip(names, record.events):
+        if name in ("global_access", "aggregate"):
             continue
-        if isinstance(ev, DualRead):
-            what, kind, items = "dual read", ev.basis, set(ev.indices)
-        elif isinstance(ev, ZAccess):
-            what, kind = "impedance access", ev.kind
-            items = set(ev.row_buses) | set(ev.col_buses)
+        if name == "dual_read":
+            what, kind, items = "dual read", ev["basis"], set(ev["flat_indices"])
+        elif name == "z_access":
+            what, kind = "impedance access", ev["kind"]
+            items = set(ev["row_buses"]) | set(ev["col_buses"])
         else:
             violations.append(f"unknown event {ev!r}")
             continue
+        scope = tuple(ev["scope"])
         text = _LEAK_TEXT[what].get(kind)
-        rules = allowed.get(ev.scope)
+        rules = allowed.get(scope)
         if text is None:
             violations.append(f"unknown {what} kind {kind!r}")
         elif rules is None:
-            violations.append(f"{what} from unknown scope {ev.scope}")
+            violations.append(f"{what} from unknown scope {scope}")
         elif leak := items - rules[kind]:
-            violations.append(f"scope {ev.scope} {text} {sorted(leak)[:5]}")
+            violations.append(f"scope {scope} {text} {sorted(leak)[:5]}")
     return PrivacyReport(
         engine=record.engine,
         global_access=global_access,

@@ -70,11 +70,9 @@ def document_keys(value, keys: tuple[str, ...], what: str) -> dict:
 
 
 def json_number(value) -> float:
-    """A JSON number as a float; a string, a bool or anything else raises TypeError.
-
-    An integer beyond the float range raises ValueError.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A JSON number, or a numpy integer or float scalar, as a float; a string, a bool or
+    anything else raises TypeError, and an integer beyond the float range ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise TypeError(f"{value!r} is not a JSON number")
     try:
         return float(value)

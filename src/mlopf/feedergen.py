@@ -23,9 +23,9 @@ from typing import Optional
 
 import numpy as np
 
-from .network import Bus, Line, Network, PHASE_NAME
-from .opf import V_MAX, V_MIN, Device, VoltageBounds
-from .partition import PartitionHierarchy, auto_partition, size_targets
+from .network import PHASE_CODE, PHASE_NAME, Bus, Line, Network, network_to_document
+from .opf import V_MAX, V_MIN, Device, VoltageBounds, devices_document
+from .partition import PartitionHierarchy, auto_partition, partition_to_document, size_targets
 
 
 ROOT_DEGREE = 3
@@ -118,7 +118,7 @@ def generate(
     for bid in range(1, spec.n_buses + 1):
         buses.append(Bus(id=bid, phases=phases[bid], parent=parent[bid]))
         z = np.zeros((3, 3), dtype=np.complex128)
-        codes = [("abc".index(ph)) for ph in phases[bid]]
+        codes = [PHASE_CODE[ph] for ph in phases[bid]]
         selfz = {}
         for c in codes:
             r = rng.uniform(*R_RANGE)
@@ -166,27 +166,10 @@ def generate(
 
 def feeder_documents(feeder: GeneratedFeeder) -> tuple[dict, dict, dict]:
     """The three JSON documents (network, devices, partition) for a feeder."""
-    from .network import network_to_document
-    from .partition import partition_to_document
-
-    devices_doc = {
-        "devices": [
-            {
-                "bus": d.bus, "phase": d.phase, "p0": d.p0, "q0": d.q0,
-                "pmin": d.p_min, "pmax": d.p_max, "qmin": d.q_min, "qmax": d.q_max,
-                "wp": d.w_p, "wq": d.w_q,
-            }
-            for d in feeder.devices
-        ],
-        "background": [
-            {"bus": bus, "phase": ph, "p": pv, "q": qv}
-            for (bus, ph), (pv, qv) in sorted(feeder.background.items())
-        ],
-        "vmin": feeder.v_min,
-        "vmax": feeder.v_max,
-    }
     return (
         network_to_document(feeder.net),
-        devices_doc,
+        devices_document(
+            feeder.devices, dict(sorted(feeder.background.items())), feeder.v_min, feeder.v_max
+        ),
         partition_to_document(feeder.partition),
     )

@@ -177,14 +177,6 @@ class Forest:
         return np.add.accumulate(d.view(x.dtype), axis=1)
 
 
-def _id_array(ids: list) -> np.ndarray:
-    """Record ids as int64; an id outside int64 raises NetworkError."""
-    try:
-        return np.array(ids, dtype=np.int64)
-    except OverflowError:
-        raise NetworkError("bus ids must lie in [0, 2**63 - 1]") from None
-
-
 def _tour(parent_pos: np.ndarray) -> np.ndarray:
     """The DFS tour from position 0, children in id order, as list-ranked steps.
 
@@ -226,15 +218,22 @@ class Network:
     """
 
     def __init__(self, buses: list[Bus], lines: list[Line], base_v_squared: float = 1.0):
-        """A network from records, read into the columns that _build validates."""
+        """A network from records, each bus read as {"id", "phases", "parent"} and each line's
+        ends as {"from", "to"} by load_network's readers: a record is accepted or rejected
+        as its document entry is, with its message. A line's z must have shape (3, 3)."""
+        document = {
+            "buses": [{"id": b.id, "phases": b.phases, "parent": b.parent} for b in buses],
+            "lines": [{"from": ln.from_bus, "to": ln.to_bus} for ln in lines],
+        }
+        bus = document_columns(document, "buses", "network", "bus", _BUS_FIELDS)
+        line = document_columns(document, "lines", "network", "line", _LINE_ENDS)
+        z = [np.asarray(ln.z, dtype=np.complex128) for ln in lines]
+        for frm, to, zj in zip(line["from"], line["to"], z):
+            if zj.shape != (3, 3):
+                raise NetworkError(f"line ({frm},{to}): z must have shape (3, 3), not {zj.shape}")
         self._build(
-            _id_array([b.id for b in buses]),
-            _id_array([-1 if b.parent is None else b.parent for b in buses]),
-            np.array([PHASE_CODE.get(ph, -1) for b in buses for ph in b.phases], dtype=np.int64),
-            np.array([len(b.phases) for b in buses], dtype=np.int64),
-            _id_array([(ln.from_bus, ln.to_bus) for ln in lines]).reshape(-1, 2),
-            np.array([ln.z for ln in lines], dtype=np.complex128).reshape(-1, 3, 3),
-            base_v_squared,
+            bus["id"], bus["parent"], *bus["phases"], np.stack([line["from"], line["to"]], axis=1),
+            np.array(z, dtype=np.complex128).reshape(-1, 3, 3), base_v_squared,
         )
 
     @classmethod
@@ -246,9 +245,9 @@ class Network:
     def _build(self, ids, parents, codes, counts, ends, z, base_v_squared) -> None:
         """Validate the columns of a network and lay it out; the one check of every network.
 
-        Bus k, in the order given, has id ids[k], parent id parents[k] (-1
-        for none) and phase codes counts[k] entries of codes (-1 for an
-        unknown phase); line j runs ends[j] = (from, to) with impedance z[j].
+        Bus k, in the order given, has id ids[k] >= 0, parent id parents[k]
+        (-1 for none) and phase codes 0, 1 or 2 counts[k] entries of codes;
+        line j runs ends[j] = (from, to) with impedance z[j].
         A rule that several buses, or several lines' impedances, break names
         the lowest offending bus id (for a line, its child bus); a rule on
         line ends names the first offending line in the order given.
@@ -262,8 +261,6 @@ class Network:
         again = ids[1:] == ids[:-1]
         if again.any():
             raise NetworkError(f"duplicate bus ids: {np.unique(ids[1:][again]).tolist()}")
-        if n and ids[0] < 0:
-            raise NetworkError("bus ids must be nonnegative")
         if not n or ids[0] != 0:
             raise NetworkError("substation bus 0 is missing")
         # Positions follow ids, so the substation is position 0.
@@ -284,8 +281,6 @@ class Network:
         bus = lambda i: f"bus {ids[i]}"
         raise_first([
             (counts == 0, lambda i: f"{bus(i)} has no phases"),
-            (np.bincount(owner[codes < 0], minlength=n) > 0,
-             lambda i: f"{bus(i)} has an unknown phase"),
             (np.bincount(owner[1:][unsorted], minlength=n) > 0,
              lambda i: f"{bus(i)} phases must be distinct and sorted a<b<c"),
             (child & (parents == -1), lambda i: f"{bus(i)} has no parent"),
@@ -508,9 +503,9 @@ def _parent_column(values: list, columns=None) -> np.ndarray:
 
 
 def _bus_phases_column(values: list, columns=None) -> tuple[np.ndarray, np.ndarray]:
-    """(codes, counts): every bus's phase codes in turn, each bus's sorted, and their counts."""
-    if not set(map(type, values)) <= {list}:
-        value = next(value for value in values if not isinstance(value, list))
+    """(codes, counts) of each bus's phases, a JSON array or a Bus record's tuple, sorted."""
+    if not set(map(type, values)) <= {list, tuple}:
+        value = next(value for value in values if not isinstance(value, (list, tuple)))
         raise TypeError(f"phases {value!r} is not a JSON array")
     codes = phase_column(list(chain.from_iterable(values)))
     counts = np.fromiter(map(len, values), np.int64, len(values))
@@ -552,6 +547,11 @@ def _impedance_column(values: list, columns) -> np.ndarray:
     ], dtype=np.complex128).reshape(m, 3, 3)
 
 
+# The fields of a bus entry and a line's ends, for documents and records alike.
+_BUS_FIELDS = {"phases": _bus_phases_column, "id": id_column, "parent": (_parent_column, None)}
+_LINE_ENDS = {"from": id_column, "to": id_column}
+
+
 def load_network(document: dict | str | Path) -> Network:
     """Build a validated Network from a JSON document, path, or parsed dict.
 
@@ -565,12 +565,10 @@ def load_network(document: dict | str | Path) -> Network:
     for key in ("buses", "lines"):
         if key not in document:
             raise NetworkError(f"network document lacks key {key!r}")
-    buses = document_columns(document, "buses", "network", "bus", {
-        "phases": _bus_phases_column, "id": id_column, "parent": (_parent_column, None),
-    })
-    lines = document_columns(document, "lines", "network", "line", {
-        "from": id_column, "to": id_column, "z": (_impedance_column, {}),
-    })
+    buses = document_columns(document, "buses", "network", "bus", _BUS_FIELDS)
+    lines = document_columns(
+        document, "lines", "network", "line", {**_LINE_ENDS, "z": (_impedance_column, {})}
+    )
     return Network._from_columns(
         buses["id"], buses["parent"], *buses["phases"],
         np.stack([lines["from"], lines["to"]], axis=1), lines["z"],

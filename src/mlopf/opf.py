@@ -20,7 +20,7 @@ from .documents import (
     PHASE_NAME, NetworkError, document_columns, document_keys, document_number, id_column,
     number_column, phase_column, raise_first, read_document,
 )
-from .network import Network, phase_code
+from .network import Network
 from .sensitivity import SensitivityMatrices
 
 
@@ -208,59 +208,47 @@ def make_problem(
 ) -> Problem:
     """Assemble a Problem; background maps (bus, phase) to fixed (p, q).
 
-    The records are read into the columns that _problem checks. sens is
-    not used; a Problem holds no sensitivities. The parameter stays for
-    callers that still pass it.
+    The records are written as a device document (devices_document) and
+    read by load_problem, so a record is accepted or rejected as its
+    document entry is, with its message. sens is not used; a Problem holds
+    no sensitivities. The parameter stays for callers that still pass it.
     """
-    background = background or {}
-    values = np.array([
-        (d.p0, d.q0, d.p_min, d.q_min, d.p_max, d.q_max, d.w_p, d.w_q) for d in devices
-    ], dtype=np.float64)
-    return _problem(
-        net,
-        (np.array([d.bus for d in devices], dtype=np.int64),
-         np.array([phase_code(d.phase) for d in devices], dtype=np.int64),
-         values.reshape(-1, 4, 2).transpose(1, 2, 0)),
-        (np.array([bus for bus, _ in background], dtype=np.int64),
-         np.array([phase_code(ph) for _, ph in background], dtype=np.int64),
-         np.array(list(background.values()), dtype=np.float64).reshape(-1, 2).T),
-        v_min, v_max,
-    )
+    return load_problem(devices_document(devices, background or {}, v_min, v_max), net, sens)
 
 
 def _problem(net: Network, devices, background, v_min: float, v_max: float) -> Problem:
-    """Check and assemble a Problem from columns; the one check of every Problem.
+    """Check and assemble a Problem from load_problem's columns.
 
     devices is (bus ids, phase codes, values): values stacks z0, z_min,
-    z_max and w, each a (2, m) array over [p; q], whose boxes Device and
-    the device document reader have checked by device_checks. background
-    is (bus ids, phase codes, injections), injections a (2, k) array. Each
-    background entry, then each device, must name a bus and phase of net
-    and hold its flat index alone; a background injection is finite.
+    z_max and w, each a (2, m) array over [p; q], whose boxes the device
+    document reader has checked by device_checks. background is (bus ids,
+    phase codes, injections), injections a (2, k) array, at most one entry
+    per bus and phase. Each background entry, then each device, must name
+    a bus and phase of net; a background injection is finite, and a device
+    holds its flat index alone.
     """
     n = net.n_flat
 
     def lookup(bus, phase):
         pos = net.bus_positions(bus)
         idx = np.where(pos < 0, -1, net.index_of[pos, phase])
-        again = np.ones(len(idx), dtype=bool)
-        again[np.unique(idx, return_index=True)[1]] = False
-        at = lambda i: f"bus {bus[i]} phase {PHASE_NAME[phase[i]]}"
-        return idx, again, at, [
+        return idx, [
             (pos < 0, lambda i: NetworkError(f"unknown bus id {bus[i]}")),
             ((pos >= 0) & (idx < 0), lambda i: NetworkError(
                 f"bus {bus[i]} does not carry phase {PHASE_NAME[phase[i]]}")),
         ]
 
     bus, phase, injections = background
-    fixed, again, at, checks = lookup(bus, phase)
+    fixed, checks = lookup(bus, phase)
     raise_first(checks + [
-        (again, lambda i: f"duplicate background injection at {at(i)}"),
         (~np.isfinite(injections).all(axis=0),
          lambda i: f"non-finite background injection at {bus[i]}:{PHASE_NAME[phase[i]]}"),
     ], ProblemError)
     bus, phase, values = devices
-    idx, again, at, checks = lookup(bus, phase)
+    idx, checks = lookup(bus, phase)
+    again = np.ones(len(idx), dtype=bool)
+    again[np.unique(idx, return_index=True)[1]] = False
+    at = lambda i: f"bus {bus[i]} phase {PHASE_NAME[phase[i]]}"
     raise_first(checks + [
         (again, lambda i: f"two devices at {at(i)}"),
         (np.isin(idx, fixed), lambda i: f"{at(i)} has both a device and a background load"),
@@ -368,15 +356,32 @@ def violation_extents(v: np.ndarray, bounds: VoltageBounds) -> tuple[float, floa
 
 # -- document I/O ---------------------------------------------------------
 
+def devices_document(
+    devices: list[Device], background: dict[tuple[int, str], tuple[float, float]],
+    v_min: float = V_MIN, v_max: float = V_MAX,
+) -> dict:
+    """The device document of Device records and a background map, in the map's order."""
+    return {
+        "devices": [{
+            "bus": d.bus, "phase": d.phase, "p0": d.p0, "q0": d.q0, "pmin": d.p_min,
+            "pmax": d.p_max, "qmin": d.q_min, "qmax": d.q_max, "wp": d.w_p, "wq": d.w_q,
+        } for d in devices],
+        "background": [
+            {"bus": bus, "phase": ph, "p": p, "q": q} for (bus, ph), (p, q) in background.items()
+        ],
+        "vmin": v_min, "vmax": v_max,
+    }
+
+
 def load_problem(
     document: dict | str | Path, net: Network, sens: SensitivityMatrices | None
 ) -> Problem:
     """Build a Problem from the device document schema.
 
     Entries are read by document_columns straight into the columns that
-    _problem checks, each device's box by device_checks; sens is not used,
-    as in make_problem, and may be None. A key outside the schema, or a
-    second background entry at one bus and phase, is rejected.
+    _problem checks, each device's box by device_checks; sens is not used
+    and may be None. A key outside the schema, or a second background
+    entry at one bus and phase, is rejected.
     """
     document = document_keys(
         read_document(document, "device"), ("devices", "background", "vmin", "vmax"),

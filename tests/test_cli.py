@@ -9,9 +9,11 @@ import pytest
 from mlopf import bench
 from mlopf.bench import bench_sweep
 from mlopf.cli import build_parser, main
+from mlopf.coupling import FlowRecord, privacy_audit
 from mlopf.feedergen import FeederSpec, feeder_documents, generate
-from mlopf.network import save_network
+from mlopf.network import load_network, save_network
 from mlopf.opf import SolverConfig
+from mlopf.partition import load_partition
 from mlopf.sensitivity import build_sensitivity
 
 from conftest import fig_feeder, refuse_dense_build
@@ -514,6 +516,22 @@ def test_solve_audit_report(workspace, tmp_path):
     assert flat_summary["audit_global_access"] is True
 
 
+@pytest.mark.parametrize("engine", ["bilevel", "trilevel"])
+def test_the_summary_verdict_is_the_audit_of_audit_jsonl(workspace, tmp_path, engine):
+    out = tmp_path / "aud"
+    assert solve(workspace, out, "--engine", engine, "--audit", "--iters", "20") == 0
+    *events, applies = map(json.loads, (out / "audit.jsonl").read_text().splitlines())
+    net = load_network(workspace / "network.json")
+    report = privacy_audit(
+        FlowRecord(engine, events), net, load_partition(workspace / "partition.json", net)
+    )
+    summary = json.loads((out / "summary.json").read_text())
+    assert report.violations == summary["audit_violations"] == []
+    assert report.global_access is summary["audit_global_access"] is False
+    assert report.events_checked == len(events) > 0
+    assert applies == {"event": "applies", "count": 21}
+
+
 def test_solve_audit_without_a_partition_uses_the_auto_partition(workspace, tmp_path):
     out = tmp_path / "auto"
     args = [
@@ -764,3 +782,47 @@ def test_flat_solve_writes_what_it_wrote_with_built_matrices(
     assert main(args) == 0
     assert len(dense_builds) == 2
     assert without_timing(out) == dense
+
+
+def test_two_level_feeder_needs_a_bus_per_area():
+    with pytest.raises(ValueError, match="^need at least one bus per area$"):
+        bench.two_level_feeder(3, 4, 1, seed=0)
+
+
+def test_solve_with_an_invalid_partition_writes_error_json(workspace, tmp_path, capsys):
+    partition = tmp_path / "partition.json"
+    partition.write_text(json.dumps({"areas": [{"root": 0}]}))
+    out = tmp_path / "run"
+    rc = main([
+        "solve", "--network", str(workspace / "network.json"),
+        "--devices", str(workspace / "devices.json"), "--partition", str(partition),
+        "--engine", "bilevel", "--iters", "1", "--out", str(out),
+    ])
+    assert rc == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record == {"error": "validation", "message": "area 0: the substation cannot root an area"}
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == record
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+def test_solve_whose_sweep_fails_exits_1_with_a_solver_record(tmp_path, capsys):
+    net_doc = {
+        "buses": [
+            {"id": 0, "phases": ["a", "b", "c"], "parent": None},
+            {"id": 1, "phases": ["a"], "parent": 0},
+        ],
+        "lines": [{"from": 0, "to": 1, "z": {"aa": [0.01, 0.02]}}],
+    }
+    device_doc = {"background": [{"bus": 1, "phase": "a", "p": -60.0, "q": -30.0}]}
+    (tmp_path / "network.json").write_text(json.dumps(net_doc))
+    (tmp_path / "devices.json").write_text(json.dumps(device_doc))
+    rc = main([
+        "solve", "--network", str(tmp_path / "network.json"),
+        "--devices", str(tmp_path / "devices.json"), "--voltage-model", "sweep",
+        "--out", str(tmp_path / "run"),
+    ])
+    assert rc == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "solver"
+    assert record["message"].startswith("voltage model failed at the initial point: ")
+    assert not (tmp_path / "run").exists()

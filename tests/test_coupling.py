@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import tracemalloc
 
@@ -12,12 +11,10 @@ import pytest
 from mlopf import coupling
 from mlopf.bench import two_level_feeder
 from mlopf.coupling import (
-    DualRead,
     EngineError,
     FlatEngine,
     FlowRecord,
     MultilevelEngine,
-    ZAccess,
     make_engine,
     privacy_audit,
 )
@@ -392,6 +389,20 @@ def test_audit_of_an_invalid_partition_reports_its_problems():
     assert any("bus id 99" in v for v in report.violations)
 
 
+def dual_read_event(scope, basis, indices) -> dict:
+    """The event FlowRecord.dual_read records."""
+    record = FlowRecord()
+    record.dual_read(scope, basis, indices)
+    return record.events[0]
+
+
+def z_access_event(scope, kind, row_buses, col_buses) -> dict:
+    """The event FlowRecord.z_access records."""
+    record = FlowRecord()
+    record.z_access(scope, kind, row_buses, col_buses)
+    return record.events[0]
+
+
 def test_bilevel_audit_is_clean(fig_net):
     part = auto_partition(fig_net, 4, 2)
     record = FlowRecord()
@@ -416,7 +427,7 @@ def test_trilevel_audit_is_clean_including_subarea_scopes(fig_net):
     assert not report.global_access
     sub_reads = [
         ev for ev in record.events
-        if isinstance(ev, DualRead) and ev.scope[0] == "subarea"
+        if ev["event"] == "dual_read" and ev["scope"][0] == "subarea"
     ]
     assert sub_reads  # subarea scopes really recorded their own reads
 
@@ -425,7 +436,7 @@ def test_audit_catches_foreign_dual_read(fig_net):
     part = auto_partition(fig_net, 4, 2)
     record = FlowRecord(engine="bilevel")
     foreign = tuple(range(fig_net.n_flat))  # every index, including other areas
-    record.events.append(DualRead(("area", part.areas[0].index), "members", foreign))
+    record.events.append(dual_read_event(("area", part.areas[0].index), "members", foreign))
     report = privacy_audit(record, fig_net, part)
     assert any("foreign" in v for v in report.violations)
 
@@ -435,7 +446,7 @@ def test_audit_catches_foreign_topology_access(fig_net):
     record = FlowRecord(engine="bilevel")
     all_buses = [b.id for b in fig_net.buses if b.id != 0]
     record.events.append(
-        ZAccess(("area", part.areas[0].index), "intra", tuple(all_buses), tuple(all_buses))
+        z_access_event(("area", part.areas[0].index), "intra", all_buses, all_buses)
     )
     report = privacy_audit(record, fig_net, part)
     assert any("interior lines" in v for v in report.violations)
@@ -548,29 +559,30 @@ def test_audit_reports_one_planted_foreign_item_per_event_kind(fig_net, kind):
     pools = documented_pools(fig_net, part)
     k, ev = next(
         (k, ev) for k, ev in enumerate(record.events)
-        if getattr(ev, "basis", getattr(ev, "kind", None)) == kind
+        if ev.get("basis", ev.get("kind")) == kind
     )
-    foreign = min(set(universe(fig_net, kind)) - pools[ev.scope][kind])
+    scope = tuple(ev["scope"])
+    foreign = min(set(universe(fig_net, kind)) - pools[scope][kind])
     if kind in DUAL_KINDS:
-        planted = dataclasses.replace(ev, indices=ev.indices + (foreign,))
+        planted = {**ev, "flat_indices": ev["flat_indices"] + [foreign]}
     else:
-        planted = dataclasses.replace(ev, row_buses=ev.row_buses + (foreign,))
+        planted = {**ev, "row_buses": ev["row_buses"] + [foreign]}
     record.events[k] = planted
     report = privacy_audit(record, fig_net, part)
     assert report.violations == [report.violations[0]]
-    assert report.violations[0].startswith(f"scope {ev.scope} ")
+    assert report.violations[0].startswith(f"scope {scope} ")
     assert leaked_items(report) == [foreign]
 
 
 @pytest.mark.parametrize(
     "event",
     [
-        DualRead(("area", 99), "members", (0,)),
-        DualRead(("area", 99), "exterior", (0,)),
-        DualRead(("subarea", 0, 9), "exterior", (0,)),
-        ZAccess(("area", 99), "root_root", (6,), (6,)),
-        ZAccess(("subarea", 9, 0), "exterior_root", (1,), (1,)),
-        ZAccess(("feeder",), "intra", (1,), (1,)),
+        dual_read_event(("area", 99), "members", (0,)),
+        dual_read_event(("area", 99), "exterior", (0,)),
+        dual_read_event(("subarea", 0, 9), "exterior", (0,)),
+        z_access_event(("area", 99), "root_root", (6,), (6,)),
+        z_access_event(("subarea", 9, 0), "exterior_root", (1,), (1,)),
+        z_access_event(("feeder",), "intra", (1,), (1,)),
     ],
     ids=[
         "members-area99", "exterior-area99", "exterior-subarea0.9",
@@ -582,17 +594,17 @@ def test_audit_rejects_events_from_unknown_scopes(fig_net, event):
     record = FlowRecord(events=[event])
     report = privacy_audit(record, fig_net, part)
     assert report.violations == [
-        f"{'dual read' if isinstance(event, DualRead) else 'impedance access'} "
-        f"from unknown scope {event.scope}"
+        f"{'dual read' if event['event'] == 'dual_read' else 'impedance access'} "
+        f"from unknown scope {tuple(event['scope'])}"
     ]
 
 
 def test_audit_rejects_unknown_read_kinds(fig_net):
     part = auto_partition(fig_net, 4, 2)
     record = FlowRecord(events=[
-        DualRead(("unclustered",), "intra", (0,)),
-        ZAccess(("area", 0), "members", (6,), (6,)),
-        ZAccess(("area", 0), "global", (6,), (6,)),
+        dual_read_event(("unclustered",), "intra", (0,)),
+        z_access_event(("area", 0), "members", (6,), (6,)),
+        z_access_event(("area", 0), "global", (6,), (6,)),
     ])
     report = privacy_audit(record, fig_net, part)
     assert report.violations == [
@@ -875,6 +887,46 @@ def test_real_kernels_match_the_dense_products(family):
             res = MultilevelEngine(net, part, depth).compute(mu_up, mu_lo)
             for got, want in ((res.g_p, ref.g_p), (res.g_q, ref.g_q)):
                 assert np.max(np.abs(got - want)) <= 1e-13 * (1.0 + np.max(np.abs(want)))
+
+
+def phase_drop_400():
+    feeder = generate(FeederSpec(400, seed=1, phase_drop=0.4))
+    return feeder.net, feeder.partition
+
+
+def fig_partitioned():
+    net = fig_feeder()
+    return net, auto_partition(net, 4, 2)
+
+
+@pytest.mark.parametrize("swept", [False, True], ids=["as-built", "all-swept"])
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("feeder", ["uv300", "drop400", "fig"])
+def test_each_scope_product_reads_only_the_duals_its_audit_rules_allow(
+    monkeypatch, feeder, depth, swept
+):
+    # Every per-bus dual outside a scope's "members" and "exterior" pools is
+    # NaN, the child aggregates stay clean: the product must not change. A
+    # gather entry pointed at a foreign index must then show in the product.
+    net, part = {"uv300": uv300, "drop400": phase_drop_400, "fig": fig_partitioned}[feeder]()
+    if swept:
+        monkeypatch.setattr(coupling, "SWEEP_MIN_REMAINDER", 0)
+    engine = MultilevelEngine(net, part, depth)
+    rules = coupling._audit_rules(net, part)
+    d = np.random.default_rng(11).uniform(-1.0, 1.0, net.n_flat)
+    agg = np.bincount(engine._slots, weights=d[engine._members], minlength=3 * len(engine._scopes))
+    clean = np.concatenate([d, agg])
+    for scope in engine._scopes:
+        readable = sorted(rules[scope.key]["members"] | rules[scope.key]["exterior"])
+        poisoned = np.full(net.n_flat, np.nan)
+        poisoned[readable] = d[readable]
+        x = np.concatenate([poisoned, agg])
+        assert np.array_equal(scope.product(x), scope.product(clean)), scope.key
+        foreign = sorted(set(range(net.n_flat)) - set(readable))
+        if foreign and len(scope.gather):
+            scope.gather = scope.gather.copy()
+            scope.gather[-1] = foreign[0]
+            assert np.isnan(scope.product(x)).any(), scope.key
 
 
 @pytest.mark.parametrize("feeder", ["uv300", "gen4k", "two_level"])

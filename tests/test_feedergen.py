@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -92,3 +93,27 @@ def test_invalid_specs_rejected():
 def test_generate_rejects_voltage_limits_out_of_order(v_min, v_max):
     with pytest.raises(ProblemError, match="0 < vmin < vmax"):
         generate(FeederSpec(n_buses=10), v_min=v_min, v_max=v_max)
+
+
+# sha256 of json.dumps of each document (network, devices, partition) of the
+# benchmark's generated inputs. A drift in the generator or a writer changes
+# the benchmark's workloads, so it must change these on purpose.
+BENCHMARK_INPUTS = {
+    "uv300": ((FeederSpec(300, seed=0, load_scale=1.8), 90, 28), (
+        "4708556cdac2d00615c881c5aee2d15148bc3ef3984b7decfd90ce2863da1b9a",
+        "da421a3a7ea67dc6af3767ad1fb39fc588021f7ce5e5bd14f34270e00d024427",
+        "c149dce1428c4de7bc38d5ed759b84beb7299cb0eea32882c702149b7d4a8674",
+    )),
+    "gen4k": ((FeederSpec(4000, seed=0, load_scale=0.05), 400, 100), (
+        "66eb4bdc2b7d4715580b4f3cc98d43821f3fa5106a6f16e2dde8febfbbd1f78f",
+        "9d78b52ba6f40ce352346b44dac99ea42edae37077ada8be609b83b95a7597ba",
+        "9cb1d77247d308a1a1681ad72ebfd1072584b26d2b1fb669613b543c0e6ac454",
+    )),
+}
+
+
+@pytest.mark.parametrize("name", list(BENCHMARK_INPUTS))
+def test_benchmark_input_documents_are_pinned(name):
+    args, digests = BENCHMARK_INPUTS[name]
+    docs = feeder_documents(generate(*args))
+    assert [hashlib.sha256(json.dumps(doc).encode()).hexdigest() for doc in docs] == list(digests)

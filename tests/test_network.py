@@ -17,7 +17,7 @@ from mlopf.network import (
     load_network,
     network_to_document,
 )
-from mlopf.opf import load_problem, make_problem
+from mlopf.opf import Device, ProblemError, load_problem, make_problem
 from mlopf.partition import load_partition
 from mlopf.sensitivity import build_sensitivity, sensitivity_block
 
@@ -937,13 +937,123 @@ def test_substation_and_line_rules_of_a_document(edit, message):
     assert str(caught.value) == message
 
 
-@pytest.mark.parametrize("bus_id, message", [
-    (-1, "bus ids must be nonnegative"),
-    (2**63, "bus ids must lie in [0, 2**63 - 1]"),
-])
-def test_record_bus_ids_outside_int64_or_negative_are_rejected(bus_id, message):
+@pytest.mark.parametrize("bus_id", [-1, 2**63])
+def test_record_bus_ids_outside_int64_or_negative_are_rejected(bus_id):
     z = np.zeros((3, 3), dtype=np.complex128)
     z[0, 0] = 0.01 + 0.02j
     with pytest.raises(NetworkError) as caught:
         Network([Bus(0, ("a", "b", "c"), None), Bus(bus_id, ("a",), 0)], [Line(0, bus_id, z)])
-    assert str(caught.value) == message
+    entry = {"id": bus_id, "phases": ("a",), "parent": 0}
+    assert str(caught.value) == (
+        f"malformed bus entry {entry!r}: bus id {bus_id} is outside [0, 2**63 - 1]"
+    )
+
+
+# -- records read as their document twins -------------------------------------
+
+def record_network(bus_id=1, phases=("a",), to=None):
+    """Substation and one bus, from Bus and Line records."""
+    z = np.zeros((3, 3), dtype=np.complex128)
+    z[0, 0] = 0.01 + 0.02j
+    return Network(
+        [Bus(0, ("a", "b", "c"), None), Bus(bus_id, phases, 0)],
+        [Line(0, bus_id if to is None else to, z)],
+    )
+
+
+def document_network(bus_id=1, phases=("a",), to=None):
+    """record_network's twin, written as a network document."""
+    return load_network({
+        "buses": [
+            {"id": 0, "phases": ["a", "b", "c"], "parent": None},
+            {"id": bus_id, "phases": list(phases) if isinstance(phases, tuple) else phases,
+             "parent": 0},
+        ],
+        "lines": [{"from": 0, "to": bus_id if to is None else to, "z": {"aa": [0.01, 0.02]}}],
+    })
+
+
+DEVICE = {"bus": 1, "phase": "a", "p0": 0.0, "q0": 0.0,
+          "p_min": -1.0, "p_max": 1.0, "q_min": -1.0, "q_max": 1.0}
+DOCUMENT_KEY = {"p_min": "pmin", "p_max": "pmax", "q_min": "qmin", "q_max": "qmax"}
+
+
+def record_problem(device=None, background=None):
+    """One device, or one background load at (1, background), from records."""
+    if background is not None:
+        return make_problem(record_network(), None, [], {(1, background): (-0.1, -0.05)})
+    return make_problem(record_network(), None, [Device(**{**DEVICE, **device})])
+
+
+def document_problem(device=None, background=None):
+    """record_problem's twin, written as a device document."""
+    if background is not None:
+        doc = {"background": [{"bus": 1, "phase": background, "p": -0.1, "q": -0.05}]}
+    else:
+        doc = {"devices": [{DOCUMENT_KEY.get(k, k): v for k, v in {**DEVICE, **device}.items()}]}
+    return load_problem(doc, document_network(), None)
+
+
+# entry kind, the edit to the record and its twin, and the rejection (None: accepted)
+RECORD_TWINS = {
+    "bus-id-1.5": ("bus", {"bus_id": 1.5, "to": 1}, "bus id 1.5 is not an integer"),
+    "line-to-1.5": ("line", {"to": 1.5}, "bus id 1.5 is not an integer"),
+    "bus-id-true": ("bus", {"bus_id": True, "to": 1}, "True is not a JSON number"),
+    "bus-id-string": ("bus", {"bus_id": "3", "to": 3}, "'3' is not a JSON number"),
+    "phases-string": ("bus", {"phases": "abc"}, "phases 'abc' is not a JSON array"),
+    "phases-unsorted": ("bus", {"phases": ("b", "a")}, None),
+    "bus-id-np-int64": ("bus", {"bus_id": np.int64(4)}, None),
+    "bus-id-2.0": ("bus", {"bus_id": 2.0}, None),
+    "device-bus-1.5": ("device", {"device": {"bus": 1.5}}, "bus id 1.5 is not an integer"),
+    "device-bus-true": ("device", {"device": {"bus": True}}, "True is not a JSON number"),
+    "device-phase-0": ("device", {"device": {"phase": 0}}, "unknown phase 0"),
+    "background-phase-0": ("background", {"background": 0}, "unknown phase 0"),
+    "device-p0-true": ("device", {"device": {"p0": True}}, "True is not a JSON number"),
+    "device-bus-np-int64": ("device", {"device": {"bus": np.int64(1)}}, None),
+}
+
+
+@pytest.mark.parametrize("case", list(RECORD_TWINS))
+def test_records_are_read_as_their_document_twins(case):
+    entry, edit, fault = RECORD_TWINS[case]
+    if entry in ("bus", "line"):
+        builders, error = (record_network, document_network), NetworkError
+    else:
+        builders, error = (record_problem, document_problem), ProblemError
+    if fault is not None:
+        for build in builders:
+            with pytest.raises(error) as caught:
+                build(**edit)
+            message = str(caught.value)
+            assert message.startswith(f"malformed {entry} entry "), message
+            assert message.endswith(f": {fault}"), message
+    elif entry == "bus":
+        record, document = (build(**edit) for build in builders)
+        assert record.flat_labels() == document.flat_labels()
+        assert_bitwise(record, document, NETWORK_ARRAYS)
+    else:
+        record, document = (build(**edit) for build in builders)
+        assert record.devices == document.devices
+        assert_bitwise(record, document, PROBLEM_ARRAYS)
+
+
+def test_record_line_impedance_must_be_three_by_three():
+    z = np.zeros(9, dtype=np.complex128)
+    z[0] = 0.01 + 0.02j
+    with pytest.raises(NetworkError) as caught:
+        Network([Bus(0, ("a", "b", "c"), None), Bus(1, ("a",), 0)], [Line(0, 1, z)])
+    assert str(caught.value) == "line (0,1): z must have shape (3, 3), not (9,)"
+
+
+def test_the_substation_has_no_incoming_line(chain_net):
+    with pytest.raises(NetworkError, match="^bus 0 has no incoming line$"):
+        chain_net.line_to(0)
+
+
+def test_a_line_impedance_key_outside_the_phase_pairs_is_rejected():
+    doc = chain_doc()
+    doc["lines"][0]["z"] = {"ad": [0.01, 0.02]}
+    with pytest.raises(NetworkError) as caught:
+        load_network(doc)
+    entry = doc["lines"][0]
+    assert str(caught.value) == f"malformed line entry {entry!r}: line (0,1): bad impedance key 'ad'"

@@ -423,3 +423,35 @@ def test_background_fills_fixed_indices():
     # Fixed indices stay pinned under projection.
     p, q = clamp(prob, np.array([9.0, 9.0]), np.array([-9.0, -9.0]))
     assert p[1] == -0.3 and q[1] == -0.1
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"step_primal": 0.0}, "stepsizes and eta must be positive"),
+    ({"step_dual": -1e-3}, "stepsizes and eta must be positive"),
+    ({"eta": 0.0}, "stepsizes and eta must be positive"),
+    ({"max_iters": -1}, "max_iters must be nonnegative"),
+    ({"residual_tol": -1e-6}, "residual_tol must be nonnegative"),
+], ids=["step_primal-0", "step_dual-negative", "eta-0", "max_iters-negative", "residual_tol-negative"])
+def test_solver_config_rejects_an_out_of_range_value(fields, message):
+    with pytest.raises(ProblemError) as caught:
+        SolverConfig(**fields)
+    assert str(caught.value) == message
+
+
+def test_voltage_bounds_reject_mismatched_shapes():
+    with pytest.raises(ProblemError, match="^bound vectors must have matching shapes$"):
+        VoltageBounds(np.full(2, 0.9), np.full(3, 1.1))
+
+
+def test_dual_update_rejects_a_voltage_vector_of_the_wrong_length():
+    duals = DualState(np.zeros(2), np.zeros(2))
+    bounds = VoltageBounds.from_magnitudes(2, 0.95, 1.05)
+    with pytest.raises(ProblemError, match="^voltage vector shape does not match the duals$"):
+        dual_update(duals, np.ones(3), bounds, SolverConfig())
+
+
+def test_lagrangian_value_rejects_mismatched_lengths(two_bus_net):
+    prob = make_problem(two_bus_net, None, [])
+    one, two = np.ones(1), np.ones(2)
+    with pytest.raises(ProblemError, match="^dimension mismatch in Lagrangian evaluation$"):
+        lagrangian_value(prob, one, one, one, one, two, 1e-4)

@@ -287,3 +287,9 @@ def test_members_derived_from_roots(fig_net):
     assert area - subtree_ids(fig_net, 27) == frozenset({21, 22, 23, 24})
     assert unclustered(fig_net, part) == {b.id for b in fig_net.buses if b.id != 0} - area
     assert validate_partition(fig_net, part) == []
+
+
+@pytest.mark.parametrize("targets", [(0,), (4, -1)], ids=["area-0", "subarea-negative"])
+def test_auto_partition_rejects_a_non_positive_target(targets):
+    with pytest.raises(ValueError, match="^size targets must be positive$"):
+        auto_partition(fig_feeder(), *targets)

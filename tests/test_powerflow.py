@@ -310,3 +310,11 @@ def test_start_shape_and_finiteness_checked():
     for bad in (np.nan, np.inf, complex(1.0, np.nan)):
         with pytest.raises(ValueError, match="finite"):
             backward_forward_sweep(net, p, q, start=np.array([bad], dtype=complex))
+
+
+def test_a_zero_start_phasor_is_a_singular_operating_point():
+    net = load_network(chain_doc())
+    start = np.ones(net.n_flat, dtype=np.complex128)
+    start[1] = 0.0
+    with pytest.raises(SweepError, match="^zero voltage encountered; operating point is singular$"):
+        backward_forward_sweep(net, np.zeros(net.n_flat), np.zeros(net.n_flat), start=start)

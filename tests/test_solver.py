@@ -492,3 +492,23 @@ def test_a_hand_built_state_copies_its_inputs():
         assert not np.shares_memory(state.z, given) and given.flags.writeable
     p[0] += 1.0
     assert state.p[0] == prob.p0[0]
+
+
+def test_run_names_the_iteration_whose_voltage_model_failed():
+    # Tight bounds, so the run does not stop at its initial state.
+    net, sens, prob = tiny_problem(v_min=0.999, v_max=1.001)
+
+    class FailsOnSecondCall(LinearVoltageModel):
+        calls = 0
+
+        def voltages(self, p, q, prev=None):
+            self.calls += 1
+            if self.calls == 2:
+                raise RuntimeError("plant offline")
+            return super().voltages(p, q, prev)
+
+    vmodel = FailsOnSecondCall(sens)
+    state = initial_state(prob, vmodel)
+    with pytest.raises(SolverError) as caught:
+        run(state, prob, FlatEngine(sens), vmodel, SolverConfig(max_iters=5))
+    assert str(caught.value) == "voltage model failed at iteration 1: plant offline"
