@@ -17,16 +17,16 @@ children collapse to one anchor-to-anchor impedance times the other
 child's per-phase dual aggregate, a remainder bus meets a child only
 through the child's anchor, and pairs inside the remainder are exact. A
 child anchored at the substation meets everything else at zero impedance
-and has no slot. While the remainder is small the kernel is a dense real
-block, sensitivity.sensitivity_block at its rows: the R over X submatrix
-at those flat indices, with each child's own slot block zero, which the
-operand multiplies from the left. From SWEEP_MIN_REMAINDER flat indices
-on, where the block's m^2 work overtakes a sweep's fixed cost, the whole
-kernel is one sensitivity.adjoint_sweep over the forest its rows' buses
-span, with each child's aggregate at its anchor: O(m + children) and
-without any block. A scope's own aggregate is the per-phase sum of its
-members' duals, all aggregates coming from one bincount before the
-products run, so the split repeats at every level. The flat engine is the
+and has no slot. While every remainder is small, each kernel is a dense
+real block, sensitivity.sensitivity_block at its rows: the R over X
+submatrix there, each child's own slot block zero, which the operand
+multiplies from the left. A tree with a remainder of SWEEP_MIN_REMAINDER
+flat indices or more holds no block: each scope's rows are a row of one
+Forest, whose prefix sums restart at each row, and one
+sensitivity.adjoint_sweep over it gives every kernel at once in O(N). A
+scope's own aggregate is the per-phase sum of its members' duals, all
+aggregates coming from one bincount before the products run, so the split
+repeats at every level. The flat engine is the
 feeder scope alone, whose block is the dense R over X itself; depth 1 is
 the bi-level engine and depth 2 the tri-level one. The depths are
 algebraically equal; the deeper ones replace almost all of the N^2
@@ -49,20 +49,18 @@ from typing import Callable
 
 import numpy as np
 
-from .network import Network
+from .network import Network, rotated_pairs
 from .partition import (
     PartitionHierarchy, _subtree_slice, subtree_ids, unclustered, validate_partition,
 )
 from .sensitivity import SensitivityMatrices, adjoint_sweep, sensitivity_block
 
 
-# A scope whose remainder holds at least this many flat indices runs its
-# kernel as a tree sweep instead of a dense block. With BLAS on one
-# thread the two cost the same at roughly 300 indices of a gen4k subtree,
-# and the sweep is three times as fast by 430. The constant sits above that
-# crossover so that every remainder of the acceptance feeders (at most
-# 285) and of uv300 (at most 164) keeps its dense block, and with it the
-# declared op counts that the acceptance gates pin.
+# A scope tree with a remainder of at least this many flat indices sweeps
+# every scope in one tree sweep; any other keeps a dense block per scope.
+# All or none, since each side pays its own fixed cost per apply. Every
+# remainder of uv300 (at most 164), where sweeping all is slower, and of
+# the acceptance feeders (285) stays dense, with the op counts they pin.
 SWEEP_MIN_REMAINDER = 512
 
 
@@ -166,10 +164,9 @@ def _sweep_ops(buses: int) -> int:
     A declared model that counts the sweep as complex work: per bus and
     phase, one add each for the subtree and ancestor sums and one
     rotation each on the way in and out; per bus, nine multiply-accumulates
-    through the line. It counts neither the forest's columns, one per flat
-    index, nor the real sweep's float operations, and it stays fixed so
-    that declared counts stay comparable across versions: a gen4k trilevel
-    apply declares 381,628.
+    through the line. It counts neither the forest's columns nor the real
+    sweep's float operations, and stays fixed so that declared counts stay
+    comparable across versions: a gen4k trilevel apply declares 96,660.
     """
     return 21 * buses
 
@@ -200,7 +197,7 @@ def _level_op_count(intra_ops: list[int], cluster_sizes: list[int], rem: int) ->
 
 
 def _swept_op_count(intra_ops: list[int], cluster_sizes: list[int], buses: int) -> int:
-    """Declared per-apply cost of a swept scope whose forest spans this many buses.
+    """Declared per-apply cost of a swept scope whose block of the forest spans this many buses.
 
     Its clusters' own costs, one add per member for their aggregates and
     two per member to broadcast the slot rows back, as in the dense model;
@@ -208,9 +205,7 @@ def _swept_op_count(intra_ops: list[int], cluster_sizes: list[int], buses: int) 
     nine multiply-accumulates per cluster to take its own 3x3 term back
     out. Like _sweep_ops, a declared model.
     """
-    return (
-        sum(intra_ops) + 3 * sum(cluster_sizes) + _sweep_ops(buses) + 9 * len(cluster_sizes)
-    )
+    return sum(intra_ops) + 3 * sum(cluster_sizes) + _sweep_ops(buses) + 9 * len(cluster_sizes)
 
 
 class _Scope:
@@ -231,18 +226,11 @@ class _Scope:
     row to every member of its child with that phase, a remainder row to
     its own flat index.
 
-    A remainder of fewer than SWEEP_MIN_REMAINDER flat indices holds the
-    kernel as one dense real block, R over X at the rows, shape (2, m, m),
-    as sensitivity_block returns it or as handed in: the flat engine's lone
-    scope holds SensitivityMatrices' own. A larger one holds no block. The
-    rows span a forest, a column per distinct index, closed upward inside
-    the scope since children are whole subtrees, whose tops, if several, are
-    the substation's children; each child's aggregate sits at its anchor's
-    columns, and one adjoint_sweep over the forest meets every pair at its
-    common ancestor, returning the same real rows. The sweep also pairs each
-    child with itself. own, R over X at the slot rows kept only inside each
-    child (every such pair is an anchor with itself), is subtracted from the
-    sweep's slot rows.
+    A dense engine's scope holds its kernel as R over X at the rows, shape
+    (2, m, m), as sensitivity_block returns it or as handed in: the flat
+    engine's lone scope holds SensitivityMatrices' own. A swept engine's
+    scope holds none; its rows, closed upward since children are whole
+    subtrees, are one row of the engine's forest.
     """
 
     def __init__(self, net, key, root, children, pos, block=None):
@@ -275,29 +263,8 @@ class _Scope:
             [at[net.flat_phase[ch.idx]] for ch, at in slotted] + [s + np.arange(m)]
         )
         owner = np.nonzero(present)[0]
-        own = owner[:, None] == owner  # slot pairs inside one child
-        child_sizes = [len(ch.idx) for ch in children]
-        self.block, self.forest = block, None
-        if block is None and m < SWEEP_MIN_REMAINDER:
-            self.block = sensitivity_block(net, rows)
-            self.block[:, :s, :s][:, own] = 0.0
-        if self.block is not None:
-            self.ops = _level_op_count([ch.ops for ch in children], child_sizes, m)
-        else:
-            self.cols, self.forest = net.subforest(rows)
-            self.own = np.where(own, sensitivity_block(net, rows[:s]), 0.0)
-            buses = int(np.count_nonzero(np.bincount(net.flat_bus_pos[rows])))
-            self.ops = _swept_op_count([ch.ops for ch in children], child_sizes, buses)
-
-    def product(self, x: np.ndarray) -> np.ndarray:
-        """x[gather] times the kernel: its R^T rows, then X^T rows; x = [d; aggregates]."""
-        x = x[self.gather]
-        if self.forest is None:
-            return (x @ self.block).reshape(-1)
-        y = adjoint_sweep(self.forest, self.cols, x)
-        s = self.own.shape[1]
-        y[:, :s] -= x[:s] @ self.own
-        return y.reshape(-1)
+        self.pairs = np.argwhere(owner[:, None] == owner).T  # slot pairs inside one child
+        self.block = block
 
 
 class _ScopeEngine:
@@ -308,16 +275,38 @@ class _ScopeEngine:
         self.record = record
         self._scopes = scopes
         self._tree = scopes[-1]
+        fused = any(s.block is None and len(s.rem) >= SWEEP_MIN_REMAINDER for s in scopes)
+        for s in scopes:
+            inner, sizes = [ch.ops for ch in s.children], [len(ch.idx) for ch in s.children]
+            if fused:
+                buses = int(np.count_nonzero(np.bincount(net.flat_bus_pos[s.rows])))
+                s.ops = _swept_op_count(inner, sizes, buses)
+                continue
+            if s.block is None:
+                s.block = sensitivity_block(net, s.rows)
+                s.block[:, s.pairs[0], s.pairs[1]] = 0.0
+            s.ops = _level_op_count(inner, sizes, len(s.rem))
         self.op_count_per_apply = self._tree.ops
-        # With the scopes' products laid end to end as y, g_p and g_q are the
-        # sums of y[_take] at _out and at _out - n: each product holds a
-        # scope's R rows, then its X rows.
-        start = np.cumsum([0] + [2 * len(s.gather) for s in scopes])
-        self._take = np.concatenate([
-            first + np.concatenate([s.take, len(s.gather) + s.take])
-            for first, s in zip(start, scopes)
-        ])
-        self._out = np.concatenate([np.concatenate([s.out, self.n + s.out]) for s in scopes])
+        # One gather gives every scope's operand, scope k's at _spans[k]; the
+        # products lie side by side in the same order, R^T rows over X^T
+        # rows, and g_p and g_q are the sums of their entries _take at _out.
+        self._gather = np.concatenate([s.gather for s in scopes])
+        start = np.cumsum([0] + [len(s.gather) for s in scopes])
+        self._spans = list(zip(start[:-1].tolist(), start[1:].tolist()))
+        take = np.concatenate([first + s.take for first, s in zip(start, scopes)])
+        out = np.concatenate([s.out for s in scopes])
+        self._take = np.concatenate([take, start[-1] + take])
+        self._out = np.concatenate([out, self.n + out])
+        self._forest = None
+        if fused:
+            self._cols, self._forest = net.subforest(*[s.rows for s in scopes])
+            # The sweep also meets each child's slots with each other at their
+            # anchor, the 3x3 term that the products lose at each such pair.
+            frm, to = np.concatenate([first + s.pairs for first, s in zip(start, scopes)], axis=1)
+            rows = np.concatenate([s.rows for s in scopes])
+            z = rotated_pairs(net.z_prefix[net.flat_bus_pos[rows[frm]]])
+            coef = z[:, np.arange(len(frm)), net.flat_phase[rows[frm]], net.flat_phase[rows[to]]]
+            self._own = frm, np.concatenate([to, start[-1] + to]), coef
         # A child scope's aggregate row sums its members' duals by phase: one
         # bincount over (flat index, slot) pairs. The feeder scope, last in
         # post-order, is no child.
@@ -336,12 +325,21 @@ class _ScopeEngine:
             raise EngineError(f"dual vectors must have shape ({self.n},)")
         d = mu_upper - mu_lower
         agg = np.bincount(self._slots, weights=d[self._members], minlength=3 * len(self._scopes))
-        x = np.concatenate([d, agg])
-        y = np.concatenate([s.product(x) for s in self._scopes])[self._take]
-        g = np.bincount(self._out, weights=y, minlength=2 * self.n).reshape(2, self.n)
+        y = self._products(np.concatenate([d, agg])[self._gather])
+        g = np.bincount(self._out, weights=y.take(self._take), minlength=2 * self.n).reshape(2, -1)
         if self.record is not None:
             self.record.apply()
         return CouplingResult(g, self.op_count_per_apply, partial(self._messages, agg))
+
+    def _products(self, x: np.ndarray) -> np.ndarray:
+        """Every scope's operand x[a:b], (a, b) its span, times its kernel: shape (2, len(x))."""
+        if self._forest is None:
+            return np.concatenate(
+                [x[a:b] @ s.block for s, (a, b) in zip(self._scopes, self._spans)], axis=1
+            )
+        frm, to, coef = self._own
+        own = np.bincount(to, weights=(x[frm] * coef).ravel(), minlength=2 * len(x))
+        return adjoint_sweep(self._forest, self._cols, x) - own.reshape(2, -1)
 
     def _messages(self, agg: np.ndarray) -> tuple[AggregateMessage, ...]:
         """The aggregate each child scope sends its parent, from compute's aggregates."""

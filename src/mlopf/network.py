@@ -7,11 +7,11 @@ paths back to the substation. That shared portion is the root path of the
 buses' lowest common ancestor, so this module owns the topology, the
 per-unit impedance data and the flat (bus, phase) index space. One DFS
 preorder lays every subtree out as a contiguous range; single LCA queries
-read those ranges. A Forest is that layout over a set of flat indices,
-phase by phase, as phases only drop away from the substation: the whole
-index space, or a swept multilevel scope's rows. It runs the two O(N)
-tree sums, over subtrees and over root paths, that both voltage models
-run on.
+read those ranges. A Forest is that layout over sets of flat indices,
+phase by phase, as phases only drop away from the substation, each set a
+row of its own: the whole index space, or every multilevel scope's rows.
+It runs the two O(N) tree sums, over subtrees and over root paths, that
+both voltage models run on, restarting both at every row.
 
 Networks are immutable after construction and safe for concurrent reads.
 """
@@ -94,22 +94,38 @@ class Line:
 class Forest:
     """Flat indices laid out phase by phase in DFS order, and the two O(n) tree sums over them.
 
-    Column r holds flat index idx[r]: phase a's columns, then b's, then
-    c's, each in DFS order, so column r's subtree, its phase at the buses
-    below its bus, is columns r up to exit[r]. A forest array has shape
-    (k, n), rows by column, real or complex. z_line[r] is the impedance at
-    column r's phase of the line into its bus; a top, a bus whose parent
-    holds no column, carries its whole root path there, as a line from a
-    virtual root. Cross-phase terms are a short list: column pairs[0][j]
-    meets column pairs[1][j] of its bus through z_pair[j]. line applies a
-    map given at the columns and at the pairs; line_operator, the one both
-    linear sweeps read, and ancestor_sums' exit cells are built once.
+    The columns lie in rows, one block of flat indices to a row: its
+    phase a's columns, then b's, then c's, each in DFS order, so column
+    r's subtree, its phase at the buses below its bus, is columns r up to
+    exit[r], inside r's row. Column r holds flat index idx[r], or -1 in a
+    row's padding past its block. rows lists (count, width) per class:
+    count rows of width columns each, laid end to end, the classes too.
+    Both sums restart at every row, so no value crosses from one block to
+    another. A forest array has shape (k, n), rows by column, real or
+    complex. z_line[r] is the impedance at column r's phase of the line
+    into its bus; a top, a bus whose parent holds no column, carries its
+    whole root path there, as a line from a virtual root. Cross-phase
+    terms are a short list: column pairs[0][j] meets column pairs[1][j] of
+    its bus through z_pair[j]. line applies a map given at the columns and
+    at the pairs; line_operator, the one both linear sweeps read, and
+    ancestor_sums' exit cells are built once.
     """
 
-    def __init__(self, idx: np.ndarray, exit_: np.ndarray, phase, bus, z: np.ndarray):
+    def __init__(self, idx: np.ndarray, exit_: np.ndarray, phase, bus, z: np.ndarray, rows):
         """Columns idx with their exits; column r sits at phase[r] of bus bus[r] of z's lines."""
         self.idx, self.n = idx, len(idx)
-        self._exit = exit_
+        self._rows = rows
+        counts, widths = np.array(rows, dtype=np.int64).reshape(-1, 2).T
+        width = np.repeat(widths, counts)
+        # A row's prefix sums take one cell more than its columns: the zero
+        # before its first. An exit at its row's end sends ancestor_sums'
+        # parts to the one cell past the array, which is dropped.
+        self._cells = self.n + len(width)
+        self._start, self._stop, self._exit = None, exit_, exit_
+        if len(width) > 1:
+            row = np.repeat(np.arange(len(width)), width)
+            self._start, self._stop = np.arange(self.n) + row, exit_ + row
+            self._exit = np.where(exit_ < np.cumsum(width)[row], exit_, self.n)
         self._exit_cells: dict[tuple[int, int], np.ndarray] = {}
         # Columns at one bus lie one or two apart once sorted by bus.
         by_bus = np.argsort(bus, kind="stable")
@@ -118,6 +134,15 @@ class Forest:
         self.pairs = to, frm = np.concatenate((near, near[::-1]), axis=1)
         self._at = (bus, phase, phase), (bus[to], phase[to], phase[frm])
         self._z, self.z_line, self.z_pair = z, z[self._at[0]], z[self._at[1]]
+
+    def _rowed(self, a: np.ndarray, lead: int = 0):
+        """Each class's rows of a forest array a, shape (k, count, width), past lead cells
+        that each row of a starts with."""
+        at = 0
+        for count, width in self._rows:
+            span = count * (width + lead)
+            yield a[:, at:at + span].reshape(len(a), count, width + lead)[..., lead:]
+            at += span
 
     @cached_property
     def line_operator(self) -> tuple[np.ndarray, np.ndarray]:
@@ -147,21 +172,26 @@ class Forest:
     def subtree_sums(self, x: np.ndarray) -> np.ndarray:
         """Row-wise sums of a forest array over every column's subtree.
 
-        A prefix sum over the columns, read at [r, exit[r]).
+        A prefix sum over each row's columns, after a zero, read at [r, exit[r]).
         """
-        prefix = np.zeros((len(x), self.n + 1), dtype=x.dtype)
-        np.add.accumulate(x, axis=1, out=prefix[:, 1:])
-        return prefix.take(self._exit, axis=1) - prefix[:, :-1]
+        prefix = np.zeros((len(x), self._cells), dtype=x.dtype)
+        if self._start is None:  # one row, as every flat forest: no per-row views
+            np.add.accumulate(x, axis=1, out=prefix[:, 1:])
+            return prefix.take(self._stop, axis=1) - prefix[:, :-1]
+        for columns, sums in zip(self._rowed(x), self._rowed(prefix, 1)):
+            np.add.accumulate(columns, axis=-1, out=sums)
+        return prefix.take(self._stop, axis=1) - prefix.take(self._start, axis=1)
 
     def ancestor_sums(self, x: np.ndarray) -> np.ndarray:
         """Row-wise sums of a forest array over every column and its ancestors.
 
-        A prefix sum over the columns in which each column's value is
+        A prefix sum over each row's columns in which each column's value is
         subtracted again at its subtree's exit column, so the running sum at
         a column holds exactly the columns whose subtrees contain it. The
         subtraction is one bincount over the array's float parts, a complex
-        entry being two of them; a column whose subtree runs to the end
-        sends its parts to one extra cell past the array, which is dropped.
+        entry being two of them; a column whose subtree runs to its row's
+        end sends its parts to one extra cell past the array, which is
+        dropped.
         """
         x = np.ascontiguousarray(x, dtype=np.result_type(x, np.float64))
         parts = x.view(np.float64)
@@ -173,8 +203,13 @@ class Forest:
             cells[:, at >= at.size] = parts.size
             cells = self._exit_cells[parts.shape] = cells.ravel()
         exits = np.bincount(cells, weights=parts.ravel(), minlength=parts.size + 1)
-        d = parts - exits[:-1].reshape(parts.shape)
-        return np.add.accumulate(d.view(x.dtype), axis=1)
+        d = (parts - exits[:-1].reshape(parts.shape)).view(x.dtype)
+        if self._start is None:
+            return np.add.accumulate(d, axis=1)
+        out = np.empty_like(d)
+        for columns, sums in zip(self._rowed(d), self._rowed(out)):
+            np.add.accumulate(columns, axis=-1, out=sums)
+        return out
 
 
 def _tour(parent_pos: np.ndarray) -> np.ndarray:
@@ -218,10 +253,12 @@ class Network:
     """
 
     def __init__(self, buses: list[Bus], lines: list[Line], base_v_squared: float = 1.0):
-        """A network from records, each bus read as {"id", "phases", "parent"} and each line's
-        ends as {"from", "to"} by load_network's readers: a record is accepted or rejected
-        as its document entry is, with its message. A line's z must have shape (3, 3)."""
+        """A network from records, each bus read as {"id", "phases", "parent"}, each line's
+        ends as {"from", "to"} and base_v_squared as the document field by load_network's
+        readers: a record is accepted or rejected as its document entry is, with its
+        message. A line's z must have shape (3, 3)."""
         document = {
+            "base_v_squared": base_v_squared,
             "buses": [{"id": b.id, "phases": b.phases, "parent": b.parent} for b in buses],
             "lines": [{"from": ln.from_bus, "to": ln.to_bus} for ln in lines],
         }
@@ -233,7 +270,8 @@ class Network:
                 raise NetworkError(f"line ({frm},{to}): z must have shape (3, 3), not {zj.shape}")
         self._build(
             bus["id"], bus["parent"], *bus["phases"], np.stack([line["from"], line["to"]], axis=1),
-            np.array(z, dtype=np.complex128).reshape(-1, 3, 3), base_v_squared,
+            np.array(z, dtype=np.complex128).reshape(-1, 3, 3),
+            document_number(document, "base_v_squared", 1.0, "network"),
         )
 
     @classmethod
@@ -429,29 +467,66 @@ class Network:
 
     # -- forests over the DFS columns ---------------------------------------
 
-    def subforest(self, idx) -> tuple[np.ndarray, "Forest"]:
-        """The forest that a set of flat indices spans, phase by phase in DFS order.
+    def subforest(self, *blocks) -> tuple[np.ndarray, "Forest"]:
+        """The forest that sets of flat indices span, each set a block of its own, phase by
+        phase in DFS order.
 
-        Each index's parent, its phase at the parent bus, must be in the set
-        unless its bus is a top, one whose parent holds no index of the set;
-        a bus with indices below it must hold all their phases. A top's
-        columns carry its whole root path, so ancestor sums add up to
-        common-path impedances; buses under different tops meet at zero
-        impedance, which holds when the tops hang off the substation or
-        there is one top. The set may repeat indices.
-        Returns (cols, forest): cols[a] is the column of idx[a].
+        In each block, each index's parent, its phase at the parent bus, must
+        be in the block unless its bus is a top, one whose parent holds no
+        index of the block; a bus with indices below it must hold all their
+        phases. A top's columns carry its whole root path, so ancestor sums
+        add up to common-path impedances; buses under different tops meet at
+        zero impedance, which holds when the tops hang off the substation or
+        there is one top. A block may repeat indices.
+        Each block fills a row of its own. Blocks of one size class, the two
+        leading bits of their column count, share the width of the widest,
+        and a narrower block's row ends in padding columns, each alone at a
+        bus of no line; the classes follow in order of size. So padding is
+        less than a third of any row, and a block alone in its class, one
+        block among them, has none.
+        Returns (cols, forest): cols[a] is the column of the a-th index of the
+        blocks in turn.
         """
-        idx = np.asarray(idx, dtype=np.int64)
+        idx = np.concatenate([np.asarray(b, dtype=np.int64).reshape(-1) for b in blocks])
+        block = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
         n, bus = self.n_buses, self.flat_bus_pos[idx]
-        cells, cols = np.unique(self.flat_phase[idx] * n + self.tin[bus], return_inverse=True)
-        phase, t = np.divmod(cells, n)
-        t_bus, bus = np.unique(t, return_inverse=True)
-        nodes = self.order[t_bus]
-        z = self.z_line[nodes]
-        top = ~np.isin(self.parent_pos[nodes], nodes)
-        z[top] = self.z_prefix[nodes[top]]
+        cells, cols = np.unique(
+            (3 * block + self.flat_phase[idx]) * n + self.tin[bus], return_inverse=True
+        )
+        (block, phase), t = np.divmod(cells // n, 3), cells % n
+        t_bus, bus = np.unique(block * n + t, return_inverse=True)
+        nodes = self.order[t_bus % n]
+        up = t_bus - t_bus % n + self.tin[self.parent_pos[nodes]]  # the parent in the block
+        top = t_bus[np.minimum(np.searchsorted(t_bus, up), len(t_bus) - 1)] != up
         exit_ = np.searchsorted(cells, cells + self.size[self.order[t]])
-        return cols, Forest(self.index_of[self.order[t], phase], exit_, phase, bus, z)
+        # Each block's row, its size class's rows in block order.
+        first = np.searchsorted(cells, 3 * n * np.arange(len(blocks) + 1))
+        size = np.diff(first)
+        mantissa, exponent = np.frexp(size)  # size = mantissa * 2**exponent, mantissa in [1/2, 1)
+        classes, of_class = np.unique(2 * exponent + (mantissa >= 0.75), return_inverse=True)
+        widths = np.zeros(len(classes), dtype=np.int64)
+        np.maximum.at(widths, of_class, size)
+        rows = [(int(c), int(w)) for c, w in zip(np.bincount(of_class), widths)]
+        in_rows = np.argsort(of_class, kind="stable")
+        row_width = widths[of_class[in_rows]]
+        start = np.empty(len(blocks), dtype=np.int64)
+        start[in_rows] = np.cumsum(row_width) - row_width
+        width = int(row_width.sum())
+        # Each bus's line, then the padding columns' buses, which have none.
+        z = np.zeros((len(nodes) + width - len(cells), 3, 3), dtype=np.complex128)
+        np.take(self.z_line, nodes, axis=0, out=z[:len(nodes)], mode="clip")
+        z[:len(nodes)][top] = self.z_prefix[nodes[top]]
+        idx = self.index_of[self.order[t], phase]
+        shift = (start - first[:-1])[block]
+        if width == len(cells) and not shift.any():  # no column moves: no copies
+            return cols, Forest(idx, exit_, phase, bus, z, rows)
+        at = np.arange(len(cells)) + shift
+        col_idx, col_exit = np.full(width, -1), np.arange(1, width + 1)
+        col_idx[at], col_exit[at] = idx, exit_ + shift
+        col_phase, col_bus = np.zeros(width, dtype=np.int64), np.empty(width, dtype=np.int64)
+        col_bus[col_idx < 0] = len(nodes) + np.arange(width - len(at))
+        col_phase[at], col_bus[at] = phase, bus
+        return at[cols], Forest(col_idx, col_exit, col_phase, col_bus, z, rows)
 
     # -- path and impedance queries ---------------------------------------
 

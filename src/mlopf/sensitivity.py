@@ -8,8 +8,9 @@ voltage_linear takes subtree sums of the injections, rotates them through
 each line's impedance and takes ancestor sums of the result, in O(N) over
 Network.forest's columns and without the matrices. adjoint_sweep is its
 transpose, the same sums and the same real line operator in reverse order,
-for R^T d and X^T d; a multilevel scope with a large remainder computes its
-whole share of the product with it. Every dense entry comes from
+for R^T d and X^T d; a multilevel engine with a large remainder computes
+every scope's share of the product in one call, each scope a block of one
+forest. Every dense entry comes from
 sensitivity_block, which fills R over X at a set of flat indices, each row a
 copy of its parent bus's row with the bus's own pair values over its
 subtree; a coupling scope multiplies it as returned, from the left. Over
@@ -199,7 +200,10 @@ def adjoint_sweep(forest: Forest, cols: np.ndarray, d: np.ndarray) -> np.ndarray
     ancestor sums of those rows. Over Network.forest, with cols each flat
     index's column, it is the whole flat product; over a subforest, the
     product restricted to its indices, where a multilevel scope also
-    places each child's per-phase aggregate at its anchor's columns.
+    places each child's per-phase aggregate at its anchor's columns. Over
+    a forest of several blocks it is each block's product at once, bitwise
+    what the block's own forest gives, since no sum crosses a block.
     """
     s = forest.subtree_sums(np.bincount(cols, weights=d, minlength=forest.n)[None])[0]
-    return forest.ancestor_sums(forest.line(*forest.line_operator, s, transpose=True))[:, cols]
+    t = forest.ancestor_sums(forest.line(*forest.line_operator, s, transpose=True))
+    return t.take(cols, axis=1)

@@ -156,8 +156,8 @@ def test_flat_engines_on_one_model_build_the_dense_matrices_once(inputs, dense_b
 
 @pytest.mark.parametrize("kind,voltage_model", [("trilevel", "linear"), ("flat", "sweep")])
 def test_benchmark_calls_on_a_swept_scope_with_dropped_phases(kind, voltage_model):
-    # perfbench's calls on a feeder whose unclustered scope runs as one
-    # tree sweep over a forest of single-, two- and three-phase buses, then
+    # perfbench's calls on a feeder whose scopes all run as one tree sweep
+    # over a forest of single-, two- and three-phase buses, then
     # the gate: the trilevel engine against the flat one at the final duals.
     feeder = generate(
         FeederSpec(n_buses=2000, load_scale=0.1, seed=0, phase_drop=0.4),
@@ -181,11 +181,14 @@ def test_benchmark_calls_on_a_swept_scope_with_dropped_phases(kind, voltage_mode
     if kind == "flat":
         part = load_partition(partition_doc, net)
         engine = make_engine("trilevel", sens=sens, net=net, part=part, threads=1)
-    swept = [s for s in engine._scopes if s.forest is not None]
-    assert [s.key for s in swept] == [("unclustered",)]
-    rows = swept[0].rows
-    assert len(swept[0].rem) >= 512
-    assert swept[0].forest.n < 3 * len(np.unique(net.flat_bus_pos[rows]))
+    # The unclustered remainder is the one large enough to sweep every
+    # scope; its block of the forest has a column per phase its buses hold.
+    assert engine._forest is not None
+    large = [s.key for s in engine._scopes if len(s.rem) >= 512]
+    assert large == [("unclustered",)]
+    a, b = engine._spans[-1]
+    rows = engine._tree.rows
+    assert len(np.unique(engine._cols[a:b])) < 3 * len(np.unique(net.flat_bus_pos[rows]))
     duals = result.state.duals
     assert np.count_nonzero(duals.mu_upper - duals.mu_lower) > 0
     ref = FlatEngine(sens).compute(duals.mu_upper, duals.mu_lower)

@@ -19,7 +19,7 @@ from mlopf.coupling import (
     privacy_audit,
 )
 from mlopf.feedergen import FeederSpec, generate
-from mlopf.network import load_network, network_to_document
+from mlopf.network import Forest, load_network, network_to_document
 from mlopf.partition import (
     Area,
     PartitionHierarchy,
@@ -29,7 +29,7 @@ from mlopf.partition import (
     unclustered,
     validate_partition,
 )
-from mlopf.sensitivity import build_sensitivity
+from mlopf.sensitivity import adjoint_sweep, build_sensitivity
 
 from conftest import fig_feeder, random_duals, random_network, refuse_dense_build
 
@@ -109,7 +109,7 @@ def test_degenerate_partition_reduces_bilevel_to_flat(fig_net):
         scale = 1.0 + np.max(np.abs(ref.g_p))
         for depth in (1, 2):
             engine = MultilevelEngine(net, part, depth)
-            assert [s.forest is not None for s in engine._scopes] == [lone_sweep]
+            assert (engine._forest is not None) == lone_sweep
             res = engine.compute(mu_up, mu_lo)
             assert np.max(np.abs(res.g_p - ref.g_p)) / scale < 1e-12
             assert np.max(np.abs(res.g_q - ref.g_q)) / scale < 1e-12
@@ -258,13 +258,15 @@ def test_declared_costs_are_pinned():
     assert [
         MultilevelEngine(net, part, depth).op_count_per_apply for depth in (1, 2)
     ] == [76128, 33632]
-    # gen4k's feeder scope (1,716 remainder indices) is one tree sweep: its
-    # five dense areas (339,577), three per area member (2,333), 21 per
-    # column of its 1,667-bus forest and nine per area.
+    # gen4k's feeder remainder (1,716 indices) makes every scope a block of
+    # one tree sweep, each counted by _swept_op_count: at depth 2 the
+    # feeder's block of 1,667 buses, three per area member (2,333) and nine
+    # per area, beside its five areas.
     net, part = gen4k()
-    assert MultilevelEngine(net, part, 2).op_count_per_apply == (
-        339577 + 3 * 2333 + 21 * 1667 + 9 * 5
-    ) == 381628
+    engines = [MultilevelEngine(net, part, depth) for depth in (1, 2)]
+    assert [engine.op_count_per_apply for engine in engines] == [91044, 96660]
+    areas = sum(area.ops for area in engines[1]._tree.children)
+    assert 96660 == areas + 3 * 2333 + 21 * 1667 + 9 * 5
 
 
 def test_op_count_positive_even_for_single_index():
@@ -676,8 +678,9 @@ def test_dense_scope_blocks_are_the_dense_submatrices():
     for net, part in cases:
         sens = build_sensitivity(net)
         for depth in (1, 2):
-            for scope in MultilevelEngine(net, part, depth)._scopes:
-                assert scope.forest is None
+            engine = MultilevelEngine(net, part, depth)
+            assert engine._forest is None
+            for scope in engine._scopes:
                 rows = scope.rows
                 want = np.stack([sens.r[np.ix_(rows, rows)], sens.x[np.ix_(rows, rows)]])
                 own_blocks_zeroed(net, scope, want)
@@ -787,7 +790,7 @@ def test_sweep_remainders_match_flat_at_both_depths(all_sweeps):
         ref = FlatEngine(build_sensitivity(net)).compute(mu_up, mu_lo)
         for depth in (1, 2):
             engine = MultilevelEngine(net, part, depth)
-            assert all(s.forest is not None for s in engine._scopes)
+            assert engine._forest is not None
             remainders.update(len(s.rem) for s in engine._scopes)
             for s in engine._scopes:
                 anchors |= anchor_cases(net, s, mu_up - mu_lo)
@@ -807,7 +810,7 @@ def test_dense_kernels_match_flat_at_both_depths():
         ref = FlatEngine(build_sensitivity(net)).compute(mu_up, mu_lo)
         for depth in (1, 2):
             engine = MultilevelEngine(net, part, depth)
-            assert all(s.forest is None for s in engine._scopes)
+            assert engine._forest is None
             top = engine._tree
             anchors = [net.parent_pos[net.bus_pos(ch.root)] for ch in top.children]
             _, forest = net.subforest(top.rows)
@@ -906,27 +909,74 @@ def test_each_scope_product_reads_only_the_duals_its_audit_rules_allow(
     monkeypatch, feeder, depth, swept
 ):
     # Every per-bus dual outside a scope's "members" and "exterior" pools is
-    # NaN, the child aggregates stay clean: the product must not change. A
-    # gather entry pointed at a foreign index must then show in the product.
+    # NaN, the child aggregates stay clean: the scope's share of the
+    # products, its dense block's product or its block of the one sweep,
+    # must not change. A gather entry of the scope pointed at a foreign
+    # index must then show in that share.
     net, part = {"uv300": uv300, "drop400": phase_drop_400, "fig": fig_partitioned}[feeder]()
     if swept:
         monkeypatch.setattr(coupling, "SWEEP_MIN_REMAINDER", 0)
     engine = MultilevelEngine(net, part, depth)
+    assert (engine._forest is not None) == swept
     rules = coupling._audit_rules(net, part)
     d = np.random.default_rng(11).uniform(-1.0, 1.0, net.n_flat)
     agg = np.bincount(engine._slots, weights=d[engine._members], minlength=3 * len(engine._scopes))
-    clean = np.concatenate([d, agg])
-    for scope in engine._scopes:
+    clean = engine._products(np.concatenate([d, agg])[engine._gather])
+    for scope, (a, b) in zip(engine._scopes, engine._spans):
         readable = sorted(rules[scope.key]["members"] | rules[scope.key]["exterior"])
         poisoned = np.full(net.n_flat, np.nan)
         poisoned[readable] = d[readable]
         x = np.concatenate([poisoned, agg])
-        assert np.array_equal(scope.product(x), scope.product(clean)), scope.key
+        got = engine._products(x[engine._gather])[:, a:b]
+        assert got.tobytes() == clean[:, a:b].tobytes(), scope.key
         foreign = sorted(set(range(net.n_flat)) - set(readable))
-        if foreign and len(scope.gather):
-            scope.gather = scope.gather.copy()
-            scope.gather[-1] = foreign[0]
-            assert np.isnan(scope.product(x)).any(), scope.key
+        if foreign and b > a:
+            gather = engine._gather.copy()
+            gather[b - 1] = foreign[0]
+            assert np.isnan(engine._products(x[gather])[:, a:b]).any(), scope.key
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_no_value_crosses_between_blocks_of_one_forest(depth):
+    # The blocks are the rows of every gen4k scope. Each block's inputs in
+    # turn are NaN, then noise of 1e6: every other block's share of the
+    # sweep stays bitwise what it was.
+    net, part = gen4k()
+    blocks = [scope.rows for scope in MultilevelEngine(net, part, depth)._scopes]
+    cols, forest = net.subforest(*blocks)
+    first = np.cumsum([0] + [len(rows) for rows in blocks])
+    spans = list(zip(first[:-1], first[1:]))
+    rng = np.random.default_rng(depth)
+    d = rng.uniform(-1.0, 1.0, len(cols))
+    clean = adjoint_sweep(forest, cols, d)
+    for a, b in spans:
+        for fill in (np.full(b - a, np.nan), rng.uniform(-1e6, 1e6, b - a)):
+            x = d.copy()
+            x[a:b] = fill
+            got = adjoint_sweep(forest, cols, x)
+            others = np.ones(len(cols), dtype=bool)
+            others[a:b] = False
+            assert got[:, others].tobytes() == clean[:, others].tobytes()
+            assert not np.array_equal(got[:, a:b], clean[:, a:b])
+
+
+def test_a_swept_apply_runs_one_sweep_whatever_its_scopes(monkeypatch):
+    # One compute of a swept engine makes one call of each tree sum, over
+    # 6 or 20 scopes; a dense engine makes none.
+    calls = []
+    for name in ("subtree_sums", "ancestor_sums"):
+        def counted(forest, x, name=name, original=getattr(Forest, name)):
+            calls.append(name)
+            return original(forest, x)
+        monkeypatch.setattr(Forest, name, counted)
+    for (net, part), sweeps, scopes in ((gen4k(), 1, [6, 20]), (uv300(), 0, [3, 6])):
+        mu_up, mu_lo = random_duals(np.random.default_rng(4), net.n_flat)
+        for depth, count in zip((1, 2), scopes):
+            engine = MultilevelEngine(net, part, depth)
+            assert len(engine._scopes) == count
+            calls.clear()
+            engine.compute(mu_up, mu_lo)
+            assert calls == ["subtree_sums", "ancestor_sums"] * sweeps
 
 
 @pytest.mark.parametrize("feeder", ["uv300", "gen4k", "two_level"])
@@ -947,9 +997,9 @@ def test_sweep_remainders_record_the_dense_kernels_flows(monkeypatch, feeder):
 
 
 def test_sweep_op_formula_is_pinned(all_sweeps):
-    # 21 declared ops per bus the swept forest spans: per phase, the
-    # subtree and ancestor sums and the two rotations; per bus, the nine
-    # multiply-accumulates through the line. The forest itself has one
+    # 21 declared ops per bus a scope's block of the swept forest spans: per
+    # phase, the subtree and ancestor sums and the two rotations; per bus,
+    # the nine multiply-accumulates through the line. Each block has one
     # column per distinct flat index of the kernel's rows.
     assert coupling._sweep_ops(1) == 21
     net = fig_feeder()
@@ -958,18 +1008,19 @@ def test_sweep_op_formula_is_pinned(all_sweeps):
     assert lone.op_count_per_apply == 21 * (net.n_buses - 1)
     part = PartitionHierarchy((Area(0, 21, (Subarea(0, 22), Subarea(1, 27))), Area(1, 17, ())))
     engine = MultilevelEngine(net, part, 2)
-    for s in engine._scopes:
+    for s, (a, b) in zip(engine._scopes, engine._spans):
         sizes = [len(ch.idx) for ch in s.children]
         anchors = {int(net.parent_pos[net.bus_pos(ch.root)]) for ch in s.children}
         buses = len(anchors | set(net.flat_bus_pos[s.rem].tolist()))
-        assert s.forest.n == len(np.unique(s.rows))
+        columns = len(np.unique(engine._cols[a:b]))
+        assert columns == len(np.unique(s.rows))
         assert s.ops == coupling._swept_op_count([ch.ops for ch in s.children], sizes, buses)
     # The feeder's remainder, buses 1-12 (26 indices on 12 buses), holds
     # both areas' anchors, 12 and 3. Beside areas of 14 and 9 indices it
     # costs three ops per area member to aggregate and broadcast, the
     # sweep, and nine per area for the area's own 3x3 term.
     top = engine._tree
-    assert (len(top.rem), top.forest.n, buses, sizes) == (26, 26, 12, [14, 9])
+    assert (len(top.rem), columns, buses, sizes) == (26, 26, 12, [14, 9])
     inner = sum(ch.ops for ch in top.children)
     assert top.ops == inner + 3 * (14 + 9) + 21 * 12 + 9 * 2
 
@@ -979,11 +1030,18 @@ def test_acceptance_feeders_keep_their_dense_blocks():
                      target_area_size=75, target_subarea_size=25)
     for net, part in (uv300(), (crit2.net, crit2.partition)):
         for depth in (1, 2):
-            for s in MultilevelEngine(net, part, depth)._scopes:
-                assert s.forest is None and len(s.rem) < coupling.SWEEP_MIN_REMAINDER
+            engine = MultilevelEngine(net, part, depth)
+            assert engine._forest is None
+            for s in engine._scopes:
+                assert s.block is not None and len(s.rem) < coupling.SWEEP_MIN_REMAINDER
+    # gen4k's feeder remainder is the one that makes every scope swept.
     net, part = gen4k()
-    swept = [s.key for s in MultilevelEngine(net, part, 2)._scopes if s.forest is not None]
-    assert swept == [("unclustered",)]
+    for depth in (1, 2):
+        engine = MultilevelEngine(net, part, depth)
+        assert engine._forest is not None
+        assert all(s.block is None for s in engine._scopes)
+        large = [s.key for s in engine._scopes if len(s.rem) >= coupling.SWEEP_MIN_REMAINDER]
+        assert large == [("unclustered",)]
 
 
 def test_flat_engine_builds_the_dense_matrices_it_lacks(monkeypatch):
@@ -1027,10 +1085,10 @@ def test_flat_engine_holds_the_dense_matrices_without_a_copy():
 def test_dense_scope_blocks_own_their_memory():
     # Each dense block is its own (2, m, m) array, no view of a larger one
     # that would keep the substation's pair rows alive beside it.
-    net, part = gen4k()
-    dense = [scope for scope in MultilevelEngine(net, part, 2)._scopes if scope.forest is None]
-    assert dense
-    for scope in dense:
+    net, part = uv300()
+    engine = MultilevelEngine(net, part, 2)
+    assert engine._forest is None
+    for scope in engine._scopes:
         assert scope.block.base is None
         assert scope.block.shape == (2, len(scope.rows), len(scope.rows))
     sens = build_sensitivity(net)
@@ -1041,17 +1099,18 @@ def test_dense_scope_blocks_own_their_memory():
 def test_swept_scope_never_builds_its_dense_block():
     # 1,716 unclustered indices: their dense block alone would be 47 MB.
     net, part = gen4k()
+    MultilevelEngine(net, part, 1)  # the network's lookups, built on first use
     tracemalloc.start()
     try:
         engine = MultilevelEngine(net, part, 2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # The engine build peaked at 8.7 MB while the swept scope kept dense
-    # slot rows beside its sweep.
-    assert peak <= 8.7e6
-    swept = engine._tree
-    s = len(swept.rows) - len(swept.rem)
-    for name, value in vars(swept).items():
-        if isinstance(value, np.ndarray) and value.ndim != 1:
-            assert (name, value.shape) == ("own", (2, s, s))
+    # The engine build peaks at 2.55 MB, its forest and index arrays; it
+    # peaked at 6.1 MB while 19 scopes held dense blocks.
+    assert peak <= 2.8e6
+    for scope in engine._scopes:
+        assert scope.block is None
+        for name, value in vars(scope).items():
+            if isinstance(value, np.ndarray) and value.ndim != 1:
+                assert (name, value.shape[0]) == ("pairs", 2)

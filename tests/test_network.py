@@ -19,7 +19,7 @@ from mlopf.network import (
 )
 from mlopf.opf import Device, ProblemError, load_problem, make_problem
 from mlopf.partition import load_partition
-from mlopf.sensitivity import build_sensitivity, sensitivity_block
+from mlopf.sensitivity import adjoint_sweep, build_sensitivity, sensitivity_block
 
 from conftest import (
     broom_feeder,
@@ -671,6 +671,41 @@ def test_flat_forests_match_parent_walks(name):
         assert_forest_sums_match_parent_walk(net, forest, rng)
 
 
+@pytest.mark.parametrize("name", list(TREE_SUM_NETWORKS))
+def test_blocked_forest_sweeps_each_block_as_its_own_forest(name):
+    # Blocks of several sizes, two of one size class, an empty one and one
+    # repeated: at each block's columns, the blocked forest's sums and
+    # adjoint sweep are bitwise those of the block's own forest, and every
+    # other column is padding.
+    net = TREE_SUM_NETWORKS[name]()
+    rng = np.random.default_rng(37)
+    tops = [several_tops(net, rng) for _ in range(3)]
+    blocks = [tops[0], np.arange(net.n_flat), np.zeros(0, dtype=np.int64), *tops[1:], tops[0]]
+    cols, forest = net.subforest(*blocks)
+    first = np.cumsum([0] + [len(b) for b in blocks])
+    held = np.zeros(forest.n, dtype=bool)
+    for rows, dtype in FOREST_SHAPES:
+        x = forest_array(rng, rows, forest.n, dtype)
+        got = forest.subtree_sums(x), forest.ancestor_sums(x)
+        for block, at in zip(blocks, zip(first, first[1:])):
+            own_cols, own = net.subforest(block)
+            mine = cols[slice(*at)]
+            held[mine] = True
+            np.testing.assert_array_equal(forest.idx[mine], own.idx[own_cols])
+            y = np.zeros((rows, own.n), dtype=dtype)
+            y[:, own_cols] = x[:, mine]
+            want = own.subtree_sums(y), own.ancestor_sums(y)
+            for g, w in zip(got, want):
+                assert g[:, mine].tobytes() == w[:, own_cols].tobytes()
+    assert (forest.idx[~held] == -1).all()
+    d = rng.normal(size=len(cols))
+    swept = adjoint_sweep(forest, cols, d)
+    for block, at in zip(blocks, zip(first, first[1:])):
+        own_cols, own = net.subforest(block)
+        want = adjoint_sweep(own, own_cols, d[slice(*at)])
+        assert swept[:, slice(*at)].tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("net", lca_networks(), ids=LCA_NETWORK_IDS)
 def test_dfs_interval_is_the_subtree(net):
     assert sorted(net.order) == list(range(net.n_buses))
@@ -1043,6 +1078,24 @@ def test_record_line_impedance_must_be_three_by_three():
     with pytest.raises(NetworkError) as caught:
         Network([Bus(0, ("a", "b", "c"), None), Bus(1, ("a",), 0)], [Line(0, 1, z)])
     assert str(caught.value) == "line (0,1): z must have shape (3, 3), not (9,)"
+
+
+@pytest.mark.parametrize("base", [True, "1.0", None, [1.0], 2, 2.0, np.float64(2.0)],
+                         ids=["true", "string", "none", "list", "int", "float", "np-float64"])
+def test_record_base_v_squared_is_read_as_its_document_field(base):
+    # Network(buses, lines, base_v_squared) takes the value load_network
+    # takes as "base_v_squared", and rejects the rest with its message.
+    buses = [Bus(0, ("a", "b", "c"), None)]
+    document = {"base_v_squared": base, "buses": [{"id": 0, "phases": ["a", "b", "c"],
+                                                   "parent": None}], "lines": []}
+    if isinstance(base, (bool, str, list)) or base is None:
+        for build in (lambda: Network(buses, [], base), lambda: load_network(document)):
+            with pytest.raises(NetworkError) as caught:
+                build()
+            assert str(caught.value) == "network document field 'base_v_squared' must be a number"
+    else:
+        assert Network(buses, [], base).base_v_squared == load_network(document).base_v_squared
+        assert type(Network(buses, [], base).base_v_squared) is float
 
 
 def test_the_substation_has_no_incoming_line(chain_net):
