@@ -496,7 +496,8 @@ class Network:
         (block, phase), t = np.divmod(cells // n, 3), cells % n
         t_bus, bus = np.unique(block * n + t, return_inverse=True)
         nodes = self.order[t_bus % n]
-        up = t_bus - t_bus % n + self.tin[self.parent_pos[nodes]]  # the parent in the block
+        # The parent in the block; the substation holds no index, so every bus here has one.
+        up = t_bus - t_bus % n + self.tin[self.parent_pos[nodes]]
         top = t_bus[np.minimum(np.searchsorted(t_bus, up), len(t_bus) - 1)] != up
         exit_ = np.searchsorted(cells, cells + self.size[self.order[t]])
         # Each block's row, its size class's rows in block order.
@@ -518,8 +519,6 @@ class Network:
         z[:len(nodes)][top] = self.z_prefix[nodes[top]]
         idx = self.index_of[self.order[t], phase]
         shift = (start - first[:-1])[block]
-        if width == len(cells) and not shift.any():  # no column moves: no copies
-            return cols, Forest(idx, exit_, phase, bus, z, rows)
         at = np.arange(len(cells)) + shift
         col_idx, col_exit = np.full(width, -1), np.arange(1, width + 1)
         col_idx[at], col_exit[at] = idx, exit_ + shift
