@@ -15,20 +15,19 @@ indices: each child's slots, its anchor (the child root's parent) at the
 phases the child root carries, then the remainder. Pairs across two
 children collapse to one anchor-to-anchor impedance times the other
 child's per-phase dual aggregate, a remainder bus meets a child only
-through the child's anchor, and pairs inside the remainder are exact. A
-child anchored at the substation meets everything else at zero impedance
-and has no slot. While every remainder is small, each kernel is a dense
-real block, sensitivity.sensitivity_block at its rows: the R over X
-submatrix there, each child's own slot block zero, which the operand
-multiplies from the left. A tree with a remainder of SWEEP_MIN_REMAINDER
-flat indices or more holds no block: each scope's rows are a row of one
-Forest, whose prefix sums restart at each row, and one
-sensitivity.adjoint_sweep over it gives every kernel at once in O(N). A
-scope's own aggregate is the per-phase sum of its members' duals, all
-aggregates coming from one bincount before the products run, so the split
-repeats at every level. The flat engine is the
-feeder scope alone, whose block is the dense R over X itself; depth 1 is
-the bi-level engine and depth 2 the tri-level one. The depths are
+through the child's anchor, and pairs inside the remainder are exact.
+Each scope measures common paths from its anchor, its root's parent (the
+substation for the feeder), so a child's own slot pair carries the path
+between the two anchors and the levels telescope to the dense entry; a
+child anchored where its scope is has no slot. While every remainder is
+small, each kernel is a dense block, sensitivity.sensitivity_block at its
+rows and anchor, which the operand multiplies from the left; a tree with
+a remainder of SWEEP_MIN_REMAINDER flat indices or more holds none, and
+one sensitivity.adjoint_sweep over one Forest, each scope's rows a row of
+it, gives every kernel in O(N). Every aggregate, the per-phase sum of a
+scope's members' duals, comes from one bincount. The flat engine is the
+feeder scope alone, whose block is the dense R over X; depth 1 is the
+bi-level engine and depth 2 the tri-level one. The depths are
 algebraically equal; the deeper ones replace almost all of the N^2
 pairwise work with aggregate exchanges, which is also what keeps per-bus
 duals and interior topology inside their scope. An engine given a
@@ -49,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .network import Network, rotated_pairs
+from .network import Network
 from .partition import (
     PartitionHierarchy, _subtree_slice, subtree_ids, unclustered, validate_partition,
 )
@@ -202,8 +201,8 @@ def _swept_op_count(intra_ops: list[int], cluster_sizes: list[int], buses: int) 
     Its clusters' own costs, one add per member for their aggregates and
     two per member to broadcast the slot rows back, as in the dense model;
     the sweep, which carries every pair, at _sweep_ops' declared rate; and
-    nine multiply-accumulates per cluster to take its own 3x3 term back
-    out. Like _sweep_ops, a declared model.
+    nine multiply-accumulates per cluster for its slots' 3x3 self-pair.
+    Like _sweep_ops, a declared model.
     """
     return sum(intra_ops) + 3 * sum(cluster_sizes) + _sweep_ops(buses) + 9 * len(cluster_sizes)
 
@@ -212,19 +211,19 @@ class _Scope:
     """One node of the scope tree and the kernel that computes its share of g.
 
     The remainder is every member outside all child scopes; a leaf's is all
-    of it. The kernel's rows and columns are flat indices: each child's
-    slots, then the remainder. A child root meets every bus outside its
-    subtree where its parent, the child's anchor, does, so a child's slots
-    are its anchor's flat indices at the phases the child root carries. A
-    child anchored at the substation meets every other bus at zero
-    impedance: it has no slot, and its members get nothing from this scope.
+    of it. The kernel measures common paths from the scope's anchor, its
+    root's parent (position 0, the substation, for the feeder). Its rows
+    and columns are flat indices: each child's slots, then the remainder.
+    A child root meets every bus outside its subtree where its parent, the
+    child's anchor, does, so a child's slots are its anchor's flat indices,
+    a remainder bus's, at the phases the child root carries; its own slot
+    block is the path between the two anchors. A child anchored at the
+    scope's anchor meets every other bus there, at zero: it has no slot.
     One product of [child aggregates; remainder duals] with the kernel is
-    the scope's whole share of g: its R^T rows, then its X^T rows, its
-    shares of g_p and g_q. Each child's own slot block is zero, since pairs
-    inside a child are the child's work. gather picks the operand out of
-    [d; aggregate rows], and g[out] adds the product's rows at take: a slot
-    row to every member of its child with that phase, a remainder row to
-    its own flat index.
+    the scope's whole share of g: its R^T rows, then its X^T rows. gather
+    picks the operand out of [d; aggregate rows], and g[out] adds the
+    product's rows at take: a slot row to every member of its child with
+    that phase, a remainder row to its own flat index.
 
     A dense engine's scope holds its kernel as R over X at the rows, shape
     (2, m, m), as sensitivity_block returns it or as handed in: the flat
@@ -247,23 +246,22 @@ class _Scope:
         for ch in children:
             in_child[ch.idx] = True
         self.rem = self.idx[~in_child[self.idx]]
+        self.anchor = 0 if root is None else int(net.parent_pos[net.bus_pos(root)])
         roots = [net.bus_pos(ch.root) for ch in children]
         anchors = net.parent_pos[roots]
         # present[k, phi]: child k has a slot at phase phi, numbered slot[k, phi].
-        present = (net.index_of[roots] >= 0) & (anchors > 0)[:, None]
+        present = (net.index_of[roots] >= 0) & (anchors != self.anchor)[:, None]
         slot = np.cumsum(present).reshape(-1, 3) - 1
         s, m = int(present.sum()), len(self.rem)
         self.rows = rows = np.concatenate([net.index_of[anchors][present], self.rem])
         positions = np.array([ch.pos for ch in children], dtype=np.int64)
         aggregates = net.n_flat + 3 * positions[:, None] + np.arange(3)
         self.gather = np.concatenate([aggregates[present], self.rem])
-        slotted = [(ch, slot[k]) for k, ch in enumerate(children) if anchors[k] > 0]
+        slotted = [(ch, slot[k]) for k, ch in enumerate(children) if anchors[k] != self.anchor]
         self.out = np.concatenate([ch.idx for ch, _ in slotted] + [self.rem])
         self.take = np.concatenate(
             [at[net.flat_phase[ch.idx]] for ch, at in slotted] + [s + np.arange(m)]
         )
-        owner = np.nonzero(present)[0]
-        self.pairs = np.argwhere(owner[:, None] == owner).T  # slot pairs inside one child
         self.block = block
 
 
@@ -283,8 +281,7 @@ class _ScopeEngine:
                 s.ops = _swept_op_count(inner, sizes, buses)
                 continue
             if s.block is None:
-                s.block = sensitivity_block(net, s.rows)
-                s.block[:, s.pairs[0], s.pairs[1]] = 0.0
+                s.block = sensitivity_block(net, s.rows, s.anchor)
             s.ops = _level_op_count(inner, sizes, len(s.rem))
         self.op_count_per_apply = self._tree.ops
         # One gather gives every scope's operand, scope k's at _spans[k]; the
@@ -300,13 +297,6 @@ class _ScopeEngine:
         self._forest = None
         if fused:
             self._cols, self._forest = net.subforest(*[s.rows for s in scopes])
-            # The sweep also meets each child's slots with each other at their
-            # anchor, the 3x3 term that the products lose at each such pair.
-            frm, to = np.concatenate([first + s.pairs for first, s in zip(start, scopes)], axis=1)
-            rows = np.concatenate([s.rows for s in scopes])
-            z = rotated_pairs(net.z_prefix[net.flat_bus_pos[rows[frm]]])
-            coef = z[:, np.arange(len(frm)), net.flat_phase[rows[frm]], net.flat_phase[rows[to]]]
-            self._own = frm, np.concatenate([to, start[-1] + to]), coef
         # A child scope's aggregate row sums its members' duals by phase: one
         # bincount over (flat index, slot) pairs. The feeder scope, last in
         # post-order, is no child.
@@ -337,9 +327,7 @@ class _ScopeEngine:
             return np.concatenate(
                 [x[a:b] @ s.block for s, (a, b) in zip(self._scopes, self._spans)], axis=1
             )
-        frm, to, coef = self._own
-        own = np.bincount(to, weights=(x[frm] * coef).ravel(), minlength=2 * len(x))
-        return adjoint_sweep(self._forest, self._cols, x) - own.reshape(2, -1)
+        return adjoint_sweep(self._forest, self._cols, x)
 
     def _messages(self, agg: np.ndarray) -> tuple[AggregateMessage, ...]:
         """The aggregate each child scope sends its parent, from compute's aggregates."""

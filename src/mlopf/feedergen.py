@@ -46,6 +46,13 @@ class FeederSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_buses", "trunk_depth", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("phase_drop", "device_density", "load_scale"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if self.n_buses < 1:
             raise ValueError("need at least one bus besides the substation")
         if not (0.0 <= self.phase_drop <= 1.0 and 0.0 <= self.device_density <= 1.0):

@@ -103,8 +103,8 @@ class Forest:
     Both sums restart at every row, so no value crosses from one block to
     another. A forest array has shape (k, n), rows by column, real or
     complex. z_line[r] is the impedance at column r's phase of the line
-    into its bus; a top, a bus whose parent holds no column, carries its
-    whole root path there, as a line from a virtual root. Cross-phase
+    into its bus, a top's too, a bus whose parent holds no column: ancestor
+    sums of the lines measure paths from the tops' parent. Cross-phase
     terms are a short list: column pairs[0][j] meets column pairs[1][j] of
     its bus through z_pair[j]. line applies a map given at the columns and
     at the pairs; line_operator, the one both linear sweeps read, and
@@ -474,10 +474,10 @@ class Network:
         In each block, each index's parent, its phase at the parent bus, must
         be in the block unless its bus is a top, one whose parent holds no
         index of the block; a bus with indices below it must hold all their
-        phases. A top's columns carry its whole root path, so ancestor sums
-        add up to common-path impedances; buses under different tops meet at
-        zero impedance, which holds when the tops hang off the substation or
-        there is one top. A block may repeat indices.
+        phases. Every bus carries its own line, a top's too, so ancestor
+        sums add up to common-path impedances from the tops' parent, where
+        buses under different tops meet: all tops of a block share one
+        parent. A block may repeat indices.
         Each block fills a row of its own. Blocks of one size class, the two
         leading bits of their column count, share the width of the widest,
         and a narrower block's row ends in padding columns, each alone at a
@@ -496,9 +496,6 @@ class Network:
         (block, phase), t = np.divmod(cells // n, 3), cells % n
         t_bus, bus = np.unique(block * n + t, return_inverse=True)
         nodes = self.order[t_bus % n]
-        # The parent in the block; the substation holds no index, so every bus here has one.
-        up = t_bus - t_bus % n + self.tin[self.parent_pos[nodes]]
-        top = t_bus[np.minimum(np.searchsorted(t_bus, up), len(t_bus) - 1)] != up
         exit_ = np.searchsorted(cells, cells + self.size[self.order[t]])
         # Each block's row, its size class's rows in block order.
         first = np.searchsorted(cells, 3 * n * np.arange(len(blocks) + 1))
@@ -516,7 +513,6 @@ class Network:
         # Each bus's line, then the padding columns' buses, which have none.
         z = np.zeros((len(nodes) + width - len(cells), 3, 3), dtype=np.complex128)
         np.take(self.z_line, nodes, axis=0, out=z[:len(nodes)], mode="clip")
-        z[:len(nodes)][top] = self.z_prefix[nodes[top]]
         idx = self.index_of[self.order[t], phase]
         shift = (start - first[:-1])[block]
         at = np.arange(len(cells)) + shift

@@ -129,10 +129,13 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("step_primal", "step_dual", "eta", "residual_tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise ProblemError(f"{name} must be finite, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or not math.isfinite(value):
+                raise ProblemError(f"{name} must be a finite number, got {value!r}")
         if self.step_primal <= 0 or self.step_dual <= 0 or self.eta <= 0:
             raise ProblemError("stepsizes and eta must be positive")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer)):
+            raise ProblemError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 0:
             raise ProblemError("max_iters must be nonnegative")
         if self.residual_tol < 0:

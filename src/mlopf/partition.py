@@ -64,10 +64,11 @@ def validate_partition(net: Network, part: PartitionHierarchy) -> list[str]:
     """Check every root against its parent scope and its earlier siblings.
 
     One check runs for each area against the feeder and for each subarea
-    against its area. The substation roots no scope, the root is a known
-    bus and, for a subarea, lies inside its area; a scope that fails one
-    of these is not checked further. Its buses must then hold none an
-    earlier sibling claimed, which catches nested and repeated roots.
+    against its area. The root is a bus id as document_id reads one, the
+    substation roots no scope, the root is a known bus and, for a subarea,
+    lies inside its area; a scope that fails one of these is not checked
+    further. Its buses must then hold none an earlier sibling claimed,
+    which catches nested and repeated roots.
 
     Returns a list of violation descriptions; empty means the partition is
     valid for every coupling engine.
@@ -77,6 +78,11 @@ def validate_partition(net: Network, part: PartitionHierarchy) -> list[str]:
 
     def check_scope(tag, root, parent_ids, claimed):
         """The root's subtree once its buses are claimed; None for an invalid root."""
+        try:
+            root = document_id(root)
+        except (TypeError, ValueError) as exc:
+            problems.append(f"{tag}: {exc}")
+            return None
         if root == 0:
             problems.append(f"{tag}: the substation cannot root an area")
             return None

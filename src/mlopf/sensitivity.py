@@ -10,14 +10,14 @@ Network.forest's columns and without the matrices. adjoint_sweep is its
 transpose, the same sums and the same real line operator in reverse order,
 for R^T d and X^T d; a multilevel engine with a large remainder computes
 every scope's share of the product in one call, each scope a block of one
-forest. Every dense entry comes from
-sensitivity_block, which fills R over X at a set of flat indices, each row a
-copy of its parent bus's row with the bus's own pair values over its
+forest. Every dense entry comes from sensitivity_block, which fills R over
+X at a set of flat indices, common paths measured from an anchor bus, each
+row a copy of its parent bus's row with the bus's own pair values over its
 subtree; a coupling scope multiplies it as returned, from the left. Over
-every index it is dense_sensitivity, run on the first read of
-SensitivityMatrices.r or .x, which only the flat coupling engine, whose one
-scope's block it is, and the tests make. At a multilevel scope's kernel rows
-it is that scope's block, so a multilevel solve holds no N x N array.
+every index, from the substation, it is dense_sensitivity, run on the first
+read of SensitivityMatrices.r or .x, which only the flat coupling engine,
+whose one scope's block it is, and the tests make. At a multilevel scope's
+rows and anchor it is that scope's block: a multilevel solve holds no N x N.
 """
 
 from __future__ import annotations
@@ -71,19 +71,20 @@ def _entry(net, i, phi, j, psi, part: int) -> float:
     return float(rotated_pairs(net.common_path_matrix(i, j))[part, a, b])
 
 
-def sensitivity_block(net: Network, idx) -> np.ndarray:
-    """R over X at the flat indices idx: shape (2, m, m), [0][a, b] = R[idx[a], idx[b]].
+def sensitivity_block(net: Network, idx, anchor: int = 0) -> np.ndarray:
+    """R over X at the flat indices idx, shape (2, m, m), common paths measured from bus
+    position anchor: with the substation's 0, [0][a, b] = R[idx[a], idx[b]].
 
     Entry (a, b) with a = (i, phi), b = (j, psi) is the rotated conjugate
     common-path impedance of buses i, j at phase pair (phi, psi), from
-    rotated_pairs of Network.z_prefix. Row a copies its parent row, the row
-    of idx at (parent(i), phi), since lca(i, j) = lca(parent(i), j) outside
-    i's subtree; inside it every column meets i at i and takes i's own pair
-    value. A row whose parent holds no row starts from the substation's
-    pair values, so every column outside its subtree must meet it there:
-    the flat indices of a bus set closed upward below one top, or below
-    tops that hang off the substation, qualify. Indices may repeat. The
-    block owns its memory; the substation's rows are held apart.
+    rotated_pairs of Network.z_prefix less z_prefix[anchor]. Row a copies
+    its parent row, the row of idx at (parent(i), phi), since lca(i, j) =
+    lca(parent(i), j) outside i's subtree; inside it every column meets i
+    at i and takes i's own pair value. A row whose parent holds no row
+    starts from the anchor's pair values, zero, so every column outside its
+    subtree must meet it there: the flat indices of a bus set closed upward
+    below one top, or below tops whose parent is the anchor, qualify.
+    Indices may repeat. The block owns its memory.
 
     The rows are filled one depth level at a time: each row of a level is
     copied on its own, then one scatter covers the level's subtrees'
@@ -95,14 +96,11 @@ def sensitivity_block(net: Network, idx) -> np.ndarray:
     idx = np.asarray(idx, dtype=np.int64)
     m = len(idx)
     bus, ph = net.flat_bus_pos[idx], net.flat_phase[idx]
-    # Pair (phi, psi) of row a's bus sits at 9 a + 3 phi + psi, the
-    # substation's after the last row's.
-    r_pairs, x_pairs = rotated_pairs(net.z_prefix[np.append(bus, 0)]).reshape(2, -1)
-    # The substation's pair rows at phases a, b and c, as rotated_pairs
-    # gives them (signed zeros included): a row whose parent holds no row
-    # copies the one at its phase, numbered ph - 3.
-    top = 9 * m + 3 * np.arange(3)[:, None] + ph
-    pad_r, pad_x = r_pairs[top], x_pairs[top]
+    # Pair (phi, psi) of row a's bus sits at 9 a + 3 phi + psi.
+    r_pairs, x_pairs = rotated_pairs(net.z_prefix[bus] - net.z_prefix[anchor]).reshape(2, -1)
+    # The anchor's pair rows at phases a, b and c, rotated_pairs of zero: a
+    # row whose parent holds no row copies the one at its phase, ph - 3.
+    pad_r, pad_x = rotated_pairs(np.zeros((3, 3), dtype=np.complex128))[..., ph]
     block = np.empty((2, m, m), dtype=np.float64)
     where = np.full(net.n_flat + 1, -1, dtype=np.int64)  # index -1 has no row
     where[idx] = np.arange(m)
@@ -199,10 +197,10 @@ def adjoint_sweep(forest: Forest, cols: np.ndarray, d: np.ndarray) -> np.ndarray
     transpose of line_operator, which gives each column rows [p; q], and
     ancestor sums of those rows. Over Network.forest, with cols each flat
     index's column, it is the whole flat product; over a subforest, the
-    product restricted to its indices, where a multilevel scope also
-    places each child's per-phase aggregate at its anchor's columns. Over
-    a forest of several blocks it is each block's product at once, bitwise
-    what the block's own forest gives, since no sum crosses a block.
+    product restricted to its indices from its tops' parent, where a
+    multilevel scope also places each child's per-phase aggregate at its
+    anchor's columns. Over a forest of several blocks it is each block's
+    product at once, bitwise what its own forest gives: no sum crosses one.
     """
     s = forest.subtree_sums(np.bincount(cols, weights=d, minlength=forest.n)[None])[0]
     t = forest.ancestor_sums(forest.line(*forest.line_operator, s, transpose=True))

@@ -19,7 +19,7 @@ from mlopf.coupling import (
     privacy_audit,
 )
 from mlopf.feedergen import FeederSpec, generate
-from mlopf.network import Forest, load_network, network_to_document
+from mlopf.network import Forest, load_network, network_to_document, phase_code, rotated_pairs
 from mlopf.partition import (
     Area,
     PartitionHierarchy,
@@ -29,7 +29,7 @@ from mlopf.partition import (
     unclustered,
     validate_partition,
 )
-from mlopf.sensitivity import adjoint_sweep, build_sensitivity
+from mlopf.sensitivity import adjoint_sweep, build_sensitivity, sensitivity_block
 
 from conftest import fig_feeder, random_duals, random_network, refuse_dense_build
 
@@ -617,35 +617,37 @@ def test_audit_rejects_unknown_read_kinds(fig_net):
     assert report.events_checked == 3
 
 
+def scope_anchor(net, scope):
+    """Bus id of a scope's anchor, its root's parent; the substation for the feeder."""
+    return 0 if scope.root is None else net.bus(scope.root).parent
+
+
+def anchored_pairs(net, i, j, anchor):
+    """The scalar oracle: rotated pairs of buses i and j's common path from bus anchor."""
+    return rotated_pairs(net.common_path_matrix(i, j) - net.z_prefix[net.bus_pos(anchor)])
+
+
 def kernel_slots(net, scope):
     """(child, anchor id, phase) of each slot row: every phase of each child root
-    whose anchor is not the substation, child by child."""
+    whose anchor is not the scope's own, child by child."""
     return [
         (k, net.bus(ch.root).parent, ph)
-        for k, ch in enumerate(scope.children) if net.bus(ch.root).parent != 0
+        for k, ch in enumerate(scope.children)
+        if net.bus(ch.root).parent != scope_anchor(net, scope)
         for ph in net.bus(ch.root).phases
     ]
 
 
-def own_blocks_zeroed(net, scope, want):
-    """want, an (2, rows, rows) block, with each child's own slot block set to 0."""
-    owner = [k for k, _, _ in kernel_slots(net, scope)]
-    s = len(owner)
-    want[:, :s, :s][:, np.equal.outer(owner, owner)] = 0.0
-    return want
-
-
 @pytest.mark.parametrize("depth", [1, 2])
 def test_scope_blocks_match_scalar_common_path_entries(depth):
-    # Each scope's block holds R over X at its kernel's rows: row
-    # (i, phi), column (j, psi) reads dv(i, phi)/dp(j, psi), then
-    # dv(i, phi)/dq(j, psi), bit for bit the scalar entry, and a child's
-    # own slot block is 0. The rows are one slot per phase of each child
-    # root not anchored at the substation, at the anchor, then the
-    # remainder. The 60-bus feeder's child roots hold all three phases;
+    # Each scope's block holds R over X at its kernel's rows, common paths
+    # measured from the scope's anchor: row (i, phi), column (j, psi) reads
+    # the rotated pairs of the common-path impedance of i and j less the
+    # anchor's root path, bit for bit the scalar entry, each child's own
+    # slot block included. The rows are one slot per phase of each child
+    # root not anchored at the scope's anchor, at the child's anchor, then
+    # the remainder. The 60-bus feeder's child roots hold all three phases;
     # uv300's lack some, which therefore have no slot.
-    from mlopf.sensitivity import dv_dp_entry, dv_dq_entry
-
     feeder = generate(FeederSpec(n_buses=60, seed=4, phase_drop=0.4),
                       target_area_size=15, target_subarea_size=5)
     absent = 0
@@ -655,20 +657,22 @@ def test_scope_blocks_match_scalar_common_path_entries(depth):
             kernel = [labels[i] for i in scope.rows]
             slots = kernel_slots(net, scope)
             assert kernel == [(bus, ph) for _, bus, ph in slots] + [labels[i] for i in scope.rem]
-            want = np.array([[[(dv_dp_entry, dv_dq_entry)[part](net, i, phi, j, psi)
-                               for j, psi in kernel] for i, phi in kernel]
-                             for part in (0, 1)])
-            own_blocks_zeroed(net, scope, want)
-            assert scope.block.tobytes() == want.tobytes()
+            anchor = scope_anchor(net, scope)
+            want = np.array([
+                [anchored_pairs(net, i, j, anchor)[:, phase_code(phi), phase_code(psi)]
+                 for j, psi in kernel] for i, phi in kernel
+            ]).reshape(len(kernel), len(kernel), 2)
+            assert scope.block.tobytes() == np.moveaxis(want, -1, 0).tobytes()
             absent += sum(3 - len(net.bus(ch.root).phases) for ch in scope.children)
     assert absent > 0
 
 
 def test_dense_scope_blocks_are_the_dense_submatrices():
-    # Every dense scope's block, all four quadrants, is bitwise the R over
-    # X submatrix at the kernel's rows with each child's own slot block
-    # zero: the scopes and the dense build share sensitivity_block. The
-    # hand partitions add a substation anchor, an empty remainder, shared
+    # The feeder scope's block, all four quadrants, is bitwise the R over X
+    # submatrix at the kernel's rows, nothing zeroed; every other scope's
+    # block is bitwise sensitivity_block at its rows from its anchor: the
+    # scopes and the dense build share sensitivity_block. The hand
+    # partitions add a substation anchor, an empty remainder, shared
     # anchors and a subarea equal to its area.
     uv300_net, uv300_part = uv300()
     cases = [(uv300_net, uv300_part)]
@@ -682,8 +686,10 @@ def test_dense_scope_blocks_are_the_dense_submatrices():
             assert engine._forest is None
             for scope in engine._scopes:
                 rows = scope.rows
-                want = np.stack([sens.r[np.ix_(rows, rows)], sens.x[np.ix_(rows, rows)]])
-                own_blocks_zeroed(net, scope, want)
+                if scope is engine._tree:
+                    want = np.stack([sens.r[np.ix_(rows, rows)], sens.x[np.ix_(rows, rows)]])
+                else:
+                    want = sensitivity_block(net, rows, net.bus_pos(scope_anchor(net, scope)))
                 assert scope.block.tobytes() == want.tobytes()
                 seen |= anchor_cases(net, scope, np.zeros(net.n_flat))
                 if any(ch.root == scope.root for ch in scope.children):
@@ -1023,6 +1029,60 @@ def test_sweep_op_formula_is_pinned(all_sweeps):
     assert (len(top.rem), columns, buses, sizes) == (26, 26, 12, [14, 9])
     inner = sum(ch.ops for ch in top.children)
     assert top.ops == inner + 3 * (14 + 9) + 21 * 12 + 9 * 2
+
+
+@pytest.mark.parametrize("swept", [False, True], ids=["as-built", "all-swept"])
+def test_every_scope_s_rows_lie_inside_it(monkeypatch, swept):
+    # Each child's slots sit at its anchor only when that differs from the
+    # scope's own, so no kernel row lies outside the scope: at the hand
+    # partition whose subarea equals its area, the area has no row at all.
+    if swept:
+        monkeypatch.setattr(coupling, "SWEEP_MIN_REMAINDER", 0)
+    cases = [(net, part) for net, part, _, _ in [*hand_partitions(), *criterion_1_family(100)]]
+    cases += [uv300(), gen4k()]
+    for net, part in cases:
+        for depth in (1, 2):
+            for scope in MultilevelEngine(net, part, depth)._scopes:
+                assert np.isin(scope.rows, scope.idx).all(), scope.key
+
+
+@pytest.mark.parametrize("feeder", ["hand", "uv300", "gen4k"])
+def test_swept_forest_columns_carry_their_own_lines(all_sweeps, feeder):
+    # Every column of a swept engine's forest holds its own bus's line, at
+    # its own phase and at each cross-phase pair of its bus: no block
+    # carries a path outside its scope.
+    cases = {
+        "hand": lambda: [(net, part) for net, part, _, _ in hand_partitions()],
+        "uv300": lambda: [uv300()],
+        "gen4k": lambda: [gen4k()],
+    }[feeder]()
+    for net, part in cases:
+        for depth in (1, 2):
+            forest = MultilevelEngine(net, part, depth)._forest
+            held = forest.idx >= 0
+            bus, ph = net.flat_bus_pos[forest.idx], net.flat_phase[forest.idx]
+            want = net.z_line[bus[held], ph[held], ph[held]]
+            assert forest.z_line[held].tobytes() == want.tobytes()
+            assert not forest.z_line[~held].any()
+            to, frm = forest.pairs
+            assert held[to].all() and (bus[to] == bus[frm]).all()
+            assert forest.z_pair.tobytes() == net.z_line[bus[to], ph[to], ph[frm]].tobytes()
+
+
+def test_engines_match_the_whole_tree_sweep_at_gen20k():
+    # Far past the dense oracle's reach: gen20k's 20,051 indices, every
+    # scope swept at both depths, against one adjoint_sweep over the whole
+    # feeder's forest.
+    net = generate(FeederSpec(20000, seed=0, load_scale=0.01)).net
+    part = auto_partition(net, 2000, 500)
+    mu_up, mu_lo = random_duals(np.random.default_rng(29), net.n_flat)
+    forest = net.forest
+    ref = adjoint_sweep(forest, np.argsort(forest.idx), mu_up - mu_lo)
+    for depth in (1, 2):
+        engine = MultilevelEngine(net, part, depth)
+        assert engine._forest is not None
+        g = engine.compute(mu_up, mu_lo).g
+        assert np.max(np.abs(g - ref)) <= 1e-13 * (1.0 + np.max(np.abs(ref)))
 
 
 def test_acceptance_feeders_keep_their_dense_blocks():

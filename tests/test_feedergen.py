@@ -86,6 +86,32 @@ def test_invalid_specs_rejected():
             FeederSpec(n_buses=10, load_scale=load_scale)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"n_buses": True}, "n_buses must be an integer, got True"),
+    ({"n_buses": 2.5}, "n_buses must be an integer, got 2.5"),
+    ({"n_buses": 3.0}, "n_buses must be an integer, got 3.0"),
+    ({"trunk_depth": 1.5}, "trunk_depth must be an integer, got 1.5"),
+    ({"seed": False}, "seed must be an integer, got False"),
+    ({"phase_drop": True}, "phase_drop must be a number, got True"),
+    ({"device_density": np.True_}, f"device_density must be a number, got {np.True_!r}"),
+    ({"load_scale": True}, "load_scale must be a number, got True"),
+], ids=["n_buses-bool", "n_buses-fraction", "n_buses-float", "trunk_depth-fraction",
+        "seed-bool", "phase_drop-bool", "device_density-numpy-bool", "load_scale-bool"])
+def test_spec_rejects_fractional_and_bool_counts(fields, message):
+    # Counts are integers, numpy's included; a bool is neither a count nor
+    # a probability or scale.
+    with pytest.raises(ValueError) as caught:
+        FeederSpec(**{"n_buses": 10, **fields})
+    assert str(caught.value) == message
+
+
+def test_spec_takes_numpy_integers():
+    spec = FeederSpec(n_buses=np.int64(12), trunk_depth=np.int32(2), seed=np.int64(5))
+    assert feeder_documents(generate(spec)) == feeder_documents(
+        generate(FeederSpec(n_buses=12, trunk_depth=2, seed=5))
+    )
+
+
 @pytest.mark.parametrize("v_min, v_max", [
     (float("nan"), 1.05), (0.95, float("nan")), (0.95, float("inf")),
     (1.05, 0.95), (0.0, 1.05),

@@ -16,6 +16,7 @@ from mlopf.network import (
     NetworkError,
     load_network,
     network_to_document,
+    rotated_pairs,
 )
 from mlopf.opf import Device, ProblemError, load_problem, make_problem
 from mlopf.partition import load_partition
@@ -492,6 +493,29 @@ def test_sensitivity_block_is_the_dense_submatrix_on_subsets(seed):
         assert block[1].tobytes() == sens.x[np.ix_(idx, idx)].tobytes(), name
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_sensitivity_block_from_a_top_s_parent_is_the_scalar_oracle(seed):
+    # A subtree with some of its own subtrees cut away, shuffled and with
+    # some indices repeated: from its top's parent, each entry is bitwise
+    # the rotated pairs of the common path less that parent's root path.
+    rng = np.random.default_rng(700 + seed)
+    net = random_network(rng, int(rng.integers(8, 70)))
+    top = int(rng.integers(1, net.n_buses))
+    keep = set(subtree_positions(net, top).tolist())
+    for cut in rng.choice(sorted(keep - {top}), size=min(2, len(keep) - 1), replace=False):
+        keep -= set(subtree_positions(net, cut).tolist())
+    idx = flat_indices_at(net, sorted(keep))
+    idx = rng.permutation(np.append(idx, rng.choice(idx, size=len(idx) // 3 + 1)))
+    anchor = int(net.parent_pos[top])
+    below = net.z_prefix[anchor]
+    bus, ph = net.ids[net.flat_bus_pos[idx]].tolist(), net.flat_phase[idx].tolist()
+    want = np.empty((2, len(idx), len(idx)))
+    for a, (i, phi) in enumerate(zip(bus, ph)):
+        for b, (j, psi) in enumerate(zip(bus, ph)):
+            want[:, a, b] = rotated_pairs(net.common_path_matrix(i, j) - below)[:, phi, psi]
+    assert sensitivity_block(net, idx, anchor).tobytes() == want.tobytes()
+
+
 def subset_cases(net, rng):
     """Named bus-position subsets: connected or not, with and without bus 0."""
     root = net.bus_pos(0)
@@ -601,9 +625,10 @@ def test_subforest_columns_match_brute_force_on_subsets(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_subforest_sums_match_parent_walk_inside_the_set(seed):
     # A subtree with some of its own subtrees cut away is closed upward,
-    # as a scope's remainder is; its sums see only the indices it keeps,
-    # and its ancestor sums of line impedances are the root-path
-    # impedances, at each column's own phase.
+    # as a scope's remainder is; its sums see only the indices it keeps.
+    # Every column, the top's too, carries its own bus's line, so its
+    # ancestor sums of line impedances are the root-path impedances less
+    # the top's parent's, at each column's own phase.
     rng = np.random.default_rng(680 + seed)
     net = random_network(rng, int(rng.integers(20, 70)))
     top = int(rng.integers(1, net.n_buses))
@@ -615,11 +640,11 @@ def test_subforest_sums_match_parent_walk_inside_the_set(seed):
     assert_subforest_holds(net, idx, cols, forest)
     bus, phase = net.flat_bus_pos[forest.idx], net.flat_phase[forest.idx]
     at_top = bus == top
-    np.testing.assert_array_equal(
-        forest.z_line[at_top], net.z_prefix[top, phase[at_top], phase[at_top]]
-    )
+    own = net.z_line[top, phase[at_top], phase[at_top]]
+    assert forest.z_line[at_top].tobytes() == own.tobytes()
+    below = net.z_prefix[net.parent_pos[top], phase, phase]
     np.testing.assert_allclose(
-        forest.ancestor_sums(forest.z_line[None])[0], net.z_prefix[bus, phase, phase],
+        forest.ancestor_sums(forest.z_line[None])[0], net.z_prefix[bus, phase, phase] - below,
         rtol=0, atol=1e-12,
     )
     assert_forest_sums_match_parent_walk(net, forest, rng)

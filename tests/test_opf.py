@@ -438,6 +438,26 @@ def test_solver_config_rejects_an_out_of_range_value(fields, message):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"max_iters": 2.5}, "max_iters must be an integer, got 2.5"),
+    ({"max_iters": 3.0}, "max_iters must be an integer, got 3.0"),
+    ({"max_iters": True}, "max_iters must be an integer, got True"),
+    ({"step_primal": True}, "step_primal must be a finite number, got True"),
+    ({"step_dual": np.True_}, f"step_dual must be a finite number, got {np.True_!r}"),
+    ({"residual_tol": True}, "residual_tol must be a finite number, got True"),
+], ids=["max_iters-fraction", "max_iters-float", "max_iters-bool", "step_primal-bool",
+        "step_dual-numpy-bool", "residual_tol-bool"])
+def test_solver_config_rejects_fractional_and_bool_values(fields, message):
+    with pytest.raises(ProblemError) as caught:
+        SolverConfig(**fields)
+    assert str(caught.value) == message
+
+
+def test_solver_config_takes_numpy_numbers():
+    cfg = SolverConfig(max_iters=np.int64(7), step_primal=np.float64(1e-3), residual_tol=0)
+    assert cfg.max_iters == 7
+
+
 def test_voltage_bounds_reject_mismatched_shapes():
     with pytest.raises(ProblemError, match="^bound vectors must have matching shapes$"):
         VoltageBounds(np.full(2, 0.9), np.full(3, 1.1))

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mlopf.coupling import MultilevelEngine
+from mlopf import network
+from mlopf.coupling import EngineError, MultilevelEngine
 from mlopf.feedergen import FeederSpec, generate
 from mlopf.network import Bus, Line, Network
 from mlopf.partition import (
@@ -293,3 +294,42 @@ def test_members_derived_from_roots(fig_net):
 def test_auto_partition_rejects_a_non_positive_target(targets):
     with pytest.raises(ValueError, match="^size targets must be positive$"):
         auto_partition(fig_feeder(), *targets)
+
+
+# A root value, and the message the document reader gives for it.
+ROOT_READER_MESSAGES = [
+    (True, "True is not a JSON number"),
+    (False, "False is not a JSON number"),
+    (2.5, "bus id 2.5 is not an integer"),
+    (float("nan"), "bus id nan is not an integer"),
+    ("21", "'21' is not a JSON number"),
+    (None, "None is not a JSON number"),
+    (-1, "bus id -1 is outside [0, 2**63 - 1]"),
+    (2**63, f"bus id {2**63} is outside [0, 2**63 - 1]"),
+]
+
+
+@pytest.mark.parametrize("root, reader", ROOT_READER_MESSAGES,
+                         ids=["true", "false", "fraction", "nan", "string", "null",
+                              "negative", "too-large"])
+def test_partition_records_read_roots_as_their_documents_do(fig_net, root, reader):
+    # An area or subarea root the document reader rejects is, in a record,
+    # the problem "<scope>: <the reader's message>", and that scope is not
+    # checked further; the engine refuses the partition.
+    for area_root, sub_root, tag in ((root, 27, "area 0"), (21, root, "area 0 subarea 0")):
+        doc = {"areas": [{"root": area_root, "subareas": [{"root": sub_root}]}]}
+        with pytest.raises(network.NetworkError) as caught:
+            load_partition(doc, fig_net)
+        assert str(caught.value).endswith(f": {reader}")
+        part = PartitionHierarchy((Area(0, area_root, (Subarea(0, sub_root),)),))
+        assert validate_partition(fig_net, part) == [f"{tag}: {reader}"]
+        with pytest.raises(EngineError, match="invalid partition"):
+            MultilevelEngine(fig_net, part, 2)
+
+
+@pytest.mark.parametrize("root", [21, 21.0, np.int64(21)], ids=["int", "integral-float", "numpy"])
+def test_integral_roots_stay_valid(fig_net, root):
+    part = PartitionHierarchy((Area(0, root, (Subarea(0, root + 6),)),))
+    assert validate_partition(fig_net, part) == []
+    doc = {"areas": [{"root": root, "subareas": [{"root": root + 6}]}]}
+    assert validate_partition(fig_net, load_partition(doc, fig_net)) == []
