@@ -2,8 +2,10 @@
 
 Subcommands: validate | partition | gen | solve | bench | compare. Every
 run that writes an output directory also writes the manifest that
-regenerates it. Exit codes: 0 success, 1 internal error, 2 input
-validation, 3 solver non-convergence under --require-convergence.
+regenerates it. Exit codes: 0 success, 1 internal error (an output that
+cannot be written included), 2 input validation (an input document that
+cannot be read included), 3 solver non-convergence under
+--require-convergence.
 """
 
 from __future__ import annotations

@@ -477,6 +477,11 @@ _LEAK_TEXT = {
 }
 
 
+def _array_of(value, types: tuple) -> bool:
+    """value is a JSON array whose entries each have exactly one of types (so a bool is no int)."""
+    return type(value) is list and all(type(entry) in types for entry in value)
+
+
 def _audit_rules(net: Network, part: PartitionHierarchy) -> dict:
     """allowed[scope][kind]: the flat indices or bus ids a scope may read."""
     def rules(members, exterior, exterior_idx, roots):
@@ -518,11 +523,12 @@ def privacy_audit(record: FlowRecord, net: Network, part: PartitionHierarchy) ->
     buses, which for an area include its own members (its remainder to
     subarea root coefficients live there) and for the unclustered scope
     are its own buses. Any other item is a violation, and so is an event
-    from a scope the partition lacks, of an unknown kind or of no kind
-    FlowRecord records. Aggregate
-    exchanges never are: they are the mechanism that keeps everything
-    else inside its scope. A partition that fails validate_partition has
-    no scopes to check against: its problems are the report's violations.
+    from a scope the partition lacks, of an unknown kind, of no kind
+    FlowRecord records, or with a field missing or of the wrong JSON type
+    (one violation naming the event). Aggregate exchanges never are: they
+    are the mechanism that keeps everything else inside its scope. A
+    partition that fails validate_partition has no scopes to check
+    against: its problems are the report's violations.
     """
     names = [ev.get("event") if isinstance(ev, dict) else None for ev in record.events]
     global_access = "global_access" in names
@@ -534,14 +540,19 @@ def privacy_audit(record: FlowRecord, net: Network, part: PartitionHierarchy) ->
         if name in ("global_access", "aggregate"):
             continue
         if name == "dual_read":
-            what, kind, items = "dual read", ev["basis"], set(ev["flat_indices"])
+            what, kind, fields = "dual read", ev.get("basis"), [ev.get("flat_indices")]
         elif name == "z_access":
-            what, kind = "impedance access", ev["kind"]
-            items = set(ev["row_buses"]) | set(ev["col_buses"])
+            what, kind = "impedance access", ev.get("kind")
+            fields = [ev.get("row_buses"), ev.get("col_buses")]
         else:
             violations.append(f"unknown event {ev!r}")
             continue
-        scope = tuple(ev["scope"])
+        scope = ev.get("scope")
+        if not (_array_of(scope, (str, int)) and type(kind) is str
+                and all(_array_of(field, (int,)) for field in fields)):
+            violations.append(f"malformed {name} event {ev!r}")
+            continue
+        scope, items = tuple(scope), set().union(*fields)
         text = _LEAK_TEXT[what].get(kind)
         rules = allowed.get(scope)
         if text is None:

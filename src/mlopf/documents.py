@@ -48,10 +48,19 @@ def raise_first(checks, error=NetworkError) -> None:
 
 
 def read_document(document: dict | str | Path, what: str) -> dict:
-    """The JSON object at a path, or a parsed document; anything else raises NetworkError."""
+    """The JSON object at a path, or a parsed document; anything else raises NetworkError.
+
+    A file that cannot be read, such as a missing path, a directory or text
+    that is not UTF-8, is malformed input too: the error names the document.
+    """
     if isinstance(document, (str, Path)):
         try:
-            document = json.loads(Path(document).read_text())
+            text = Path(document).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise NetworkError(f"cannot read {what} document {document}: {reason}") from exc
+        try:
+            document = json.loads(text)
         except json.JSONDecodeError as exc:
             raise NetworkError(f"{what} document is not valid JSON: {exc}") from exc
     if not isinstance(document, dict):

@@ -2,13 +2,16 @@
 
 Areas are full subtrees (a root bus plus every descendant); each area may
 be subdivided into disjoint full subtrees (subareas). A partition holds
-only the roots: a scope's buses are its root's DFS slice, read through
-`subtree_ids`, so closure holds by construction. An area's buses outside
+only the roots: a scope's buses are its root's DFS range, read through
+`subtree_ids`, so closure holds by construction, and every membership
+question here is a comparison of DFS ranges. An area's buses outside
 its subareas are its remainder, and buses outside every area form the
 unclustered set (`unclustered`). Full-subtree closure is what licenses
 the multilevel coupling engines: any two buses in disjoint subtrees share
 the common path of the subtree roots, and a bus outside a subtree shares
-the root's common path with every bus inside it.
+the root's common path with every bus inside it. The greedy partitioner
+cuts a bus when its subtree size qualifies and no bus below it does, one
+count over a DFS range, so its cuts depend on no walk order.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .documents import document_columns, document_id, document_keys, id_column, read_document
 from .network import Network
@@ -56,59 +61,71 @@ def subtree_ids(net: Network, root: int) -> frozenset[int]:
 
 def unclustered(net: Network, part: PartitionHierarchy) -> frozenset[int]:
     """Bus ids outside every area, the substation excluded."""
-    clustered = frozenset().union(*(subtree_ids(net, a.root) for a in part.areas))
-    return frozenset(net.ids[1:].tolist()) - clustered
+    public = np.ones(net.n_buses, dtype=bool)
+    for area in part.areas:
+        public[_subtree_slice(net, net.bus_pos(area.root))] = False
+    return frozenset(net.ids[1:][public[1:]].tolist())
 
 
 def validate_partition(net: Network, part: PartitionHierarchy) -> list[str]:
-    """Check every root against its parent scope and its earlier siblings.
+    """Check every scope against its parent scope and its earlier siblings.
 
-    One check runs for each area against the feeder and for each subarea
-    against its area. The root is a bus id as document_id reads one, the
-    substation roots no scope, the root is a known bus and, for a subarea,
-    lies inside its area; a scope that fails one of these is not checked
-    further. Its buses must then hold none an earlier sibling claimed,
-    which catches nested and repeated roots.
+    Each area is checked against the feeder, then each of its subareas
+    against the area. The index is an integer (not a bool) no earlier
+    sibling holds, the root a bus id as document_id reads one, not the
+    substation, a known bus and, for a subarea, in its area's DFS range; a
+    scope failing one of these is not checked further. Its buses must then
+    hold none an earlier sibling claimed, which catches nested and
+    repeated roots; each such bus, in id order, names its latest owner.
 
     Returns a list of violation descriptions; empty means the partition is
     valid for every coupling engine.
     """
     problems: list[str] = []
-    all_ids = set(net.ids[1:].tolist())
 
-    def check_scope(tag, root, parent_ids, claimed):
-        """The root's subtree once its buses are claimed; None for an invalid root."""
-        try:
-            root = document_id(root)
-        except (TypeError, ValueError) as exc:
-            problems.append(f"{tag}: {exc}")
-            return None
-        if root == 0:
-            problems.append(f"{tag}: the substation cannot root an area")
-            return None
-        if root not in all_ids:
-            problems.append(f"{tag}: unknown bus id {root}")
-            return None
-        if root not in parent_ids:
-            problems.append(f"{tag}: root {root} is outside the area")
-            return None
-        ids = subtree_ids(net, root)
-        for bid in sorted(ids):
-            if bid in claimed:
-                problems.append(f"{tag}: bus {bid} already belongs to {claimed[bid]}")
-            claimed[bid] = tag
-        return ids
+    def check(scopes, kind: str, lo: int, hi: int) -> None:
+        """Check sibling scopes inside their parent scope's DFS range [lo, hi)."""
+        owner = np.full(hi - lo, -1)  # per DFS slot, the latest sibling to claim its bus
+        held: set[int] = set()
+        for j, scope in enumerate(scopes):
+            tag = f"{kind} {scope.index}"
+            k, problem = _check_scope(net, scope, held, lo, hi)
+            if problem:
+                problems.append(f"{tag}: {problem}")
+                continue
+            first, size = net.tin[k], net.size[k]
+            earlier = owner[first - lo: first - lo + size]
+            claimed = np.flatnonzero(earlier >= 0)
+            bids = net.ids[net.order[first + claimed]].tolist()
+            for bid, o in sorted(zip(bids, earlier[claimed].tolist())):
+                problems.append(f"{tag}: bus {bid} already belongs to {kind} {scopes[o].index}")
+            earlier[:] = j
+            check(getattr(scope, "subareas", ()), f"{tag} subarea", first, first + size)
 
-    claimed: dict[int, str] = {}
-    for area in part.areas:
-        tag = f"area {area.index}"
-        area_ids = check_scope(tag, area.root, all_ids, claimed)
-        if area_ids is None:
-            continue
-        sub_claimed: dict[int, str] = {}
-        for sub in area.subareas:
-            check_scope(f"{tag} subarea {sub.index}", sub.root, area_ids, sub_claimed)
+    check(part.areas, "area", 0, net.n_buses)
     return problems
+
+
+def _check_scope(net: Network, scope, held: set[int], lo: int, hi: int) -> tuple[int, str | None]:
+    """scope's root position, or the first rule it fails; held gathers the sibling indices."""
+    index = scope.index
+    if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+        return -1, f"index {index!r} is not an integer"
+    if index in held:
+        return -1, f"index {index} is held by an earlier sibling"
+    held.add(index)
+    try:
+        root = document_id(scope.root)
+    except (TypeError, ValueError) as exc:
+        return -1, str(exc)
+    if root == 0:
+        return -1, "the substation cannot root an area"
+    k = int(net.bus_positions(root))
+    if k < 0:
+        return -1, f"unknown bus id {root}"
+    if not lo <= net.tin[k] < hi:
+        return -1, f"root {root} is outside the area"
+    return k, None
 
 
 def size_targets(n_buses: int, area: int | None = None, subarea: int | None = None):
@@ -123,47 +140,39 @@ def auto_partition(
 ) -> PartitionHierarchy:
     """Deterministic greedy clustering into full-subtree areas.
 
-    Walks the tree children before parents and cuts a bus as an area root
-    the first time its subtree size reaches the target, provided the
-    subtree is intact (no descendant already cut) and not larger than
-    twice the target. Ancestors of a cut are never cut, so every area is a
-    full subtree of the original tree. The same rule runs inside each area
-    with the subarea target when one is given.
+    A bus other than the substation is cut as an area root when its
+    subtree size lies in [target, 2 * target] and no bus below it has
+    such a size (_greedy_cuts). Ancestors of a cut are never cut, so every
+    area is a full subtree of the original tree, and the cuts depend on no
+    walk order. The same rule runs inside each area with the subarea
+    target; a subarea target of 0 cuts nothing.
     """
     if target_area_size < 1 or target_subarea_size < 0:
         raise ValueError("size targets must be positive")
-
-    root_pos = net.bus_pos(0)
-    areas = []
-    for k, rp in enumerate(_greedy_cuts(net, root_pos, target_area_size, forbid={root_pos})):
-        sub_roots = (
-            _greedy_cuts(net, rp, target_subarea_size, forbid=set())
-            if target_subarea_size >= 1 else []
-        )
-        subareas = tuple(Subarea(m, int(net.ids[srp])) for m, srp in enumerate(sub_roots))
-        areas.append(Area(k, int(net.ids[rp]), subareas))
-    return PartitionHierarchy(tuple(areas))
+    return PartitionHierarchy(tuple(
+        Area(k, int(net.ids[a]), tuple(
+            Subarea(m, int(net.ids[s]))
+            for m, s in enumerate(_greedy_cuts(net, a, target_subarea_size))
+        ))
+        for k, a in enumerate(_greedy_cuts(net, 0, target_area_size))
+    ))
 
 
-def _greedy_cuts(net: Network, scope_root_pos: int, target: int, forbid: set[int]) -> list[int]:
-    """Positions of cut subtree roots under the greedy size rule.
+def _greedy_cuts(net: Network, root_pos: int, target: int) -> list[int]:
+    """Positions of the cut subtree roots in root_pos's subtree, ascending.
 
-    Walks the subtree at scope_root_pos children before parents; a node is
-    cut when its intact subtree size lands in [target, 2 * target].
-    Cutting blocks every ancestor. Among the ascending sizes on a root path
-    the rule fires at the deepest qualifying node, and each decision reads
-    only the node's own subtree, so the cuts do not depend on walk order.
+    A bus other than the substation qualifies when its subtree size lies
+    in [target, 2 * target]; it is cut unless a cut below blocks it. A
+    subtree holds a cut exactly when it holds a qualifying bus (its
+    deepest one is never blocked), so a bus is cut exactly when it is the
+    only qualifying bus of its subtree: one prefix count over the DFS range.
     """
-    blocked: set[int] = set()  # a descendant was cut
-    cuts: list[int] = []
-    for k in _subtree_slice(net, scope_root_pos)[::-1].tolist():
-        if k in blocked:
-            blocked.add(int(net.parent_pos[k]))
-        elif k not in forbid and target <= net.size[k] <= 2 * target:
-            cuts.append(k)
-            blocked.add(int(net.parent_pos[k]))
-    cuts.sort()
-    return cuts
+    subtree = _subtree_slice(net, root_pos)
+    size = net.size[subtree]
+    qualifies = (target <= size) & (size <= 2 * target) & (subtree != 0)
+    count = np.cumsum(qualifies)
+    alone = count[np.arange(len(subtree)) + size - 1] == count  # no qualifying bus below
+    return np.sort(subtree[qualifies & alone]).tolist()
 
 
 # -- document I/O ---------------------------------------------------------

@@ -604,13 +604,36 @@ def test_solve_rejects_a_non_finite_background_injection(workspace, tmp_path, ca
     assert f"non-finite background injection at {label}" in record["message"]
 
 
-def test_solve_missing_file_is_validation_error(tmp_path):
+def test_solve_missing_file_is_validation_error(tmp_path, capsys):
     args = [
         "solve", "--network", str(tmp_path / "nope.json"),
         "--devices", str(tmp_path / "nope2.json"),
         "--out", str(tmp_path / "x"),
     ]
-    assert main(args) == 1 or main(args) == 2
+    assert main(args) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "validation",
+        "message": f"cannot read network document {tmp_path / 'nope.json'}: "
+                   "No such file or directory",
+    }
+
+
+@pytest.mark.parametrize("flag", ["--network", "--partition"])
+def test_validate_of_an_unreadable_document_is_a_validation_error(
+    workspace, tmp_path, capsys, flag
+):
+    # A directory and text that is not UTF-8 are input faults like a
+    # missing file; the message names the document and its path.
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    capsys.readouterr()
+    for path in (tmp_path, binary):
+        paths = {"--network": workspace / "network.json",
+                 "--partition": workspace / "partition.json", flag: path}
+        assert main(["validate", *(str(x) for pair in paths.items() for x in pair)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "validation"
+        assert record["message"].startswith(f"cannot read {flag[2:]} document {path}: ")
 
 
 def test_bench_single_row_consistency(tmp_path):

@@ -601,6 +601,30 @@ def test_audit_rejects_events_from_unknown_scopes(fig_net, event):
     ]
 
 
+MALFORMED_EVENTS = [
+    {"event": "dual_read", "scope": ["area", 0], "count": 1, "flat_indices": [0]},
+    {"event": "z_access", "scope": ["area", 0], "kind": "intra", "col_buses": [6]},
+    {"event": "dual_read", "scope": ["area", 0], "basis": "members", "count": 1,
+     "flat_indices": 5},
+    {"event": "dual_read", "scope": [["x"]], "basis": "members", "count": 1,
+     "flat_indices": [0]},
+    {"event": "z_access", "scope": "area", "kind": "intra", "row_buses": [6],
+     "col_buses": [6]},
+]
+
+
+@pytest.mark.parametrize("event", MALFORMED_EVENTS,
+                         ids=["no-basis", "no-row-buses", "indices-not-array",
+                              "scope-unhashable", "scope-string"])
+def test_audit_reports_a_malformed_event_and_goes_on(fig_net, event):
+    part = auto_partition(fig_net, 4, 2)
+    foreign = dual_read_event(("area", 0), "members", range(fig_net.n_flat))
+    report = privacy_audit(FlowRecord(events=[event, foreign]), fig_net, part)
+    assert report.violations[0] == f"malformed {event['event']} event {event!r}"
+    assert len(report.violations) == 2
+    assert "foreign flat indices" in report.violations[1]
+
+
 def test_audit_rejects_unknown_read_kinds(fig_net):
     part = auto_partition(fig_net, 4, 2)
     record = FlowRecord(events=[

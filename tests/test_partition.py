@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from mlopf import network
-from mlopf.coupling import EngineError, MultilevelEngine
+from mlopf.coupling import EngineError, FlowRecord, MultilevelEngine, privacy_audit
 from mlopf.feedergen import FeederSpec, generate
 from mlopf.network import Bus, Line, Network
 from mlopf.partition import (
     Area,
     PartitionHierarchy,
     Subarea,
+    _greedy_cuts,
     auto_partition,
     load_partition,
     partition_to_document,
@@ -160,6 +161,46 @@ def test_auto_partition_roots_are_pinned():
         {"root": 100, "subareas": [{"root": 219}, {"root": 280}, {"root": 282}]},
         {"root": 117, "subareas": [{"root": 253}, {"root": 257}, {"root": 323}]},
     ]}
+    gen4k = generate(FeederSpec(n_buses=4000, seed=0, load_scale=0.05))
+    assert partition_to_document(auto_partition(gen4k.net, 400, 100)) == {"areas": [
+        {"root": 72, "subareas": [{"root": 169}, {"root": 531}, {"root": 533}]},
+        {"root": 95, "subareas": [{"root": 645}, {"root": 759}, {"root": 903}]},
+        {"root": 100, "subareas": [{"root": 172}, {"root": 220}, {"root": 443}]},
+        {"root": 108, "subareas": [{"root": 707}, {"root": 968}]},
+        {"root": 198, "subareas": [{"root": 412}, {"root": 413}, {"root": 735}]},
+    ]}
+
+
+def greedy_cuts_oracle(net: Network, root_pos: int, target: int) -> list[int]:
+    """The cut rule as stated, over explicit subtree sets built from parent links.
+
+    A bus other than the substation qualifies when its subtree holds
+    between target and 2 * target buses; a bus of root_pos's subtree is
+    cut when it qualifies and no bus in its subtree below it qualifies.
+    """
+    parent = net.parent_pos.tolist()
+    subtree = {k: {k} for k in range(net.n_buses)}
+    for j in range(net.n_buses):
+        k = parent[j]
+        while k >= 0:
+            subtree[k].add(j)
+            k = parent[k]
+    qualifies = {k for k in subtree if k != 0 and target <= len(subtree[k]) <= 2 * target}
+    return sorted(k for k in subtree[root_pos] & qualifies if not (subtree[k] - {k}) & qualifies)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_greedy_cuts_match_the_rule_on_explicit_subtrees(seed):
+    # The count over DFS ranges against the rule's own statement, at every
+    # target from 0 past the feeder's size, for the feeder and for scopes
+    # rooted anywhere in it.
+    rng = np.random.default_rng(1200 + seed)
+    nets = [random_network(rng, int(rng.integers(1, 120))), path_network(12), star_network(9)]
+    for net in nets:
+        roots = [0, *rng.integers(0, net.n_buses, 4).tolist()]
+        for target in range(net.n_buses + 2):
+            for root in roots:
+                assert _greedy_cuts(net, root, target) == greedy_cuts_oracle(net, root, target)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -333,3 +374,30 @@ def test_integral_roots_stay_valid(fig_net, root):
     assert validate_partition(fig_net, part) == []
     doc = {"areas": [{"root": root, "subareas": [{"root": root + 6}]}]}
     assert validate_partition(fig_net, load_partition(doc, fig_net)) == []
+
+
+@pytest.mark.parametrize("part, problem", [
+    (PartitionHierarchy((Area(0, 17, ()), Area(0, 21, ()))),
+     "area 0: index 0 is held by an earlier sibling"),
+    (PartitionHierarchy((Area(0, 21, (Subarea(0, 22), Subarea(0, 27))),)),
+     "area 0 subarea 0: index 0 is held by an earlier sibling"),
+    (PartitionHierarchy((Area(1, 17, ()), Area(True, 21, ()))),
+     "area True: index True is not an integer"),
+    (PartitionHierarchy((Area(0, 21, (Subarea(1.0, 22),)),)),
+     "area 0 subarea 1.0: index 1.0 is not an integer"),
+], ids=["repeated-area", "repeated-subarea", "bool-area", "float-subarea"])
+def test_scope_index_is_an_integer_no_earlier_sibling_holds(fig_net, part, problem):
+    # Engines and the audit key every scope by its index, so two siblings
+    # with one key would share a scope's read rules.
+    assert validate_partition(fig_net, part) == [problem]
+    record = FlowRecord()
+    with pytest.raises(EngineError, match="invalid partition"):
+        MultilevelEngine(fig_net, part, 2, record=record)
+    assert problem in privacy_audit(record, fig_net, part).violations
+
+
+def test_numpy_integer_indices_stay_valid(fig_net):
+    part = PartitionHierarchy((Area(np.int64(0), 17, ()), Area(np.int32(1), 21, (
+        Subarea(np.int64(0), 22), Subarea(np.uint8(1), 27),
+    ))))
+    assert validate_partition(fig_net, part) == []
